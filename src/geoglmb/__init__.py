@@ -41,7 +41,6 @@ from .filter import (
     BirthModel,
     EstimateSeries,
     LogCostMatrix,
-    MixtureHygiene,
     TrackEstimate,
     TruncationConfig,
     build_log_cost,

@@ -89,22 +89,22 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def validate(self) -> None:
+        """Raise ConfigError listing every problem, including those the
+        sensor, motion and truncation models reject when built."""
         issues = []
-        for name in ("p_detect", "p_survival", "r_birth"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                issues.append(f"{name}={v} outside [0, 1]")
-        for name in ("sigma_m", "sigma_p"):
-            if getattr(self, name) < 0:
-                issues.append(f"{name} must be >= 0")
+        for build in (self.sensor, self.motion, lambda: self.truncation(self.seed)):
+            try:
+                build()
+            except ValueError as exc:
+                issues.append(str(exc))
         if self.sigma_m == 0:
             issues.append("sigma_m must be > 0 for the sensor model")
-        if self.clutter_rate < 0:
-            issues.append("clutter_rate must be >= 0")
+        if not 0.0 <= self.r_birth <= 1.0:
+            issues.append(f"r_birth={self.r_birth} outside [0, 1]")
+        if len(self.birth_offsets) != len(PROPERTIES):
+            issues.append(f"birth_offsets needs {len(PROPERTIES)} values, one per property")
         if self.mode not in ("joint", "independent"):
             issues.append(f"mode={self.mode!r} not in {{joint, independent}}")
-        if self.trunc_method not in ("gibbs", "ranked"):
-            issues.append(f"trunc_method={self.trunc_method!r} not in {{gibbs, ranked}}")
         if self.mc_trials < 1:
             issues.append("mc_trials must be >= 1")
         if self.jobs < 1:
@@ -246,9 +246,7 @@ def run_trial(
 
 
 def _trial_worker(args) -> tuple[Scenario, EstimateSeries]:
-    config_doc, site_path, site_name, seed = args
-    config = ExperimentConfig.from_dict(config_doc)
-    records = load_site_table(site_path)
+    records, config, site_name, seed = args
     try:
         return run_trial(records, config, seed, site_name)
     except GeoGlmbError as exc:
@@ -260,14 +258,15 @@ def run_monte_carlo(
 ) -> tuple[list[tuple[Scenario, EstimateSeries]], RunReport]:
     """All trials (seeds seed+0 .. seed+mc_trials-1) plus one report.
 
-    Trials may run in parallel up to config.jobs; results are aggregated in
-    trial order, so the report does not depend on scheduling.
+    The site table is parsed once and shared by every trial.  Trials may run
+    in parallel up to config.jobs; results are aggregated in trial order, so
+    the report does not depend on scheduling.
     """
     config.validate()
     site_path = config.resolve_site()
-    site_name = site_path.stem
+    records = load_site_table(site_path)
     jobs = [
-        (config.to_dict(), str(site_path), site_name, config.seed + t)
+        (records, config, site_path.stem, config.seed + t)
         for t in range(config.mc_trials)
     ]
     if config.jobs > 1 and config.mc_trials > 1:

@@ -7,7 +7,9 @@ the parent weight times per-label survival/death, birth/not-born, and
 detection factors, where an assigned measurement contributes its predicted
 likelihood against the clutter intensity.  The exponentially many children
 are truncated by Gibbs sampling or exact ranked assignment, pruned, capped,
-and renormalized.
+and renormalized.  Every child extends exactly one parent's history by one
+distinct solution of that parent's cost matrix, so the children of a step
+never share an identity and are never merged.
 
 Trajectories are read out by maximum a posteriori: pick the most probable
 cardinality, the best hypothesis of that cardinality, and follow its
@@ -50,7 +52,6 @@ __all__ = [
     "BirthModel",
     "AssociationMap",
     "TruncationConfig",
-    "MixtureHygiene",
     "LogCostMatrix",
     "build_log_cost",
     "gibbs_assignments",
@@ -157,22 +158,6 @@ class TruncationConfig:
 
 
 @dataclass(frozen=True)
-class MixtureHygiene:
-    """Per-label mixture reduction applied after each step."""
-
-    prune_threshold: float = 1e-5
-    merge_distance: float = 4.0
-    max_components: int = 10
-
-    def apply(self, mix: GaussianMixture) -> GaussianMixture:
-        if len(mix) <= 1:
-            return mix
-        return mixture_reduce(
-            mix, self.prune_threshold, self.merge_distance, self.max_components
-        )
-
-
-@dataclass(frozen=True)
 class LogCostMatrix:
     """Per-label log factors for one parent hypothesis.
 
@@ -186,40 +171,11 @@ class LogCostMatrix:
     n_measurements: int
 
     def solution_to_map(self, solution: tuple[int, ...]) -> AssociationMap:
-        pairs = []
-        for lbl, col in zip(self.labels, solution):
-            outcome = DEAD if col == 0 else UNDETECTED if col == 1 else col - 1
-            pairs.append((lbl, outcome))
-        return AssociationMap(tuple(pairs))
+        return AssociationMap(_outcomes(self.labels, solution))
 
 
 def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else -math.inf
-
-
-def _cost_rows(
-    labels: Sequence[Label],
-    mixtures: Sequence[GaussianMixture],
-    alive_logp: Sequence[float],
-    measurements: np.ndarray,
-    sensor: SensorModel,
-) -> np.ndarray:
-    """Rows of the cost matrix for labels with 'alive' log-probabilities
-    (log survival for existing labels, log birth probability for births)."""
-    m = len(measurements)
-    log_pd = _log(sensor.p_detect)
-    log_qd = _log(1.0 - sensor.p_detect)
-    log_kappa = max(sensor.log_clutter_intensity(), _LOG_KAPPA_FLOOR)
-    rows = np.empty((len(labels), 2 + m))
-    for i, (mix, la) in enumerate(zip(mixtures, alive_logp)):
-        rows[i, 0] = _log1m_exp(la)
-        rows[i, 1] = la + log_qd
-        for j in range(m):
-            rows[i, 2 + j] = (
-                la + log_pd + mixture_log_likelihood(mix, float(measurements[j]), sensor)
-                - log_kappa
-            )
-    return rows
 
 
 def _log1m_exp(log_p: float) -> float:
@@ -227,6 +183,94 @@ def _log1m_exp(log_p: float) -> float:
     if log_p == -math.inf:
         return 0.0
     return _log(-math.expm1(log_p))
+
+
+def _outcomes(
+    labels: Sequence[Label], solution: Sequence[int]
+) -> tuple[tuple[Label, int], ...]:
+    """Sorted (label, outcome) pairs of one cost-matrix solution: column 0 is
+    DEAD, column 1 UNDETECTED and column c >= 2 measurement index c - 1."""
+    return tuple(
+        sorted(
+            (lbl, DEAD if col == 0 else UNDETECTED if col == 1 else col - 1)
+            for lbl, col in zip(labels, solution)
+        )
+    )
+
+
+def _reduce(mix: GaussianMixture) -> GaussianMixture:
+    return mix if len(mix) <= 1 else mixture_reduce(mix)
+
+
+class _StepCosts:
+    """Cost matrices of one filter step, one per parent hypothesis.
+
+    Mixtures reappear in many hypotheses (same object identity), so
+    prediction, per-measurement likelihoods and posteriors are computed once
+    per distinct mixture and shared across parents.  Predicted and updated
+    mixtures are reduced by ``mixture_reduce`` at its defaults; birth
+    densities enter as given.
+    """
+
+    def __init__(
+        self,
+        birth: BirthModel,
+        measurements: Sequence[float],
+        motion: MotionModel,
+        sensor: SensorModel,
+        delta: float,
+    ):
+        self.z = np.asarray(measurements, dtype=float)
+        if not np.all(np.isfinite(self.z)):
+            raise ValueError(f"measurements must be finite, got {self.z.tolist()}")
+        self.f, self.q = transition_matrices(motion, delta)
+        self.sensor = sensor
+        self.log_ps = _log(motion.p_survival)
+        self.log_pd = _log(sensor.p_detect)
+        self.log_qd = _log(1.0 - sensor.p_detect)
+        self.log_kappa = max(sensor.log_clutter_intensity(), _LOG_KAPPA_FLOOR)
+        self._predicted: dict[int, tuple[GaussianMixture, np.ndarray]] = {}
+        self._posteriors: dict[tuple[int, int], GaussianMixture] = {}
+        # (label, log alive probability, predicted mixture, log-likelihoods)
+        self.birth_rows = [
+            (e.label, _log(e.r_birth), e.density, self._likelihoods(e.density))
+            for e in sorted(birth.entries, key=lambda e: e.label)
+        ]
+
+    def _likelihoods(self, pm: GaussianMixture) -> np.ndarray:
+        return np.array([mixture_log_likelihood(pm, float(zj), self.sensor) for zj in self.z])
+
+    def _predict(self, mix: GaussianMixture) -> tuple[GaussianMixture, np.ndarray]:
+        hit = self._predicted.get(id(mix))
+        if hit is None:
+            pm = _reduce(predict_mixture(mix, self.f, self.q))
+            hit = self._predicted[id(mix)] = (pm, self._likelihoods(pm))
+        return hit
+
+    def parent_cost(
+        self, hypothesis: GlmbHypothesis
+    ) -> tuple[LogCostMatrix, list[GaussianMixture]]:
+        """The parent's cost matrix and the predicted mixture of each row."""
+        rows = [
+            (lbl, self.log_ps, *self._predict(hypothesis.densities[lbl]))
+            for lbl in hypothesis.label_set
+        ] + self.birth_rows
+        values = np.empty((len(rows), 2 + len(self.z)))
+        for i, (_, log_alive, _, liks) in enumerate(rows):
+            values[i, 0] = _log1m_exp(log_alive)
+            values[i, 1] = log_alive + self.log_qd
+            values[i, 2:] = log_alive + self.log_pd + liks - self.log_kappa
+        cost = LogCostMatrix(values, tuple(row[0] for row in rows), len(self.z))
+        return cost, [row[2] for row in rows]
+
+    def posterior(self, pm: GaussianMixture, j: int) -> GaussianMixture:
+        """A predicted mixture updated by measurement j (0-based)."""
+        key = (id(pm), j)
+        mix = self._posteriors.get(key)
+        if mix is None:
+            mix, _ = update_mixture(pm, float(self.z[j]), self.sensor)
+            mix = self._posteriors[key] = _reduce(mix)
+        return mix
 
 
 def build_log_cost(
@@ -237,25 +281,12 @@ def build_log_cost(
     sensor: SensorModel,
     delta: float,
 ) -> LogCostMatrix:
-    """Association cost matrix for one parent hypothesis.
+    """Association cost matrix for one parent hypothesis, as the filter scores it.
 
     Surviving labels' mixtures are predicted over the interval before the
     measurement likelihoods are evaluated; birth densities enter as given.
     """
-    z = np.asarray(measurements, dtype=float)
-    f, q = transition_matrices(motion, delta)
-    surv_labels = list(hypothesis.label_set)
-    surv_mix = [predict_mixture(hypothesis.densities[l], f, q) for l in surv_labels]
-    birth_labels = sorted(birth.labels())
-    by_label = {e.label: e for e in birth.entries}
-    birth_mix = [by_label[l].density for l in birth_labels]
-
-    labels = tuple(surv_labels + birth_labels)
-    log_alive = [_log(motion.p_survival)] * len(surv_labels) + [
-        _log(by_label[l].r_birth) for l in birth_labels
-    ]
-    values = _cost_rows(labels, surv_mix + birth_mix, log_alive, z, sensor)
-    return LogCostMatrix(values=values, labels=labels, n_measurements=len(z))
+    return _StepCosts(birth, measurements, motion, sensor, delta).parent_cost(hypothesis)[0]
 
 
 def ranked_assignments(cost: LogCostMatrix, k: int) -> list[AssociationMap]:
@@ -269,31 +300,6 @@ def gibbs_assignments(cost: LogCostMatrix, trunc: TruncationConfig) -> list[Asso
     rng = np.random.default_rng(trunc.seed)
     sols = gibbs_solutions(cost.values, trunc.gibbs_iterations, rng)
     return [cost.solution_to_map(sol) for sol, _ in sols]
-
-
-def _merge_equal_parents(
-    hypotheses: tuple[GlmbHypothesis, ...]
-) -> list[GlmbHypothesis]:
-    """Merge hypotheses sharing an identity by weight addition (a no-op for
-    densities produced by this module)."""
-    seen: dict[tuple, int] = {}
-    out: list[GlmbHypothesis] = []
-    clean = True
-    for h in hypotheses:
-        idx = seen.get(h.identity())
-        if idx is None:
-            seen[h.identity()] = len(out)
-            out.append(h)
-        else:
-            clean = False
-            prev = out[idx]
-            out[idx] = GlmbHypothesis(
-                prev.label_set,
-                prev.history,
-                float(np.logaddexp(prev.log_weight, h.log_weight)),
-                prev.densities,
-            )
-    return list(hypotheses) if clean and len(out) == len(hypotheses) else out
 
 
 def _truncate(values: np.ndarray, trunc: TruncationConfig, rng_key) -> list[tuple[tuple[int, ...], float]]:
@@ -319,100 +325,36 @@ def joint_predict_update(
     sensor: SensorModel,
     delta: float,
     trunc: TruncationConfig,
-    hygiene: MixtureHygiene = MixtureHygiene(),
 ) -> GlmbDensity:
     """One filter step: predict over the interval and absorb the measurements.
 
     Returns a normalized density at step + 1 whose hypotheses carry the
-    extended association histories.  Parent hypotheses are processed in
-    stored order and children with equal (label set, history) identities are
-    merged by weight addition, so the result does not depend on scheduling.
+    extended association histories.  Each child appends one solution of its
+    parent's cost matrix to that parent's history.  The solvers return every
+    solution at most once and distinct parents carry distinct histories, so
+    no two children share an identity and none need merging.  Parents are
+    processed in stored order, so the result does not depend on scheduling.
+    Non-finite measurements raise ValueError.
     """
     if not glmb.hypotheses:
         raise WeightCollapseError("cannot step a density with no hypotheses")
-    z = np.asarray(measurements, dtype=float)
     next_step = glmb.step + 1
     for entry in birth.entries:
         if entry.label.birth_step != next_step:
             raise ValueError(
                 f"birth label {entry.label} does not carry birth step {next_step}"
             )
+    costs = _StepCosts(birth, measurements, motion, sensor, delta)
 
-    f, q = transition_matrices(motion, delta)
-    log_pd = _log(sensor.p_detect)
-    log_qd = _log(1.0 - sensor.p_detect)
-    log_ps = _log(motion.p_survival)
-    log_kappa = max(sensor.log_clutter_intensity(), _LOG_KAPPA_FLOOR)
-
-    birth_labels = sorted(birth.labels())
-    birth_by_label = {e.label: e for e in birth.entries}
-
-    # Single-object work shared across parents: mixtures reappear in many
-    # hypotheses (same object identity), so prediction, per-measurement
-    # likelihoods, and posteriors are computed once per distinct mixture.
-    pred_cache: dict[int, tuple[GaussianMixture, np.ndarray]] = {}
-    upd_cache: dict[tuple[int, int], GaussianMixture] = {}
-
-    def predicted(mix: GaussianMixture, is_birth: bool) -> tuple[GaussianMixture, np.ndarray]:
-        key = id(mix)
-        hit = pred_cache.get(key)
-        if hit is None:
-            pm = mix if is_birth else hygiene.apply(predict_mixture(mix, f, q))
-            liks = np.array(
-                [mixture_log_likelihood(pm, float(zj), sensor) for zj in z]
-            )
-            hit = (pm, liks)
-            pred_cache[key] = hit
-        return hit
-
-    def posterior(pm: GaussianMixture, j: int) -> GaussianMixture:
-        key = (id(pm), j)
-        mix = upd_cache.get(key)
-        if mix is None:
-            mix, _ = update_mixture(pm, float(z[j]), sensor)
-            mix = hygiene.apply(mix)
-            upd_cache[key] = mix
-        return mix
-
-    # Hypotheses with equal (label set, history) identity can only appear as
-    # duplicate solutions under one parent (distinct parents always carry
-    # distinct histories), so merging needs no history hashing.  Parents are
-    # still pre-merged defensively for hand-built densities.
-    parents = _merge_equal_parents(glmb.hypotheses)
-
-    parent_rows: list[tuple[list[Label], list[GaussianMixture], bool]] = []
-    children: list[list] = []  # [parent index, solution, log weight]
-    guard: dict[tuple[int, tuple[int, ...]], int] = {}
-    for p_idx, parent in enumerate(parents):
-        surv = list(parent.label_set)
-        rows = surv + birth_labels
-        n = len(rows)
-        values = np.empty((n, 2 + len(z)))
-        row_pred: list[GaussianMixture] = []
-        for i, lbl in enumerate(rows):
-            if i < len(surv):
-                pm, liks = predicted(parent.densities[lbl], is_birth=False)
-                la = log_ps
-            else:
-                pm, liks = predicted(birth_by_label[lbl].density, is_birth=True)
-                la = _log(birth_by_label[lbl].r_birth)
-            row_pred.append(pm)
-            values[i, 0] = _log1m_exp(la)
-            values[i, 1] = la + log_qd
-            values[i, 2:] = la + log_pd + liks - log_kappa
-        presorted = all(rows[i] <= rows[i + 1] for i in range(n - 1))
-        parent_rows.append((rows, row_pred, presorted))
-
-        for solution, score in _truncate(values, trunc, (trunc.seed, glmb.step, p_idx)):
-            key = (p_idx, solution)
-            slot = guard.get(key)
-            if slot is None:
-                guard[key] = len(children)
-                children.append([p_idx, solution, parent.log_weight + score])
-            else:
-                children[slot][2] = np.logaddexp(
-                    children[slot][2], parent.log_weight + score
-                )
+    parent_costs: list[tuple[LogCostMatrix, list[GaussianMixture]]] = []
+    children: list[tuple[int, tuple[int, ...]]] = []  # (parent index, solution)
+    child_logw: list[float] = []
+    for p_idx, parent in enumerate(glmb.hypotheses):
+        cost, predicted = costs.parent_cost(parent)
+        parent_costs.append((cost, predicted))
+        for solution, score in _truncate(cost.values, trunc, (trunc.seed, glmb.step, p_idx)):
+            children.append((p_idx, solution))
+            child_logw.append(parent.log_weight + score)
 
     if not children:
         raise InfeasibleAssociationError(
@@ -420,7 +362,7 @@ def joint_predict_update(
             "check clutter rate, detection and survival probabilities"
         )
 
-    logw = np.array([c[2] for c in children])
+    logw = np.array(child_logw)
     norm = logw - log_sum_weights(logw)
     keep = np.nonzero(np.exp(norm) >= trunc.min_weight)[0]
     if keep.size == 0:
@@ -429,32 +371,18 @@ def joint_predict_update(
     final_logw = norm[order] - log_sum_weights(norm[order])
 
     hyps = []
-    for child_idx, child_logw in zip(order, final_logw):
-        p_idx, solution, _ = children[child_idx]
-        parent = parents[p_idx]
-        rows, row_pred, presorted = parent_rows[p_idx]
-        alive: list[Label] = []
+    for child_idx, log_weight in zip(order, final_logw):
+        p_idx, solution = children[child_idx]
+        cost, predicted = parent_costs[p_idx]
         densities: dict[Label, GaussianMixture] = {}
-        step_entry = []
-        for i, lbl in enumerate(rows):
-            col = solution[i]
-            if col == 0:
-                step_entry.append((lbl, DEAD))
-                continue
-            alive.append(lbl)
-            if col == 1:
-                step_entry.append((lbl, UNDETECTED))
-                densities[lbl] = row_pred[i]
-            else:
-                step_entry.append((lbl, col - 1))
-                densities[lbl] = posterior(row_pred[i], col - 2)
-        if not presorted:
-            step_entry.sort()
+        for lbl, pm, col in zip(cost.labels, predicted, solution):
+            if col >= 1:
+                densities[lbl] = pm if col == 1 else costs.posterior(pm, col - 2)
         hyps.append(
             GlmbHypothesis(
-                label_set=tuple(alive),
-                history=parent.history + (tuple(step_entry),),
-                log_weight=float(child_logw),
+                label_set=tuple(densities),
+                history=glmb.hypotheses[p_idx].history + (_outcomes(cost.labels, solution),),
+                log_weight=float(log_weight),
                 densities=densities,
             )
         )
@@ -468,10 +396,8 @@ def run_sequence(
     motion: MotionModel,
     sensor: SensorModel,
     trunc: TruncationConfig,
-    hygiene: MixtureHygiene = MixtureHygiene(),
-    extra_births: Mapping[int, BirthModel] | None = None,
 ) -> list[GlmbDensity]:
-    """Filter a whole depth schedule; births enter at step 1 by default.
+    """Filter a whole depth schedule; births enter at step 1.
 
     Returns one normalized density per step (steps are 1-based; the initial
     'nothing exists' density is not included).
@@ -481,15 +407,8 @@ def run_sequence(
     density = empty_density(step=0)
     out = []
     for k, (delta, zs) in enumerate(zip(deltas, measurement_sets), start=1):
-        if k == 1:
-            step_birth = birth
-        elif extra_births and k in extra_births:
-            step_birth = extra_births[k]
-        else:
-            step_birth = EMPTY_BIRTH
-        density = joint_predict_update(
-            density, step_birth, zs, motion, sensor, delta, trunc, hygiene
-        )
+        step_birth = birth if k == 1 else EMPTY_BIRTH
+        density = joint_predict_update(density, step_birth, zs, motion, sensor, delta, trunc)
         out.append(density)
     return out
 

@@ -81,8 +81,9 @@ class GlmbHypothesis:
     ``history`` is a hashable per-step record of association outcomes: one
     tuple per filter step, each a sorted tuple of ``(label, outcome)`` pairs
     with outcome in {DEAD, UNDETECTED, measurement index >= 1}.  Together
-    with ``label_set`` it identifies the hypothesis; equal identities are
-    merged by weight addition during truncation.
+    with ``label_set`` it identifies the hypothesis.  A filter step extends
+    each parent's history by distinct association solutions, so the
+    hypotheses of one density never share an identity.
 
     Instances (including the densities mapping) are shared across
     hypotheses and steps; treat them as immutable.
@@ -104,9 +105,6 @@ class GlmbHypothesis:
     @property
     def cardinality(self) -> int:
         return len(self.label_set)
-
-    def identity(self) -> tuple:
-        return (self.label_set, self.history)
 
 
 @dataclass(frozen=True)

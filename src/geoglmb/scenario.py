@@ -101,19 +101,22 @@ class Scenario:
 
 def _parse_float(text: str, row: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError):
         raise SiteTableError(
             f"row {row}, column {column}: non-numeric value {text!r}"
         ) from None
+    if not np.isfinite(value):
+        raise SiteTableError(f"row {row}, column {column}: non-finite value {text!r}")
+    return value
 
 
 def load_site_table(source) -> list[SiteRecord]:
     """Parse a `depth,LL,PI,w` CSV into depth-ascending site records.
 
     Accepts a path, bytes, or a readable (binary or text) stream.  An empty
-    source yields an empty list; a missing column, non-numeric cell, or
-    duplicate depth raises SiteTableError naming the row and column.
+    source yields an empty list; a missing column, non-numeric or non-finite
+    cell, or duplicate depth raises SiteTableError naming the row and column.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")

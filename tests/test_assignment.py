@@ -78,6 +78,7 @@ class TestMurty:
         cost = rng.normal(0.0, 3.0, size=(3, 17))
         expected = brute_force(cost)[:25]
         got = murty_kbest(cost, 25)
+        assert len({c for c, _ in got}) == len(got)
         for (ce, se), (cg, sg) in zip(expected, got):
             assert ce == cg
             assert abs(se - sg) < 1e-10
@@ -105,6 +106,7 @@ class TestMurty:
             cost[rng.random(size=cost.shape) < 0.25] = -np.inf
             expected = brute_force(cost)
             got = murty_kbest(cost, 10_000)
+            assert len({c for c, _ in got}) == len(got)
             assert [c for c, _ in got] == [c for c, _ in expected]
             for (_, se), (_, sg) in zip(expected, got):
                 assert abs(se - sg) < 1e-12
@@ -159,7 +161,9 @@ class TestGibbs:
         rng = np.random.default_rng(8)
         for trial in range(20):
             cost = rng.normal(size=(3, 7))
-            for sol, _ in gibbs_solutions(cost, 300, np.random.default_rng(trial)):
+            sols = gibbs_solutions(cost, 300, np.random.default_rng(trial))
+            assert len({s for s, _ in sols}) == len(sols)
+            for sol, _ in sols:
                 meas = [c for c in sol if c >= 2]
                 assert len(set(meas)) == len(meas)
 
@@ -168,6 +172,7 @@ class TestEnumerate:
     def test_sorted_descending_with_lexicographic_ties(self):
         cost = np.array([[1.0, 1.0, 0.0], [0.5, 0.5, 0.5]])
         sols = enumerate_solutions(cost)
+        assert len({c for c, _ in sols}) == len(sols)
         scores = [s for _, s in sols]
         assert scores == sorted(scores, reverse=True)
         top = [c for c, s in sols if abs(s - 1.5) < 1e-12]

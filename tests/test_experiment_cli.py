@@ -35,6 +35,12 @@ class TestExperimentConfig:
             ExperimentConfig(mc_trials=0).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(mode="both").validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(clutter_region=(5.0, 1.0)).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(max_hypotheses=0).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(birth_offsets=(1.0,)).validate()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -182,9 +188,13 @@ class TestCli:
         code = main(["run", "--site", "onsoy", "--pd", "1.5", "--out", str(tmp_path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+        assert main(["run", "--site", "onsoy", "--hyps", "0", "--out", str(tmp_path)]) == 2
 
     def test_missing_site_exit_code(self, tmp_path):
         assert main(["run", "--site", "nowhere.csv", "--out", str(tmp_path)]) == 2
+        site = tmp_path / "site.csv"
+        site.write_text("depth,LL,PI,w\n1.0,10,20,30\n2.0,nan,20,30\n")
+        assert main(["run", "--site", str(site), "--out", str(tmp_path / "out")]) == 2
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # births disabled: nothing can ever exist, so there is no estimate

@@ -346,6 +346,15 @@ class TestJointPredictUpdate:
                 empty_density(0), birth, [], MotionModel(), SensorModel(), 1.0, EXHAUSTIVE
             )
 
+    def test_non_finite_measurement_is_error(self):
+        birth = simple_birth([(Label(1, 0), np.array([50.0, 0.0]))])
+        for bad in ([math.nan], [48.0, math.inf], [-math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                joint_predict_update(
+                    empty_density(0), birth, bad, MotionModel(), SensorModel(), 1.0,
+                    EXHAUSTIVE,
+                )
+
     def test_output_invariants_on_random_scenarios(self):
         rng = np.random.default_rng(13)
         for _ in range(25):

@@ -60,6 +60,12 @@ class TestLoadSiteTable:
     def test_non_numeric_cell_names_row_and_column(self):
         with pytest.raises(SiteTableError, match="row 2, column LL"):
             load_site_table(b"depth,LL,PI,w\n1.0,10,20,30\n2.0,bad,20,30\n")
+        with pytest.raises(SiteTableError, match="row 2, column PI"):
+            load_site_table(b"depth,LL,PI,w\n1.0,10,20,30\n2.0,11,nan,30\n")
+        with pytest.raises(SiteTableError, match="row 1, column w"):
+            load_site_table(b"depth,LL,PI,w\n1.0,10,20,inf\n")
+        with pytest.raises(SiteTableError, match="row 1, column depth"):
+            load_site_table(b"depth,LL,PI,w\nnan,10,20,30\n")
 
     def test_duplicate_depth_rejected(self):
         with pytest.raises(SiteTableError, match="duplicate depth"):
