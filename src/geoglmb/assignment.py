@@ -5,23 +5,60 @@ A problem instance is a log-score matrix with one row per label and columns
 one column per row, measurement columns at most once; its score is the sum
 of the picked entries (maximize).  Entries of -inf mark forbidden outcomes.
 
-Solutions are plain tuples of column indices, one per row.
+The solvers return a ``Solutions`` sequence: one row of column indices per
+solution and one score per solution, best first for the ranked solvers.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InfeasibleAssociationError
 
-__all__ = ["murty_kbest", "enumerate_solutions", "ranked_solutions", "gibbs_solutions"]
+__all__ = ["Solutions", "murty_kbest", "enumerate_solutions", "ranked_solutions", "gibbs_solutions"]
 
 # Below this candidate count, exhaustive enumeration beats Murty's queue.
 _ENUMERATION_LIMIT = 4096
+
+
+class Solutions(Sequence):
+    """Solutions of one problem as arrays: ``cols`` (K x rows, intp) holds
+    each solution's column per row and ``scores`` (K,) its score.
+
+    Indexes and iterates as ``(tuple of columns, score)`` pairs of Python
+    ints and floats, slices to ``Solutions``, and compares equal to the list
+    of those pairs.
+    """
+
+    __slots__ = ("cols", "scores")
+
+    def __init__(self, cols: np.ndarray, scores: np.ndarray):
+        self.cols = cols
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Solutions(self.cols[i], self.scores[i])
+        return tuple(self.cols[i].tolist()), float(self.scores[i])
+
+    def __iter__(self):
+        return zip(map(tuple, self.cols.tolist()), self.scores.tolist())
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, Solutions) else other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Solutions({list(self)!r})"
 
 
 def solution_score(cost: np.ndarray, solution: tuple[int, ...]) -> float:
@@ -49,35 +86,38 @@ def _valid_combos(n_rows: int, n_cols: int) -> np.ndarray:
     return hit
 
 
-def _enumerate_scored(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible combos (K, n_rows) and scores, best first.
+def _pack(pairs: list[tuple[tuple[int, ...], float]], n_rows: int) -> Solutions:
+    cols = np.array([sol for sol, _ in pairs], dtype=np.intp).reshape(len(pairs), n_rows)
+    return Solutions(cols, np.array([score for _, score in pairs], dtype=float))
 
-    A stable sort on descending score keeps the lexicographic product order
-    as the tie-break.
+
+def _enumerate_scored(cost: np.ndarray, k: int | None = None) -> Solutions:
+    """The k best feasible combos (all when k is None), best first.
+
+    Ties break on the lexicographic product order, as a stable sort on
+    descending score over all combos would: the top k are picked with a
+    partition, ties at the k-th score filled in combo order, then sorted.
     """
     n_rows, n_cols = cost.shape
     combos = _valid_combos(n_rows, n_cols)
     scores = cost[np.arange(n_rows), combos].sum(axis=1)
     feasible = np.isfinite(scores)
     combos, scores = combos[feasible], scores[feasible]
+    if k is not None and k < len(scores):
+        neg = -scores
+        kth = np.partition(neg, k - 1)[k - 1]
+        pick = neg < kth
+        pick[np.flatnonzero(neg == kth)[: k - np.count_nonzero(pick)]] = True
+        combos, scores = combos[pick], scores[pick]
     order = np.argsort(-scores, kind="stable")
-    return combos[order], scores[order]
+    return Solutions(combos[order], scores[order])
 
 
-def _to_tuples(
-    combos: np.ndarray, scores: np.ndarray, k: int | None = None
-) -> list[tuple[tuple[int, ...], float]]:
-    upto = len(scores) if k is None else min(k, len(scores))
-    return [
-        (tuple(map(int, combos[i])), float(scores[i])) for i in range(upto)
-    ]
-
-
-def enumerate_solutions(cost: np.ndarray) -> list[tuple[tuple[int, ...], float]]:
+def enumerate_solutions(cost: np.ndarray) -> Solutions:
     """All valid finite-score solutions, best first (ties lexicographic)."""
     if cost.shape[0] == 0:
-        return [((), 0.0)]
-    return _to_tuples(*_enumerate_scored(cost))
+        return _pack([((), 0.0)], 0)
+    return _enumerate_scored(cost)
 
 
 def _extended_matrix(cost: np.ndarray) -> np.ndarray:
@@ -126,7 +166,7 @@ def _best_assignment(ext: np.ndarray) -> tuple[np.ndarray, float] | None:
     return cols, float(work[rows, cols].sum())
 
 
-def murty_kbest(cost: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]:
+def murty_kbest(cost: np.ndarray, k: int) -> Solutions:
     """The k best solutions by Murty's partitioning of the assignment space.
 
     Exact and sorted by descending score; ties break on the lexicographic
@@ -135,11 +175,11 @@ def murty_kbest(cost: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]
     """
     n = cost.shape[0]
     if n == 0:
-        return [((), 0.0)]
+        return _pack([((), 0.0)], 0)
     ext = _extended_matrix(cost)
     first = _best_assignment(ext)
     if first is None:
-        return []
+        return _pack([], n)
     cols, score = first
     queue: list = []
     counter = itertools.count()
@@ -171,20 +211,20 @@ def murty_kbest(cost: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]
         for encoded in bucket:
             if len(out) < k:
                 out.append((encoded, -target))
-    return out
+    return _pack(out, n)
 
 
-def ranked_solutions(cost: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]:
+def ranked_solutions(cost: np.ndarray, k: int) -> Solutions:
     """Exact k-best solutions; enumerates outright when the space is small."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n_rows, n_cols = cost.shape
     if n_rows == 0:
-        return [((), 0.0)]
+        return _pack([((), 0.0)], 0)
     if n_cols**n_rows <= _ENUMERATION_LIMIT:
-        sols = _to_tuples(*_enumerate_scored(cost), k=k)
+        sols = _enumerate_scored(cost, k)
     else:
-        sols = murty_kbest(cost, k)[:k]
+        sols = murty_kbest(cost, k)
     if not sols:
         raise InfeasibleAssociationError("no feasible association for cost matrix")
     return sols
@@ -192,7 +232,7 @@ def ranked_solutions(cost: np.ndarray, k: int) -> list[tuple[tuple[int, ...], fl
 
 def gibbs_solutions(
     cost: np.ndarray, iterations: int, rng: np.random.Generator
-) -> list[tuple[tuple[int, ...], float]]:
+) -> Solutions:
     """Distinct solutions visited by a Gibbs sweep over rows.
 
     Each row is resampled in turn from its conditional (candidate columns =
@@ -204,7 +244,7 @@ def gibbs_solutions(
     """
     n, n_cols = cost.shape
     if n == 0:
-        return [((), 0.0)]
+        return _pack([((), 0.0)], 0)
 
     no_meas = np.argmax(cost[:, :2], axis=1)
     init = tuple(int(c) for c in no_meas)
@@ -255,4 +295,4 @@ def gibbs_solutions(
             if visited not in seen:
                 seen.add(visited)
                 ordered.append(visited)
-    return [(sol, solution_score(cost, sol)) for sol in ordered]
+    return _pack([(sol, solution_score(cost, sol)) for sol in ordered], n)

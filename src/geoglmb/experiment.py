@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,6 +64,22 @@ __all__ = [
 ESTIMATES_HEADER = ("step", "depth", "label", "property", "mean", "variance")
 
 
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", tuple: "a list of numbers"}
+
+
+def _has_type(value, kind: type) -> bool:
+    """Whether a config value fits the type of its field's default."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, numbers.Real)
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is tuple:
+        return isinstance(value, (tuple, list)) and all(_has_type(v, float) for v in value)
+    return isinstance(value, kind)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; defaults reproduce the reference setup
@@ -91,7 +108,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError listing every problem, including those the
         sensor, motion and truncation models reject when built."""
-        issues = []
+        issues = [
+            f"{f.name}={getattr(self, f.name)!r} is not {_TYPE_NAMES[type(f.default)]}"
+            for f in dataclasses.fields(self)
+            if not _has_type(getattr(self, f.name), type(f.default))
+        ]
+        if issues:
+            raise ConfigError("; ".join(issues))
         for build in (self.sensor, self.motion, lambda: self.truncation(self.seed)):
             try:
                 build()
@@ -150,7 +173,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         coerced = dict(data)
         for key in ("clutter_region", "birth_offsets"):
-            if key in coerced and coerced[key] is not None:
+            if isinstance(coerced.get(key), list):
                 coerced[key] = tuple(coerced[key])
         return cls(**coerced)
 

@@ -11,30 +11,38 @@ and renormalized.  Every child extends exactly one parent's history by one
 distinct solution of that parent's cost matrix, so the children of a step
 never share an identity and are never merged.
 
+Every label carries one Gaussian of weight 1.  A step works on arrays until
+truncation is done: the cost rows of all distinct densities are computed in
+one table, each parent's solutions come back as column and score arrays,
+and all children are weighed, pruned and capped as one array.  Hypothesis
+objects, histories and mixtures are built only for the children kept.
+
 Trajectories are read out by maximum a posteriori: pick the most probable
 cardinality, the best hypothesis of that cardinality, and follow its
 association history backward.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .assignment import gibbs_solutions, ranked_solutions
+from .assignment import Solutions, gibbs_solutions, ranked_solutions
 from .errors import InfeasibleAssociationError, WeightCollapseError
 from .gaussian import (
+    LOG_2PI,
+    GaussianComponent,
     GaussianMixture,
     MotionModel,
     SensorModel,
-    mixture_log_likelihood,
-    mixture_reduce,
-    predict_mixture,
     transition_matrices,
     update_mixture,
 )
+# Unused by the step; bound here because the benchmark's tracer patches them here.
+from .gaussian import mixture_log_likelihood, mixture_reduce, predict_mixture  # noqa: F401
 from .lrfs import (
     DEAD,
     UNDETECTED,
@@ -78,6 +86,7 @@ class BirthEntry:
     def __post_init__(self):
         if not 0.0 <= self.r_birth <= 1.0:
             raise ValueError("r_birth must lie in [0, 1]")
+        _single(self.density)
 
 
 @dataclass(frozen=True)
@@ -198,22 +207,37 @@ def _outcomes(
     )
 
 
-def _reduce(mix: GaussianMixture) -> GaussianMixture:
-    return mix if len(mix) <= 1 else mixture_reduce(mix)
+def _single(mix: GaussianMixture) -> GaussianComponent:
+    """The one Gaussian, of weight 1, that a label's density must be."""
+    if len(mix) != 1 or mix.components[0].weight != 1.0:
+        raise ValueError(
+            "a label's density must be one Gaussian of weight 1, got weights "
+            f"{mix.weights().tolist()}"
+        )
+    return mix.components[0]
 
 
 class _StepCosts:
-    """Cost matrices of one filter step, one per parent hypothesis.
+    """Cost matrices of one filter step, each gathered from one table.
 
-    Mixtures reappear in many hypotheses (same object identity), so
-    prediction, per-measurement likelihoods and posteriors are computed once
-    per distinct mixture and shared across parents.  Predicted and updated
-    mixtures are reduced by ``mixture_reduce`` at its defaults; birth
-    densities enter as given.
+    Every label carries one Gaussian of weight 1.  The table has one row of
+    [death, undetected, one per measurement] log factors per distinct prior
+    density of all parents (one row per mixture object, however many
+    parents share it), then one per birth.  One numpy pass predicts all
+    prior densities over the interval and fills the likelihoods of all rows;
+    births enter as given.  The means go through ``einsum`` and the
+    covariances through one stacked F P F' + Q product, which round as
+    ``kalman_predict`` does (a matrix product on the stacked means does
+    not).  The covariances stay unsymmetrized until a mixture is built from
+    them: ``GaussianComponent`` symmetrizes, and the likelihoods read only
+    the diagonal.  A parent's cost matrix is a gather of its labels' rows.
+    Predicted and posterior mixtures are built only when a kept child asks
+    for them, once per row and measurement.
     """
 
     def __init__(
         self,
+        hypotheses: Sequence[GlmbHypothesis],
         birth: BirthModel,
         measurements: Sequence[float],
         motion: MotionModel,
@@ -221,55 +245,77 @@ class _StepCosts:
         delta: float,
     ):
         self.z = np.asarray(measurements, dtype=float)
-        if not np.all(np.isfinite(self.z)):
+        if not np.isfinite(self.z).all():
             raise ValueError(f"measurements must be finite, got {self.z.tolist()}")
         self.f, self.q = transition_matrices(motion, delta)
         self.sensor = sensor
-        self.log_ps = _log(motion.p_survival)
-        self.log_pd = _log(sensor.p_detect)
-        self.log_qd = _log(1.0 - sensor.p_detect)
-        self.log_kappa = max(sensor.log_clutter_intensity(), _LOG_KAPPA_FLOOR)
-        self._predicted: dict[int, tuple[GaussianMixture, np.ndarray]] = {}
+
+        births = sorted(birth.entries, key=lambda e: e.label)
+        birth_labels = tuple(e.label for e in births)
+        row_of: dict[int, int] = {}
+        prior: list[GaussianComponent] = []
+        parent_rows = []
+        for h in hypotheses:
+            rows = []
+            for lbl in h.label_set:
+                mix = h.densities[lbl]
+                row = row_of.get(id(mix))
+                if row is None:
+                    row = row_of[id(mix)] = len(prior)
+                    prior.append(_single(mix))
+                rows.append(row)
+            parent_rows.append(rows)
+        n_prior = len(prior)
+        birth_rows = list(range(n_prior, n_prior + len(births)))
+        self.rows = [rows + birth_rows for rows in parent_rows]
+        self.labels = [h.label_set + birth_labels for h in hypotheses]
+
+        means = np.einsum("ij,nj->ni", self.f, np.array([c.mean for c in prior]).reshape(-1, 2))
+        covs = self.f @ np.array([c.covariance for c in prior]).reshape(-1, 2, 2) @ self.f.T + self.q
+        log_alive = _log(motion.p_survival)
+        log_dead = _log1m_exp(log_alive)
+        self._mixtures: list[GaussianMixture | None] = [None] * n_prior
+        if births:
+            comps = [e.density.components[0] for e in births]
+            means = np.concatenate([means, [c.mean for c in comps]])
+            covs = np.concatenate([covs, [c.covariance for c in comps]])
+            alive = [_log(e.r_birth) for e in births]
+            log_dead = np.array([log_dead] * n_prior + [_log1m_exp(a) for a in alive])[:, None]
+            log_alive = np.array([log_alive] * n_prior + alive)[:, None]
+            self._mixtures += [e.density for e in births]
+        self._means, self._covs = means, covs
+        self.table = np.empty((len(means), 2 + len(self.z)))
+        self.table[:, :1] = log_dead
+        self.table[:, 1:2] = log_alive + _log(1.0 - sensor.p_detect)
+        if self.z.size:
+            s = covs[:, 0, 0] + sensor.sigma_m**2
+            # math.log, not np.log: it rounds as the single-object code does.
+            log_s = np.array([math.log(v) for v in s.tolist()])
+            innov = self.z - means[:, :1]
+            ll = -0.5 * (innov * innov / s[:, None] + LOG_2PI + log_s[:, None])
+            log_kappa = max(sensor.log_clutter_intensity(), _LOG_KAPPA_FLOOR)
+            self.table[:, 2:] = log_alive + _log(sensor.p_detect) + ll - log_kappa
         self._posteriors: dict[tuple[int, int], GaussianMixture] = {}
-        # (label, log alive probability, predicted mixture, log-likelihoods)
-        self.birth_rows = [
-            (e.label, _log(e.r_birth), e.density, self._likelihoods(e.density))
-            for e in sorted(birth.entries, key=lambda e: e.label)
-        ]
 
-    def _likelihoods(self, pm: GaussianMixture) -> np.ndarray:
-        return np.array([mixture_log_likelihood(pm, float(zj), self.sensor) for zj in self.z])
+    def values(self, parent: int) -> np.ndarray:
+        return self.table.take(self.rows[parent], axis=0)
 
-    def _predict(self, mix: GaussianMixture) -> tuple[GaussianMixture, np.ndarray]:
-        hit = self._predicted.get(id(mix))
-        if hit is None:
-            pm = _reduce(predict_mixture(mix, self.f, self.q))
-            hit = self._predicted[id(mix)] = (pm, self._likelihoods(pm))
-        return hit
+    def predicted(self, row: int) -> GaussianMixture:
+        """The density of one table row: predicted, or a birth as given."""
+        mix = self._mixtures[row]
+        if mix is None:
+            comp = GaussianComponent(1.0, self._means[row], self._covs[row])
+            mix = self._mixtures[row] = GaussianMixture((comp,))
+        return mix
 
-    def parent_cost(
-        self, hypothesis: GlmbHypothesis
-    ) -> tuple[LogCostMatrix, list[GaussianMixture]]:
-        """The parent's cost matrix and the predicted mixture of each row."""
-        rows = [
-            (lbl, self.log_ps, *self._predict(hypothesis.densities[lbl]))
-            for lbl in hypothesis.label_set
-        ] + self.birth_rows
-        values = np.empty((len(rows), 2 + len(self.z)))
-        for i, (_, log_alive, _, liks) in enumerate(rows):
-            values[i, 0] = _log1m_exp(log_alive)
-            values[i, 1] = log_alive + self.log_qd
-            values[i, 2:] = log_alive + self.log_pd + liks - self.log_kappa
-        cost = LogCostMatrix(values, tuple(row[0] for row in rows), len(self.z))
-        return cost, [row[2] for row in rows]
-
-    def posterior(self, pm: GaussianMixture, j: int) -> GaussianMixture:
-        """A predicted mixture updated by measurement j (0-based)."""
-        key = (id(pm), j)
+    def posterior(self, row: int, j: int) -> GaussianMixture:
+        """The density of one table row updated by measurement j (0-based)."""
+        key = (row, j)
         mix = self._posteriors.get(key)
         if mix is None:
-            mix, _ = update_mixture(pm, float(self.z[j]), self.sensor)
-            mix = self._posteriors[key] = _reduce(mix)
+            mix = self._posteriors[key] = update_mixture(
+                self.predicted(row), float(self.z[j]), self.sensor
+            )[0]
         return mix
 
 
@@ -283,10 +329,11 @@ def build_log_cost(
 ) -> LogCostMatrix:
     """Association cost matrix for one parent hypothesis, as the filter scores it.
 
-    Surviving labels' mixtures are predicted over the interval before the
+    Surviving labels' densities are predicted over the interval before the
     measurement likelihoods are evaluated; birth densities enter as given.
     """
-    return _StepCosts(birth, measurements, motion, sensor, delta).parent_cost(hypothesis)[0]
+    costs = _StepCosts((hypothesis,), birth, measurements, motion, sensor, delta)
+    return LogCostMatrix(costs.values(0), costs.labels[0], len(costs.z))
 
 
 def ranked_assignments(cost: LogCostMatrix, k: int) -> list[AssociationMap]:
@@ -302,19 +349,13 @@ def gibbs_assignments(cost: LogCostMatrix, trunc: TruncationConfig) -> list[Asso
     return [cost.solution_to_map(sol) for sol, _ in sols]
 
 
-def _truncate(values: np.ndarray, trunc: TruncationConfig, rng_key) -> list[tuple[tuple[int, ...], float]]:
+def _truncate(values: np.ndarray, trunc: TruncationConfig, rng_key) -> Solutions:
     if trunc.method == "ranked":
-        try:
-            return ranked_solutions(values, trunc.requested_hypotheses)
-        except InfeasibleAssociationError:
-            return []
-    rng = np.random.default_rng(rng_key)
-    try:
-        sols = gibbs_solutions(values, trunc.gibbs_iterations, rng)
-    except InfeasibleAssociationError:
-        return []
-    sols.sort(key=lambda item: (-item[1], item[0]))
-    return sols[: trunc.requested_hypotheses]
+        return ranked_solutions(values, trunc.requested_hypotheses)
+    sols = gibbs_solutions(values, trunc.gibbs_iterations, np.random.default_rng(rng_key))
+    # best first, ties broken on the solution's columns
+    order = np.lexsort((*sols.cols.T[::-1], -sols.scores))[: trunc.requested_hypotheses]
+    return Solutions(sols.cols[order], sols.scores[order])
 
 
 def joint_predict_update(
@@ -332,9 +373,11 @@ def joint_predict_update(
     extended association histories.  Each child appends one solution of its
     parent's cost matrix to that parent's history.  The solvers return every
     solution at most once and distinct parents carry distinct histories, so
-    no two children share an identity and none need merging.  Parents are
-    processed in stored order, so the result does not depend on scheduling.
-    Non-finite measurements raise ValueError.
+    no two children share an identity and none need merging.  Children are
+    weighed, pruned and capped as one array in parent order; only the kept
+    ones become hypotheses.  The result does not depend on scheduling.
+    Non-finite measurements, and a label density that is not one Gaussian
+    of weight 1, raise ValueError.
     """
     if not glmb.hypotheses:
         raise WeightCollapseError("cannot step a density with no hypotheses")
@@ -344,45 +387,48 @@ def joint_predict_update(
             raise ValueError(
                 f"birth label {entry.label} does not carry birth step {next_step}"
             )
-    costs = _StepCosts(birth, measurements, motion, sensor, delta)
+    costs = _StepCosts(glmb.hypotheses, birth, measurements, motion, sensor, delta)
 
-    parent_costs: list[tuple[LogCostMatrix, list[GaussianMixture]]] = []
-    children: list[tuple[int, tuple[int, ...]]] = []  # (parent index, solution)
-    child_logw: list[float] = []
-    for p_idx, parent in enumerate(glmb.hypotheses):
-        cost, predicted = costs.parent_cost(parent)
-        parent_costs.append((cost, predicted))
-        for solution, score in _truncate(cost.values, trunc, (trunc.seed, glmb.step, p_idx)):
-            children.append((p_idx, solution))
-            child_logw.append(parent.log_weight + score)
-
-    if not children:
+    solved: list[tuple[int, Solutions]] = []  # (parent index, its solutions)
+    for p_idx in range(len(glmb.hypotheses)):
+        try:
+            sols = _truncate(costs.values(p_idx), trunc, (trunc.seed, glmb.step, p_idx))
+        except InfeasibleAssociationError:
+            continue
+        solved.append((p_idx, sols))
+    if not solved:
         raise InfeasibleAssociationError(
             "truncation produced no valid association map; "
             "check clutter rate, detection and survival probabilities"
         )
 
-    logw = np.array(child_logw)
+    logw = np.concatenate([glmb.hypotheses[p].log_weight + sols.scores for p, sols in solved])
     norm = logw - log_sum_weights(logw)
-    keep = np.nonzero(np.exp(norm) >= trunc.min_weight)[0]
+    keep = (np.exp(norm) >= trunc.min_weight).nonzero()[0]
     if keep.size == 0:
         keep = np.array([int(np.argmax(norm))])
     order = keep[np.argsort(-norm[keep], kind="stable")][: trunc.max_hypotheses]
-    final_logw = norm[order] - log_sum_weights(norm[order])
+    kept = norm[order]
+    final_logw = kept - log_sum_weights(kept)
 
+    starts = [0]  # index of each solved parent's first child in logw
+    for _, sols in solved:
+        starts.append(starts[-1] + len(sols))
     hyps = []
-    for child_idx, log_weight in zip(order, final_logw):
-        p_idx, solution = children[child_idx]
-        cost, predicted = parent_costs[p_idx]
+    for child, log_weight in zip(order.tolist(), final_logw.tolist()):
+        s_idx = bisect.bisect_right(starts, child) - 1
+        p_idx, sols = solved[s_idx]
+        solution = sols.cols[child - starts[s_idx]].tolist()
+        labels = costs.labels[p_idx]
         densities: dict[Label, GaussianMixture] = {}
-        for lbl, pm, col in zip(cost.labels, predicted, solution):
+        for lbl, row, col in zip(labels, costs.rows[p_idx], solution):
             if col >= 1:
-                densities[lbl] = pm if col == 1 else costs.posterior(pm, col - 2)
+                densities[lbl] = costs.predicted(row) if col == 1 else costs.posterior(row, col - 2)
         hyps.append(
             GlmbHypothesis(
                 label_set=tuple(densities),
-                history=glmb.hypotheses[p_idx].history + (_outcomes(cost.labels, solution),),
-                log_weight=float(log_weight),
+                history=glmb.hypotheses[p_idx].history + (_outcomes(labels, solution),),
+                log_weight=log_weight,
                 densities=densities,
             )
         )

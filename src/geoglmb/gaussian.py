@@ -154,8 +154,8 @@ def transition_matrices(motion: MotionModel, delta: float) -> tuple[np.ndarray, 
     random kick of standard deviation sigma_p over the interval, integrated
     into the value coordinate.
     """
-    if delta <= 0:
-        raise ValueError(f"interval length must be > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"interval length must be finite and > 0, got {delta}")
     f = np.array([[1.0, delta], [0.0, 1.0]])
     d2 = delta * delta
     q = motion.sigma_p**2 * np.array(
@@ -243,11 +243,11 @@ def update_mixture(
         posts.append(post)
         logw.append((math.log(c.weight) if c.weight > 0 else -math.inf) + ll)
     total = _lse(logw)
-    comps = tuple(
-        GaussianComponent(math.exp(lw - total), p.mean, p.covariance)
-        for lw, p in zip(logw, posts)
-    )
-    return GaussianMixture(comps), total
+    comps = []
+    for lw, p in zip(logw, posts):
+        w = math.exp(lw - total)
+        comps.append(p if w == p.weight else GaussianComponent(w, p.mean, p.covariance))
+    return GaussianMixture(tuple(comps)), total
 
 
 def mixture_reduce(

@@ -134,10 +134,10 @@ def empty_density(step: int = 0) -> GlmbDensity:
 
 def log_sum_weights(log_weights: np.ndarray) -> float:
     """Max-shifted log of the summed weights; -inf entries contribute zero."""
-    shift = float(np.max(log_weights))
+    shift = float(log_weights.max())
     if shift == -np.inf:
         return -np.inf
-    return shift + float(np.log(np.sum(np.exp(log_weights - shift))))
+    return shift + float(np.log(np.exp(log_weights - shift).sum()))
 
 
 def normalize(glmb: GlmbDensity) -> GlmbDensity:

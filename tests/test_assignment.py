@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoglmb.assignment import (
     enumerate_solutions,
@@ -177,3 +179,24 @@ class TestEnumerate:
         assert scores == sorted(scores, reverse=True)
         top = [c for c, s in sols if abs(s - 1.5) < 1e-12]
         assert top == sorted(top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ranked_is_prefix_of_enumeration(data):
+    # Tie-heavy integer scores and forbidden entries: the top-k selection
+    # must return exactly the first k of the full stable ranking, for every k.
+    n_rows = data.draw(st.integers(1, 3))
+    n_cols = data.draw(st.integers(2, 6))
+    entry = st.one_of(st.integers(-2, 2).map(float), st.just(-math.inf))
+    cost = np.array(
+        data.draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                           min_size=n_rows, max_size=n_rows))
+    )
+    full = enumerate_solutions(cost)
+    if not full:
+        with pytest.raises(InfeasibleAssociationError):
+            ranked_solutions(cost, 1)
+        return
+    for k in range(1, len(full) + 2):
+        assert ranked_solutions(cost, k) == full[:k]

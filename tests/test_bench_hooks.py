@@ -1,0 +1,43 @@
+"""The benchmark in ``glmbbench/`` reaches into the program by module
+attribute: it wraps functions for tracing and samples solver results for
+its brute-force checks.  These tests keep those hooks working."""
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from conftest import simple_birth
+from geoglmb.filter import TruncationConfig, run_sequence
+from geoglmb.gaussian import MotionModel, SensorModel
+from geoglmb.lrfs import Label
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "glmbbench"))
+import workload  # noqa: E402
+from spans import Tracer, patched  # noqa: E402
+
+
+def test_patched_names_resolve():
+    patches = (
+        workload.tracer_patches(Tracer())
+        + workload.Capture().patches()
+        + workload.SolverSampler().patches()
+    )
+    for module, attr, _ in patches:
+        assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
+
+
+def test_sampler_sees_ranked_and_gibbs_solutions_of_a_joint_run():
+    birth = simple_birth([(Label(1, 0), np.array([40.0, 0.0])), (Label(1, 1), np.array([60.0, 0.0]))])
+    motion = MotionModel(sigma_p=0.3, p_survival=0.95)
+    sensor = SensorModel(sigma_m=6.0, p_detect=0.7, clutter_rate=0.5, clutter_region=(0.0, 100.0))
+    deltas = [1.0, 0.5, 0.8]
+    sets = [[42.0, 61.0], [58.5], [39.0, 44.0, 80.0]]
+    sampler = workload.SolverSampler()
+    with patched(sampler.patches()):
+        for method in ("ranked", "gibbs"):
+            trunc = TruncationConfig(method=method, requested_hypotheses=20, gibbs_iterations=50)
+            run_sequence(deltas, sets, birth, motion, sensor, trunc)
+    counts = sampler.counts()
+    assert counts["ranked"] >= 1 and counts["gibbs"] >= 1
+    assert sampler.check() == []

@@ -189,6 +189,10 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
         assert main(["run", "--site", "onsoy", "--hyps", "0", "--out", str(tmp_path)]) == 2
+        for doc in ({"birth_offsets": 5}, {"p_detect": "high"}):
+            config_file = tmp_path / "config.json"
+            config_file.write_text(json.dumps(doc))
+            assert main(["run", "--config", str(config_file), "--out", str(tmp_path)]) == 2
 
     def test_missing_site_exit_code(self, tmp_path):
         assert main(["run", "--site", "nowhere.csv", "--out", str(tmp_path)]) == 2

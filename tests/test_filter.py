@@ -8,6 +8,7 @@ from conftest import enumeration_oracle, kf_oracle, simple_birth
 from geoglmb.errors import InfeasibleAssociationError, WeightCollapseError
 from geoglmb.filter import (
     AssociationMap,
+    BirthEntry,
     BirthModel,
     TruncationConfig,
     build_log_cost,
@@ -18,12 +19,17 @@ from geoglmb.filter import (
     run_sequence,
 )
 from geoglmb.gaussian import (
+    GaussianComponent,
+    GaussianMixture,
     MotionModel,
     SensorModel,
     kalman_predict,
     kalman_update,
+    mixture_log_likelihood,
+    predict_mixture,
     single_gaussian,
     transition_matrices,
+    update_mixture,
 )
 from geoglmb.lrfs import (
     DEAD,
@@ -117,6 +123,39 @@ class TestBuildLogCost:
         # map: survivor undetected, birth not born
         expected = math.log(0.95 * 0.4) + math.log(0.3)
         assert abs(cost.values[0, 1] + cost.values[1, 0] - expected) < 1e-12
+
+    def test_rows_equal_single_object_code_bit_for_bit(self):
+        # The step predicts and scores all densities as arrays; every entry
+        # must round exactly as predict_mixture + mixture_log_likelihood do.
+        rng = np.random.default_rng(4)
+        for trial in range(200):
+            labels = tuple(Label(1, i) for i in range(int(rng.integers(1, 4))))
+            densities = {}
+            for lbl in labels:
+                a = rng.normal(0.0, 3.0, size=(2, 2))
+                densities[lbl] = single_gaussian(
+                    rng.normal([50.0, 0.0], [30.0, 2.0]), a @ a.T + 0.1 * np.eye(2)
+                )
+            parent = GlmbHypothesis(labels, ((),), 0.0, densities)
+            birth = simple_birth([(Label(2, 0), np.array([rng.uniform(0, 100), 0.0]))], r_birth=0.6)
+            motion = MotionModel(sigma_p=float(rng.uniform(0.1, 2.0)), p_survival=0.9)
+            sensor = SensorModel(
+                sigma_m=float(rng.uniform(1.0, 12.0)), p_detect=0.7, clutter_rate=0.5,
+                clutter_region=(0.0, 100.0),
+            )
+            zs = [float(z) for z in rng.uniform(0.0, 100.0, size=int(rng.integers(0, 5)))]
+            delta = float(rng.uniform(0.05, 6.0))
+            cost = build_log_cost(parent, birth, zs, motion, sensor, delta)
+
+            f, q = transition_matrices(motion, delta)
+            log_kappa = math.log(0.5 / 100.0)
+            rows = [(math.log(0.9), predict_mixture(densities[lbl], f, q)) for lbl in labels]
+            rows.append((math.log(0.6), birth.entries[0].density))
+            for got, (log_alive, mix) in zip(cost.values.tolist(), rows):
+                assert got[1] == log_alive + math.log(1.0 - 0.7)
+                for z, value in zip(zs, got[2:]):
+                    ll = mixture_log_likelihood(mix, z, sensor)
+                    assert value == log_alive + math.log(0.7) + ll - log_kappa, trial
 
     def test_solution_to_map_encoding(self):
         glmb, lbl = one_label_prior()
@@ -354,6 +393,52 @@ class TestJointPredictUpdate:
                     empty_density(0), birth, bad, MotionModel(), SensorModel(), 1.0,
                     EXHAUSTIVE,
                 )
+
+    def test_child_densities_equal_single_object_code_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        la, lb = Label(1, 0), Label(1, 1)
+        motion = MotionModel(sigma_p=0.7, p_survival=0.9)
+        sensor = SensorModel(sigma_m=8.0, p_detect=0.6, clutter_rate=0.5, clutter_region=(0.0, 100.0))
+        for _ in range(20):
+            shared = single_gaussian(rng.normal([50.0, 0.0], [20.0, 1.0]), np.diag([30.0, 0.5]))
+            other = single_gaussian(rng.normal([40.0, 0.0], [20.0, 1.0]), np.diag([12.0, 2.0]))
+            parents = (
+                GlmbHypothesis((la, lb), ((),), math.log(0.6), {la: shared, lb: other}),
+                GlmbHypothesis((la,), ((), ()), math.log(0.4), {la: shared}),
+            )
+            zs = [float(z) for z in rng.uniform(20.0, 70.0, size=2)]
+            delta = float(rng.uniform(0.1, 3.0))
+            out = joint_predict_update(
+                GlmbDensity(parents, step=1), BirthModel(), zs, motion, sensor, delta, EXHAUSTIVE
+            )
+            f, q = transition_matrices(motion, delta)
+            for h in out.hypotheses:
+                for lbl, outcome in h.history[-1]:
+                    if outcome == DEAD:
+                        continue
+                    prior = shared if lbl == la else other
+                    want = predict_mixture(prior, f, q)
+                    if outcome != UNDETECTED:
+                        want, _ = update_mixture(want, zs[outcome - 1], sensor)
+                    got = h.densities[lbl].components[0]
+                    assert got.weight == want.components[0].weight
+                    assert got.mean.tobytes() == want.components[0].mean.tobytes()
+                    assert got.covariance.tobytes() == want.components[0].covariance.tobytes()
+
+    def test_one_gaussian_per_label(self):
+        two = GaussianMixture(
+            (GaussianComponent(0.5, [40.0, 0.0], np.eye(2)), GaussianComponent(0.5, [60.0, 0.0], np.eye(2)))
+        )
+        light = GaussianMixture((GaussianComponent(0.5, [40.0, 0.0], np.eye(2)),))
+        for density in (two, light):
+            with pytest.raises(ValueError, match="one Gaussian"):
+                BirthEntry(label=Label(1, 0), r_birth=0.9, density=density)
+        lbl = Label(1, 0)
+        glmb = GlmbDensity((GlmbHypothesis((lbl,), ((),), 0.0, {lbl: two}),), step=1)
+        with pytest.raises(ValueError, match="one Gaussian"):
+            joint_predict_update(
+                glmb, BirthModel(), [50.0], MotionModel(), SensorModel(), 1.0, EXHAUSTIVE
+            )
 
     def test_output_invariants_on_random_scenarios(self):
         rng = np.random.default_rng(13)

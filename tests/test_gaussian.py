@@ -41,7 +41,7 @@ class TestTransitionMatrices:
         f, _ = transition_matrices(MotionModel(), delta=0.39)
         np.testing.assert_allclose(f, [[1.0, 0.39], [0.0, 1.0]], rtol=1e-15)
 
-    @pytest.mark.parametrize("delta", [0.0, -0.5])
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan, math.inf])
     def test_nonpositive_interval_rejected(self, delta):
         with pytest.raises(ValueError):
             transition_matrices(MotionModel(), delta)
