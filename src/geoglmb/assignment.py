@@ -10,6 +10,7 @@ solution and one score per solution, best first for the ranked solvers.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -24,6 +25,12 @@ __all__ = ["Solutions", "murty_kbest", "enumerate_solutions", "ranked_solutions"
 
 # Below this candidate count, exhaustive enumeration beats Murty's queue.
 _ENUMERATION_LIMIT = 4096
+
+# The Gibbs chain draws its uniforms in blocks of at most this many doubles.
+_BLOCK = 4096
+# Gibbs table entry of a row whose candidates all weigh 0; falsy, like an
+# entry not yet built.
+_SKIP = ()
 
 
 class Solutions(Sequence):
@@ -233,14 +240,27 @@ def ranked_solutions(cost: np.ndarray, k: int) -> Solutions:
 def gibbs_solutions(
     cost: np.ndarray, iterations: int, rng: np.random.Generator
 ) -> Solutions:
-    """Distinct solutions visited by a Gibbs sweep over rows.
+    """Distinct solutions visited by a Gibbs sweep over rows, in first-visit order.
 
     Each row is resampled in turn from its conditional (candidate columns =
     both shared outcomes plus measurements unused by other rows), so the
     chain targets the normalized solution scores; every state the chain
     passes through is recorded.  The initializing solution (per-row best of
     death/undetected columns, else the overall best) is always part of the
-    output.  Deterministic for a given generator state.
+    output.  A row whose candidates all weigh 0 keeps its column and uses no
+    draw.
+
+    The chain runs over integer state ids.  A row's conditional depends only
+    on the current state, so it is built the first time the chain reaches
+    that (state, row) pair and cached: the cumulative candidate weights,
+    summed in column order, and each candidate's successor state once a
+    draw has picked it.  Later draws there are a bisection and a lookup.
+
+    The output is fixed by the generator state on entry: the k-th uniform
+    used is the k-th double the generator yields.  Uniforms are drawn in
+    blocks, so the generator's state after the call is not part of the
+    contract.  ``filter._truncate`` and ``filter.gibbs_assignments`` seed a
+    fresh generator per call, so no caller reuses it.
     """
     n, n_cols = cost.shape
     if n == 0:
@@ -261,38 +281,86 @@ def gibbs_solutions(
         shift = max(finite) if finite else 0.0
         exp_rows.append([math.exp(v - shift) if math.isfinite(v) else 0.0 for v in cost[i]])
 
-    current = list(init)
-    taken = {c for c in current if c >= 2}
-    seen = {init}
-    ordered = [init]
-    rand = rng.random
-    for _ in range(iterations):
-        for i in range(n):
-            own = current[i]
-            if own >= 2:
-                taken.discard(own)
-            weights = exp_rows[i]
-            cands = [0, 1] + [c for c in range(2, n_cols) if c not in taken]
-            total = 0.0
-            cum = []
-            for c in cands:
+    visited = _gibbs_chain(exp_rows, init, n_cols, iterations, rng)
+    return _pack([(sol, solution_score(cost, sol)) for sol in visited], n)
+
+
+def _gibbs_chain(
+    exp_rows: list[list[float]],
+    init: tuple[int, ...],
+    n_cols: int,
+    iterations: int,
+    rng: np.random.Generator,
+) -> list[tuple[int, ...]]:
+    """The distinct states of the Gibbs chain from ``init``, in first-visit order.
+
+    A chain position is ``key = sid * n + i``: state ``sid`` about to
+    resample row ``i``.  ``table[key]`` is None until built, ``_SKIP`` when
+    the row's candidates all weigh 0 (the state stays, no uniform is used),
+    else (cumulative weights, total, next keys, candidate columns).  A next
+    key is -1 until a draw first picks that candidate.  The next lists
+    repeat their last entry, so a draw landing on the total by rounding
+    picks the last candidate.  States are numbered as the chain first
+    enters them, so ``states`` is the output.
+    """
+    n = len(init)
+    states = [init]
+    state_id = {init: 0}
+    table: list = [None] * n
+
+    def conditional(key: int):
+        sid, i = divmod(key, n)
+        taken = {c for j, c in enumerate(states[sid]) if j != i and c >= 2}
+        weights = exp_rows[i]
+        total = 0.0
+        cum, cols = [], []
+        for c in range(n_cols):  # taken holds measurement columns only
+            if c not in taken:
                 total += weights[c]
                 cum.append(total)
-            if total <= 0.0:
-                if own >= 2:
-                    taken.add(own)
-                continue  # row currently has no finite outcome; keep it
-            u = rand() * total
-            for c, acc in zip(cands, cum):
-                if u < acc:
-                    current[i] = c
-                    break
-            else:
-                current[i] = cands[-1]
-            if current[i] >= 2:
-                taken.add(current[i])
-            visited = tuple(current)
-            if visited not in seen:
-                seen.add(visited)
-                ordered.append(visited)
-    return _pack([(sol, solution_score(cost, sol)) for sol in ordered], n)
+                cols.append(c)
+        if total <= 0.0:
+            return _SKIP
+        cols.append(cols[-1])
+        return cum, total, [-1] * len(cols), cols
+
+    def enter(key: int, c: int) -> int:
+        sid, i = divmod(key, n)
+        state = states[sid]
+        nxt = state[:i] + (c,) + state[i + 1 :]
+        k = state_id.get(nxt)
+        if k is None:
+            k = state_id[nxt] = len(states)
+            states.append(nxt)
+            table.extend([None] * n)
+        return k * n + (i + 1) % n
+
+    key = 0
+    steps = max(iterations, 0) * n  # row visits not yet covered by a drawn uniform
+    while steps:
+        block = rng.random(min(steps, _BLOCK)).tolist()
+        steps -= len(block)
+        for pos, u in enumerate(block):
+            entry = table[key]
+            while not entry:
+                if entry is None:
+                    entry = table[key] = conditional(key)
+                    continue
+                # Skipped row: one row visit, no uniform.  It is paid from
+                # the visits beyond this block, else by the block's last
+                # uniform; with none left for this one, the chain is done.
+                key = key + 1 if (key + 1) % n else key + 1 - n
+                entry = table[key]
+                if steps:
+                    steps -= 1
+                else:
+                    block.pop()
+                    if pos == len(block):
+                        return states
+            cum, total, keys, cols = entry
+            j = bisect.bisect_right(cum, u * total)
+            nxt = keys[j]
+            if nxt < 0:
+                nxt = keys[j] = enter(key, cols[j])
+            key = nxt
+    return states

@@ -29,6 +29,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+_CSV_VIEW = (
+    "A scenario.csv does not record the run's settings: the scenario is rebuilt "
+    'with the default sensor model and mode "joint".'
+)
+
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
@@ -147,13 +152,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_eval = sub.add_parser("eval", help="metrics from existing scenario/estimates CSVs")
+    p_eval = sub.add_parser(
+        "eval",
+        help="metrics from existing scenario/estimates CSVs",
+        description=_CSV_VIEW + " Metrics never read the sensor. They read the mode only "
+        "to pair labels with properties, by least total RMSE as in a joint run, and "
+        'report.json states mode "joint".',
+    )
     p_eval.add_argument("--scenario", required=True, type=Path)
     p_eval.add_argument("--estimates", required=True, type=Path)
     p_eval.add_argument("--out", dest="out_dir")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_plot = sub.add_parser("plot", help="SVG profiles from existing CSVs")
+    p_plot = sub.add_parser(
+        "plot",
+        help="SVG profiles from existing CSVs",
+        description=_CSV_VIEW + " Plots never read the sensor. They read the mode only "
+        "to pair labels with properties, by least total RMSE as in a joint run.",
+    )
     p_plot.add_argument("--scenario", required=True, type=Path)
     p_plot.add_argument("--estimates", required=True, type=Path)
     p_plot.add_argument("--out", dest="out_dir")

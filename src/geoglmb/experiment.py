@@ -391,7 +391,17 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
 
 
 def read_scenario_csv(path) -> Scenario:
-    """Rebuild a Scenario from an exported scenario.csv (joint-mode view)."""
+    """Rebuild a Scenario from an exported scenario.csv (joint-mode view).
+
+    The CSV holds truth, observations, clutter and the seed, not the run's
+    settings, so the rebuilt scenario carries a default ``SensorModel()`` and
+    ``mode="joint"`` whatever the run used.  Metrics and plots never read the
+    sensor.  They read the mode only to pair estimated labels with
+    properties: a joint-mode scenario pairs them by least total RMSE, while
+    an independent run pairs label (1, i) with property i.  So metrics of a
+    joint run are reproduced up to the CSVs' rounding, and ``report.json``
+    states mode "joint" for any run.
+    """
     truth_rows: dict[float, dict[str, float]] = {}
     obs: dict[float, dict[str, float]] = {}
     clutter: dict[float, list[float]] = {}

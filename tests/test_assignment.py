@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoglmb.assignment import (
+    Solutions,
     enumerate_solutions,
     gibbs_solutions,
     murty_kbest,
@@ -29,6 +30,84 @@ def brute_force(cost):
             out.append((combo, float(score)))
     out.sort(key=lambda item: (-item[1], item[0]))
     return out
+
+
+def reference_gibbs_solutions(cost, iterations, rng):
+    """Test-local per-draw Gibbs sampler: one ``rng.random()`` per row draw,
+    candidates and cumulative weights rebuilt at every draw.  The library's
+    sampler must return exactly what this one returns for the same seed."""
+    n, n_cols = cost.shape
+    if n == 0:
+        return Solutions(np.zeros((1, 0), dtype=np.intp), np.zeros(1))
+
+    no_meas = np.argmax(cost[:, :2], axis=1)
+    init = tuple(int(c) for c in no_meas)
+    if not math.isfinite(solution_score(cost, init)):
+        best = murty_kbest(cost, 1)
+        if not best:
+            raise InfeasibleAssociationError("no feasible association for cost matrix")
+        init = best[0][0]
+
+    exp_rows = []
+    for i in range(n):
+        finite = [v for v in cost[i] if math.isfinite(v)]
+        shift = max(finite) if finite else 0.0
+        exp_rows.append([math.exp(v - shift) if math.isfinite(v) else 0.0 for v in cost[i]])
+
+    current = list(init)
+    taken = {c for c in current if c >= 2}
+    seen = {init}
+    ordered = [init]
+    for _ in range(iterations):
+        for i in range(n):
+            own = current[i]
+            if own >= 2:
+                taken.discard(own)
+            weights = exp_rows[i]
+            cands = [0, 1] + [c for c in range(2, n_cols) if c not in taken]
+            total = 0.0
+            cum = []
+            for c in cands:
+                total += weights[c]
+                cum.append(total)
+            if total <= 0.0:
+                if own >= 2:
+                    taken.add(own)
+                continue
+            u = rng.random() * total
+            for c, acc in zip(cands, cum):
+                if u < acc:
+                    current[i] = c
+                    break
+            else:
+                current[i] = cands[-1]
+            if current[i] >= 2:
+                taken.add(current[i])
+            visited = tuple(current)
+            if visited not in seen:
+                seen.add(visited)
+                ordered.append(visited)
+    cols = np.array(ordered, dtype=np.intp).reshape(len(ordered), n)
+    return Solutions(cols, np.array([solution_score(cost, sol) for sol in ordered]))
+
+
+def assert_same_solutions(got, want):
+    assert np.array_equal(got.cols, want.cols)
+    assert got.cols.dtype == want.cols.dtype
+    assert got.scores.tobytes() == want.scores.tobytes()
+
+
+class CountingGenerator:
+    """Generator stand-in that counts scalar ``random()`` calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.scalar_draws = 0
+
+    def random(self, size=None):
+        if size is None:
+            self.scalar_draws += 1
+        return self.rng.random(size)
 
 
 class TestRankedSolutions:
@@ -169,6 +248,37 @@ class TestGibbs:
                 meas = [c for c in sol if c >= 2]
                 assert len(set(meas)) == len(meas)
 
+    def test_row_without_weight_keeps_its_column_and_uses_no_draw(self):
+        # Certain survival and detection (-inf death and undetected cells):
+        # the all-missed init is infeasible, so the chain starts at Murty's
+        # best (2, 3).  Row 1's only candidate then weighs exp(-1000) == 0,
+        # so each of its visits is skipped without a draw, across the
+        # boundaries of the uniform blocks too.
+        cost = np.array([[-np.inf, -np.inf, 0.0, -1000.0]] * 2)
+        for iterations in (1, 7, 5000):
+            counting = CountingGenerator(4)
+            want = reference_gibbs_solutions(cost, iterations, counting)
+            assert counting.scalar_draws == iterations
+            assert want == [((2, 3), -1000.0)]
+            assert_same_solutions(gibbs_solutions(cost, iterations, np.random.default_rng(4)), want)
+
+    def test_skipped_rows_between_draws_keep_the_draw_sequence(self):
+        # Row 1 always holds measurement 1, so every visit of row 2 is
+        # skipped, the last visit of each sweep included.  Row 0 keeps
+        # exploring rare measurements long after the first uniform block.
+        cost = np.array([
+            [0.0, 0.0, -np.inf] + [-8.0] * 5,
+            [-np.inf, -np.inf, 0.0] + [-np.inf] * 5,
+            [-1000.0, -1000.0, 0.0] + [-np.inf] * 5,
+        ])
+        for iterations in (1, 2, 5000):
+            for seed in range(8):
+                counting = CountingGenerator(seed)
+                want = reference_gibbs_solutions(cost, iterations, counting)
+                assert counting.scalar_draws == 2 * iterations
+                got = gibbs_solutions(cost, iterations, np.random.default_rng(seed))
+                assert_same_solutions(got, want)
+
 
 class TestEnumerate:
     def test_sorted_descending_with_lexicographic_ties(self):
@@ -200,3 +310,35 @@ def test_ranked_is_prefix_of_enumeration(data):
         return
     for k in range(1, len(full) + 2):
         assert ranked_solutions(cost, k) == full[:k]
+
+
+_GIBBS_ENTRY = st.one_of(
+    st.integers(-2, 2).map(float),  # ties
+    st.floats(-4.0, 4.0),
+    st.just(-math.inf),
+    st.just(-1000.0),  # underflows to weight 0 beside a finite entry near 0
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gibbs_equals_per_draw_reference(data):
+    n_rows = data.draw(st.integers(0, 3))
+    n_cols = data.draw(st.integers(2, 9))
+    rows = []
+    for _ in range(n_rows):
+        row = data.draw(st.lists(_GIBBS_ENTRY, min_size=n_cols, max_size=n_cols))
+        if data.draw(st.booleans()):
+            row[0] = row[1] = -math.inf  # p_survival = p_detect = 1
+        rows.append(row)
+    cost = np.array(rows, dtype=float).reshape(n_rows, n_cols)
+    # 2100 sweeps of 2 or 3 rows cross the 4096-uniform block boundary.
+    iterations = data.draw(st.sampled_from([0, 1, 3, 40, 2100]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    try:
+        want = reference_gibbs_solutions(cost, iterations, np.random.default_rng(seed))
+    except InfeasibleAssociationError:
+        with pytest.raises(InfeasibleAssociationError):
+            gibbs_solutions(cost, iterations, np.random.default_rng(seed))
+        return
+    assert_same_solutions(gibbs_solutions(cost, iterations, np.random.default_rng(seed)), want)

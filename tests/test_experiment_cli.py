@@ -184,6 +184,33 @@ class TestCli:
         svg = (tmp_path / "plots" / "plot_LL.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_eval_reproduces_joint_run_metrics_with_non_default_sensor(self, tmp_path):
+        # The scenario CSV keeps no sensor settings; eval's rebuilt scenario
+        # carries the default sensor, which the metrics must not depend on.
+        code = main([
+            "run", "--site", "taipei", "--mode", "joint", "--seed", "5", "--mc", "1",
+            "--pd", "0.75", "--sigma-m", "6", "--clutter", "0.6",
+            "--trunc", "ranked", "--hyps", "24", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 0
+        trial = tmp_path / "run" / "trials" / "trial_000"
+        code = main([
+            "eval", "--scenario", str(trial / "scenario.csv"),
+            "--estimates", str(trial / "estimates.csv"), "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 0
+        run = json.loads((tmp_path / "run" / "report.json").read_text())
+        evaluated = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert run["config"]["p_detect"] == 0.75 and run["config"]["sigma_m"] == 6.0
+        assert evaluated["mode"] == run["mode"] == "joint"
+        assert set(evaluated["per_property"]) == set(run["per_property"]) == {"LL", "PI", "w"}
+        for prop, metrics in run["per_property"].items():
+            got = evaluated["per_property"][prop]
+            assert got["n_detections"] == metrics["n_detections"]
+            # the CSVs hold 10 significant digits
+            assert got["rmse_estimate"] == pytest.approx(metrics["rmse_estimate"], rel=1e-8)
+            assert got["rmse_observation"] == pytest.approx(metrics["rmse_observation"], rel=1e-8)
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--site", "onsoy", "--pd", "1.5", "--out", str(tmp_path)])
         assert code == 2

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
+import geoglmb.filter
 from conftest import enumeration_oracle, kf_oracle, simple_birth
 from geoglmb.errors import InfeasibleAssociationError, WeightCollapseError
 from geoglmb.filter import (
@@ -40,6 +43,7 @@ from geoglmb.lrfs import (
     cardinality_distribution,
     empty_density,
 )
+from test_assignment import reference_gibbs_solutions
 
 EXHAUSTIVE = TruncationConfig(
     method="ranked",
@@ -495,6 +499,84 @@ class TestJointPredictUpdate:
             assert da.log_weights().tolist() == db.log_weights().tolist()
             for ha, hb in zip(da.hypotheses, db.hypotheses):
                 assert ha.label_set == hb.label_set and ha.history == hb.history
+
+    def test_gibbs_run_equals_per_draw_reference_sampler(self, monkeypatch):
+        # The library sampler against the per-draw reference sampler of
+        # test_assignment, end to end: every hypothesis of every step.
+        entries = [
+            (Label(1, 0), np.array([30.0, 0.0])),
+            (Label(1, 1), np.array([50.0, 0.0])),
+            (Label(1, 2), np.array([70.0, 0.0])),
+        ]
+        birth = simple_birth(entries, r_birth=0.85)
+        sensor = SensorModel(sigma_m=5.0, p_detect=0.7, clutter_rate=0.8, clutter_region=(0.0, 100.0))
+        motion = MotionModel(sigma_p=0.4, p_survival=0.95)
+        deltas = [1.0, 0.6, 0.9, 1.3, 0.7, 1.1]
+        sets = [
+            [31.0, 52.0, 69.0], [49.0, 71.5, 12.0], [29.0, 68.0],
+            [33.0, 51.0, 70.0, 88.0], [47.5], [30.5, 53.0, 72.0],
+        ]
+        trunc = TruncationConfig(
+            method="gibbs", gibbs_iterations=150, requested_hypotheses=40,
+            max_hypotheses=120, seed=23,
+        )
+        got = run_sequence(deltas, sets, birth, motion, sensor, trunc)
+
+        calls = []
+
+        def reference(cost, iterations, rng):
+            calls.append(cost.shape)
+            return reference_gibbs_solutions(cost, iterations, rng)
+
+        monkeypatch.setattr(geoglmb.filter, "gibbs_solutions", reference)
+        want = run_sequence(deltas, sets, birth, motion, sensor, trunc)
+
+        assert len(calls) > len(deltas) and max(calls)[0] == 3
+        assert max(len(d.hypotheses) for d in want) > 10
+        for dg, dw in zip(got, want, strict=True):
+            assert len(dg.hypotheses) == len(dw.hypotheses)
+            for hg, hw in zip(dg.hypotheses, dw.hypotheses):
+                assert hg.label_set == hw.label_set
+                assert hg.history == hw.history
+                assert hg.log_weight.hex() == hw.log_weight.hex()
+
+
+_FINITE = st.floats(-1e3, 1e3)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestBoundaryProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_non_finite_measurement_is_rejected(self, data):
+        zs = data.draw(st.lists(_FINITE, max_size=4))
+        zs.insert(data.draw(st.integers(0, len(zs))), data.draw(_NON_FINITE))
+        birth = simple_birth([(Label(1, 0), np.array([50.0, 0.0]))])
+        with pytest.raises(ValueError, match="finite"):
+            joint_predict_update(
+                empty_density(0), birth, zs, MotionModel(), SensorModel(), 1.0, EXHAUSTIVE
+            )
+        # at a later step of a whole run as well
+        step = data.draw(st.integers(0, 2))
+        sets = [[48.0], [51.0], [50.0]]
+        sets[step] = zs
+        with pytest.raises(ValueError, match="finite"):
+            run_sequence([1.0, 0.5, 0.8], sets, birth, MotionModel(), SensorModel(), EXHAUSTIVE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.floats(max_value=0.0, allow_nan=False), _NON_FINITE),
+        st.integers(0, 2),
+    )
+    def test_any_non_positive_or_non_finite_interval_is_rejected(self, delta, step):
+        with pytest.raises(ValueError, match="interval"):
+            transition_matrices(MotionModel(), delta)
+        deltas = [1.0, 0.5, 0.8]
+        deltas[step] = delta
+        birth = simple_birth([(Label(1, 0), np.array([50.0, 0.0]))])
+        with pytest.raises(ValueError, match="interval"):
+            run_sequence(deltas, [[48.0], [51.0], [50.0]], birth, MotionModel(),
+                         SensorModel(), EXHAUSTIVE)
 
 
 def _identity_mass(key, glmb, birth, zs, motion, sensor, delta):
