@@ -23,8 +23,11 @@ from .errors import InfeasibleAssociationError
 
 __all__ = ["Solutions", "murty_kbest", "enumerate_solutions", "ranked_solutions", "gibbs_solutions"]
 
-# Below this candidate count, exhaustive enumeration beats Murty's queue.
-_ENUMERATION_LIMIT = 4096
+# Ranked truncation enumerates up to this many combinations (n_cols **
+# n_rows), Murty beyond: at k = 64, 2-5 rows, warm enumeration won at every
+# size up to here on every machine measured, as Murty's fixed cost per
+# subproblem dominates small problems (Miller, Stone & Cox 1997).
+_ENUMERATION_LIMIT = 16384
 
 # The Gibbs chain draws its uniforms in blocks of at most this many doubles.
 _BLOCK = 4096
@@ -72,24 +75,22 @@ def solution_score(cost: np.ndarray, solution: tuple[int, ...]) -> float:
     return float(sum(cost[i, c] for i, c in enumerate(solution)))
 
 
-def _is_valid(solution: tuple[int, ...]) -> bool:
-    meas = [c for c in solution if c >= 2]
-    return len(meas) == len(set(meas))
-
-
 # Valid column combinations depend only on the matrix shape; cache them.
 _combo_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _valid_combos(n_rows: int, n_cols: int) -> np.ndarray:
+    """(n_rows, N) table of the combinations in which no two rows share a
+    measurement column (>= 2), in lexicographic product order."""
     key = (n_rows, n_cols)
     hit = _combo_cache.get(key)
     if hit is None:
-        combos = [
-            c for c in itertools.product(range(n_cols), repeat=n_rows) if _is_valid(c)
-        ]
-        hit = np.array(combos, dtype=np.intp).reshape(len(combos), n_rows)
-        _combo_cache[key] = hit
+        grid = np.indices((n_cols,) * n_rows, dtype=np.intp).reshape(n_rows, -1)
+        valid = np.ones(grid.shape[1], dtype=bool)
+        for i in range(1, n_rows):
+            for j in range(i):
+                valid &= (grid[i] < 2) | (grid[i] != grid[j])
+        hit = _combo_cache[key] = grid.compress(valid, axis=1)
     return hit
 
 
@@ -101,23 +102,30 @@ def _pack(pairs: list[tuple[tuple[int, ...], float]], n_rows: int) -> Solutions:
 def _enumerate_scored(cost: np.ndarray, k: int | None = None) -> Solutions:
     """The k best feasible combos (all when k is None), best first.
 
-    Ties break on the lexicographic product order, as a stable sort on
-    descending score over all combos would: the top k are picked with a
-    partition, ties at the k-th score filled in combo order, then sorted.
+    A combo scores 0.0 plus its cells in row order, as ``solution_score``
+    sums them.  Ties break on the lexicographic product order, as a stable
+    sort on descending score over all combos would: the top k are picked
+    with a partition, ties at the k-th score filled in combo order, then
+    sorted.
     """
-    n_rows, n_cols = cost.shape
-    combos = _valid_combos(n_rows, n_cols)
-    scores = cost[np.arange(n_rows), combos].sum(axis=1)
+    table = _valid_combos(*cost.shape)
+    scores = np.zeros(table.shape[1])
+    for row, cols in zip(cost, table):
+        scores += row.take(cols)
     feasible = np.isfinite(scores)
-    combos, scores = combos[feasible], scores[feasible]
+    pick = None if feasible.all() else np.flatnonzero(feasible)
+    if pick is not None:
+        scores = scores[pick]
     if k is not None and k < len(scores):
         neg = -scores
         kth = np.partition(neg, k - 1)[k - 1]
-        pick = neg < kth
-        pick[np.flatnonzero(neg == kth)[: k - np.count_nonzero(pick)]] = True
-        combos, scores = combos[pick], scores[pick]
+        top = neg < kth
+        top[np.flatnonzero(neg == kth)[: k - np.count_nonzero(top)]] = True
+        pick = np.flatnonzero(top) if pick is None else pick[top]
+        scores = scores[top]
     order = np.argsort(-scores, kind="stable")
-    return Solutions(combos[order], scores[order])
+    rows = order if pick is None else pick[order]
+    return Solutions(table.T.take(rows, axis=0), scores[order])
 
 
 def enumerate_solutions(cost: np.ndarray) -> Solutions:
@@ -144,33 +152,15 @@ def _extended_matrix(cost: np.ndarray) -> np.ndarray:
 
 
 def _collapse(ext_solution: np.ndarray, n: int) -> tuple[int, ...]:
-    out = []
-    for col in ext_solution:
-        if col < n:
-            out.append(0)
-        elif col < 2 * n:
-            out.append(1)
-        else:
-            out.append(2 + int(col) - 2 * n)
-    return tuple(out)
+    return tuple(0 if c < n else 1 if c < 2 * n else c - 2 * n + 2 for c in ext_solution.tolist())
 
 
-def _best_assignment(ext: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Optimal row-to-column assignment of ext, or None when infeasible.
-
-    -inf entries are replaced by a sentinel low enough that any assignment
-    touching one scores below every fully-finite assignment.
-    """
-    finite = ext[np.isfinite(ext)]
-    if finite.size == 0:
-        return None
-    lo, hi = float(finite.min()), float(finite.max())
-    sentinel = lo - (hi - lo + 1.0) * (ext.shape[0] + 1)
-    work = np.where(np.isfinite(ext), ext, sentinel)
+def _best_assignment(work: np.ndarray, sentinel: float) -> tuple[np.ndarray, float] | None:
+    """Optimal row-to-column assignment of work and its cells' sum in row
+    order, or None when it uses a forbidden (sentinel) cell."""
     rows, cols = linear_sum_assignment(work, maximize=True)
-    if np.any(work[rows, cols] == sentinel):
-        return None
-    return cols, float(work[rows, cols].sum())
+    picked = work[rows, cols].tolist()
+    return None if sentinel in picked else (cols, sum(picked))
 
 
 def murty_kbest(cost: np.ndarray, k: int) -> Solutions:
@@ -184,40 +174,48 @@ def murty_kbest(cost: np.ndarray, k: int) -> Solutions:
     if n == 0:
         return _pack([((), 0.0)], 0)
     ext = _extended_matrix(cost)
-    first = _best_assignment(ext)
+    finite = np.isfinite(ext)
+    if not finite.any():
+        return _pack([], n)
+    lo, hi = float(ext[finite].min()), float(ext[finite].max())
+    # Forbidden cells hold a sentinel so low that any assignment using one
+    # scores below every assignment of finite cells.  Subproblems only
+    # forbid more cells, so the root's sentinel serves them all.
+    sentinel = lo - (hi - lo + 1.0) * (n + 1)
+    root = np.where(finite, ext, sentinel)
+    first = _best_assignment(root, sentinel)
     if first is None:
         return _pack([], n)
+    # A Hungarian optimum can miss its subproblem's best row-order sum by
+    # rounding, so a found solution is final only once it beats every queued
+    # optimum by more than a slack far above that rounding.
+    slack = 1e-9 * abs(sentinel)
     cols, score = first
-    queue: list = []
-    counter = itertools.count()
-    heapq.heappush(queue, (-score, _collapse(cols, n), next(counter), ext, cols))
+    queue = [(-score, _collapse(cols, n), 0, root, cols)]
+    counter = itertools.count(1)
+    found: list[tuple[float, tuple[int, ...]]] = []
     out: list[tuple[tuple[int, ...], float]] = []
-    while queue and len(out) < k:
-        # Equal-score solutions can hide in subproblems not yet expanded, so
-        # drain and partition the whole tie group before emitting it sorted.
-        target = queue[0][0]
-        bucket: list[tuple[int, ...]] = []
-        while queue and queue[0][0] == target:
-            _, encoded, _, node, sol_cols = heapq.heappop(queue)
-            bucket.append(encoded)
-            for t in range(n):
-                child = node.copy()
-                child[t, sol_cols[t]] = -np.inf
-                for r in range(t):
-                    keep = sol_cols[r]
-                    child[r, :] = -np.inf
-                    child[r, keep] = node[r, keep]
-                best = _best_assignment(child)
-                if best is not None:
-                    c_cols, c_score = best
-                    heapq.heappush(
-                        queue,
-                        (-c_score, _collapse(c_cols, n), next(counter), child, c_cols),
-                    )
-        bucket.sort()
-        for encoded in bucket:
-            if len(out) < k:
-                out.append((encoded, -target))
+    while len(out) < k and (queue or found):
+        if found and (not queue or found[0][0] < queue[0][0] - slack):
+            neg, encoded = heapq.heappop(found)
+            out.append((encoded, -neg))
+            continue
+        neg, encoded, _, node, sol_cols = heapq.heappop(queue)
+        heapq.heappush(found, (neg, encoded))
+        # Child t forbids this solution's cell in row t and keeps its cells
+        # in rows before t.
+        fixed = node.copy()
+        for t in range(n):
+            child = fixed.copy()
+            child[t, sol_cols[t]] = sentinel
+            best = _best_assignment(child, sentinel)
+            if best is not None:
+                c_cols, c_score = best
+                entry = (-c_score, _collapse(c_cols, n), next(counter), child, c_cols)
+                heapq.heappush(queue, entry)
+            keep = fixed[t, sol_cols[t]]
+            fixed[t, :] = sentinel
+            fixed[t, sol_cols[t]] = keep
     return _pack(out, n)
 
 

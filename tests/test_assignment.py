@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoglmb.assignment import (
+    _ENUMERATION_LIMIT,
     Solutions,
+    _enumerate_scored,
+    _valid_combos,
     enumerate_solutions,
     gibbs_solutions,
     murty_kbest,
@@ -30,6 +33,16 @@ def brute_force(cost):
             out.append((combo, float(score)))
     out.sort(key=lambda item: (-item[1], item[0]))
     return out
+
+
+def reference_combos(n_rows, n_cols):
+    """Test-local combo table: the itertools product, rows sharing a
+    measurement column dropped, one combination per row."""
+    combos = [
+        combo for combo in itertools.product(range(n_cols), repeat=n_rows)
+        if len({c for c in combo if c >= 2}) == sum(c >= 2 for c in combo)
+    ]
+    return np.array(combos, dtype=np.intp).reshape(len(combos), n_rows)
 
 
 def reference_gibbs_solutions(cost, iterations, rng):
@@ -153,8 +166,8 @@ class TestRankedSolutions:
 
 class TestMurty:
     def test_agrees_with_enumeration_beyond_small_limit(self):
-        # 3 rows x (2 + 15) columns exceeds the enumeration threshold inside
-        # ranked_solutions, so this exercises the Murty queue.
+        # 3 rows x (2 + 15) columns, solved by the Murty queue directly: more
+        # combinations than the small cases below.
         rng = np.random.default_rng(7)
         cost = rng.normal(0.0, 3.0, size=(3, 17))
         expected = brute_force(cost)[:25]
@@ -191,6 +204,22 @@ class TestMurty:
             assert [c for c, _ in got] == [c for c, _ in expected]
             for (_, se), (_, sg) in zip(expected, got):
                 assert abs(se - sg) < 1e-12
+
+    def test_exact_order_when_the_hungarian_optimum_is_an_ulp_short(self):
+        # (7, 8, 4, 5) sums 4 - ulp, 0, 1 and 1.89... in that row order, and
+        # (7, 1, 8, 4) the same values as 4 - ulp, 0, 1.89... and 1, which
+        # rounds 1 ulp lower.  The Hungarian solver cannot tell such sums
+        # apart, yet the first must come out before the second.
+        inf = math.inf
+        cost = np.array([
+            [0.0, 0.0, 0.0, 0.0, -inf, -inf, -inf, 3.9999999999999996, 0.0, 0.0],
+            [-inf, 0.0, -inf, 0.0, -inf, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, -inf, 0.0, 0.0, 1.0, 0.0, -inf, 0.0, 1.8926912713212038, -inf],
+            [0.0, -inf, 0.0, 0.0, 1.0, 1.8926912713212038, -inf, 0.0, 0.0, -inf],
+        ])
+        expected = brute_force(cost)[:12]
+        assert ((7, 8, 4, 5), 6.892691271321204) in expected
+        assert murty_kbest(cost, 12) == expected
 
 
 class TestGibbs:
@@ -290,6 +319,39 @@ class TestEnumerate:
         top = [c for c, s in sols if abs(s - 1.5) < 1e-12]
         assert top == sorted(top)
 
+    def test_combo_table_equals_product_reference(self):
+        for n_rows in range(1, 5):
+            for n_cols in range(1, 12):
+                table = _valid_combos(n_rows, n_cols)
+                want = reference_combos(n_rows, n_cols)
+                assert table.dtype == want.dtype
+                assert np.array_equal(table.T, want), (n_rows, n_cols)
+
+    def test_scores_equal_fancy_index_sum_bit_for_bit(self):
+        # Up to 7 rows numpy's row sum adds the cells in order, as the kernel
+        # does; -0.0 cells check that both start from +0.0.
+        rng = np.random.default_rng(31)
+        for n_rows, n_cols in [(1, 2), (1, 9), (2, 7), (3, 5), (3, 12), (4, 6), (5, 4), (7, 3)]:
+            cost = rng.normal(0.0, 1e3, size=(n_rows, n_cols)) + rng.normal(size=(n_rows, n_cols))
+            cost[rng.random(size=cost.shape) < 0.2] = -0.0
+            combos = reference_combos(n_rows, n_cols)
+            want = cost[np.arange(n_rows), combos].sum(axis=1)
+            got = _enumerate_scored(cost)
+            order = np.argsort(-want, kind="stable")
+            assert np.array_equal(got.cols, combos[order])
+            assert got.scores.tobytes() == want[order].tobytes()
+
+    def test_scores_sum_in_row_order_beyond_seven_rows(self):
+        # From 8 terms numpy sums pairwise; every solver here sums a solution
+        # in row order, as solution_score does, so ranked and Murty agree.
+        # 8 x 3 is enumerated, 9 x 3 goes to Murty.
+        rng = np.random.default_rng(37)
+        for n_rows in (8, 9):
+            cost = rng.normal(0.0, 1e3, size=(n_rows, 3)) + rng.normal(size=(n_rows, 3))
+            got = ranked_solutions(cost, 40)
+            assert [s for _, s in got] == [solution_score(cost, c) for c, _ in got]
+            assert_same_solutions(got, murty_kbest(cost, 40))
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
@@ -310,6 +372,39 @@ def test_ranked_is_prefix_of_enumeration(data):
         return
     for k in range(1, len(full) + 2):
         assert ranked_solutions(cost, k) == full[:k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ranked_equals_murty_across_the_enumeration_limit(data):
+    # 3 x 16-30 and 4 x 8-12 columns: product spaces on both sides of the
+    # limit, so ranked_solutions enumerates some and runs Murty on others.
+    n_rows, n_cols = data.draw(st.one_of(
+        st.tuples(st.just(3), st.integers(16, 30)),
+        st.tuples(st.just(4), st.integers(8, 12)),
+    ))
+    entry = st.one_of(st.floats(-4.0, 4.0), st.integers(-2, 2).map(float), st.just(-math.inf))
+    cost = np.array(
+        data.draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                           min_size=n_rows, max_size=n_rows))
+    )
+    k = data.draw(st.integers(1, 64))
+    expected = brute_force(cost)[:k]
+    murty = murty_kbest(cost, k)
+    if not expected:
+        assert not murty
+        with pytest.raises(InfeasibleAssociationError):
+            ranked_solutions(cost, k)
+        return
+    got = ranked_solutions(cost, k)
+    assert_same_solutions(got, murty)
+    assert got == expected
+
+
+def test_limit_splits_the_hypothesis_shapes():
+    # The shapes drawn above straddle the limit.
+    assert 25**3 <= _ENUMERATION_LIMIT < 26**3
+    assert 11**4 <= _ENUMERATION_LIMIT < 12**4
 
 
 _GIBBS_ENTRY = st.one_of(
