@@ -11,12 +11,11 @@ import math
 import numpy as np
 
 from geoglmb import (
-    GlmbDensity,
+    Gaussian,
     GlmbHypothesis,
     Label,
     SensorModel,
     MotionModel,
-    single_gaussian,
 )
 from geoglmb.filter import (
     BirthModel,
@@ -33,8 +32,8 @@ parent = GlmbHypothesis(
     history=(((la, 1), (lb, 2)),),
     log_weight=0.0,
     densities={
-        la: single_gaussian([56.0, 0.0], np.diag([16.0, 1.0])),
-        lb: single_gaussian([22.0, 0.0], np.diag([16.0, 1.0])),
+        la: Gaussian([56.0, 0.0], np.diag([16.0, 1.0])),
+        lb: Gaussian([22.0, 0.0], np.diag([16.0, 1.0])),
     },
 )
 measurements = [58.5, 24.0, 61.0]

@@ -14,26 +14,20 @@ from .errors import (
     WeightCollapseError,
 )
 from .gaussian import (
-    GaussianComponent,
-    GaussianMixture,
+    Gaussian,
     MotionModel,
     SensorModel,
     kalman_predict,
     kalman_update,
-    mixture_reduce,
-    single_gaussian,
     transition_matrices,
 )
 from .lrfs import (
     GlmbDensity,
     GlmbHypothesis,
     Label,
-    LabeledState,
     best_hypothesis_with_cardinality,
     cardinality_distribution,
-    distinct_label_indicator,
     empty_density,
-    normalize,
 )
 from .filter import (
     AssociationMap,

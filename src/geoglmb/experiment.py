@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from .filter import (
     extract_map_trajectories,
     run_sequence,
 )
-from .gaussian import MotionModel, SensorModel, single_gaussian
+from .gaussian import Gaussian, MotionModel, SensorModel
 from .lrfs import Label
 from .scenario import (
     PROPERTIES,
@@ -126,6 +127,8 @@ class ExperimentConfig:
             issues.append(f"r_birth={self.r_birth} outside [0, 1]")
         if len(self.birth_offsets) != len(PROPERTIES):
             issues.append(f"birth_offsets needs {len(PROPERTIES)} values, one per property")
+        if not all(math.isfinite(v) for v in self.birth_offsets):
+            issues.append(f"birth_offsets={list(self.birth_offsets)} must be finite")
         if self.mode not in ("joint", "independent"):
             issues.append(f"mode={self.mode!r} not in {{joint, independent}}")
         if self.mc_trials < 1:
@@ -206,7 +209,7 @@ def birth_model_for(
             BirthEntry(
                 label=Label(1, p_idx),
                 r_birth=config.r_birth,
-                density=single_gaussian(mean, cov),
+                density=Gaussian(mean, cov),
             )
         )
     return BirthModel(tuple(entries))

@@ -11,11 +11,12 @@ and renormalized.  Every child extends exactly one parent's history by one
 distinct solution of that parent's cost matrix, so the children of a step
 never share an identity and are never merged.
 
-Every label carries one Gaussian of weight 1.  A step works on arrays until
-truncation is done: the cost rows of all distinct densities are computed in
-one table, each parent's solutions come back as column and score arrays,
-and all children are weighed, pruned and capped as one array.  Hypothesis
-objects, histories and mixtures are built only for the children kept.
+Every label carries one Gaussian.  A step works on arrays until truncation
+is done: the cost rows of all distinct densities are computed in one table,
+each parent's solutions come back as column and score arrays, and all
+children are weighed, pruned and capped as one array.  Hypothesis objects
+and histories are built only for the children kept, and their posteriors
+in one batched Kalman update.
 
 Trajectories are read out by maximum a posteriori: pick the most probable
 cardinality, the best hypothesis of that cardinality, and follow its
@@ -34,15 +35,15 @@ from .assignment import Solutions, gibbs_solutions, ranked_solutions
 from .errors import InfeasibleAssociationError, WeightCollapseError
 from .gaussian import (
     LOG_2PI,
-    GaussianComponent,
-    GaussianMixture,
+    Gaussian,
     MotionModel,
     SensorModel,
+    kalman_predict,
+    kalman_update,
+    kalman_update_rows,
+    symmetrize,
     transition_matrices,
-    update_mixture,
 )
-# Unused by the step; bound here because the benchmark's tracer patches them here.
-from .gaussian import mixture_log_likelihood, mixture_reduce, predict_mixture  # noqa: F401
 from .lrfs import (
     DEAD,
     UNDETECTED,
@@ -76,17 +77,21 @@ __all__ = [
 # measurement unexplained then carry a ~ -708 log penalty and vanish.
 _LOG_KAPPA_FLOOR = math.log(np.finfo(float).tiny)
 
+# Only the benchmark's tracer reads these names; the step calls none of them.
+predict_mixture, mixture_log_likelihood, update_mixture, mixture_reduce = (
+    kalman_predict, kalman_update, kalman_update, kalman_update
+)
+
 
 @dataclass(frozen=True)
 class BirthEntry:
     label: Label
     r_birth: float
-    density: GaussianMixture
+    density: Gaussian
 
     def __post_init__(self):
         if not 0.0 <= self.r_birth <= 1.0:
             raise ValueError("r_birth must lie in [0, 1]")
-        _single(self.density)
 
 
 @dataclass(frozen=True)
@@ -160,8 +165,8 @@ class TruncationConfig:
             raise ValueError(f"unknown truncation method {self.method!r}")
         if self.requested_hypotheses < 1 or self.gibbs_iterations < 1:
             raise ValueError("requested_hypotheses and gibbs_iterations must be >= 1")
-        if self.min_weight < 0:
-            raise ValueError("min_weight must be >= 0")
+        if not 0.0 <= self.min_weight < math.inf:
+            raise ValueError(f"min_weight must be finite and >= 0, got {self.min_weight}")
         if self.max_hypotheses < 1:
             raise ValueError("max_hypotheses must be >= 1")
 
@@ -207,32 +212,19 @@ def _outcomes(
     )
 
 
-def _single(mix: GaussianMixture) -> GaussianComponent:
-    """The one Gaussian, of weight 1, that a label's density must be."""
-    if len(mix) != 1 or mix.components[0].weight != 1.0:
-        raise ValueError(
-            "a label's density must be one Gaussian of weight 1, got weights "
-            f"{mix.weights().tolist()}"
-        )
-    return mix.components[0]
-
-
 class _StepCosts:
     """Cost matrices of one filter step, each gathered from one table.
 
-    Every label carries one Gaussian of weight 1.  The table has one row of
-    [death, undetected, one per measurement] log factors per distinct prior
-    density of all parents (one row per mixture object, however many
-    parents share it), then one per birth.  One numpy pass predicts all
-    prior densities over the interval and fills the likelihoods of all rows;
-    births enter as given.  The means go through ``einsum`` and the
-    covariances through one stacked F P F' + Q product, which round as
-    ``kalman_predict`` does (a matrix product on the stacked means does
-    not).  The covariances stay unsymmetrized until a mixture is built from
-    them: ``GaussianComponent`` symmetrizes, and the likelihoods read only
-    the diagonal.  A parent's cost matrix is a gather of its labels' rows.
-    Predicted and posterior mixtures are built only when a kept child asks
-    for them, once per row and measurement.
+    The table has one row of [death, undetected, one per measurement] log
+    factors per distinct prior density of all parents (one row per
+    ``Gaussian`` object, however many parents share it), then one per
+    birth.  One numpy pass predicts all prior densities over the interval
+    and fills the likelihoods of all rows; births enter as given.  The
+    means go through ``einsum`` and the covariances through one stacked
+    F P F' + Q product, which round as ``kalman_predict`` does (a matrix
+    product on the stacked means does not); the covariances are then
+    symmetrized once, as the ``Gaussian`` constructor does.  A parent's
+    cost matrix is a gather of its labels' rows.
     """
 
     def __init__(
@@ -253,16 +245,16 @@ class _StepCosts:
         births = sorted(birth.entries, key=lambda e: e.label)
         birth_labels = tuple(e.label for e in births)
         row_of: dict[int, int] = {}
-        prior: list[GaussianComponent] = []
+        prior: list[Gaussian] = []
         parent_rows = []
         for h in hypotheses:
             rows = []
             for lbl in h.label_set:
-                mix = h.densities[lbl]
-                row = row_of.get(id(mix))
+                g = h.densities[lbl]
+                row = row_of.get(id(g))
                 if row is None:
-                    row = row_of[id(mix)] = len(prior)
-                    prior.append(_single(mix))
+                    row = row_of[id(g)] = len(prior)
+                    prior.append(g)
                 rows.append(row)
             parent_rows.append(rows)
         n_prior = len(prior)
@@ -270,19 +262,17 @@ class _StepCosts:
         self.rows = [rows + birth_rows for rows in parent_rows]
         self.labels = [h.label_set + birth_labels for h in hypotheses]
 
-        means = np.einsum("ij,nj->ni", self.f, np.array([c.mean for c in prior]).reshape(-1, 2))
-        covs = self.f @ np.array([c.covariance for c in prior]).reshape(-1, 2, 2) @ self.f.T + self.q
+        means = np.einsum("ij,nj->ni", self.f, np.array([g.mean for g in prior]).reshape(-1, 2))
+        covs = self.f @ np.array([g.covariance for g in prior]).reshape(-1, 2, 2) @ self.f.T + self.q
+        covs = symmetrize(covs)
         log_alive = _log(motion.p_survival)
         log_dead = _log1m_exp(log_alive)
-        self._mixtures: list[GaussianMixture | None] = [None] * n_prior
         if births:
-            comps = [e.density.components[0] for e in births]
-            means = np.concatenate([means, [c.mean for c in comps]])
-            covs = np.concatenate([covs, [c.covariance for c in comps]])
+            means = np.concatenate([means, [e.density.mean for e in births]])
+            covs = np.concatenate([covs, [e.density.covariance for e in births]])
             alive = [_log(e.r_birth) for e in births]
             log_dead = np.array([log_dead] * n_prior + [_log1m_exp(a) for a in alive])[:, None]
             log_alive = np.array([log_alive] * n_prior + alive)[:, None]
-            self._mixtures += [e.density for e in births]
         self._means, self._covs = means, covs
         self.table = np.empty((len(means), 2 + len(self.z)))
         self.table[:, :1] = log_dead
@@ -295,28 +285,44 @@ class _StepCosts:
             ll = -0.5 * (innov * innov / s[:, None] + LOG_2PI + log_s[:, None])
             log_kappa = max(sensor.log_clutter_intensity(), _LOG_KAPPA_FLOOR)
             self.table[:, 2:] = log_alive + _log(sensor.p_detect) + ll - log_kappa
-        self._posteriors: dict[tuple[int, int], GaussianMixture] = {}
 
     def values(self, parent: int) -> np.ndarray:
         return self.table.take(self.rows[parent], axis=0)
 
-    def predicted(self, row: int) -> GaussianMixture:
-        """The density of one table row: predicted, or a birth as given."""
-        mix = self._mixtures[row]
-        if mix is None:
-            comp = GaussianComponent(1.0, self._means[row], self._covs[row])
-            mix = self._mixtures[row] = GaussianMixture((comp,))
-        return mix
+    def child_densities(
+        self, children: Sequence[tuple[int, Sequence[int]]]
+    ) -> list[dict[Label, Gaussian]]:
+        """Label densities of each child, given as (parent, solution).
 
-    def posterior(self, row: int, j: int) -> GaussianMixture:
-        """The density of one table row updated by measurement j (0-based)."""
-        key = (row, j)
-        mix = self._posteriors.get(key)
-        if mix is None:
-            mix = self._posteriors[key] = update_mixture(
-                self.predicted(row), float(self.z[j]), self.sensor
-            )[0]
-        return mix
+        Column 1 keeps a row's predicted density and column c >= 2 takes its
+        posterior under measurement c - 2.  Every distinct (row, column) is
+        one ``Gaussian`` shared by all children that use it, a view into
+        arrays filled in one gather and one batched Kalman update.
+        """
+        slots: dict[tuple[int, int], int] = {}
+        picks = [
+            [
+                (lbl, slots.setdefault((row, col), len(slots)))
+                for lbl, row, col in zip(self.labels[p_idx], self.rows[p_idx], solution)
+                if col >= 1
+            ]
+            for p_idx, solution in children
+        ]
+        keys = list(slots)
+        gaussians: list[Gaussian | None] = [
+            Gaussian._view(self._means[row], self._covs[row]) if col == 1 else None
+            for row, col in keys
+        ]
+        post = [slot for slot, (_, col) in enumerate(keys) if col >= 2]
+        if post:
+            rows = [keys[slot][0] for slot in post]
+            js = [keys[slot][1] - 2 for slot in post]
+            means, covs = kalman_update_rows(
+                self._means[rows], self._covs[rows], self.z[js], self.sensor
+            )
+            for slot, mean, cov in zip(post, means, covs):
+                gaussians[slot] = Gaussian._view(mean, cov)
+        return [{lbl: gaussians[slot] for lbl, slot in pick} for pick in picks]
 
 
 def build_log_cost(
@@ -376,8 +382,7 @@ def joint_predict_update(
     no two children share an identity and none need merging.  Children are
     weighed, pruned and capped as one array in parent order; only the kept
     ones become hypotheses.  The result does not depend on scheduling.
-    Non-finite measurements, and a label density that is not one Gaussian
-    of weight 1, raise ValueError.
+    Non-finite measurements raise ValueError.
     """
     if not glmb.hypotheses:
         raise WeightCollapseError("cannot step a density with no hypotheses")
@@ -414,25 +419,23 @@ def joint_predict_update(
     starts = [0]  # index of each solved parent's first child in logw
     for _, sols in solved:
         starts.append(starts[-1] + len(sols))
-    hyps = []
-    for child, log_weight in zip(order.tolist(), final_logw.tolist()):
+    children = []  # (parent index, solution) of each kept child
+    for child in order.tolist():
         s_idx = bisect.bisect_right(starts, child) - 1
         p_idx, sols = solved[s_idx]
-        solution = sols.cols[child - starts[s_idx]].tolist()
-        labels = costs.labels[p_idx]
-        densities: dict[Label, GaussianMixture] = {}
-        for lbl, row, col in zip(labels, costs.rows[p_idx], solution):
-            if col >= 1:
-                densities[lbl] = costs.predicted(row) if col == 1 else costs.posterior(row, col - 2)
-        hyps.append(
-            GlmbHypothesis(
-                label_set=tuple(densities),
-                history=glmb.hypotheses[p_idx].history + (_outcomes(labels, solution),),
-                log_weight=log_weight,
-                densities=densities,
-            )
+        children.append((p_idx, sols.cols[child - starts[s_idx]].tolist()))
+    hyps = tuple(
+        GlmbHypothesis(
+            label_set=tuple(densities),
+            history=glmb.hypotheses[p_idx].history + (_outcomes(costs.labels[p_idx], solution),),
+            log_weight=log_weight,
+            densities=densities,
         )
-    return GlmbDensity(tuple(hyps), step=next_step)
+        for (p_idx, solution), densities, log_weight in zip(
+            children, costs.child_densities(children), final_logw.tolist()
+        )
+    )
+    return GlmbDensity(hyps, step=next_step)
 
 
 def run_sequence(
@@ -495,10 +498,10 @@ def extract_map_trajectories(
 
     Picks the most probable cardinality at the final step (smallest count on
     ties), the best hypothesis of that cardinality, and follows its history
-    prefix backward to the per-label mixtures at every earlier step.  Each
+    prefix backward to the per-label Gaussians at every earlier step.  Each
     label reports the mean and variance of the value coordinate of its
-    highest-weight component at every depth where it is alive, so gaps left
-    by missed detections are filled by the predicted density.
+    Gaussian at every depth where it is alive, so gaps left by missed
+    detections are filled by the predicted density.
     """
     history = list(history)
     if not history:
@@ -525,14 +528,14 @@ def extract_map_trajectories(
                 "densities were not produced by one filter run"
             )
         for lbl in ancestor.label_set:
-            comp = ancestor.densities[lbl].dominant()
+            g = ancestor.densities[lbl]
             per_label.setdefault(lbl, []).append(
                 (
                     t + 1,
                     float(schedule[t]),
-                    float(comp.mean[0]),
-                    float(comp.mean[1]),
-                    float(comp.covariance[0, 0]),
+                    float(g.mean[0]),
+                    float(g.mean[1]),
+                    float(g.covariance[0, 0]),
                 )
             )
 

@@ -1,38 +1,36 @@
-"""Linear-Gaussian single-object machinery.
+"""Linear-Gaussian single-object model.
 
 State is the 2-vector [property value (%), depth rate of change (%/m)] with
 constant-rate dynamics over a variable depth interval, and a scalar sensor
-that reads the value coordinate only (H = [1, 0]).
+that reads the value coordinate only (H = [1, 0]).  Every label's density is
+one Gaussian.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import FilterDivergenceError
 
 __all__ = [
-    "GaussianComponent",
-    "GaussianMixture",
+    "Gaussian",
     "MotionModel",
     "SensorModel",
     "transition_matrices",
     "kalman_predict",
     "kalman_update",
-    "mixture_reduce",
+    "kalman_update_rows",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianComponent:
-    """One (weight, mean, covariance) term of a single-object density."""
+@dataclass(frozen=True, eq=False, slots=True)
+class Gaussian:
+    """One single-object density: a 2D mean and its 2x2 covariance."""
 
-    weight: float
     mean: np.ndarray
     covariance: np.ndarray
 
@@ -40,51 +38,18 @@ class GaussianComponent:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
         if mean.shape != (2,) or cov.shape != (2, 2):
-            raise ValueError("component must have 2D mean and 2x2 covariance")
-        if self.weight < 0:
-            raise ValueError(f"component weight must be >= 0, got {self.weight}")
+            raise ValueError("a Gaussian needs a 2D mean and a 2x2 covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", symmetrize(cov))
 
-
-@dataclass(frozen=True, eq=False)
-class GaussianMixture:
-    """Weighted sum of Gaussian components; weights sum to 1 as a density."""
-
-    components: tuple[GaussianComponent, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-
-    def __len__(self):
-        return len(self.components)
-
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
-    def means(self) -> np.ndarray:
-        return np.array([c.mean for c in self.components]).reshape(-1, 2)
-
-    def covariances(self) -> np.ndarray:
-        return np.array([c.covariance for c in self.components]).reshape(-1, 2, 2)
-
-    def total_weight(self) -> float:
-        return float(sum(c.weight for c in self.components))
-
-    def dominant(self) -> GaussianComponent:
-        """Highest-weight component (first one on ties)."""
-        if not self.components:
-            raise ValueError("empty mixture has no dominant component")
-        return max(self.components, key=lambda c: c.weight)
-
-    def mean(self) -> np.ndarray:
-        """Weight-averaged mean of the mixture."""
-        w = self.weights()
-        return (w[:, None] * self.means()).sum(axis=0) / w.sum()
-
-
-def single_gaussian(mean, covariance) -> GaussianMixture:
-    return GaussianMixture((GaussianComponent(1.0, mean, covariance),))
+    @classmethod
+    def _view(cls, mean: np.ndarray, covariance: np.ndarray) -> Gaussian:
+        """Wrap a float mean and a symmetric covariance as they are: no
+        check, no copy."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "mean", mean)
+        object.__setattr__(g, "covariance", covariance)
+        return g
 
 
 @dataclass(frozen=True)
@@ -99,8 +64,8 @@ class MotionModel:
     p_survival: float = 0.99
 
     def __post_init__(self):
-        if self.sigma_p < 0:
-            raise ValueError("sigma_p must be >= 0")
+        if not 0.0 <= self.sigma_p < math.inf:
+            raise ValueError(f"sigma_p must be finite and >= 0, got {self.sigma_p}")
         if not 0.0 <= self.p_survival <= 1.0:
             raise ValueError("p_survival must lie in [0, 1]")
 
@@ -109,30 +74,27 @@ class MotionModel:
 class SensorModel:
     """Scalar sensor reading the value coordinate.
 
-    sigma_m is in percentage points (absolute).  Set relative_noise to treat
-    it as a percentage of the true value instead; only observation synthesis
-    honors that flag, the filter always uses the absolute interpretation.
-    Clutter is Poisson with uniform intensity over clutter_region.
+    sigma_m is in percentage points (absolute).  Clutter is Poisson with
+    uniform intensity over clutter_region.
     """
 
     sigma_m: float = 10.0
     p_detect: float = 0.5
     clutter_rate: float = 1e-6
     clutter_region: tuple[float, float] = (0.0, 120.0)
-    relative_noise: bool = False
 
     def __post_init__(self):
         # sigma_m = 0 is allowed for noiseless observation synthesis; the
         # Kalman update itself insists on a positive value.
-        if self.sigma_m < 0:
-            raise ValueError("sigma_m must be >= 0")
+        if not 0.0 <= self.sigma_m < math.inf:
+            raise ValueError(f"sigma_m must be finite and >= 0, got {self.sigma_m}")
         if not 0.0 <= self.p_detect <= 1.0:
             raise ValueError("p_detect must lie in [0, 1]")
-        if self.clutter_rate < 0:
-            raise ValueError("clutter_rate must be >= 0")
+        if not 0.0 <= self.clutter_rate < math.inf:
+            raise ValueError(f"clutter_rate must be finite and >= 0, got {self.clutter_rate}")
         lo, hi = self.clutter_region
-        if not lo < hi:
-            raise ValueError("clutter_region must satisfy lo < hi")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"clutter_region must be finite with lo < hi, got {self.clutter_region}")
 
     def clutter_intensity(self) -> float:
         lo, hi = self.clutter_region
@@ -144,7 +106,8 @@ class SensorModel:
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
-    return 0.5 * (cov + cov.T)
+    """0.5 (P + P') of one covariance or of a stack of them."""
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 def transition_matrices(motion: MotionModel, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -164,24 +127,20 @@ def transition_matrices(motion: MotionModel, delta: float) -> tuple[np.ndarray, 
     return f, q
 
 
-def kalman_predict(comp: GaussianComponent, f: np.ndarray, q: np.ndarray) -> GaussianComponent:
-    """Propagate one component through linear dynamics; weight unchanged."""
-    mean = f @ comp.mean
-    cov = symmetrize(f @ comp.covariance @ f.T + q)
-    return GaussianComponent(comp.weight, mean, cov)
+def kalman_predict(g: Gaussian, f: np.ndarray, q: np.ndarray) -> Gaussian:
+    """Propagate one Gaussian through linear dynamics."""
+    return Gaussian(f @ g.mean, f @ g.covariance @ f.T + q)
 
 
-def kalman_update(
-    comp: GaussianComponent, z: float, sensor: SensorModel
-) -> tuple[GaussianComponent, float]:
-    """Bayes update of one component with a scalar value measurement.
+def kalman_update(g: Gaussian, z: float, sensor: SensorModel) -> tuple[Gaussian, float]:
+    """Bayes update of one Gaussian with a scalar value measurement.
 
-    Returns the posterior component (weight unchanged) and the log marginal
-    likelihood of z.  Joseph-form covariance keeps the result PSD.
+    Returns the posterior and the log marginal likelihood of z.  Joseph-form
+    covariance keeps the result PSD.
     """
     if sensor.sigma_m <= 0:
         raise ValueError("kalman_update needs sigma_m > 0")
-    p = comp.covariance
+    p = g.covariance
     r = sensor.sigma_m**2
     s = p[0, 0] + r
     if s <= 0:
@@ -189,8 +148,8 @@ def kalman_update(
             f"innovation covariance {s} <= 0: covariance broken upstream"
         )
     k = np.array([p[0, 0], p[0, 1]]) / s
-    innov = z - comp.mean[0]
-    mean = comp.mean + k * innov
+    innov = z - g.mean[0]
+    mean = g.mean + k * innov
     # Joseph form, written out for H = [1, 0]: A = I - K H
     a0 = 1.0 - k[0]
     b = -k[1]
@@ -200,110 +159,49 @@ def kalman_update(
     j11 = b * b * p00 + 2.0 * b * p01 + p11 + r * k[1] * k[1]
     cov = np.array([[j00, j01], [j01, j11]])
     log_lik = -0.5 * (innov * innov / s + LOG_2PI + math.log(s))
-    return GaussianComponent(comp.weight, mean, cov), log_lik
+    return Gaussian(mean, cov), log_lik
 
 
-def predict_mixture(mix: GaussianMixture, f: np.ndarray, q: np.ndarray) -> GaussianMixture:
-    """kalman_predict applied component-wise."""
-    return GaussianMixture(tuple(kalman_predict(c, f, q) for c in mix.components))
-
-
-def _lse(terms: Sequence[float]) -> float:
-    """Max-shifted log-sum-exp for short Python sequences."""
-    m = max(terms)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(t - m) for t in terms))
-
-
-def mixture_log_likelihood(mix: GaussianMixture, z: float, sensor: SensorModel) -> float:
-    """Log marginal likelihood of a scalar measurement under a predicted mixture."""
-    r = sensor.sigma_m**2
-    terms = []
-    for c in mix.components:
-        if c.weight <= 0:
-            terms.append(-math.inf)
-            continue
-        cov = c.covariance
-        s = cov[0, 0] + r
-        innov = z - c.mean[0]
-        terms.append(math.log(c.weight) - 0.5 * (innov * innov / s + LOG_2PI + math.log(s)))
-    return _lse(terms)
-
-
-def update_mixture(
-    mix: GaussianMixture, z: float, sensor: SensorModel
-) -> tuple[GaussianMixture, float]:
-    """Bayes update of a mixture: per-component updates, weights re-balanced
-    by component likelihoods.  Returns (posterior, log marginal likelihood)."""
-    posts = []
-    logw = []
-    for c in mix.components:
-        post, ll = kalman_update(c, z, sensor)
-        posts.append(post)
-        logw.append((math.log(c.weight) if c.weight > 0 else -math.inf) + ll)
-    total = _lse(logw)
-    comps = []
-    for lw, p in zip(logw, posts):
-        w = math.exp(lw - total)
-        comps.append(p if w == p.weight else GaussianComponent(w, p.mean, p.covariance))
-    return GaussianMixture(tuple(comps)), total
-
-
-def mixture_reduce(
-    mix: GaussianMixture,
-    prune_threshold: float = 1e-5,
-    merge_distance: float = 4.0,
-    max_components: int = 10,
-) -> GaussianMixture:
-    """Prune, merge, and cap a mixture while preserving its overall mass.
-
-    Components below prune_threshold are dropped; components whose squared
-    Mahalanobis distance to the current strongest component is strictly
-    below merge_distance are merged moment-preservingly; at most
-    max_components (largest weights) survive.  Weights are rescaled back to
-    the input total, so a normalized mixture stays normalized.
-    """
-    if prune_threshold < 0 or merge_distance < 0:
-        raise ValueError("thresholds must be >= 0")
-    if max_components < 1:
-        raise ValueError("max_components must be >= 1")
-    if not mix.components:
-        return mix
-
-    total_in = mix.total_weight()
-    alive = [c for c in mix.components if c.weight >= prune_threshold] or [mix.dominant()]
-
-    merged: list[GaussianComponent] = []
-    remaining = list(alive)
-    while remaining:
-        pivot = max(remaining, key=lambda c: c.weight)
-        p_inv = np.linalg.inv(pivot.covariance)
-        group, rest = [], []
-        for c in remaining:
-            d = c.mean - pivot.mean
-            if c is pivot or float(d @ p_inv @ d) < merge_distance:
-                group.append(c)
-            else:
-                rest.append(c)
-        if len(group) == 1:
-            merged.append(group[0])
-        else:
-            w = sum(c.weight for c in group)
-            mean = sum(c.weight * c.mean for c in group) / w
-            cov = sum(
-                c.weight * (c.covariance + np.outer(c.mean - mean, c.mean - mean))
-                for c in group
-            ) / w
-            merged.append(GaussianComponent(w, mean, symmetrize(cov)))
-        remaining = rest
-
-    merged.sort(key=lambda c: -c.weight)
-    merged = merged[:max_components]
-    total_out = sum(c.weight for c in merged)
-    scale = total_in / total_out if total_out > 0 else 1.0
-    if scale == 1.0:
-        return GaussianMixture(tuple(merged))
-    return GaussianMixture(
-        tuple(GaussianComponent(c.weight * scale, c.mean, c.covariance) for c in merged)
+def _joseph(r, m0, m1, p00, p01, p11, z):
+    """The posterior (mean0, mean1, cov00, cov01, cov11) of ``kalman_update``
+    with the same operations in the same order, on floats or on arrays."""
+    s = p00 + r
+    k0, k1 = p00 / s, p01 / s
+    innov = z - m0
+    a0, b = 1.0 - k0, -k1
+    return (
+        m0 + k0 * innov,
+        m1 + k1 * innov,
+        a0 * a0 * p00 + r * k0 * k0,
+        a0 * (b * p00 + p01) + r * k0 * k1,
+        b * b * p00 + 2.0 * b * p01 + p11 + r * k1 * k1,
     )
+
+
+# The array pass makes about 30 ufunc calls whatever the row count, as
+# costly as some 15 rows of the loop over Python floats, so smaller batches
+# (most steps of a one-label filter) take the loop.
+_ROWS_AS_ARRAYS = 16
+
+
+def kalman_update_rows(
+    means: np.ndarray, covs: np.ndarray, z: np.ndarray, sensor: SensorModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means [N,2] and covariances [N,2,2] of N Gaussians, row i
+    updated by measurement z[i].
+
+    Every row rounds as ``kalman_update`` does.  The Joseph-form covariance
+    is symmetric by construction and is not symmetrized.
+    """
+    if sensor.sigma_m <= 0:
+        raise ValueError("kalman_update needs sigma_m > 0")
+    r = sensor.sigma_m**2
+    if len(z) >= _ROWS_AS_ARRAYS:
+        cols = (means[:, 0], means[:, 1], covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1], z)
+        post = np.stack(_joseph(r, *cols), axis=1)
+    else:
+        rows = zip(means.tolist(), covs.tolist(), z.tolist())
+        post = np.array([
+            _joseph(r, m0, m1, p00, p01, p11, zi) for (m0, m1), ((p00, p01), (_, p11)), zi in rows
+        ]).reshape(-1, 5)
+    return post[:, :2], post[:, [2, 3, 3, 4]].reshape(-1, 2, 2)

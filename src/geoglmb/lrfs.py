@@ -1,28 +1,24 @@
 """Labeled multi-object states and weighted-hypothesis densities.
 
 A labeled multi-object density is carried as a list of hypotheses, each a
-label set together with one single-object Gaussian mixture per label and a
+label set together with one single-object Gaussian per label and a
 log-domain weight.  All weight arithmetic stays in log space; products of
 many small likelihoods underflow doubles long before they stop mattering.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .errors import WeightCollapseError
-from .gaussian import GaussianMixture
+from .gaussian import Gaussian
 
 __all__ = [
     "Label",
-    "LabeledState",
     "GlmbHypothesis",
     "GlmbDensity",
-    "distinct_label_indicator",
     "empty_density",
-    "normalize",
     "log_sum_weights",
     "cardinality_distribution",
     "best_hypothesis_with_cardinality",
@@ -48,26 +44,6 @@ class Label:
         return f"{self.birth_step}:{self.index}"
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledState:
-    """A label paired with its 2D state [value (%), rate of change (%/m)]."""
-
-    label: Label
-    state: np.ndarray
-
-    def __post_init__(self):
-        state = np.asarray(self.state, dtype=float)
-        if state.shape != (2,):
-            raise ValueError(f"state must have dimension 2, got shape {state.shape}")
-        object.__setattr__(self, "state", state)
-
-
-def distinct_label_indicator(states: Iterable[LabeledState]) -> int:
-    """1 if all labels in the set are distinct, else 0 (empty set gives 1)."""
-    states = list(states)
-    return int(len({s.label for s in states}) == len(states))
-
-
 # Association outcome codes used in hypothesis histories.  Measurement
 # assignments are 1-based so that 0 can stand for a missed detection.
 DEAD = -1  # not born / no longer surviving
@@ -76,7 +52,7 @@ UNDETECTED = 0
 
 @dataclass(frozen=True)
 class GlmbHypothesis:
-    """One weighted hypothesis: a label set plus per-label mixtures.
+    """One weighted hypothesis: a label set plus one Gaussian per label.
 
     ``history`` is a hashable per-step record of association outcomes: one
     tuple per filter step, each a sorted tuple of ``(label, outcome)`` pairs
@@ -92,7 +68,7 @@ class GlmbHypothesis:
     label_set: tuple[Label, ...]
     history: tuple[tuple[tuple[Label, int], ...], ...]
     log_weight: float
-    densities: Mapping[Label, GaussianMixture] = field(default_factory=dict)
+    densities: Mapping[Label, Gaussian] = field(default_factory=dict)
 
     def __post_init__(self):
         ordered = tuple(sorted(self.label_set))
@@ -100,7 +76,7 @@ class GlmbHypothesis:
             raise ValueError(f"duplicate labels in hypothesis label set {ordered}")
         object.__setattr__(self, "label_set", ordered)
         if set(self.densities.keys()) != set(ordered):
-            raise ValueError("densities must carry exactly one mixture per label")
+            raise ValueError("densities must carry exactly one Gaussian per label")
 
     @property
     def cardinality(self) -> int:
@@ -138,21 +114,6 @@ def log_sum_weights(log_weights: np.ndarray) -> float:
     if shift == -np.inf:
         return -np.inf
     return shift + float(np.log(np.exp(log_weights - shift).sum()))
-
-
-def normalize(glmb: GlmbDensity) -> GlmbDensity:
-    """Rescale hypothesis weights to sum to one, in log space via max-shift."""
-    if not glmb.hypotheses:
-        raise WeightCollapseError("cannot normalize a density with no hypotheses")
-    logw = glmb.log_weights()
-    total = log_sum_weights(logw)
-    if not np.isfinite(total):
-        raise WeightCollapseError("total weight collapsed: all log-weights are -inf")
-    hyps = tuple(
-        GlmbHypothesis(h.label_set, h.history, lw - total, h.densities)
-        for h, lw in zip(glmb.hypotheses, logw)
-    )
-    return GlmbDensity(hypotheses=hyps, step=glmb.step)
 
 
 def cardinality_distribution(glmb: GlmbDensity) -> np.ndarray:

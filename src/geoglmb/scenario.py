@@ -177,10 +177,9 @@ def synthesize_observations(
 
     Each (depth, property) is detected independently with probability
     p_detect and perturbed by zero-mean Gaussian noise of standard deviation
-    sigma_m (or sigma_m percent of the truth under relative_noise).  Clutter
-    counts are Poisson(clutter_rate) per depth, uniform over the clutter
-    region.  All draws derive from per-purpose substreams of the seed, so a
-    property's stream is identical across modes.
+    sigma_m.  Clutter counts are Poisson(clutter_rate) per depth, uniform
+    over the clutter region.  All draws derive from per-purpose substreams
+    of the seed, so a property's stream is identical across modes.
     """
     if mode not in ("joint", "independent"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -195,9 +194,8 @@ def synthesize_observations(
         for d_idx, rec in enumerate(records):
             truth = rec.values[PROPERTIES[p_idx]]
             if rng.random() < sensor.p_detect:
-                sd = sensor.sigma_m * (truth / 100.0 if sensor.relative_noise else 1.0)
                 detected[d_idx, p_idx] = True
-                prop_obs[d_idx, p_idx] = truth + rng.normal(0.0, sd)
+                prop_obs[d_idx, p_idx] = truth + rng.normal(0.0, sensor.sigma_m)
 
     lo, hi = sensor.clutter_region
     if mode == "joint":

@@ -11,19 +11,14 @@ import math
 import numpy as np
 
 from geoglmb.filter import BirthEntry, BirthModel
-from geoglmb.gaussian import GaussianComponent, GaussianMixture, single_gaussian
+from geoglmb.gaussian import Gaussian
 from geoglmb.lrfs import DEAD, UNDETECTED, GlmbDensity, GlmbHypothesis, Label
 
 
-def make_mixture(rng, n_components=1, dim_scale=1.0):
-    comps = []
-    weights = rng.dirichlet(np.ones(n_components))
-    for w in weights:
-        mean = rng.normal(0.0, 10.0 * dim_scale, size=2)
-        a = rng.normal(0.0, dim_scale, size=(2, 2))
-        cov = a @ a.T + 0.5 * np.eye(2)
-        comps.append(GaussianComponent(float(w), mean, cov))
-    return GaussianMixture(tuple(comps))
+def make_gaussian(rng, dim_scale=1.0):
+    mean = rng.normal(0.0, 10.0 * dim_scale, size=2)
+    a = rng.normal(0.0, dim_scale, size=(2, 2))
+    return Gaussian(mean, a @ a.T + 0.5 * np.eye(2))
 
 
 def make_density(rng, n_hypotheses=5, max_labels=3, step=1):
@@ -32,7 +27,7 @@ def make_density(rng, n_hypotheses=5, max_labels=3, step=1):
     for h in range(n_hypotheses):
         n_labels = int(rng.integers(0, max_labels + 1))
         labels = tuple(Label(1, i) for i in range(n_labels))
-        densities = {lbl: make_mixture(rng) for lbl in labels}
+        densities = {lbl: make_gaussian(rng) for lbl in labels}
         history = ((Label(0, h), UNDETECTED),)  # distinct identities per h
         hyps.append(
             GlmbHypothesis(
@@ -153,9 +148,8 @@ def enumeration_oracle(
             for lbl in survivors:
                 predicted[lbl] = _oracle_predict(tracks[lbl], delta, sigma_p)
             for lbl in births:
-                entry = birth_by_label[lbl]
-                comp = entry.density.components[0]
-                predicted[lbl] = (comp.mean.copy(), comp.covariance.copy())
+                density = birth_by_label[lbl].density
+                predicted[lbl] = (density.mean.copy(), density.covariance.copy())
 
             outcome_space = [DEAD, UNDETECTED] + list(range(1, len(zs) + 1))
             for combo in itertools.product(outcome_space, repeat=len(rows)):
@@ -200,7 +194,7 @@ def enumeration_oracle(
 def simple_birth(labels_means, r_birth=0.9, cov=None):
     cov = np.diag([25.0, 1.0]) if cov is None else cov
     entries = tuple(
-        BirthEntry(label=lbl, r_birth=r_birth, density=single_gaussian(mean, cov))
+        BirthEntry(label=lbl, r_birth=r_birth, density=Gaussian(mean, cov))
         for lbl, mean in labels_means
     )
     return BirthModel(entries)

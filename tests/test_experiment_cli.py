@@ -41,6 +41,20 @@ class TestExperimentConfig:
             ExperimentConfig(max_hypotheses=0).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(birth_offsets=(1.0,)).validate()
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            dict(sigma_p=nan),
+            dict(sigma_p=inf),
+            dict(sigma_m=nan),
+            dict(clutter_rate=nan),
+            dict(clutter_rate=inf),
+            dict(clutter_region=(0.0, inf), clutter_rate=1.0),
+            dict(birth_offsets=(nan, 0.0, 0.0)),
+            dict(birth_offsets=(inf, 0.0, 0.0)),
+            dict(min_weight=nan),
+        ):
+            with pytest.raises(ConfigError, match="finite"):
+                ExperimentConfig(**bad).validate()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -220,6 +234,26 @@ class TestCli:
             config_file = tmp_path / "config.json"
             config_file.write_text(json.dumps(doc))
             assert main(["run", "--config", str(config_file), "--out", str(tmp_path)]) == 2
+        base = ["run", "--site", "onsoy", "--mc", "1", "--seed", "0", "--out", str(tmp_path)]
+        for flags in (
+            ["--sigma-p", "nan"],
+            ["--sigma-p", "inf"],
+            ["--sigma-m", "nan"],
+            ["--clutter", "nan"],
+            ["--clutter", "inf"],
+        ):
+            assert main(base + flags) == 2, flags
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        for doc in (
+            {"birth_offsets": [float("nan"), 0, 0]},
+            {"birth_offsets": [float("inf"), 0, 0]},
+            {"min_weight": float("nan")},
+            {"clutter_region": [0, float("inf")], "clutter_rate": 1.0},
+        ):
+            config_file = tmp_path / "config.json"
+            config_file.write_text(json.dumps(doc))
+            assert main(base + ["--config", str(config_file)]) == 2, doc
+        assert "finite" in capsys.readouterr().err
 
     def test_missing_site_exit_code(self, tmp_path):
         assert main(["run", "--site", "nowhere.csv", "--out", str(tmp_path)]) == 2

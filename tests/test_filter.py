@@ -11,7 +11,6 @@ from conftest import enumeration_oracle, kf_oracle, simple_birth
 from geoglmb.errors import InfeasibleAssociationError, WeightCollapseError
 from geoglmb.filter import (
     AssociationMap,
-    BirthEntry,
     BirthModel,
     TruncationConfig,
     build_log_cost,
@@ -22,17 +21,12 @@ from geoglmb.filter import (
     run_sequence,
 )
 from geoglmb.gaussian import (
-    GaussianComponent,
-    GaussianMixture,
+    Gaussian,
     MotionModel,
     SensorModel,
     kalman_predict,
     kalman_update,
-    mixture_log_likelihood,
-    predict_mixture,
-    single_gaussian,
     transition_matrices,
-    update_mixture,
 )
 from geoglmb.lrfs import (
     DEAD,
@@ -60,7 +54,7 @@ def one_label_prior(mean=(50.0, 0.0), cov=None, step=1):
         label_set=(lbl,),
         history=(((lbl, 1),),),
         log_weight=0.0,
-        densities={lbl: single_gaussian(np.array(mean), cov)},
+        densities={lbl: Gaussian(np.array(mean), cov)},
     )
     return GlmbDensity((hyp,), step=step), lbl
 
@@ -110,7 +104,7 @@ class TestBuildLogCost:
         assert cost.labels == (lbl, birth_lbl)
 
         f, q = transition_matrices(motion, delta)
-        prior = glmb.hypotheses[0].densities[lbl].components[0]
+        prior = glmb.hypotheses[0].densities[lbl]
         pred_mean = f @ prior.mean
         pred_cov = f @ prior.covariance @ f.T + q
         kappa = 0.8 / 100.0
@@ -130,14 +124,14 @@ class TestBuildLogCost:
 
     def test_rows_equal_single_object_code_bit_for_bit(self):
         # The step predicts and scores all densities as arrays; every entry
-        # must round exactly as predict_mixture + mixture_log_likelihood do.
+        # must round exactly as kalman_predict + kalman_update do.
         rng = np.random.default_rng(4)
         for trial in range(200):
             labels = tuple(Label(1, i) for i in range(int(rng.integers(1, 4))))
             densities = {}
             for lbl in labels:
                 a = rng.normal(0.0, 3.0, size=(2, 2))
-                densities[lbl] = single_gaussian(
+                densities[lbl] = Gaussian(
                     rng.normal([50.0, 0.0], [30.0, 2.0]), a @ a.T + 0.1 * np.eye(2)
                 )
             parent = GlmbHypothesis(labels, ((),), 0.0, densities)
@@ -153,12 +147,12 @@ class TestBuildLogCost:
 
             f, q = transition_matrices(motion, delta)
             log_kappa = math.log(0.5 / 100.0)
-            rows = [(math.log(0.9), predict_mixture(densities[lbl], f, q)) for lbl in labels]
+            rows = [(math.log(0.9), kalman_predict(densities[lbl], f, q)) for lbl in labels]
             rows.append((math.log(0.6), birth.entries[0].density))
-            for got, (log_alive, mix) in zip(cost.values.tolist(), rows):
+            for got, (log_alive, g) in zip(cost.values.tolist(), rows):
                 assert got[1] == log_alive + math.log(1.0 - 0.7)
                 for z, value in zip(zs, got[2:]):
-                    ll = mixture_log_likelihood(mix, z, sensor)
+                    _, ll = kalman_update(g, z, sensor)
                     assert value == log_alive + math.log(0.7) + ll - log_kappa, trial
 
     def test_solution_to_map_encoding(self):
@@ -246,9 +240,9 @@ class TestJointPredictUpdate:
         assert abs(math.exp(out.hypotheses[0].log_weight) - 1.0) < 1e-9
 
         f, q = transition_matrices(motion, 0.7)
-        prior = glmb.hypotheses[0].densities[lbl].components[0]
+        prior = glmb.hypotheses[0].densities[lbl]
         expected, _ = kalman_update(kalman_predict(prior, f, q), z, sensor)
-        got = out.hypotheses[0].densities[lbl].components[0]
+        got = out.hypotheses[0].densities[lbl]
         np.testing.assert_allclose(got.mean, expected.mean, atol=1e-12)
         np.testing.assert_allclose(got.covariance, expected.covariance, atol=1e-12)
 
@@ -404,8 +398,8 @@ class TestJointPredictUpdate:
         motion = MotionModel(sigma_p=0.7, p_survival=0.9)
         sensor = SensorModel(sigma_m=8.0, p_detect=0.6, clutter_rate=0.5, clutter_region=(0.0, 100.0))
         for _ in range(20):
-            shared = single_gaussian(rng.normal([50.0, 0.0], [20.0, 1.0]), np.diag([30.0, 0.5]))
-            other = single_gaussian(rng.normal([40.0, 0.0], [20.0, 1.0]), np.diag([12.0, 2.0]))
+            shared = Gaussian(rng.normal([50.0, 0.0], [20.0, 1.0]), np.diag([30.0, 0.5]))
+            other = Gaussian(rng.normal([40.0, 0.0], [20.0, 1.0]), np.diag([12.0, 2.0]))
             parents = (
                 GlmbHypothesis((la, lb), ((),), math.log(0.6), {la: shared, lb: other}),
                 GlmbHypothesis((la,), ((), ()), math.log(0.4), {la: shared}),
@@ -421,28 +415,12 @@ class TestJointPredictUpdate:
                     if outcome == DEAD:
                         continue
                     prior = shared if lbl == la else other
-                    want = predict_mixture(prior, f, q)
+                    want = kalman_predict(prior, f, q)
                     if outcome != UNDETECTED:
-                        want, _ = update_mixture(want, zs[outcome - 1], sensor)
-                    got = h.densities[lbl].components[0]
-                    assert got.weight == want.components[0].weight
-                    assert got.mean.tobytes() == want.components[0].mean.tobytes()
-                    assert got.covariance.tobytes() == want.components[0].covariance.tobytes()
-
-    def test_one_gaussian_per_label(self):
-        two = GaussianMixture(
-            (GaussianComponent(0.5, [40.0, 0.0], np.eye(2)), GaussianComponent(0.5, [60.0, 0.0], np.eye(2)))
-        )
-        light = GaussianMixture((GaussianComponent(0.5, [40.0, 0.0], np.eye(2)),))
-        for density in (two, light):
-            with pytest.raises(ValueError, match="one Gaussian"):
-                BirthEntry(label=Label(1, 0), r_birth=0.9, density=density)
-        lbl = Label(1, 0)
-        glmb = GlmbDensity((GlmbHypothesis((lbl,), ((),), 0.0, {lbl: two}),), step=1)
-        with pytest.raises(ValueError, match="one Gaussian"):
-            joint_predict_update(
-                glmb, BirthModel(), [50.0], MotionModel(), SensorModel(), 1.0, EXHAUSTIVE
-            )
+                        want, _ = kalman_update(want, zs[outcome - 1], sensor)
+                    got = h.densities[lbl]
+                    assert got.mean.tobytes() == want.mean.tobytes()
+                    assert got.covariance.tobytes() == want.covariance.tobytes()
 
     def test_output_invariants_on_random_scenarios(self):
         rng = np.random.default_rng(13)
@@ -479,11 +457,9 @@ class TestJointPredictUpdate:
                 identities = {(h.label_set, h.history) for h in density.hypotheses}
                 assert len(identities) == len(density.hypotheses)
                 for h in density.hypotheses:
-                    for mix in h.densities.values():
-                        assert abs(mix.total_weight() - 1.0) < 1e-9
-                        for comp in mix.components:
-                            eig = np.linalg.eigvalsh(comp.covariance)
-                            assert np.all(eig >= -1e-9)
+                    for g in h.densities.values():
+                        eig = np.linalg.eigvalsh(g.covariance)
+                        assert np.all(eig >= -1e-9)
 
     def test_deterministic_for_fixed_seed(self):
         entries = [(Label(1, 0), np.array([40.0, 0.0])), (Label(1, 1), np.array([60.0, 0.0]))]
@@ -638,15 +614,15 @@ class TestExtractMapTrajectories:
             label_set=(l0,),
             history=(((l0, 1), (l1, DEAD)),),
             log_weight=math.log(0.9),
-            densities={l0: single_gaussian([10.0, 0.0], np.eye(2))},
+            densities={l0: Gaussian([10.0, 0.0], np.eye(2))},
         )
         h2 = GlmbHypothesis(
             label_set=(l0, l1),
             history=(((l0, 1), (l1, UNDETECTED)),),
             log_weight=math.log(0.1),
             densities={
-                l0: single_gaussian([11.0, 0.0], np.eye(2)),
-                l1: single_gaussian([20.0, 0.0], np.eye(2)),
+                l0: Gaussian([11.0, 0.0], np.eye(2)),
+                l1: Gaussian([20.0, 0.0], np.eye(2)),
             },
         )
         series = extract_map_trajectories([GlmbDensity((h1, h2), 1)], [2.0])
@@ -683,7 +659,7 @@ class TestExtractMapTrajectories:
             label_set=(lbl,),
             history=(((lbl, 1),),),
             log_weight=0.0,
-            densities={lbl: single_gaussian([1.0, 0.0], np.eye(2))},
+            densities={lbl: Gaussian([1.0, 0.0], np.eye(2))},
         )
         b = GlmbDensity((other,), step=2)
         with pytest.raises(ValueError):

@@ -4,25 +4,21 @@ import numpy as np
 import pytest
 
 from geoglmb.gaussian import (
-    GaussianComponent,
-    GaussianMixture,
+    Gaussian,
     MotionModel,
     SensorModel,
     kalman_predict,
     kalman_update,
-    mixture_log_likelihood,
-    mixture_reduce,
-    predict_mixture,
+    kalman_update_rows,
     transition_matrices,
-    update_mixture,
 )
 
 
-def random_component(rng, weight=1.0):
+def random_component(rng):
     mean = rng.normal(0.0, 20.0, size=2)
     a = rng.normal(0.0, 2.0, size=(2, 2))
     cov = a @ a.T + 0.3 * np.eye(2)
-    return GaussianComponent(weight, mean, cov)
+    return Gaussian(mean, cov)
 
 
 class TestTransitionMatrices:
@@ -61,10 +57,9 @@ class TestKalmanPredict:
         out = kalman_predict(comp, np.eye(2), np.zeros((2, 2)))
         np.testing.assert_allclose(out.mean, comp.mean)
         np.testing.assert_allclose(out.covariance, comp.covariance)
-        assert out.weight == comp.weight
 
     def test_matrix_product(self):
-        comp = GaussianComponent(1.0, [1.0, 2.0], np.eye(2))
+        comp = Gaussian([1.0, 2.0], np.eye(2))
         out = kalman_predict(comp, np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 2)))
         np.testing.assert_allclose(out.mean, [3.0, 2.0])
 
@@ -87,7 +82,7 @@ class TestKalmanPredict:
 
 class TestKalmanUpdate:
     def test_hand_computed_conjugate_product(self):
-        comp = GaussianComponent(1.0, [0.0, 0.0], np.eye(2))
+        comp = Gaussian([0.0, 0.0], np.eye(2))
         post, ll = kalman_update(comp, 2.0, SensorModel(sigma_m=1.0))
         np.testing.assert_allclose(post.mean, [1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(post.covariance, [[0.5, 0.0], [0.0, 1.0]], atol=1e-15)
@@ -149,108 +144,36 @@ class TestKalmanUpdate:
             assert post.covariance[0, 0] <= comp.covariance[0, 0] + 1e-12
 
     def test_zero_sigma_rejected(self):
-        comp = GaussianComponent(1.0, [0.0, 0.0], np.eye(2))
+        comp = Gaussian([0.0, 0.0], np.eye(2))
         with pytest.raises(ValueError):
             kalman_update(comp, 1.0, SensorModel(sigma_m=0.0))
 
 
-class TestMixtureOps:
-    def test_mixture_log_likelihood_matches_single_component(self):
-        rng = np.random.default_rng(5)
-        comp = random_component(rng)
-        sensor = SensorModel(sigma_m=3.0)
-        _, ll = kalman_update(comp, 4.2, sensor)
-        mix = GaussianMixture((comp,))
-        assert abs(mixture_log_likelihood(mix, 4.2, sensor) - ll) < 1e-12
+class TestKalmanUpdateRows:
+    @pytest.mark.parametrize("n_rows", [1, 5, 15, 16, 200])
+    def test_rows_equal_kalman_update_bit_for_bit(self, n_rows):
+        # below and above the size where the rows switch from floats to arrays
+        rng = np.random.default_rng(23 + n_rows)
+        for _ in range(10):
+            comps = [random_component(rng) for _ in range(n_rows)]
+            z = rng.normal(0.0, 40.0, size=len(comps))
+            sensor = SensorModel(sigma_m=float(rng.uniform(0.05, 30.0)))
+            means, covs = kalman_update_rows(
+                np.array([c.mean for c in comps]), np.array([c.covariance for c in comps]), z, sensor
+            )
+            for comp, zi, mean, cov in zip(comps, z.tolist(), means, covs):
+                want, _ = kalman_update(comp, zi, sensor)
+                assert mean.tobytes() == want.mean.tobytes()
+                assert cov.tobytes() == want.covariance.tobytes()
 
-    def test_update_mixture_weights_follow_likelihood(self):
-        sensor = SensorModel(sigma_m=1.0)
-        near = GaussianComponent(0.5, [0.0, 0.0], np.eye(2))
-        far = GaussianComponent(0.5, [50.0, 0.0], np.eye(2))
-        post, _ = update_mixture(GaussianMixture((near, far)), 0.0, sensor)
-        assert post.components[0].weight > 0.999
-        assert abs(post.total_weight() - 1.0) < 1e-9
-
-
-class TestMixtureReduce:
-    def test_single_component_unchanged(self):
-        rng = np.random.default_rng(2)
-        mix = GaussianMixture((random_component(rng),))
-        out = mixture_reduce(mix)
-        assert out.components[0] is mix.components[0]
-
-    def test_exact_merge_of_identical_components(self):
-        mean = np.array([1.0, 2.0])
-        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-        mix = GaussianMixture(
-            (GaussianComponent(0.5, mean, cov), GaussianComponent(0.5, mean, cov))
-        )
-        out = mixture_reduce(mix)
-        assert len(out) == 1
-        assert abs(out.components[0].weight - 1.0) < 1e-15
-        np.testing.assert_allclose(out.components[0].mean, mean, rtol=1e-14)
-        np.testing.assert_allclose(out.components[0].covariance, cov, rtol=1e-14)
-
-    def test_noop_configuration_is_identity(self):
-        rng = np.random.default_rng(8)
-        comps = tuple(random_component(rng, weight=0.1) for _ in range(10))
-        mix = GaussianMixture(comps)
-        out = mixture_reduce(mix, prune_threshold=0.0, merge_distance=0.0, max_components=10)
-        assert len(out) == 10
-        for a, b in zip(
-            sorted(out.components, key=lambda c: tuple(c.mean)),
-            sorted(comps, key=lambda c: tuple(c.mean)),
-        ):
-            assert a.weight == b.weight
-            np.testing.assert_array_equal(a.mean, b.mean)
-            np.testing.assert_array_equal(a.covariance, b.covariance)
-
-    def test_merging_preserves_mixture_mean(self):
-        rng = np.random.default_rng(12)
-        comps = tuple(random_component(rng, weight=float(rng.uniform(0.05, 1.0))) for _ in range(6))
-        total = sum(c.weight for c in comps)
-        comps = tuple(GaussianComponent(c.weight / total, c.mean, c.covariance) for c in comps)
-        mix = GaussianMixture(comps)
-        out = mixture_reduce(mix, prune_threshold=0.0, merge_distance=1e9, max_components=6)
-        assert len(out) == 1
-        np.testing.assert_allclose(out.mean(), mix.mean(), atol=1e-9)
-
-    def test_cap_keeps_largest_weights(self):
-        rng = np.random.default_rng(4)
-        comps = tuple(
-            GaussianComponent(w, rng.normal(size=2) * 100, np.eye(2))
-            for w in (0.4, 0.3, 0.2, 0.1)
-        )
-        out = mixture_reduce(
-            GaussianMixture(comps), prune_threshold=0.0, merge_distance=0.0, max_components=2
-        )
-        assert len(out) == 2
-        np.testing.assert_allclose(sorted(c.weight for c in out.components), [3 / 7, 4 / 7])
-        assert abs(out.total_weight() - 1.0) < 1e-12
-
-    def test_empty_mixture_passes_through(self):
-        out = mixture_reduce(GaussianMixture(()))
-        assert len(out) == 0
-
-    def test_prune_drops_small_weights(self):
-        rng = np.random.default_rng(6)
-        big = random_component(rng, weight=0.99)
-        small = random_component(rng, weight=0.01)
-        out = mixture_reduce(
-            GaussianMixture((big, small)),
-            prune_threshold=0.05,
-            merge_distance=0.0,
-            max_components=10,
-        )
-        assert len(out) == 1
-        assert abs(out.total_weight() - 1.0) < 1e-12
-
-    def test_predict_then_reduce_roundtrip(self):
-        rng = np.random.default_rng(13)
-        mix = GaussianMixture(tuple(random_component(rng, 0.25) for _ in range(4)))
-        f, q = transition_matrices(MotionModel(sigma_p=0.3), 0.4)
-        out = mixture_reduce(predict_mixture(mix, f, q), 1e-5, 4.0, 10)
-        assert abs(out.total_weight() - 1.0) < 1e-9
+    def test_zero_sigma_rejected_as_kalman_update_does(self):
+        comp = Gaussian([0.0, 0.0], np.eye(2))
+        sensor = SensorModel(sigma_m=0.0)
+        with pytest.raises(ValueError) as single:
+            kalman_update(comp, 1.0, sensor)
+        with pytest.raises(ValueError) as rows:
+            kalman_update_rows(comp.mean[None], comp.covariance[None], np.array([1.0]), sensor)
+        assert str(rows.value) == str(single.value)
 
 
 class TestModelValidation:
@@ -272,9 +195,27 @@ class TestModelValidation:
 
     def test_component_shape_checks(self):
         with pytest.raises(ValueError):
-            GaussianComponent(1.0, np.zeros(3), np.eye(2))
+            Gaussian(np.zeros(3), np.eye(2))
         with pytest.raises(ValueError):
-            GaussianComponent(-0.5, np.zeros(2), np.eye(2))
+            Gaussian(np.zeros(2), np.eye(3))
+
+    def test_gaussian_symmetrizes_its_covariance(self):
+        g = Gaussian([1, 2], [[2.0, 0.25], [0.75, 1.0]])
+        assert g.mean.dtype == float
+        np.testing.assert_array_equal(g.covariance, [[2.0, 0.5], [0.5, 1.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_model_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MotionModel(sigma_p=bad)
+        for kwargs in (
+            dict(sigma_m=bad),
+            dict(clutter_rate=bad),
+            dict(clutter_region=(0.0, bad)),
+            dict(clutter_region=(bad, 120.0)),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                SensorModel(**kwargs)
 
     def test_clutter_intensity(self):
         sensor = SensorModel(clutter_rate=2.0, clutter_region=(0.0, 100.0))

@@ -1,27 +1,61 @@
 import math
+from dataclasses import dataclass
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
-from conftest import make_density, make_mixture
+from conftest import make_density, make_gaussian
 from geoglmb.errors import WeightCollapseError
 from geoglmb.lrfs import (
     GlmbDensity,
     GlmbHypothesis,
     Label,
-    LabeledState,
     best_hypothesis_with_cardinality,
     cardinality_distribution,
-    distinct_label_indicator,
     empty_density,
-    normalize,
+    log_sum_weights,
 )
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledState:
+    """A label paired with its 2D state [value (%), rate of change (%/m)]."""
+
+    label: Label
+    state: np.ndarray
+
+    def __post_init__(self):
+        state = np.asarray(self.state, dtype=float)
+        if state.shape != (2,):
+            raise ValueError(f"state must have dimension 2, got shape {state.shape}")
+        object.__setattr__(self, "state", state)
+
+
+def distinct_label_indicator(states) -> int:
+    """1 if all labels in the set are distinct, else 0 (empty set gives 1)."""
+    states = list(states)
+    return int(len({s.label for s in states}) == len(states))
+
+
+def normalize(glmb: GlmbDensity) -> GlmbDensity:
+    """Rescale hypothesis weights to sum to one, in log space via max-shift."""
+    if not glmb.hypotheses:
+        raise WeightCollapseError("cannot normalize a density with no hypotheses")
+    logw = glmb.log_weights()
+    total = log_sum_weights(logw)
+    if not np.isfinite(total):
+        raise WeightCollapseError("total weight collapsed: all log-weights are -inf")
+    hyps = tuple(
+        GlmbHypothesis(h.label_set, h.history, lw - total, h.densities)
+        for h, lw in zip(glmb.hypotheses, logw)
+    )
+    return GlmbDensity(hypotheses=hyps, step=glmb.step)
 
 
 def hyp(labels, log_weight, history_tag=0, rng=None):
     rng = rng or np.random.default_rng(history_tag)
-    densities = {lbl: make_mixture(rng) for lbl in labels}
+    densities = {lbl: make_gaussian(rng) for lbl in labels}
     return GlmbHypothesis(
         label_set=tuple(labels),
         history=(((Label(0, history_tag), 0),),),
@@ -199,13 +233,13 @@ class TestBestHypothesisWithCardinality:
 class TestHypothesisInvariants:
     def test_duplicate_labels_rejected(self):
         rng = np.random.default_rng(0)
-        mix = make_mixture(rng)
+        g = make_gaussian(rng)
         with pytest.raises(ValueError):
             GlmbHypothesis(
                 label_set=(Label(1, 0), Label(1, 0)),
                 history=(),
                 log_weight=0.0,
-                densities={Label(1, 0): mix},
+                densities={Label(1, 0): g},
             )
 
     def test_densities_must_cover_label_set(self):
@@ -215,7 +249,7 @@ class TestHypothesisInvariants:
                 label_set=(Label(1, 0), Label(1, 1)),
                 history=(),
                 log_weight=0.0,
-                densities={Label(1, 0): make_mixture(rng)},
+                densities={Label(1, 0): make_gaussian(rng)},
             )
 
     def test_label_set_stored_sorted(self):
@@ -225,6 +259,6 @@ class TestHypothesisInvariants:
             label_set=labels,
             history=(),
             log_weight=0.0,
-            densities={lbl: make_mixture(rng) for lbl in labels},
+            densities={lbl: make_gaussian(rng) for lbl in labels},
         )
         assert h.label_set == (Label(1, 1), Label(2, 0))

@@ -185,17 +185,6 @@ class TestSynthesize:
         sd = float(np.std(deviations))
         assert abs(sd - 10.0) / 10.0 < 0.02
 
-    def test_relative_noise_scales_with_truth(self):
-        records = bundled_records("onsoy")[:2]
-        sensor = SensorModel(sigma_m=10.0, p_detect=1.0, clutter_rate=0.0, relative_noise=True)
-        deviations = []
-        for seed in range(4000):
-            s = synthesize_observations(records, sensor, "independent", seed=seed)
-            deviations.append(s.property_observations[0, 0] - records[0].values["LL"])
-        sd = float(np.std(deviations))
-        expected = 10.0 / 100.0 * records[0].values["LL"]
-        assert abs(sd - expected) / expected < 0.05
-
     def test_clutter_counts_are_poisson(self):
         records = bundled_records("onsoy")[:5]
         sensor = SensorModel(sigma_m=10.0, p_detect=0.0, clutter_rate=2.0, clutter_region=(0, 100))
