@@ -15,9 +15,9 @@ from geoglmb.gaussian import Gaussian
 from geoglmb.lrfs import DEAD, UNDETECTED, GlmbDensity, GlmbHypothesis, Label
 
 
-def make_gaussian(rng, dim_scale=1.0):
-    mean = rng.normal(0.0, 10.0 * dim_scale, size=2)
-    a = rng.normal(0.0, dim_scale, size=(2, 2))
+def make_gaussian(rng):
+    mean = rng.normal(0.0, 10.0, size=2)
+    a = rng.normal(0.0, 1.0, size=(2, 2))
     return Gaussian(mean, a @ a.T + 0.5 * np.eye(2))
 
 
