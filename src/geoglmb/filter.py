@@ -11,23 +11,24 @@ and renormalized.  Every child extends exactly one parent's history by one
 distinct solution of that parent's cost matrix, so the children of a step
 never share an identity and are never merged.
 
-Every label carries one Gaussian.  A step works on arrays until truncation
-is done: the cost rows of all distinct densities are computed in one table,
-each parent's solutions come back as column and score arrays, and all
-children are weighed, pruned and capped as one array.  Hypothesis objects
-and histories are built only for the children kept, and their posteriors
-in one batched Kalman update.
+Every label carries one Gaussian, and a step works on arrays throughout
+(see ``lrfs.DensityArrays``).  The prior density's state rows are predicted
+and scored in one table, each parent's solutions come back as column and
+score arrays, and all children are weighed, pruned and capped as one array.
+The kept children become the next density's parent, outcome and state
+arrays; their posteriors come from one batched Kalman update.  No
+hypothesis object is built unless a caller asks for one.
 
 Trajectories are read out by maximum a posteriori: pick the most probable
-cardinality, the best hypothesis of that cardinality, and follow its
-association history backward.
+cardinality, the best hypothesis of that cardinality, and follow its parent
+indices backward through the densities.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +46,8 @@ from .gaussian import (
     transition_matrices,
 )
 from .lrfs import (
-    DEAD,
-    UNDETECTED,
+    ABSENT,
+    DensityArrays,
     GlmbDensity,
     GlmbHypothesis,
     Label,
@@ -106,9 +107,6 @@ class BirthModel:
         if len(set(labels)) != len(labels):
             raise ValueError("birth labels must be distinct")
 
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(e.label for e in self.entries)
-
 
 EMPTY_BIRTH = BirthModel()
 
@@ -132,18 +130,11 @@ class AssociationMap:
         if len(set(meas)) != len(meas):
             raise ValueError("association map reuses a measurement index")
 
-    @classmethod
-    def from_dict(cls, assignment: Mapping[Label, int]) -> "AssociationMap":
-        return cls(tuple(assignment.items()))
-
     def outcome(self, label: Label) -> int:
         for lbl, o in self.assignment:
             if lbl == label:
                 return o
         raise KeyError(label)
-
-    def assigned_measurements(self) -> set[int]:
-        return {o for _, o in self.assignment if o >= 1}
 
     def key(self) -> tuple[tuple[Label, int], ...]:
         return self.assignment
@@ -175,17 +166,18 @@ class TruncationConfig:
 class LogCostMatrix:
     """Per-label log factors for one parent hypothesis.
 
-    Row order is sorted surviving labels then sorted birth labels; columns
-    are [death/not-born, undetected, one per measurement].  The score of an
+    Row order is sorted labels, the parent's and the births; columns are
+    [death/not-born, undetected, one per measurement].  The score of an
     association map is the sum of its selected entries.
     """
 
     values: np.ndarray
     labels: tuple[Label, ...]
-    n_measurements: int
 
     def solution_to_map(self, solution: tuple[int, ...]) -> AssociationMap:
-        return AssociationMap(_outcomes(self.labels, solution))
+        """Column 0 is DEAD, column 1 UNDETECTED and column c >= 2
+        measurement index c - 1."""
+        return AssociationMap(tuple((lbl, col - 1) for lbl, col in zip(self.labels, solution)))
 
 
 def _log(p: float) -> float:
@@ -199,37 +191,24 @@ def _log1m_exp(log_p: float) -> float:
     return _log(-math.expm1(log_p))
 
 
-def _outcomes(
-    labels: Sequence[Label], solution: Sequence[int]
-) -> tuple[tuple[Label, int], ...]:
-    """Sorted (label, outcome) pairs of one cost-matrix solution: column 0 is
-    DEAD, column 1 UNDETECTED and column c >= 2 measurement index c - 1."""
-    return tuple(
-        sorted(
-            (lbl, DEAD if col == 0 else UNDETECTED if col == 1 else col - 1)
-            for lbl, col in zip(labels, solution)
-        )
-    )
-
-
 class _StepCosts:
     """Cost matrices of one filter step, each gathered from one table.
 
     The table has one row of [death, undetected, one per measurement] log
-    factors per distinct prior density of all parents (one row per
-    ``Gaussian`` object, however many parents share it), then one per
-    birth.  One numpy pass predicts all prior densities over the interval
-    and fills the likelihoods of all rows; births enter as given.  The
-    means go through ``einsum`` and the covariances through one stacked
-    F P F' + Q product, which round as ``kalman_predict`` does (a matrix
-    product on the stacked means does not); the covariances are then
-    symmetrized once, as the ``Gaussian`` constructor does.  A parent's
-    cost matrix is a gather of its labels' rows.
+    factors per state row of the prior density (rows that several parents
+    share are scored once), then one per birth.  One numpy pass predicts
+    all prior rows over the interval and fills the likelihoods of all rows;
+    births enter as given.  The means go through ``einsum`` and the
+    covariances through one stacked F P F' + Q product, which round as
+    ``kalman_predict`` does (a matrix product on the stacked means does
+    not); the covariances are then symmetrized once, as the ``Gaussian``
+    constructor does.  A parent's cost matrix is a gather of its labels'
+    rows, in label-table order.
     """
 
     def __init__(
         self,
-        hypotheses: Sequence[GlmbHypothesis],
+        prior: DensityArrays,
         birth: BirthModel,
         measurements: Sequence[float],
         motion: MotionModel,
@@ -243,28 +222,21 @@ class _StepCosts:
         self.sensor = sensor
 
         births = sorted(birth.entries, key=lambda e: e.label)
-        birth_labels = tuple(e.label for e in births)
-        row_of: dict[int, int] = {}
-        prior: list[Gaussian] = []
-        parent_rows = []
-        for h in hypotheses:
-            rows = []
-            for lbl in h.label_set:
-                g = h.densities[lbl]
-                row = row_of.get(id(g))
-                if row is None:
-                    row = row_of[id(g)] = len(prior)
-                    prior.append(g)
-                rows.append(row)
-            parent_rows.append(rows)
-        n_prior = len(prior)
+        n_prior = len(prior.means)
+        labels = prior.labels + tuple(e.label for e in births)
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        self.labels = tuple(labels[i] for i in order)
         birth_rows = list(range(n_prior, n_prior + len(births)))
-        self.rows = [rows + birth_rows for rows in parent_rows]
-        self.labels = [h.label_set + birth_labels for h in hypotheses]
+        # per parent: the label-table columns of its labels and their table rows
+        self.columns, self.rows = [], []
+        for prior_rows in prior.state.tolist():
+            table_rows = prior_rows + birth_rows
+            table_rows = [table_rows[i] for i in order]
+            self.columns.append([c for c, row in enumerate(table_rows) if row >= 0])
+            self.rows.append([row for row in table_rows if row >= 0])
 
-        means = np.einsum("ij,nj->ni", self.f, np.array([g.mean for g in prior]).reshape(-1, 2))
-        covs = self.f @ np.array([g.covariance for g in prior]).reshape(-1, 2, 2) @ self.f.T + self.q
-        covs = symmetrize(covs)
+        means = np.einsum("ij,nj->ni", self.f, prior.means)
+        covs = symmetrize(self.f @ prior.covs @ self.f.T + self.q)
         log_alive = _log(motion.p_survival)
         log_dead = _log1m_exp(log_alive)
         if births:
@@ -289,40 +261,38 @@ class _StepCosts:
     def values(self, parent: int) -> np.ndarray:
         return self.table.take(self.rows[parent], axis=0)
 
-    def child_densities(
-        self, children: Sequence[tuple[int, Sequence[int]]]
-    ) -> list[dict[Label, Gaussian]]:
-        """Label densities of each child, given as (parent, solution).
+    def children(
+        self, kept: Sequence[tuple[int, Sequence[int]]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Outcome and state arrays [H, L] of the children, given as (parent,
+        solution), and the means [S, 2] and covariances [S, 2, 2] of the state.
 
-        Column 1 keeps a row's predicted density and column c >= 2 takes its
-        posterior under measurement c - 2.  Every distinct (row, column) is
-        one ``Gaussian`` shared by all children that use it, a view into
-        arrays filled in one gather and one batched Kalman update.
+        Solution column c of a row is outcome c - 1: column 0 is DEAD,
+        column 1 UNDETECTED and keeps the row's predicted density, and
+        column c >= 2 takes its posterior under measurement c - 2.  Every
+        distinct (row, column) with a density is one state row, in order of
+        first use; all posteriors come from one batched Kalman update.
         """
-        slots: dict[tuple[int, int], int] = {}
-        picks = [
-            [
-                (lbl, slots.setdefault((row, col), len(slots)))
-                for lbl, row, col in zip(self.labels[p_idx], self.rows[p_idx], solution)
-                if col >= 1
-            ]
-            for p_idx, solution in children
-        ]
+        n_labels, width = len(self.labels), self.table.shape[1]
+        slots: dict[int, int] = {}  # row * width + column -> state row
+        # the [H, L] cells in row-major order
+        n_cells = len(kept) * n_labels
+        outcome, state = [ABSENT] * n_cells, [-1] * n_cells
+        for base, (p_idx, solution) in zip(range(0, n_cells, n_labels), kept):
+            for c, row, col in zip(self.columns[p_idx], self.rows[p_idx], solution):
+                outcome[base + c] = col - 1
+                if col >= 1:
+                    state[base + c] = slots.setdefault(row * width + col, len(slots))
         keys = list(slots)
-        gaussians: list[Gaussian | None] = [
-            Gaussian._view(self._means[row], self._covs[row]) if col == 1 else None
-            for row, col in keys
-        ]
-        post = [slot for slot, (_, col) in enumerate(keys) if col >= 2]
+        rows = [key // width for key in keys]
+        means, covs = self._means[rows], self._covs[rows]
+        post = [slot for slot, key in enumerate(keys) if key % width >= 2]
         if post:
-            rows = [keys[slot][0] for slot in post]
-            js = [keys[slot][1] - 2 for slot in post]
-            means, covs = kalman_update_rows(
-                self._means[rows], self._covs[rows], self.z[js], self.sensor
-            )
-            for slot, mean, cov in zip(post, means, covs):
-                gaussians[slot] = Gaussian._view(mean, cov)
-        return [{lbl: gaussians[slot] for lbl, slot in pick} for pick in picks]
+            z = self.z[[keys[slot] % width - 2 for slot in post]]
+            means[post], covs[post] = kalman_update_rows(means[post], covs[post], z, self.sensor)
+        shape = (len(kept), n_labels)
+        outcome, state = np.array(outcome, dtype=int), np.array(state, dtype=int)
+        return outcome.reshape(shape), state.reshape(shape), means, covs
 
 
 def build_log_cost(
@@ -338,8 +308,9 @@ def build_log_cost(
     Surviving labels' densities are predicted over the interval before the
     measurement likelihoods are evaluated; birth densities enter as given.
     """
-    costs = _StepCosts((hypothesis,), birth, measurements, motion, sensor, delta)
-    return LogCostMatrix(costs.values(0), costs.labels[0], len(costs.z))
+    prior = GlmbDensity((hypothesis,)).arrays
+    costs = _StepCosts(prior, birth, measurements, motion, sensor, delta)
+    return LogCostMatrix(costs.values(0), costs.labels)
 
 
 def ranked_assignments(cost: LogCostMatrix, k: int) -> list[AssociationMap]:
@@ -380,9 +351,10 @@ def joint_predict_update(
     parent's cost matrix to that parent's history.  The solvers return every
     solution at most once and distinct parents carry distinct histories, so
     no two children share an identity and none need merging.  Children are
-    weighed, pruned and capped as one array in parent order; only the kept
-    ones become hypotheses.  The result does not depend on scheduling.
-    Non-finite measurements raise ValueError.
+    weighed, pruned and capped as one array in parent order; the kept ones
+    become the arrays of the returned density, which points back at
+    ``glmb``.  The result does not depend on scheduling.  Non-finite
+    measurements raise ValueError.
     """
     if not glmb.hypotheses:
         raise WeightCollapseError("cannot step a density with no hypotheses")
@@ -392,10 +364,11 @@ def joint_predict_update(
             raise ValueError(
                 f"birth label {entry.label} does not carry birth step {next_step}"
             )
-    costs = _StepCosts(glmb.hypotheses, birth, measurements, motion, sensor, delta)
+    prior = glmb.arrays
+    costs = _StepCosts(prior, birth, measurements, motion, sensor, delta)
 
     solved: list[tuple[int, Solutions]] = []  # (parent index, its solutions)
-    for p_idx in range(len(glmb.hypotheses)):
+    for p_idx in range(len(costs.rows)):
         try:
             sols = _truncate(costs.values(p_idx), trunc, (trunc.seed, glmb.step, p_idx))
         except InfeasibleAssociationError:
@@ -407,7 +380,8 @@ def joint_predict_update(
             "check clutter rate, detection and survival probabilities"
         )
 
-    logw = np.concatenate([glmb.hypotheses[p].log_weight + sols.scores for p, sols in solved])
+    parent_logw = prior.log_weights.tolist()
+    logw = np.concatenate([parent_logw[p] + sols.scores for p, sols in solved])
     norm = logw - log_sum_weights(logw)
     keep = (np.exp(norm) >= trunc.min_weight).nonzero()[0]
     if keep.size == 0:
@@ -424,18 +398,18 @@ def joint_predict_update(
         s_idx = bisect.bisect_right(starts, child) - 1
         p_idx, sols = solved[s_idx]
         children.append((p_idx, sols.cols[child - starts[s_idx]].tolist()))
-    hyps = tuple(
-        GlmbHypothesis(
-            label_set=tuple(densities),
-            history=glmb.hypotheses[p_idx].history + (_outcomes(costs.labels[p_idx], solution),),
-            log_weight=log_weight,
-            densities=densities,
-        )
-        for (p_idx, solution), densities, log_weight in zip(
-            children, costs.child_densities(children), final_logw.tolist()
-        )
+    outcome, state, means, covs = costs.children(children)
+    arrays = DensityArrays(
+        log_weights=final_logw,
+        labels=costs.labels,
+        state=state,
+        means=means,
+        covs=covs,
+        prior=glmb,
+        parent=np.array([p_idx for p_idx, _ in children]),
+        outcome=outcome,
     )
-    return GlmbDensity(hyps, step=next_step)
+    return GlmbDensity(arrays, next_step)
 
 
 def run_sequence(
@@ -497,11 +471,12 @@ def extract_map_trajectories(
     """Maximum a posteriori trajectory readout over a filtered run.
 
     Picks the most probable cardinality at the final step (smallest count on
-    ties), the best hypothesis of that cardinality, and follows its history
-    prefix backward to the per-label Gaussians at every earlier step.  Each
-    label reports the mean and variance of the value coordinate of its
-    Gaussian at every depth where it is alive, so gaps left by missed
-    detections are filled by the predicted density.
+    ties) and the best hypothesis of that cardinality, then follows parent
+    indices backward to its ancestor, and that ancestor's per-label
+    Gaussians, at every earlier step.  Each label reports the mean and
+    variance of the value coordinate of its Gaussian at every depth where it
+    is alive, so gaps left by missed detections are filled by the predicted
+    density.
     """
     history = list(history)
     if not history:
@@ -512,36 +487,29 @@ def extract_map_trajectories(
     final = history[-1]
     rho = cardinality_distribution(final)
     n_star = int(np.argmax(rho))
-    chosen = best_hypothesis_with_cardinality(final, n_star)
+    index = best_hypothesis_with_cardinality(final, n_star)
+    map_log_weight = float(final.arrays.log_weights[index])
 
     per_label: dict[Label, list[tuple[int, float, float, float, float]]] = {}
-    for t, density in enumerate(history):
-        prefix = chosen.history[: t + 1]
-        ancestor = None
-        for h in density.hypotheses:
-            if h.history == prefix:
-                ancestor = h
-                break
-        if ancestor is None:
-            raise ValueError(
-                f"history prefix of the MAP hypothesis missing at step {t + 1}; "
-                "densities were not produced by one filter run"
-            )
-        for lbl in ancestor.label_set:
-            g = ancestor.densities[lbl]
-            per_label.setdefault(lbl, []).append(
-                (
-                    t + 1,
-                    float(schedule[t]),
-                    float(g.mean[0]),
-                    float(g.mean[1]),
-                    float(g.covariance[0, 0]),
+    for t in range(len(history) - 1, -1, -1):
+        a = history[t].arrays
+        for lbl, row in zip(a.labels, a.state[index].tolist()):
+            if row >= 0:
+                (value, rate), (variance, _) = a.means[row].tolist(), a.covs[row, 0].tolist()
+                per_label.setdefault(lbl, []).append(
+                    (t + 1, float(schedule[t]), value, rate, variance)
                 )
-            )
+        if t:
+            if a.prior is not history[t - 1]:
+                raise ValueError(
+                    f"the density of step {t + 1} was not stepped from the one before it; "
+                    "densities were not produced by one filter run"
+                )
+            index = a.parent[index]
 
     tracks = []
     for lbl in sorted(per_label):
-        rows = per_label[lbl]
+        rows = per_label[lbl][::-1]
         steps, depths, values, rates, variances = (np.array(col) for col in zip(*rows))
         tracks.append(
             TrackEstimate(
@@ -557,6 +525,6 @@ def extract_map_trajectories(
         depths=np.asarray(schedule, dtype=float),
         tracks=tuple(tracks),
         map_cardinality=n_star,
-        map_log_weight=chosen.log_weight,
+        map_log_weight=map_log_weight,
         hypothesis_counts=tuple(len(d.hypotheses) for d in history),
     )

@@ -1,14 +1,22 @@
 """Labeled multi-object states and weighted-hypothesis densities.
 
-A labeled multi-object density is carried as a list of hypotheses, each a
+A labeled multi-object density is a weighted set of hypotheses, each a
 label set together with one single-object Gaussian per label and a
-log-domain weight.  All weight arithmetic stays in log space; products of
-many small likelihoods underflow doubles long before they stop mattering.
+log-domain weight.  A density is held as arrays (``DensityArrays``) over
+one sorted label table: the log-weights, and for every hypothesis and label
+an index into the step's rows of Gaussian means and covariances.  A density
+made by a filter step also points back at the density it was stepped from:
+each hypothesis keeps its parent's index and its own association outcome
+per label, so its history is its parent's history plus one outcome row.
+``GlmbDensity.hypotheses`` builds a ``GlmbHypothesis`` object from these
+arrays only when it is asked for one.  All weight arithmetic stays in log
+space; products of many small likelihoods underflow doubles long before
+they stop mattering.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -48,6 +56,7 @@ class Label:
 # assignments are 1-based so that 0 can stand for a missed detection.
 DEAD = -1  # not born / no longer surviving
 UNDETECTED = 0
+ABSENT = -2  # in DensityArrays.outcome only: the label had no row in the step
 
 
 @dataclass(frozen=True)
@@ -61,8 +70,11 @@ class GlmbHypothesis:
     each parent's history by distinct association solutions, so the
     hypotheses of one density never share an identity.
 
-    Instances (including the densities mapping) are shared across
-    hypotheses and steps; treat them as immutable.
+    A density made by a filter step builds each instance from its arrays on
+    first access and keeps it: the history extends the parent instance's
+    history tuple, and the Gaussians are views of the step's state rows,
+    shared by every hypothesis that holds the same row.  Treat instances as
+    immutable.
     """
 
     label_set: tuple[Label, ...]
@@ -78,34 +90,122 @@ class GlmbHypothesis:
         if set(self.densities.keys()) != set(ordered):
             raise ValueError("densities must carry exactly one Gaussian per label")
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.label_set)
+
+@dataclass(eq=False)
+class DensityArrays(Sequence):
+    """A density of H hypotheses as arrays over the sorted label table ``labels``.
+
+    ``state[h, c]`` indexes the rows of ``means`` [S, 2] and ``covs``
+    [S, 2, 2] that hold label c's Gaussian in hypothesis h, or is -1 where
+    h lacks the label.  A density made by a filter step also has ``prior``,
+    the density it was stepped from, ``parent[h]``, an index into the
+    prior, and ``outcome[h, c]``: label c's association outcome in that
+    step, or ABSENT where c was neither a label of the parent nor a birth.
+
+    As a sequence it holds the hypothesis objects, each built on first
+    access and then kept; ``len`` builds none, and a slice is a tuple.
+    """
+
+    log_weights: np.ndarray
+    labels: tuple[Label, ...]
+    state: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    prior: GlmbDensity | None = None
+    parent: np.ndarray | None = None
+    outcome: np.ndarray | None = None
+
+    def __post_init__(self):
+        self._built: list[GlmbHypothesis | None] = [None] * len(self.log_weights)
+        self._views: list[Gaussian | None] = [None] * len(self.means)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def cardinalities(self) -> list[int]:
+        return [len(row) - row.count(-1) for row in self.state.tolist()]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        if self._built[i] is None:
+            self._built[i] = self._build(i)
+        return self._built[i]
+
+    def _build(self, i: int) -> GlmbHypothesis:
+        densities = {}
+        for lbl, row in zip(self.labels, self.state[i].tolist()):
+            if row >= 0:
+                if self._views[row] is None:
+                    self._views[row] = Gaussian._view(self.means[row], self.covs[row])
+                densities[lbl] = self._views[row]
+        history = ()
+        if self.prior is not None:
+            entry = zip(self.labels, self.outcome[i].tolist())
+            history = self.prior.hypotheses[self.parent[i]].history + (
+                tuple((lbl, o) for lbl, o in entry if o != ABSENT),
+            )
+        return GlmbHypothesis(tuple(densities), history, float(self.log_weights[i]), densities)
+
+
+def _pack(hypotheses: tuple[GlmbHypothesis, ...]) -> DensityArrays:
+    """Arrays of a density given as hypothesis objects, which they keep: one
+    state row per (hypothesis, label), in order."""
+    labels = tuple(sorted({lbl for h in hypotheses for lbl in h.label_set}))
+    column = {lbl: c for c, lbl in enumerate(labels)}
+    state = np.full((len(hypotheses), len(labels)), -1)
+    gaussians = []
+    for i, h in enumerate(hypotheses):
+        for lbl in h.label_set:
+            state[i, column[lbl]] = len(gaussians)
+            gaussians.append(h.densities[lbl])
+    arrays = DensityArrays(
+        log_weights=np.array([h.log_weight for h in hypotheses], dtype=float),
+        labels=labels,
+        state=state,
+        means=np.array([g.mean for g in gaussians]).reshape(-1, 2),
+        covs=np.array([g.covariance for g in gaussians]).reshape(-1, 2, 2),
+    )
+    arrays._built[:] = hypotheses
+    return arrays
 
 
 @dataclass(frozen=True)
 class GlmbDensity:
-    """Weighted set of hypotheses at one step; weights live in log space."""
+    """Weighted set of hypotheses at one step; weights live in log space.
 
-    hypotheses: tuple[GlmbHypothesis, ...]
+    A filter step makes a density whose ``hypotheses`` are its arrays, which
+    build each object on first access.  A density given as a sequence of
+    hypothesis objects is packed into arrays when a step or a readout
+    first needs them.
+    """
+
+    hypotheses: Sequence[GlmbHypothesis]
     step: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+        if not isinstance(self.hypotheses, DensityArrays):
+            object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+
+    @property
+    def arrays(self) -> DensityArrays:
+        if isinstance(self.hypotheses, DensityArrays):
+            return self.hypotheses
+        if "_packed" not in self.__dict__:
+            self.__dict__["_packed"] = _pack(self.hypotheses)
+        return self.__dict__["_packed"]
 
     def log_weights(self) -> np.ndarray:
-        return np.array([h.log_weight for h in self.hypotheses], dtype=float)
+        return self.arrays.log_weights.copy()
 
     def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights())
+        return np.exp(self.arrays.log_weights)
 
 
 def empty_density(step: int = 0) -> GlmbDensity:
     """The density certain of 'nothing exists': one empty hypothesis, weight 1."""
-    return GlmbDensity(
-        hypotheses=(GlmbHypothesis(label_set=(), history=(), log_weight=0.0),),
-        step=step,
-    )
+    empty = DensityArrays(np.zeros(1), (), np.empty((1, 0), int), np.empty((0, 2)), np.empty((0, 2, 2)))
+    return GlmbDensity(empty, step)
 
 
 def log_sum_weights(log_weights: np.ndarray) -> float:
@@ -119,23 +219,32 @@ def log_sum_weights(log_weights: np.ndarray) -> float:
 def cardinality_distribution(glmb: GlmbDensity) -> np.ndarray:
     """Probability of each object count n = 0..max cardinality present.
 
-    Entry n sums the weights of hypotheses whose label set has size n.
-    Assumes a normalized density.
+    Entry n sums the weights of hypotheses whose label set has size n, in
+    hypothesis order.  Assumes a normalized density.
     """
-    n_max = max((h.cardinality for h in glmb.hypotheses), default=0)
-    rho = np.zeros(n_max + 1)
-    for h in glmb.hypotheses:
-        rho[h.cardinality] += np.exp(h.log_weight)
+    a = glmb.arrays
+    cardinalities = a.cardinalities()
+    rho = np.zeros(max(cardinalities, default=0) + 1)
+    for n, w in zip(cardinalities, np.exp(a.log_weights).tolist()):
+        rho[n] += w
     return rho
 
 
-def best_hypothesis_with_cardinality(glmb: GlmbDensity, n: int) -> GlmbHypothesis:
-    """Highest-weight hypothesis among those with exactly n labels.
+def best_hypothesis_with_cardinality(glmb: GlmbDensity, n: int) -> int:
+    """Index in ``glmb.hypotheses`` of the highest-weight hypothesis among
+    those with exactly n labels.
 
     Ties break deterministically: lexicographically smallest label set,
-    then smallest history encoding.
+    then smallest history.  Only tied hypotheses are built as objects.
     """
-    candidates = [h for h in glmb.hypotheses if h.cardinality == n]
+    a = glmb.arrays
+    logw = a.log_weights.tolist()
+    candidates = [i for i, size in enumerate(a.cardinalities()) if size == n]
     if not candidates:
         raise ValueError(f"no hypothesis with cardinality {n}")
-    return min(candidates, key=lambda h: (-h.log_weight, h.label_set, h.history))
+    best = max(logw[i] for i in candidates)
+    tied = [i for i in candidates if logw[i] == best]
+    if len(tied) == 1:
+        return tied[0]
+    hyps = glmb.hypotheses
+    return min(tied, key=lambda i: (hyps[i].label_set, hyps[i].history))

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from geoglmb.filter import BirthEntry, BirthModel
-from geoglmb.gaussian import Gaussian
+from geoglmb.filter import BirthEntry, BirthModel, TruncationConfig
+from geoglmb.gaussian import Gaussian, MotionModel, SensorModel
 from geoglmb.lrfs import DEAD, UNDETECTED, GlmbDensity, GlmbHypothesis, Label
 
 
@@ -198,3 +198,34 @@ def simple_birth(labels_means, r_birth=0.9, cov=None):
         for lbl, mean in labels_means
     )
     return BirthModel(entries)
+
+
+def random_scenario(rng, index):
+    """One three-step scenario of criterion 6: (birth, sensor, motion,
+    deltas, measurement sets, truncation); odd indices truncate by Gibbs."""
+    entries = [
+        (Label(1, i), np.array([float(rng.uniform(10, 90)), 0.0]))
+        for i in range(int(rng.integers(1, 3)))
+    ]
+    birth = simple_birth(entries, r_birth=float(rng.uniform(0.5, 0.99)))
+    sensor = SensorModel(
+        sigma_m=float(rng.uniform(3, 12)),
+        p_detect=float(rng.uniform(0.3, 0.9)),
+        clutter_rate=float(rng.uniform(0.0, 1.0)),
+        clutter_region=(0.0, 100.0),
+    )
+    motion = MotionModel(
+        sigma_p=float(rng.uniform(0.1, 0.8)),
+        p_survival=float(rng.uniform(0.85, 1.0)),
+    )
+    deltas = [float(rng.uniform(0.3, 1.5)) for _ in range(3)]
+    sets = [
+        [float(rng.uniform(0, 100)) for _ in range(int(rng.integers(0, 3)))]
+        for _ in deltas
+    ]
+    method = "gibbs" if index % 2 else "ranked"
+    trunc = TruncationConfig(
+        method=method, requested_hypotheses=40, gibbs_iterations=60,
+        seed=index, min_weight=1e-8, max_hypotheses=80,
+    )
+    return birth, sensor, motion, deltas, sets, trunc

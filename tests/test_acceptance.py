@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import enumeration_oracle, kf_oracle, simple_birth
+from conftest import enumeration_oracle, kf_oracle, random_scenario, simple_birth
 from geoglmb.assignment import enumerate_solutions
 from geoglmb.evaluation import compare_reports
 from geoglmb.experiment import ExperimentConfig, run_monte_carlo
@@ -156,7 +156,7 @@ def test_criterion_3_gibbs_ranked_agreement(announce):
     hits = 0
     for trial in range(100):
         values = rng.normal(0.0, 1.0, size=(2, 6))
-        cost = LogCostMatrix(values=values, labels=labels, n_measurements=4)
+        cost = LogCostMatrix(values=values, labels=labels)
         exhaustive = {sol for sol, _ in enumerate_solutions(values)}
         trunc = TruncationConfig(method="gibbs", gibbs_iterations=10_000, seed=trial)
         got = {
@@ -244,31 +244,7 @@ def test_criterion_6_invariant_suite(announce):
     card_cases = 0
     det_cases = 0
     for scenario_idx in range(340):
-        entries = [
-            (Label(1, i), np.array([float(rng.uniform(10, 90)), 0.0]))
-            for i in range(int(rng.integers(1, 3)))
-        ]
-        birth = simple_birth(entries, r_birth=float(rng.uniform(0.5, 0.99)))
-        sensor = SensorModel(
-            sigma_m=float(rng.uniform(3, 12)),
-            p_detect=float(rng.uniform(0.3, 0.9)),
-            clutter_rate=float(rng.uniform(0.0, 1.0)),
-            clutter_region=(0.0, 100.0),
-        )
-        motion = MotionModel(
-            sigma_p=float(rng.uniform(0.1, 0.8)),
-            p_survival=float(rng.uniform(0.85, 1.0)),
-        )
-        deltas = [float(rng.uniform(0.3, 1.5)) for _ in range(3)]
-        sets = [
-            [float(rng.uniform(0, 100)) for _ in range(int(rng.integers(0, 3)))]
-            for _ in deltas
-        ]
-        method = "gibbs" if scenario_idx % 2 else "ranked"
-        trunc = TruncationConfig(
-            method=method, requested_hypotheses=40, gibbs_iterations=60,
-            seed=scenario_idx, min_weight=1e-8, max_hypotheses=80,
-        )
+        birth, sensor, motion, deltas, sets, trunc = random_scenario(rng, scenario_idx)
         runs = []
         for _ in range(2):
             history = run_sequence(deltas, sets, birth, motion, sensor, trunc)

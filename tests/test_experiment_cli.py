@@ -225,7 +225,7 @@ class TestCli:
             assert got["rmse_estimate"] == pytest.approx(metrics["rmse_estimate"], rel=1e-8)
             assert got["rmse_observation"] == pytest.approx(metrics["rmse_observation"], rel=1e-8)
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch):
         code = main(["run", "--site", "onsoy", "--pd", "1.5", "--out", str(tmp_path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
@@ -254,6 +254,16 @@ class TestCli:
             config_file.write_text(json.dumps(doc))
             assert main(base + ["--config", str(config_file)]) == 2, doc
         assert "finite" in capsys.readouterr().err
+        # negative seeds: a flag, the environment fallback and a config file
+        assert main(["run", "--site", "onsoy", "--mc", "1", "--seed", "-1",
+                     "--out", str(tmp_path)]) == 2
+        monkeypatch.setenv("GEOGLMB_SEED", "-4")
+        assert main(["run", "--site", "onsoy", "--mc", "1", "--out", str(tmp_path)]) == 2
+        monkeypatch.delenv("GEOGLMB_SEED")
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"seed": -2}))
+        assert main(["run", "--mc", "1", "--config", str(config_file), "--out", str(tmp_path)]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_missing_site_exit_code(self, tmp_path):
         assert main(["run", "--site", "nowhere.csv", "--out", str(tmp_path)]) == 2

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import geoglmb.experiment
 import geoglmb.filter
 from conftest import enumeration_oracle, kf_oracle, simple_birth
 from geoglmb.errors import InfeasibleAssociationError, WeightCollapseError
+from geoglmb.experiment import ExperimentConfig, run_trial
 from geoglmb.filter import (
     AssociationMap,
     BirthModel,
@@ -37,6 +39,7 @@ from geoglmb.lrfs import (
     cardinality_distribution,
     empty_density,
 )
+from geoglmb.scenario import bundled_records
 from test_assignment import reference_gibbs_solutions
 
 EXHAUSTIVE = TruncationConfig(
@@ -173,7 +176,8 @@ class TestAssociationMap:
 
     def test_shared_no_measurement_outcomes_allowed(self):
         amap = AssociationMap(((Label(1, 0), UNDETECTED), (Label(1, 1), UNDETECTED)))
-        assert amap.assigned_measurements() == set()
+        assert amap.assignment == ((Label(1, 0), UNDETECTED), (Label(1, 1), UNDETECTED))
+        assert not [o for _, o in amap.assignment if o >= 1]
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError):
@@ -664,3 +668,39 @@ class TestExtractMapTrajectories:
         b = GlmbDensity((other,), step=2)
         with pytest.raises(ValueError):
             extract_map_trajectories([a, b], [1.0, 2.0])
+
+
+class TestLazyHypotheses:
+    def test_objects_are_built_only_on_access(self, monkeypatch):
+        built = []
+        post_init = GlmbHypothesis.__post_init__
+
+        def counted(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(GlmbHypothesis, "__post_init__", counted)
+        runs = []
+        original = geoglmb.experiment.run_sequence
+
+        def capture(*args):
+            runs.append(original(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(geoglmb.experiment, "run_sequence", capture)
+        config = ExperimentConfig(site="onsoy", mode="joint", trunc_method="ranked")
+        _, series = run_trial(bundled_records("onsoy"), config, 0, "onsoy")
+        assert len(built) == 0
+        (history,) = runs
+        assert [len(d.hypotheses) for d in history] == list(series.hypothesis_counts)
+        assert len(built) == 0
+
+        # a hypothesis needs its ancestors, one per step plus the initial
+        # empty hypothesis, and each is built once
+        final = history[-1]
+        h = final.hypotheses[7]
+        assert len(built) == len(history) + 1
+        assert final.hypotheses[7] is h
+        parent = history[-2].hypotheses[final.arrays.parent[7]]
+        assert len(built) == len(history) + 1
+        assert h.history[:-1] == parent.history

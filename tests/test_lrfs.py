@@ -195,17 +195,19 @@ class TestCardinalityDistribution:
 class TestBestHypothesisWithCardinality:
     def test_single_candidate(self):
         h = hyp([Label(1, 0), Label(1, 1)], 0.0, 0)
-        assert best_hypothesis_with_cardinality(GlmbDensity((h,), 1), 2) is h
+        assert best_hypothesis_with_cardinality(GlmbDensity((h,), 1), 2) == 0
 
     def test_argmax(self):
         lo = hyp([Label(1, 0)], math.log(0.3), 0)
         hi = hyp([Label(1, 1)], math.log(0.7), 1)
-        assert best_hypothesis_with_cardinality(GlmbDensity((lo, hi), 1), 1) is hi
+        glmb = GlmbDensity((lo, hi), 1)
+        assert glmb.hypotheses[best_hypothesis_with_cardinality(glmb, 1)] is hi
 
     def test_tie_breaks_on_smaller_label_set(self):
         a = hyp([Label(1, 1)], math.log(0.5), 0)
         b = hyp([Label(1, 0)], math.log(0.5), 1)
-        best = best_hypothesis_with_cardinality(GlmbDensity((a, b), 1), 1)
+        glmb = GlmbDensity((a, b), 1)
+        best = glmb.hypotheses[best_hypothesis_with_cardinality(glmb, 1)]
         assert best.label_set == (Label(1, 0),)
 
     def test_missing_cardinality_is_error(self):
@@ -225,8 +227,8 @@ class TestBestHypothesisWithCardinality:
                 step=glmb.step,
             )
             for n in sizes:
-                a = best_hypothesis_with_cardinality(glmb, n)
-                b = best_hypothesis_with_cardinality(shifted, n)
+                a = glmb.hypotheses[best_hypothesis_with_cardinality(glmb, n)]
+                b = shifted.hypotheses[best_hypothesis_with_cardinality(shifted, n)]
                 assert a.label_set == b.label_set and a.history == b.history
 
 
