@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime/divergence error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -56,27 +57,13 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     doc: dict = {}
     if args.config is not None:
         try:
-            doc.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    for key in (
-        "site",
-        "mode",
-        "p_detect",
-        "sigma_m",
-        "sigma_p",
-        "p_survival",
-        "clutter_rate",
-        "seed",
-        "mc_trials",
-        "jobs",
-        "out_dir",
-        "trunc_method",
-        "requested_hypotheses",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            doc[key] = value
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    doc.update((k, v) for k, v in vars(args).items() if v is not None and k in fields)
     if "seed" not in doc and os.environ.get("GEOGLMB_SEED"):
         try:
             doc["seed"] = int(os.environ["GEOGLMB_SEED"])

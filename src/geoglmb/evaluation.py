@@ -273,18 +273,17 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def write_report_json(report: RunReport, target, extra: dict | None = None) -> None:
+    """Write the report, updated with ``extra``, as JSON to the path ``target``."""
     doc = report_to_dict(report)
     if extra:
         doc.update(extra)
     text = json.dumps(doc, indent=2, allow_nan=True, sort_keys=True)
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text + "\n", encoding="utf-8")
-    else:
-        target.write(text + "\n")
+    Path(target).write_text(text + "\n", encoding="utf-8")
 
 
 def write_metrics_csv(report: RunReport, target) -> None:
-    """Flat metric table: one row per (property, metric)."""
+    """Write a flat metric table, one row per (property, metric), to the
+    path ``target``."""
 
     def rows():
         yield ("site", "property", "metric", "value", "mc_mean", "mc_std")
@@ -310,8 +309,5 @@ def write_metrics_csv(report: RunReport, target) -> None:
             f"{summary['std']:.6g}",
         )
 
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows())
-    else:
-        csv.writer(target).writerows(rows())
+    with open(target, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows())

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FilterDivergenceError, GeoGlmbError
+from .errors import ConfigError, FilterDivergenceError, GeoGlmbError, SiteTableError
 from .evaluation import (
     RunReport,
     build_report,
@@ -42,6 +42,7 @@ from .scenario import (
     PROPERTIES,
     Scenario,
     SiteRecord,
+    _parse_float,
     bundled_site_path,
     depth_intervals,
     load_site_table,
@@ -114,6 +115,8 @@ class ExperimentConfig:
             for f in dataclasses.fields(self)
             if not _has_type(getattr(self, f.name), type(f.default))
         ]
+        if not issues and len(self.clutter_region) != 2:
+            issues.append(f"clutter_region={list(self.clutter_region)} needs 2 values, lo and hi")
         if issues:
             raise ConfigError("; ".join(issues))
         for build in (self.sensor, self.motion, lambda: self.truncation(self.seed)):
@@ -223,7 +226,13 @@ def run_trial(
     seed: int,
     site_name: str = "",
 ) -> tuple[Scenario, EstimateSeries]:
-    """Synthesize, filter, and extract one trial at one seed."""
+    """Synthesize, filter, and extract one trial at one seed.
+
+    Joint mode filters all properties as one group and returns its readout.
+    Independent mode filters each property alone and merges the readouts in
+    property order: tracks concatenate; MAP cardinalities, MAP log-weights
+    and per-step hypothesis counts add.
+    """
     sensor = config.sensor()
     motion = config.motion()
     scenario = synthesize_observations(
@@ -234,43 +243,23 @@ def run_trial(
     trunc = config.truncation(seed)
 
     if config.mode == "joint":
-        history = run_sequence(
-            deltas,
-            scenario.measurement_sets,
-            birth_model_for(records, config),
-            motion,
-            sensor,
-            trunc,
-        )
-        series = extract_map_trajectories(history, depths)
+        groups = [(PROPERTIES, scenario.measurement_sets)]
     else:
-        all_tracks: list[TrackEstimate] = []
-        counts = np.zeros(len(depths), dtype=int)
-        logw = 0.0
-        cardinality = 0
-        for prop in PROPERTIES:
-            birth = birth_model_for(records, config, properties=[prop])
-            history = run_sequence(
-                deltas,
-                scenario.property_measurements(prop),
-                birth,
-                motion,
-                sensor,
-                trunc,
-            )
-            sub = extract_map_trajectories(history, depths)
-            all_tracks.extend(sub.tracks)
-            counts += np.array(sub.hypothesis_counts)
-            logw += sub.map_log_weight
-            cardinality += sub.map_cardinality
-        series = EstimateSeries(
-            depths=np.asarray(depths, dtype=float),
-            tracks=tuple(all_tracks),
-            map_cardinality=cardinality,
-            map_log_weight=logw,
-            hypothesis_counts=tuple(int(c) for c in counts),
-        )
-    return scenario, series
+        groups = [((prop,), scenario.property_measurements(prop)) for prop in PROPERTIES]
+    parts = []
+    for properties, measurement_sets in groups:
+        birth = birth_model_for(records, config, properties)
+        history = run_sequence(deltas, measurement_sets, birth, motion, sensor, trunc)
+        parts.append(extract_map_trajectories(history, depths))
+    if len(parts) == 1:
+        return scenario, parts[0]
+    return scenario, EstimateSeries(
+        depths=np.asarray(depths, dtype=float),
+        tracks=tuple(track for part in parts for track in part.tracks),
+        map_cardinality=sum(part.map_cardinality for part in parts),
+        map_log_weight=sum(part.map_log_weight for part in parts),
+        hypothesis_counts=tuple(map(sum, zip(*(part.hypothesis_counts for part in parts)))),
+    )
 
 
 def _trial_worker(args) -> tuple[Scenario, EstimateSeries]:
@@ -307,10 +296,9 @@ def run_monte_carlo(
     return trials, report
 
 
-def write_estimates_csv(
-    scenario: Scenario, series: EstimateSeries, target
-) -> None:
-    """Write `step,depth,label,property,mean,variance` rows for one trial."""
+def write_estimates_csv(scenario: Scenario, series: EstimateSeries, target) -> None:
+    """Write `step,depth,label,property,mean,variance` rows for one trial to
+    the path ``target``."""
     matching = label_property_matching(scenario, series)
     label_to_prop = {lbl: prop for prop, lbl in matching.items()}
 
@@ -330,11 +318,8 @@ def write_estimates_csv(
                     f"{var:.10g}",
                 )
 
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows())
-    else:
-        csv.writer(target).writerows(rows())
+    with open(target, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows())
 
 
 def write_plots(scenario: Scenario, series: EstimateSeries, out_dir: Path) -> list[Path]:
@@ -395,6 +380,22 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
     return written
 
 
+def _read_csv(path, columns: Sequence[str], numeric: Sequence[str]):
+    """Each row of an exported CSV, with its ``numeric`` cells parsed.  A
+    missing column of ``columns`` or ``numeric``, or a bad number, raises
+    SiteTableError naming the file, the row and the column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for column in (*columns, *numeric):
+            if column not in (reader.fieldnames or ()):
+                raise SiteTableError(f"{path}: header row: missing column {column!r}")
+        for row_num, row in enumerate(reader, start=1):
+            try:
+                yield row, [_parse_float(row[c], row_num, c) for c in numeric]
+            except SiteTableError as exc:
+                raise SiteTableError(f"{path}: {exc}") from None
+
+
 def read_scenario_csv(path) -> Scenario:
     """Rebuild a Scenario from an exported scenario.csv (joint-mode view).
 
@@ -411,19 +412,15 @@ def read_scenario_csv(path) -> Scenario:
     obs: dict[float, dict[str, float]] = {}
     clutter: dict[float, list[float]] = {}
     seed = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            depth = float(row["depth"])
-            kind = row["kind"]
-            seed = int(row["seed"])
-            if kind == "truth":
-                truth_rows.setdefault(depth, {})[row["property_or_unknown"]] = float(
-                    row["value"]
-                )
-            elif kind == "obs":
-                obs.setdefault(depth, {})[row["property_or_unknown"]] = float(row["value"])
-            elif kind == "clutter":
-                clutter.setdefault(depth, []).append(float(row["value"]))
+    columns = ("kind", "property_or_unknown")
+    for row, (depth, value, seed) in _read_csv(path, columns, ("depth", "value", "seed")):
+        kind, prop = row["kind"], row["property_or_unknown"]
+        if kind == "truth":
+            truth_rows.setdefault(depth, {})[prop] = value
+        elif kind == "obs":
+            obs.setdefault(depth, {})[prop] = value
+        elif kind == "clutter":
+            clutter.setdefault(depth, []).append(value)
 
     records = tuple(
         SiteRecord(depth=d, values=vals) for d, vals in sorted(truth_rows.items())
@@ -448,24 +445,17 @@ def read_scenario_csv(path) -> Scenario:
         measurement_sets=tuple(sets),
         detection_flags=detected,
         property_observations=prop_obs,
-        seed=seed,
+        seed=int(seed),
         sensor=SensorModel(),
     )
 
 
 def read_estimates_csv(path) -> EstimateSeries:
     """Rebuild an estimate series from an exported estimates.csv."""
-    per_label: dict[str, list[tuple[int, float, float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            per_label.setdefault(row["label"], []).append(
-                (
-                    int(row["step"]),
-                    float(row["depth"]),
-                    float(row["mean"]),
-                    float(row["variance"]),
-                )
-            )
+    per_label: dict[str, list[tuple[float, float, float, float]]] = {}
+    numeric = ("step", "depth", "mean", "variance")
+    for row, values in _read_csv(path, ("label",), numeric):
+        per_label.setdefault(row["label"], []).append(tuple(values))
     tracks = []
     depths_all: set[float] = set()
     for label_text, rows in sorted(per_label.items()):

@@ -8,10 +8,11 @@ an index into the step's rows of Gaussian means and covariances.  A density
 made by a filter step also points back at the density it was stepped from:
 each hypothesis keeps its parent's index and its own association outcome
 per label, so its history is its parent's history plus one outcome row.
-``GlmbDensity.hypotheses`` builds a ``GlmbHypothesis`` object from these
-arrays only when it is asked for one.  All weight arithmetic stays in log
-space; products of many small likelihoods underflow doubles long before
-they stop mattering.
+``GlmbDensity.hypotheses`` is always such arrays: they build a
+``GlmbHypothesis`` object only when asked for one, and a density given as
+hypothesis objects is packed into arrays at construction.  All weight
+arithmetic stays in log space; products of many small likelihoods underflow
+doubles long before they stop mattering.
 """
 from __future__ import annotations
 
@@ -174,10 +175,10 @@ def _pack(hypotheses: tuple[GlmbHypothesis, ...]) -> DensityArrays:
 class GlmbDensity:
     """Weighted set of hypotheses at one step; weights live in log space.
 
-    A filter step makes a density whose ``hypotheses`` are its arrays, which
-    build each object on first access.  A density given as a sequence of
-    hypothesis objects is packed into arrays when a step or a readout
-    first needs them.
+    ``hypotheses`` is a ``DensityArrays``.  A filter step makes a density
+    whose arrays build each object on first access.  A sequence of
+    hypothesis objects is packed into arrays at construction, and the
+    arrays keep those objects.
     """
 
     hypotheses: Sequence[GlmbHypothesis]
@@ -185,15 +186,11 @@ class GlmbDensity:
 
     def __post_init__(self):
         if not isinstance(self.hypotheses, DensityArrays):
-            object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+            object.__setattr__(self, "hypotheses", _pack(tuple(self.hypotheses)))
 
     @property
     def arrays(self) -> DensityArrays:
-        if isinstance(self.hypotheses, DensityArrays):
-            return self.hypotheses
-        if "_packed" not in self.__dict__:
-            self.__dict__["_packed"] = _pack(self.hypotheses)
-        return self.__dict__["_packed"]
+        return self.hypotheses
 
     def log_weights(self) -> np.ndarray:
         return self.arrays.log_weights.copy()

@@ -238,7 +238,7 @@ def synthesize_observations(
 
 def scenario_to_csv(scenario: Scenario, target) -> None:
     """Write truth/observation/clutter rows as
-    `step,depth,kind,property_or_unknown,value,seed`."""
+    `step,depth,kind,property_or_unknown,value,seed` to the path ``target``."""
 
     def rows():
         yield ("step", "depth", "kind", "property_or_unknown", "value", "seed")
@@ -259,11 +259,8 @@ def scenario_to_csv(scenario: Scenario, target) -> None:
             for value in _clutter_values(scenario, d_idx):
                 yield (step, rec.depth, "clutter", "unknown", f"{value:.10g}", scenario.seed)
 
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows())
-    else:
-        csv.writer(target).writerows(rows())
+    with open(target, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows())
 
 
 def _clutter_values(scenario: Scenario, d_idx: int) -> list[float]:

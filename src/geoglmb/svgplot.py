@@ -45,7 +45,8 @@ def profile_plot(
     estimates: Sequence[tuple[float, float]],
     target,
 ) -> None:
-    """Write one profile figure; each series is (depth m, value %) pairs."""
+    """Write one profile figure to the path ``target``; each series is
+    (depth m, value %) pairs."""
     all_depths = [d for series in (truth, observations, estimates) for d, _ in series]
     all_values = [v for series in (truth, observations, estimates) for _, v in series]
     if not all_depths:
@@ -128,8 +129,4 @@ def profile_plot(
         f'<text x="{MARGIN_L + 196}" y="{legend_y + 4}">estimates</text>'
     )
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+    Path(target).write_text("\n".join(parts) + "\n", encoding="utf-8")

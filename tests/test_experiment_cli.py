@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from geoglmb.cli import main
+from geoglmb import experiment
+from geoglmb.cli import _build_config, build_parser, main
 from geoglmb.errors import ConfigError
 from geoglmb.experiment import (
     ExperimentConfig,
@@ -159,6 +161,39 @@ class TestCsvRoundTrip:
             np.testing.assert_allclose(a.values, b.values, rtol=1e-9)
 
 
+class TestTrialSeries:
+    # recorded before independent mode ran through joint mode's trial path
+    PINNED = {
+        "joint": ("-0x1.e0db9d3e9d6e6p+1", 3, (9, 23, 33) + (60,) * 33),
+        "independent": (
+            "-0x1.966e96d4123b5p-4",
+            3,
+            (4, 4, 4, 5, 6, 4, 5, 3, 5, 7, 6, 8, 11, 8, 4, 4, 6, 9,
+             8, 3, 4, 4, 6, 6, 5, 8, 3, 3, 4, 3, 3, 4, 7, 8, 4, 7),
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_merged_series_pinned(self, mode):
+        config = ExperimentConfig(mode=mode, **FAST)
+        _, series = run_trial(bundled_records("onsoy"), config, 0, "onsoy")
+        log_weight, cardinality, counts = self.PINNED[mode]
+        assert series.map_log_weight.hex() == log_weight
+        assert series.map_cardinality == cardinality
+        assert series.hypothesis_counts == counts
+
+    def test_joint_returns_the_readout_itself(self, monkeypatch):
+        readouts, original = [], experiment.extract_map_trajectories
+
+        def extract(history, schedule):
+            readouts.append(original(history, schedule))
+            return readouts[-1]
+
+        monkeypatch.setattr(experiment, "extract_map_trajectories", extract)
+        _, series = run_trial(bundled_records("onsoy")[:6], ExperimentConfig(**FAST), 0, "onsoy")
+        assert len(readouts) == 1 and series is readouts[0]
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         code = main([
@@ -264,6 +299,61 @@ class TestCli:
         config_file.write_text(json.dumps({"seed": -2}))
         assert main(["run", "--mc", "1", "--config", str(config_file), "--out", str(tmp_path)]) == 2
         assert "seed" in capsys.readouterr().err
+        # a config file must hold a JSON object; clutter_region needs lo and hi
+        for text in ("[1, 2]", "3", "null", '"x"'):
+            config_file.write_text(text)
+            assert main(base + ["--config", str(config_file)]) == 2, text
+            assert "JSON object" in capsys.readouterr().err, text
+        config_file.write_text(json.dumps({"clutter_region": [1.0]}))
+        assert main(base + ["--config", str(config_file)]) == 2
+        assert "clutter_region" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_malformed_csv_exit_code(self, tmp_path, capsys, command):
+        assert main(["run", "--site", "onsoy", "--mode", "independent", "--seed", "3",
+                     "--out", str(tmp_path / "run")]) == 0
+        trial = tmp_path / "run" / "trials" / "trial_000"
+        scenario, estimates = trial / "scenario.csv", trial / "estimates.csv"
+        no_depth = tmp_path / "no_depth.csv"
+        no_depth.write_text(scenario.read_text().replace("step,depth,", "step,dpth,", 1))
+        rows = [line.split(",") for line in estimates.read_text().splitlines()]
+        rows[2][rows[0].index("mean")] = "abc"
+        bad_mean = tmp_path / "bad_mean.csv"
+        bad_mean.write_text("".join(",".join(row) + "\n" for row in rows))
+        for pair, expected in (
+            ((no_depth, estimates), ["no_depth.csv", "header row", "'depth'"]),
+            ((scenario, bad_mean), ["bad_mean.csv", "row 2", "column mean", "'abc'"]),
+        ):
+            code = main([command, "--scenario", str(pair[0]), "--estimates", str(pair[1]),
+                         "--out", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert all(part in err for part in expected), err
+
+    CONFIG_FLAGS = [
+        ("--site", "taipei", "site", "taipei"),
+        ("--mode", "independent", "mode", "independent"),
+        ("--pd", "0.7", "p_detect", 0.7),
+        ("--sigma-m", "7", "sigma_m", 7.0),
+        ("--sigma-p", "0.5", "sigma_p", 0.5),
+        ("--p-survival", "0.9", "p_survival", 0.9),
+        ("--clutter", "0.5", "clutter_rate", 0.5),
+        ("--seed", "5", "seed", 5),
+        ("--mc", "3", "mc_trials", 3),
+        ("--jobs", "2", "jobs", 2),
+        ("--out", "elsewhere", "out_dir", "elsewhere"),
+        ("--trunc", "gibbs", "trunc_method", "gibbs"),
+        ("--hyps", "12", "requested_hypotheses", 12),
+    ]
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    @pytest.mark.parametrize("flag, text, field, value", CONFIG_FLAGS)
+    def test_flag_reaches_config(self, monkeypatch, command, flag, text, field, value):
+        monkeypatch.delenv("GEOGLMB_SEED", raising=False)
+        assert getattr(ExperimentConfig(), field) != value
+        config = _build_config(build_parser().parse_args([command, flag, text]))
+        assert getattr(config, field) == value
+        assert config == dataclasses.replace(ExperimentConfig(), **{field: value})
 
     def test_missing_site_exit_code(self, tmp_path):
         assert main(["run", "--site", "nowhere.csv", "--out", str(tmp_path)]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
@@ -8,6 +9,7 @@ import pytest
 from conftest import make_density, make_gaussian
 from geoglmb.errors import WeightCollapseError
 from geoglmb.lrfs import (
+    DensityArrays,
     GlmbDensity,
     GlmbHypothesis,
     Label,
@@ -153,6 +155,24 @@ class TestNormalize:
         )
         out = normalize(glmb)
         np.testing.assert_allclose(out.weights(), [0.25, 0.75], rtol=1e-14)
+
+
+class TestGlmbDensity:
+    def test_objects_are_packed_at_construction(self):
+        objs = (hyp([Label(1, 0)], math.log(0.6), 0), hyp([], math.log(0.4), 1))
+        d = GlmbDensity(objs, 1)
+        assert isinstance(d.hypotheses, DensityArrays)
+        assert d.arrays is d.hypotheses
+        assert all(d.hypotheses[i] is objs[i] for i in range(len(objs)))
+        np.testing.assert_array_equal(d.arrays.log_weights, [h.log_weight for h in objs])
+
+    def test_replace_packs_again(self):
+        objs = (hyp([Label(1, 0)], math.log(0.6), 0), hyp([Label(1, 1)], math.log(0.4), 1))
+        d = dataclasses.replace(GlmbDensity(objs, 1), hypotheses=objs[1:])
+        assert isinstance(d.hypotheses, DensityArrays)
+        assert len(d.hypotheses) == 1 and d.hypotheses[0] is objs[1]
+        assert d.arrays.labels == (Label(1, 1),)
+        assert dataclasses.replace(d, step=2).hypotheses is d.hypotheses
 
 
 class TestCardinalityDistribution:

@@ -207,25 +207,25 @@ class TestSynthesize:
 
 
 class TestScenarioExport:
-    def test_csv_schema_and_rows(self):
+    def test_csv_schema_and_rows(self, tmp_path):
         records = bundled_records("onsoy")[:2]
         sensor = SensorModel(sigma_m=5.0, p_detect=1.0, clutter_rate=0.0)
         scenario = synthesize_observations(records, sensor, "joint", seed=3, site_name="onsoy")
-        buf = io.StringIO()
-        scenario_to_csv(scenario, buf)
-        lines = buf.getvalue().strip().splitlines()
+        target = tmp_path / "scenario.csv"
+        scenario_to_csv(scenario, target)
+        lines = target.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "step,depth,kind,property_or_unknown,value,seed"
         truth_lines = [l for l in lines if ",truth," in l]
         obs_lines = [l for l in lines if ",obs," in l]
         assert len(truth_lines) == 6 and len(obs_lines) == 6
         assert lines[1] == "1,1.03,truth,LL,56.2,3"
 
-    def test_clutter_rows_marked_unknown(self):
+    def test_clutter_rows_marked_unknown(self, tmp_path):
         records = bundled_records("onsoy")[:2]
         sensor = SensorModel(sigma_m=5.0, p_detect=0.0, clutter_rate=3.0, clutter_region=(0, 50))
         scenario = synthesize_observations(records, sensor, "joint", seed=8)
-        buf = io.StringIO()
-        scenario_to_csv(scenario, buf)
-        clutter_lines = [l for l in buf.getvalue().splitlines() if ",clutter," in l]
+        target = tmp_path / "scenario.csv"
+        scenario_to_csv(scenario, target)
+        clutter_lines = [l for l in target.read_text(encoding="utf-8").splitlines() if ",clutter," in l]
         assert clutter_lines, "expected clutter at rate 3.0"
         assert all(",unknown," in l for l in clutter_lines)
