@@ -29,6 +29,11 @@ __all__ = ["Solutions", "murty_kbest", "enumerate_solutions", "ranked_solutions"
 # subproblem dominates small problems (Miller, Stone & Cox 1997).
 _ENUMERATION_LIMIT = 16384
 
+# Enumeration scores fewer valid combinations than this one by one on
+# Python floats: a dozen numpy calls cost as much as about 8 combinations
+# of that loop (one- and two-label problems with few readings).
+_FEW_COMBOS = 8
+
 # The Gibbs chain draws its uniforms in blocks of at most this many doubles.
 _BLOCK = 4096
 # Gibbs table entry of a row whose candidates all weigh 0; falsy, like an
@@ -106,9 +111,22 @@ def _enumerate_scored(cost: np.ndarray, k: int | None = None) -> Solutions:
     sums them.  Ties break on the lexicographic product order, as a stable
     sort on descending score over all combos would: the top k are picked
     with a partition, ties at the k-th score filled in combo order, then
-    sorted.
+    sorted.  Fewer than ``_FEW_COMBOS`` combos, when k takes them all, are
+    summed on Python floats in the same order and stably sorted, to the
+    same result.
     """
     table = _valid_combos(*cost.shape)
+    if table.shape[1] < _FEW_COMBOS and (k is None or table.shape[1] <= k):
+        rows = cost.tolist()
+        sums = []
+        for combo in table.T.tolist():
+            score = 0.0
+            for row, col in zip(rows, combo):
+                score += row[col]
+            sums.append(score)
+        feasible = [i for i, score in enumerate(sums) if math.isfinite(score)]
+        order = sorted(feasible, key=lambda i: -sums[i])
+        return Solutions(table.T.take(order, axis=0), np.array([sums[i] for i in order]))
     scores = np.zeros(table.shape[1])
     for row, cols in zip(cost, table):
         scores += row.take(cols)

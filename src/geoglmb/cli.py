@@ -103,7 +103,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     scenario = read_scenario_csv(args.scenario)
-    estimates = read_estimates_csv(args.estimates)
+    estimates = read_estimates_csv(args.estimates, len(scenario.depths))
     report = build_report(scenario, estimates)
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -116,7 +116,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     scenario = read_scenario_csv(args.scenario)
-    estimates = read_estimates_csv(args.estimates)
+    estimates = read_estimates_csv(args.estimates, len(scenario.depths))
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in write_plots(scenario, estimates, out_dir):

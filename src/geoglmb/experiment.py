@@ -381,9 +381,10 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
 
 
 def _read_csv(path, columns: Sequence[str], numeric: Sequence[str]):
-    """Each row of an exported CSV, with its ``numeric`` cells parsed.  A
-    missing column of ``columns`` or ``numeric``, or a bad number, raises
-    SiteTableError naming the file, the row and the column."""
+    """Each row of an exported CSV as (row number, row, its ``numeric`` cells
+    parsed), rows numbered from 1 after the header.  A missing column of
+    ``columns`` or ``numeric``, or a bad number, raises SiteTableError
+    naming the file, the row and the column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for column in (*columns, *numeric):
@@ -391,7 +392,7 @@ def _read_csv(path, columns: Sequence[str], numeric: Sequence[str]):
                 raise SiteTableError(f"{path}: header row: missing column {column!r}")
         for row_num, row in enumerate(reader, start=1):
             try:
-                yield row, [_parse_float(row[c], row_num, c) for c in numeric]
+                yield row_num, row, [_parse_float(row[c], row_num, c) for c in numeric]
             except SiteTableError as exc:
                 raise SiteTableError(f"{path}: {exc}") from None
 
@@ -406,14 +407,18 @@ def read_scenario_csv(path) -> Scenario:
     properties: a joint-mode scenario pairs them by least total RMSE, while
     an independent run pairs label (1, i) with property i.  So metrics of a
     joint run are reproduced up to the CSVs' rounding, and ``report.json``
-    states mode "joint" for any run.
+    states mode "joint" for any run.  A depth that is not positive, or a
+    file with no truth row, raises SiteTableError naming the file, the row
+    and the column.
     """
     truth_rows: dict[float, dict[str, float]] = {}
     obs: dict[float, dict[str, float]] = {}
     clutter: dict[float, list[float]] = {}
     seed = 0
     columns = ("kind", "property_or_unknown")
-    for row, (depth, value, seed) in _read_csv(path, columns, ("depth", "value", "seed")):
+    for row_num, row, (depth, value, seed) in _read_csv(path, columns, ("depth", "value", "seed")):
+        if depth <= 0:
+            raise SiteTableError(f"{path}: row {row_num}, column depth: must be > 0, got {row['depth']!r}")
         kind, prop = row["kind"], row["property_or_unknown"]
         if kind == "truth":
             truth_rows.setdefault(depth, {})[prop] = value
@@ -422,6 +427,8 @@ def read_scenario_csv(path) -> Scenario:
         elif kind == "clutter":
             clutter.setdefault(depth, []).append(value)
 
+    if not truth_rows:
+        raise SiteTableError(f"{path}: no row after the header row has 'truth' in column kind")
     records = tuple(
         SiteRecord(depth=d, values=vals) for d, vals in sorted(truth_rows.items())
     )
@@ -450,22 +457,42 @@ def read_scenario_csv(path) -> Scenario:
     )
 
 
-def read_estimates_csv(path) -> EstimateSeries:
-    """Rebuild an estimate series from an exported estimates.csv."""
-    per_label: dict[str, list[tuple[float, float, float, float]]] = {}
+def read_estimates_csv(path, n_depths: int | None = None) -> EstimateSeries:
+    """Rebuild an estimate series from an exported estimates.csv.
+
+    A step must be a whole number from 1 to ``n_depths`` (the depth count
+    of the run's schedule; no upper bound when None) and a label must read
+    ``<birth step>:<index>`` in non-negative integers.  Otherwise, as for a
+    missing column or a bad number, SiteTableError names the file, the row
+    and the column.
+    """
+    per_label: dict[Label, list[tuple[float, float, float, float]]] = {}
     numeric = ("step", "depth", "mean", "variance")
-    for row, values in _read_csv(path, ("label",), numeric):
-        per_label.setdefault(row["label"], []).append(tuple(values))
+    for row_num, row, values in _read_csv(path, ("label",), numeric):
+        where = f"{path}: row {row_num}"
+        step = values[0]
+        if not step.is_integer() or step < 1 or (n_depths is not None and step > n_depths):
+            bound = ">= 1" if n_depths is None else f"from 1 to {n_depths}"
+            raise SiteTableError(
+                f"{where}, column step: must be a whole number {bound}, got {row['step']!r}"
+            )
+        parts = row["label"].split(":")
+        if len(parts) != 2 or not all(part.isdecimal() for part in parts):
+            raise SiteTableError(
+                f"{where}, column label: must read <birth step>:<index> in non-negative "
+                f"integers, got {row['label']!r}"
+            )
+        label = Label(int(parts[0]), int(parts[1]))
+        per_label.setdefault(label, []).append(tuple(values))
     tracks = []
     depths_all: set[float] = set()
-    for label_text, rows in sorted(per_label.items()):
+    for label, rows in sorted(per_label.items()):
         rows.sort()
-        birth, idx = label_text.split(":")
         steps, depths, means, variances = (np.array(c) for c in zip(*rows))
         depths_all.update(depths.tolist())
         tracks.append(
             TrackEstimate(
-                label=Label(int(birth), int(idx)),
+                label=label,
                 steps=steps.astype(int),
                 depths=depths,
                 values=means,

@@ -11,13 +11,27 @@ and renormalized.  Every child extends exactly one parent's history by one
 distinct solution of that parent's cost matrix, so the children of a step
 never share an identity and are never merged.
 
-Every label carries one Gaussian, and a step works on arrays throughout
-(see ``lrfs.DensityArrays``).  The prior density's state rows are predicted
-and scored in one table, each parent's solutions come back as column and
-score arrays, and all children are weighed, pruned and capped as one array.
-The kept children become the next density's parent, outcome and state
-arrays; their posteriors come from one batched Kalman update.  No
+Every label carries one Gaussian, and a density is held as arrays (see
+``lrfs.DensityArrays``).  The prior density's state rows are predicted and
+scored in one table, each parent's solutions come back as column and score
+arrays, and all children are weighed, pruned and capped together.  The kept
+children become the next density's parent, outcome and state arrays.  No
 hypothesis object is built unless a caller asks for one.
+
+A numpy call costs about as much as a dozen float operations in Python, and
+a one-label filter (independent mode) makes steps of one parent, one label
+and at most one reading.  So three phases switch on their own row count at
+``gaussian._ROWS_AS_ARRAYS``: below it, the cost table is filled row by row,
+the kept children's posteriors are written one by one, and the prune and
+cap order is chosen, all on Python floats; at or above it, they run as
+numpy arrays.  Both sides apply the same operations in the same order, so
+they agree to the bit.  Two phases stay in numpy at every size.  Prediction
+does, because Python floats do not round F P F' + Q as numpy's stacked
+matrix product does.  Weights do, because ``math.exp`` and ``np.exp``
+differ in the last bit on some inputs and numpy sums short arrays neither
+left to right nor first-plus-rest, so the exponentials, logarithms and
+sums of ``log_sum_weights`` and the pruning threshold keep their array
+calls.
 
 Trajectories are read out by maximum a posteriori: pick the most probable
 cardinality, the best hypothesis of that cardinality, and follow its parent
@@ -35,10 +49,13 @@ import numpy as np
 from .assignment import Solutions, gibbs_solutions, ranked_solutions
 from .errors import InfeasibleAssociationError, WeightCollapseError
 from .gaussian import (
+    _ROWS_AS_ARRAYS,
     LOG_2PI,
     Gaussian,
     MotionModel,
     SensorModel,
+    _joseph,
+    _measurement_variance,
     kalman_predict,
     kalman_update,
     kalman_update_rows,
@@ -197,13 +214,16 @@ class _StepCosts:
     The table has one row of [death, undetected, one per measurement] log
     factors per state row of the prior density (rows that several parents
     share are scored once), then one per birth.  One numpy pass predicts
-    all prior rows over the interval and fills the likelihoods of all rows;
-    births enter as given.  The means go through ``einsum`` and the
-    covariances through one stacked F P F' + Q product, which round as
-    ``kalman_predict`` does (a matrix product on the stacked means does
-    not); the covariances are then symmetrized once, as the ``Gaussian``
-    constructor does.  A parent's cost matrix is a gather of its labels'
-    rows, in label-table order.
+    all prior rows over the interval; births enter as given.  The means go
+    through ``einsum`` and the covariances through one stacked F P F' + Q
+    product, which round as ``kalman_predict`` does (a matrix product on
+    the stacked means does not, and neither do Python floats); the
+    covariances are then symmetrized once, as the ``Gaussian`` constructor
+    does.  A table of fewer than ``_ROWS_AS_ARRAYS`` rows is then filled
+    row by row on Python floats, a larger one as numpy columns; both apply
+    the same operations in the same order, so they agree to the bit.  A
+    parent's cost matrix is a gather of its labels' rows, in label-table
+    order.
     """
 
     def __init__(
@@ -215,9 +235,9 @@ class _StepCosts:
         sensor: SensorModel,
         delta: float,
     ):
-        self.z = np.asarray(measurements, dtype=float)
-        if not np.isfinite(self.z).all():
-            raise ValueError(f"measurements must be finite, got {self.z.tolist()}")
+        self.z = [float(v) for v in measurements]
+        if not all(map(math.isfinite, self.z)):
+            raise ValueError(f"measurements must be finite, got {self.z}")
         self.f, self.q = transition_matrices(motion, delta)
         self.sensor = sensor
 
@@ -237,26 +257,47 @@ class _StepCosts:
 
         means = np.einsum("ij,nj->ni", self.f, prior.means)
         covs = symmetrize(self.f @ prior.covs @ self.f.T + self.q)
-        log_alive = _log(motion.p_survival)
-        log_dead = _log1m_exp(log_alive)
+        survive = _log(motion.p_survival)
+        birth_alive = [_log(e.r_birth) for e in births]
+        log_alive = [survive] * n_prior + birth_alive
+        log_dead = [_log1m_exp(survive)] * n_prior + list(map(_log1m_exp, birth_alive))
         if births:
             means = np.concatenate([means, [e.density.mean for e in births]])
             covs = np.concatenate([covs, [e.density.covariance for e in births]])
-            alive = [_log(e.r_birth) for e in births]
-            log_dead = np.array([log_dead] * n_prior + [_log1m_exp(a) for a in alive])[:, None]
-            log_alive = np.array([log_alive] * n_prior + alive)[:, None]
         self._means, self._covs = means, covs
-        self.table = np.empty((len(means), 2 + len(self.z)))
-        self.table[:, :1] = log_dead
-        self.table[:, 1:2] = log_alive + _log(1.0 - sensor.p_detect)
-        if self.z.size:
-            s = covs[:, 0, 0] + sensor.sigma_m**2
-            # math.log, not np.log: it rounds as the single-object code does.
-            log_s = np.array([math.log(v) for v in s.tolist()])
-            innov = self.z - means[:, :1]
-            ll = -0.5 * (innov * innov / s[:, None] + LOG_2PI + log_s[:, None])
-            log_kappa = max(sensor.log_clutter_intensity(), _LOG_KAPPA_FLOOR)
-            self.table[:, 2:] = log_alive + _log(sensor.p_detect) + ll - log_kappa
+        log_miss = _log(1.0 - sensor.p_detect)
+        log_detect = _log(sensor.p_detect)
+        r = sensor.sigma_m**2
+        log_kappa = max(sensor.log_clutter_intensity(), _LOG_KAPPA_FLOOR)
+        width = 2 + len(self.z)
+        # math.log, not np.log, on both paths: it rounds as the single-object
+        # code does.
+        if len(means) < _ROWS_AS_ARRAYS:
+            table = []
+            for alive, dead, (m0, _), ((p00, _), _) in zip(
+                log_alive, log_dead, means.tolist(), covs.tolist()
+            ):
+                table.append([dead, alive + log_miss])
+                if self.z:
+                    s = p00 + r
+                    log_s = math.log(s)
+                    log_hit = alive + log_detect
+                    table[-1] += [
+                        log_hit + -0.5 * ((z - m0) * (z - m0) / s + LOG_2PI + log_s) - log_kappa
+                        for z in self.z
+                    ]
+            self.table = np.array(table).reshape(-1, width)
+        else:
+            alive = np.array(log_alive)[:, None]
+            self.table = np.empty((len(means), width))
+            self.table[:, :1] = np.array(log_dead)[:, None]
+            self.table[:, 1:2] = alive + log_miss
+            if self.z:
+                s = covs[:, 0, 0] + r
+                log_s = np.array([math.log(v) for v in s.tolist()])
+                innov = np.array(self.z) - means[:, :1]
+                ll = -0.5 * (innov * innov / s[:, None] + LOG_2PI + log_s[:, None])
+                self.table[:, 2:] = alive + log_detect + ll - log_kappa
 
     def values(self, parent: int) -> np.ndarray:
         return self.table.take(self.rows[parent], axis=0)
@@ -271,7 +312,10 @@ class _StepCosts:
         column 1 UNDETECTED and keeps the row's predicted density, and
         column c >= 2 takes its posterior under measurement c - 2.  Every
         distinct (row, column) with a density is one state row, in order of
-        first use; all posteriors come from one batched Kalman update.
+        first use.  Fewer than ``_ROWS_AS_ARRAYS`` state rows are written
+        one by one on Python floats, the posteriors by ``_joseph``; more
+        are gathered as arrays and their posteriors come from one batched
+        ``kalman_update_rows``.  Both round as ``kalman_update`` does.
         """
         n_labels, width = len(self.labels), self.table.shape[1]
         slots: dict[int, int] = {}  # row * width + column -> state row
@@ -284,12 +328,26 @@ class _StepCosts:
                 if col >= 1:
                     state[base + c] = slots.setdefault(row * width + col, len(slots))
         keys = list(slots)
-        rows = [key // width for key in keys]
-        means, covs = self._means[rows], self._covs[rows]
-        post = [slot for slot, key in enumerate(keys) if key % width >= 2]
-        if post:
-            z = self.z[[keys[slot] % width - 2 for slot in post]]
-            means[post], covs[post] = kalman_update_rows(means[post], covs[post], z, self.sensor)
+        if len(keys) < _ROWS_AS_ARRAYS:
+            pred_means, pred_covs = self._means.tolist(), self._covs.tolist()
+            means, covs = [], []  # flat, row after row
+            for key in keys:
+                row, col = divmod(key, width)
+                (m0, m1), ((p00, p01), (p10, p11)) = pred_means[row], pred_covs[row]
+                if col >= 2:
+                    r = _measurement_variance(self.sensor)
+                    m0, m1, p00, p01, p11 = _joseph(r, m0, m1, p00, p01, p11, self.z[col - 2])
+                    p10 = p01
+                means += (m0, m1)
+                covs += (p00, p01, p10, p11)
+            means, covs = np.array(means).reshape(-1, 2), np.array(covs).reshape(-1, 2, 2)
+        else:
+            rows = [key // width for key in keys]
+            means, covs = self._means[rows], self._covs[rows]
+            post = [slot for slot, key in enumerate(keys) if key % width >= 2]
+            if post:
+                z = np.array([self.z[keys[slot] % width - 2] for slot in post])
+                means[post], covs[post] = kalman_update_rows(means[post], covs[post], z, self.sensor)
         shape = (len(kept), n_labels)
         outcome, state = np.array(outcome, dtype=int), np.array(state, dtype=int)
         return outcome.reshape(shape), state.reshape(shape), means, covs
@@ -351,7 +409,8 @@ def joint_predict_update(
     parent's cost matrix to that parent's history.  The solvers return every
     solution at most once and distinct parents carry distinct histories, so
     no two children share an identity and none need merging.  Children are
-    weighed, pruned and capped as one array in parent order; the kept ones
+    weighed as one array in parent order, then pruned and capped, on Python
+    floats when they are fewer than ``_ROWS_AS_ARRAYS``; the kept ones
     become the arrays of the returned density, which points back at
     ``glmb``.  The result does not depend on scheduling.  Non-finite
     measurements raise ValueError.
@@ -381,20 +440,31 @@ def joint_predict_update(
         )
 
     parent_logw = prior.log_weights.tolist()
-    logw = np.concatenate([parent_logw[p] + sols.scores for p, sols in solved])
+    logw = [parent_logw[p] + sols.scores for p, sols in solved]
+    logw = logw[0] if len(logw) == 1 else np.concatenate(logw)
     norm = logw - log_sum_weights(logw)
-    keep = (np.exp(norm) >= trunc.min_weight).nonzero()[0]
-    if keep.size == 0:
-        keep = np.array([int(np.argmax(norm))])
-    order = keep[np.argsort(-norm[keep], kind="stable")][: trunc.max_hypotheses]
-    kept = norm[order]
+    weights = np.exp(norm)
+    if len(norm) < _ROWS_AS_ARRAYS:
+        norm_l = norm.tolist()
+        keep = [c for c, w in enumerate(weights.tolist()) if w >= trunc.min_weight]
+        if not keep:
+            keep = [max(range(len(norm_l)), key=norm_l.__getitem__)]
+        order = sorted(keep, key=lambda c: -norm_l[c])[: trunc.max_hypotheses]
+        kept = np.array([norm_l[c] for c in order])
+    else:
+        keep = (weights >= trunc.min_weight).nonzero()[0]
+        if keep.size == 0:
+            keep = np.array([int(np.argmax(norm))])
+        order = keep[np.argsort(-norm[keep], kind="stable")][: trunc.max_hypotheses]
+        kept = norm[order]
+        order = order.tolist()
     final_logw = kept - log_sum_weights(kept)
 
     starts = [0]  # index of each solved parent's first child in logw
     for _, sols in solved:
         starts.append(starts[-1] + len(sols))
     children = []  # (parent index, solution) of each kept child
-    for child in order.tolist():
+    for child in order:
         s_idx = bisect.bisect_right(starts, child) - 1
         p_idx, sols = solved[s_idx]
         children.append((p_idx, sols.cols[child - starts[s_idx]].tolist()))

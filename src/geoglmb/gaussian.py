@@ -7,6 +7,7 @@ one Gaussian.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,12 +111,14 @@ def symmetrize(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
+@functools.lru_cache(maxsize=256)
 def transition_matrices(motion: MotionModel, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix and process noise for a depth interval of length delta.
 
     Discretized white-noise-acceleration form: the rate coordinate receives a
     random kick of standard deviation sigma_p over the interval, integrated
-    into the value coordinate.
+    into the value coordinate.  The pair is cached per (motion, delta), since
+    a filter meets the same intervals at every run, and is read-only.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"interval length must be finite and > 0, got {delta}")
@@ -124,6 +127,7 @@ def transition_matrices(motion: MotionModel, delta: float) -> tuple[np.ndarray, 
     q = motion.sigma_p**2 * np.array(
         [[d2 * d2 / 4.0, d2 * delta / 2.0], [d2 * delta / 2.0, d2]]
     )
+    f.flags.writeable = q.flags.writeable = False
     return f, q
 
 
@@ -132,16 +136,21 @@ def kalman_predict(g: Gaussian, f: np.ndarray, q: np.ndarray) -> Gaussian:
     return Gaussian(f @ g.mean, f @ g.covariance @ f.T + q)
 
 
+def _measurement_variance(sensor: SensorModel) -> float:
+    """sigma_m squared; a Kalman update needs it positive."""
+    if sensor.sigma_m <= 0:
+        raise ValueError("kalman_update needs sigma_m > 0")
+    return sensor.sigma_m**2
+
+
 def kalman_update(g: Gaussian, z: float, sensor: SensorModel) -> tuple[Gaussian, float]:
     """Bayes update of one Gaussian with a scalar value measurement.
 
     Returns the posterior and the log marginal likelihood of z.  Joseph-form
     covariance keeps the result PSD.
     """
-    if sensor.sigma_m <= 0:
-        raise ValueError("kalman_update needs sigma_m > 0")
+    r = _measurement_variance(sensor)
     p = g.covariance
-    r = sensor.sigma_m**2
     s = p[0, 0] + r
     if s <= 0:
         raise FilterDivergenceError(
@@ -178,9 +187,14 @@ def _joseph(r, m0, m1, p00, p01, p11, z):
     )
 
 
-# The array pass makes about 30 ufunc calls whatever the row count, as
-# costly as some 15 rows of the loop over Python floats, so smaller batches
-# (most steps of a one-label filter) take the loop.
+# A pass over numpy arrays makes some 10-30 calls whatever its row count, as
+# costly as about 15 rows of a loop over Python floats, so smaller batches
+# take the loop.  Its users in ``filter``, each switching on its own row
+# count: the cost table of ``_StepCosts`` (table rows), the posteriors of
+# ``_StepCosts.children`` (the kept children's state rows, by ``_joseph``
+# on floats below the switch and by ``kalman_update_rows`` from it), and the
+# prune and cap order of ``joint_predict_update`` (children).  Most steps of
+# a one-label filter fall below it, most joint-mode steps above.
 _ROWS_AS_ARRAYS = 16
 
 
@@ -188,20 +202,12 @@ def kalman_update_rows(
     means: np.ndarray, covs: np.ndarray, z: np.ndarray, sensor: SensorModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means [N,2] and covariances [N,2,2] of N Gaussians, row i
-    updated by measurement z[i].
+    updated by measurement z[i], as one pass over arrays.
 
     Every row rounds as ``kalman_update`` does.  The Joseph-form covariance
     is symmetric by construction and is not symmetrized.
     """
-    if sensor.sigma_m <= 0:
-        raise ValueError("kalman_update needs sigma_m > 0")
-    r = sensor.sigma_m**2
-    if len(z) >= _ROWS_AS_ARRAYS:
-        cols = (means[:, 0], means[:, 1], covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1], z)
-        post = np.stack(_joseph(r, *cols), axis=1)
-    else:
-        rows = zip(means.tolist(), covs.tolist(), z.tolist())
-        post = np.array([
-            _joseph(r, m0, m1, p00, p01, p11, zi) for (m0, m1), ((p00, p01), (_, p11)), zi in rows
-        ]).reshape(-1, 5)
+    r = _measurement_variance(sensor)
+    cols = (means[:, 0], means[:, 1], covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1], z)
+    post = np.stack(_joseph(r, *cols), axis=1)
     return post[:, :2], post[:, [2, 3, 3, 4]].reshape(-1, 2, 2)

@@ -206,11 +206,12 @@ def empty_density(step: int = 0) -> GlmbDensity:
 
 
 def log_sum_weights(log_weights: np.ndarray) -> float:
-    """Max-shifted log of the summed weights; -inf entries contribute zero."""
-    shift = float(log_weights.max())
+    """Max-shifted log of the summed weights of a 1-D array; -inf entries
+    contribute zero."""
+    shift = float(np.maximum.reduce(log_weights))
     if shift == -np.inf:
         return -np.inf
-    return shift + float(np.log(np.exp(log_weights - shift).sum()))
+    return shift + float(np.log(np.add.reduce(np.exp(log_weights - shift))))
 
 
 def cardinality_distribution(glmb: GlmbDensity) -> np.ndarray:

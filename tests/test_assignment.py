@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geoglmb.assignment
 from geoglmb.assignment import (
     _ENUMERATION_LIMIT,
     Solutions,
@@ -399,6 +401,34 @@ def test_ranked_equals_murty_across_the_enumeration_limit(data):
     got = ranked_solutions(cost, k)
     assert_same_solutions(got, murty)
     assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_few_combinations_on_floats_equal_the_array_pass(data):
+    # 1-3 rows of 2-4 columns hold 2 to 20 valid combinations, on both sides
+    # of _FEW_COMBOS; integer entries tie, -0.0 checks the +0.0 start, and a
+    # row may be all -inf.  k runs below, at and above the combination count.
+    n_rows = data.draw(st.integers(1, 3))
+    n_cols = data.draw(st.integers(2, 4))
+    entry = st.one_of(st.integers(-2, 2).map(float), st.floats(-4.0, 4.0),
+                      st.just(-0.0), st.just(-math.inf))
+    cost = np.array(
+        data.draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                           min_size=n_rows, max_size=n_rows))
+    )
+    if data.draw(st.booleans()):
+        cost[data.draw(st.integers(0, n_rows - 1))] = -math.inf
+    n_combos = _valid_combos(n_rows, n_cols).shape[1]
+    k = data.draw(st.one_of(st.none(), st.integers(1, n_combos + 2)))
+    with patch.object(geoglmb.assignment, "_FEW_COMBOS", 0):
+        arrays = _enumerate_scored(cost, k)
+    with patch.object(geoglmb.assignment, "_FEW_COMBOS", 10**9):
+        floats = _enumerate_scored(cost, k)
+    for got in (floats, _enumerate_scored(cost, k)):
+        assert got.cols.shape == arrays.cols.shape
+        assert got.scores.dtype == arrays.scores.dtype
+        assert_same_solutions(got, arrays)
 
 
 def test_limit_splits_the_hypothesis_shapes():

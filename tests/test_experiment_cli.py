@@ -23,6 +23,15 @@ FAST = dict(
 )
 
 
+@pytest.fixture(scope="module")
+def exported_trial(tmp_path_factory):
+    """The trial directory of one exported independent-mode run."""
+    out = tmp_path_factory.mktemp("run")
+    assert main(["run", "--site", "onsoy", "--mode", "independent", "--seed", "3",
+                 "--out", str(out)]) == 0
+    return out / "trials" / "trial_000"
+
+
 class TestExperimentConfig:
     def test_defaults_match_reference_setup(self):
         config = ExperimentConfig()
@@ -329,6 +338,43 @@ class TestCli:
             assert code == 2
             err = capsys.readouterr().err
             assert all(part in err for part in expected), err
+
+    BAD_CELLS = [
+        ("estimates", "label", "x"),
+        ("estimates", "label", "1:-3"),
+        ("scenario", "depth", "-1"),
+        ("estimates", "step", "1.5"),
+        ("estimates", "step", "0"),
+        ("estimates", "step", "999"),
+    ]
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    @pytest.mark.parametrize("table, column, text", BAD_CELLS)
+    def test_bad_cell_exit_code(self, exported_trial, tmp_path, capsys, command, table,
+                                column, text):
+        paths = {name: exported_trial / f"{name}.csv" for name in ("scenario", "estimates")}
+        rows = [line.split(",") for line in paths[table].read_text().splitlines()]
+        rows[2][rows[0].index(column)] = text
+        paths[table] = tmp_path / f"bad_{table}.csv"
+        paths[table].write_text("".join(",".join(row) + "\n" for row in rows))
+        code = main([command, "--scenario", str(paths["scenario"]),
+                     "--estimates", str(paths["estimates"]), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        for part in (f"bad_{table}.csv", "row 2", f"column {column}", repr(text)):
+            assert part in err, err
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_header_only_scenario_exit_code(self, exported_trial, tmp_path, capsys, command):
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text((exported_trial / "scenario.csv").read_text().splitlines()[0] + "\n")
+        code = main([command, "--scenario", str(header_only),
+                     "--estimates", str(exported_trial / "estimates.csv"),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        for part in ("header_only.csv", "header row", "column kind"):
+            assert part in err, err
 
     CONFIG_FLAGS = [
         ("--site", "taipei", "site", "taipei"),

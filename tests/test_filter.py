@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from scipy.stats import norm
 
 import geoglmb.experiment
 import geoglmb.filter
-from conftest import enumeration_oracle, kf_oracle, simple_birth
+from conftest import enumeration_oracle, kf_oracle, make_density, simple_birth
 from geoglmb.errors import InfeasibleAssociationError, WeightCollapseError
 from geoglmb.experiment import ExperimentConfig, run_trial
 from geoglmb.filter import (
     AssociationMap,
+    BirthEntry,
     BirthModel,
     TruncationConfig,
     build_log_cost,
@@ -557,6 +559,88 @@ class TestBoundaryProperties:
         with pytest.raises(ValueError, match="interval"):
             run_sequence(deltas, [[48.0], [51.0], [50.0]], birth, MotionModel(),
                          SensorModel(), EXHAUSTIVE)
+
+
+_DENSITY_FIELDS = ("log_weights", "state", "outcome", "parent", "means", "covs")
+
+
+def _under_switch(switch, step):
+    """``step()`` with the float/array switch of the filter at ``switch``;
+    an error is returned as its type and message."""
+    with patch.object(geoglmb.filter, "_ROWS_AS_ARRAYS", switch):
+        try:
+            return step()
+        except (InfeasibleAssociationError, WeightCollapseError) as exc:
+            return type(exc), str(exc)
+
+
+def assert_same_densities(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.step == b.step and a.arrays.labels == b.arrays.labels
+        for name in _DENSITY_FIELDS:
+            x, y = getattr(a.arrays, name), getattr(b.arrays, name)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+            assert x.tobytes() == y.tobytes(), name
+
+
+class TestFloatAndArrayStepsAgree:
+    """A step whose phases run on Python floats (switch raised above every
+    row count) or as numpy arrays (switch at 0) gives the bits of the
+    default, which picks per phase."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_runs_and_steps_equal_bit_for_bit(self, data):
+        draw = data.draw
+        n_births = draw(st.integers(1, 3))
+        birth = BirthModel(tuple(
+            BirthEntry(
+                Label(1, i),
+                draw(st.sampled_from([0.3, 0.9, 1.0])),  # 1.0: a -inf death cell
+                Gaussian([draw(st.floats(0.0, 100.0)), draw(st.floats(-2.0, 2.0))],
+                         np.diag([draw(st.floats(1.0, 400.0)), 1.0])),
+            )
+            for i in range(n_births)
+        ))
+        motion = MotionModel(sigma_p=draw(st.floats(0.0, 1.0)),
+                             p_survival=draw(st.sampled_from([1.0, 0.99, 0.7])))
+        sensor = SensorModel(sigma_m=draw(st.floats(1.0, 20.0)),
+                             p_detect=draw(st.sampled_from([0.5, 0.95, 1.0])),
+                             clutter_rate=draw(st.sampled_from([0.0, 1e-6, 3.0])))
+        trunc = TruncationConfig(
+            method=draw(st.sampled_from(["ranked", "gibbs"])),
+            requested_hypotheses=draw(st.sampled_from([2, 8, 64])),
+            gibbs_iterations=20,
+            min_weight=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
+            max_hypotheses=draw(st.sampled_from([3, 40])),
+        )
+        n_steps = draw(st.integers(1, 4))
+        deltas = draw(st.lists(st.floats(0.1, 2.0), min_size=n_steps, max_size=n_steps))
+        readings = st.lists(st.floats(0.0, 120.0), max_size=3)
+        sets = draw(st.lists(readings, min_size=n_steps, max_size=n_steps))
+
+        def run():
+            return run_sequence(deltas, sets, birth, motion, sensor, trunc)
+
+        # one step from a prior of several parents sharing no rows, with births
+        prior = make_density(np.random.default_rng(draw(st.integers(0, 2**16))),
+                             n_hypotheses=draw(st.integers(1, 8)))
+        later_birth = BirthModel(tuple(
+            BirthEntry(Label(2, e.label.index), e.r_birth, e.density) for e in birth.entries
+        ))
+
+        def step():
+            return [joint_predict_update(prior, later_birth, sets[0], motion, sensor,
+                                         deltas[0], trunc)]
+
+        for job in (run, step):
+            want = _under_switch(geoglmb.filter._ROWS_AS_ARRAYS, job)
+            for switch in (0, 10**9):
+                assert_same_densities(_under_switch(switch, job), want)
 
 
 def _identity_mass(key, glmb, birth, zs, motion, sensor, delta):

@@ -152,7 +152,7 @@ class TestKalmanUpdate:
 class TestKalmanUpdateRows:
     @pytest.mark.parametrize("n_rows", [1, 5, 15, 16, 200])
     def test_rows_equal_kalman_update_bit_for_bit(self, n_rows):
-        # below and above the size where the rows switch from floats to arrays
+        # row counts below and above the filter's float/array switch
         rng = np.random.default_rng(23 + n_rows)
         for _ in range(10):
             comps = [random_component(rng) for _ in range(n_rows)]
