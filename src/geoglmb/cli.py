@@ -24,15 +24,15 @@ from .experiment import (
     run_experiment,
     write_plots,
 )
-from .scenario import scenario_to_csv, synthesize_observations, load_site_table
+from .scenario import scenario_to_csv, synthesize_observations
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 _CSV_VIEW = (
-    "A scenario.csv does not record the run's settings: the scenario is rebuilt "
-    'with the default sensor model and mode "joint".'
+    "Labels are paired with properties as the run paired them, from the property "
+    "column of the estimates CSV."
 )
 
 
@@ -76,7 +76,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    records = load_site_table(config.resolve_site())
+    site_path, records = config.site_records()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = synthesize_observations(
@@ -84,7 +84,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         config.sensor(),
         mode=config.mode,
         seed=config.seed,
-        site_name=config.resolve_site().stem,
+        site_name=site_path.stem,
     )
     target = out_dir / "scenario.csv"
     scenario_to_csv(scenario, target)
@@ -142,9 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser(
         "eval",
         help="metrics from existing scenario/estimates CSVs",
-        description=_CSV_VIEW + " Metrics never read the sensor. They read the mode only "
-        "to pair labels with properties, by least total RMSE as in a joint run, and "
-        'report.json states mode "joint".',
+        description=_CSV_VIEW + " A scenario.csv does not record the run's settings, "
+        'so report.json states mode "joint" for any run.',
     )
     p_eval.add_argument("--scenario", required=True, type=Path)
     p_eval.add_argument("--estimates", required=True, type=Path)
@@ -154,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser(
         "plot",
         help="SVG profiles from existing CSVs",
-        description=_CSV_VIEW + " Plots never read the sensor. They read the mode only "
-        "to pair labels with properties, by least total RMSE as in a joint run.",
+        description=_CSV_VIEW,
     )
     p_plot.add_argument("--scenario", required=True, type=Path)
     p_plot.add_argument("--estimates", required=True, type=Path)

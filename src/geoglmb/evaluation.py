@@ -111,18 +111,20 @@ def track_values_on_schedule(series: EstimateSeries, n_depths: int) -> dict:
     return out
 
 
-def _match_labels(
-    truth: np.ndarray, aligned: dict
-) -> dict[str, object]:
-    """Assign labels to property columns by minimal total value-RMSE.
+def label_property_matching(truth: np.ndarray, series: EstimateSeries, aligned: dict) -> dict:
+    """Which estimated label carries which property column.
 
-    Considers every injection between the smaller and larger side, so the
-    result is invariant to how labels are numbered.
+    Tracks that carry the property their run paired them with keep it.  When
+    none does, labels are matched to the columns of ``truth`` by least total
+    value-RMSE on ``aligned`` (from track_values_on_schedule), over every
+    injection between the smaller and larger side, so the result is
+    invariant to how labels are numbered.
     """
+    carried = {track.prop: track.label for track in series.tracks if track.prop is not None}
     labels = sorted(aligned)
+    if carried or not labels:
+        return carried
     n_props = truth.shape[1]
-    if not labels:
-        return {}
     prop_idx = range(n_props)
 
     def pair_cost(lbl, p):
@@ -146,28 +148,11 @@ def _match_labels(
     return {PROPERTIES[p]: lbl for p, lbl in best.items()}
 
 
-def label_property_matching(scenario: Scenario, series: EstimateSeries) -> dict:
-    """Which estimated label carries which property column.
-
-    Independent-mode runs birth label (1, i) for property i by construction;
-    joint-mode labels are matched by minimal total RMSE.
-    """
-    aligned = track_values_on_schedule(series, len(scenario.records))
-    if scenario.mode == "independent":
-        matching = {}
-        for prop_i, prop in enumerate(PROPERTIES):
-            for lbl in aligned:
-                if lbl.index == prop_i:
-                    matching[prop] = lbl
-        return matching
-    return _match_labels(scenario.truth_matrix(), aligned)
-
-
 def _trial_metrics(scenario: Scenario, series: EstimateSeries) -> dict:
     truth = scenario.truth_matrix()
     n_depths = truth.shape[0]
     aligned = track_values_on_schedule(series, n_depths)
-    matching = label_property_matching(scenario, series)
+    matching = label_property_matching(truth, series, aligned)
 
     per_property = {}
     for p_idx, prop in enumerate(PROPERTIES):
@@ -208,8 +193,8 @@ def build_report(
 ) -> RunReport:
     """Report for one primary trial, with mc_summary over it plus mc_runs.
 
-    In joint mode estimated labels are matched to property columns by the
-    minimal-total-RMSE bijection before per-property metrics are computed.
+    Estimated labels are paired with property columns by
+    label_property_matching before per-property metrics are computed.
     """
     if estimates is None or not estimates.tracks:
         raise ValueError("no estimates to report on")

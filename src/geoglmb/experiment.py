@@ -173,6 +173,20 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigError(f"site {self.site!r} is neither a file nor a bundled name")
 
+    def site_records(self) -> tuple[Path, list[SiteRecord]]:
+        """The site table's path and records.  A malformed table, or one of
+        fewer than two depth rows, raises SiteTableError naming the file."""
+        path = self.resolve_site()
+        try:
+            records = load_site_table(path)
+        except SiteTableError as exc:
+            raise SiteTableError(f"{path}: {exc}") from None
+        if len(records) < 2:
+            raise SiteTableError(
+                f"{path}: {len(records)} depth rows, need at least two to form intervals"
+            )
+        return path, records
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)}
@@ -230,8 +244,8 @@ def run_trial(
 
     Joint mode filters all properties as one group and returns its readout.
     Independent mode filters each property alone and merges the readouts in
-    property order: tracks concatenate; MAP cardinalities, MAP log-weights
-    and per-step hypothesis counts add.
+    property order: tracks concatenate, each carrying its group's property;
+    MAP cardinalities, MAP log-weights and per-step hypothesis counts add.
     """
     sensor = config.sensor()
     motion = config.motion()
@@ -255,7 +269,11 @@ def run_trial(
         return scenario, parts[0]
     return scenario, EstimateSeries(
         depths=np.asarray(depths, dtype=float),
-        tracks=tuple(track for part in parts for track in part.tracks),
+        tracks=tuple(
+            dataclasses.replace(track, prop=prop)
+            for prop, part in zip(PROPERTIES, parts)
+            for track in part.tracks
+        ),
         map_cardinality=sum(part.map_cardinality for part in parts),
         map_log_weight=sum(part.map_log_weight for part in parts),
         hypothesis_counts=tuple(map(sum, zip(*(part.hypothesis_counts for part in parts)))),
@@ -280,8 +298,7 @@ def run_monte_carlo(
     the report does not depend on scheduling.
     """
     config.validate()
-    site_path = config.resolve_site()
-    records = load_site_table(site_path)
+    site_path, records = config.site_records()
     jobs = [
         (records, config, site_path.stem, config.seed + t)
         for t in range(config.mc_trials)
@@ -299,7 +316,8 @@ def run_monte_carlo(
 def write_estimates_csv(scenario: Scenario, series: EstimateSeries, target) -> None:
     """Write `step,depth,label,property,mean,variance` rows for one trial to
     the path ``target``."""
-    matching = label_property_matching(scenario, series)
+    aligned = track_values_on_schedule(series, len(scenario.records))
+    matching = label_property_matching(scenario.truth_matrix(), series, aligned)
     label_to_prop = {lbl: prop for prop, lbl in matching.items()}
 
     def rows():
@@ -328,7 +346,7 @@ def write_plots(scenario: Scenario, series: EstimateSeries, out_dir: Path) -> li
     depths = scenario.depths
     truth = scenario.truth_matrix()
     aligned = track_values_on_schedule(series, len(depths))
-    matching = label_property_matching(scenario, series)
+    matching = label_property_matching(truth, series, aligned)
 
     written = []
     for p_idx, prop in enumerate(PROPERTIES):
@@ -398,18 +416,16 @@ def _read_csv(path, columns: Sequence[str], numeric: Sequence[str]):
 
 
 def read_scenario_csv(path) -> Scenario:
-    """Rebuild a Scenario from an exported scenario.csv (joint-mode view).
+    """Rebuild a Scenario from an exported scenario.csv.
 
     The CSV holds truth, observations, clutter and the seed, not the run's
     settings, so the rebuilt scenario carries a default ``SensorModel()`` and
-    ``mode="joint"`` whatever the run used.  Metrics and plots never read the
-    sensor.  They read the mode only to pair estimated labels with
-    properties: a joint-mode scenario pairs them by least total RMSE, while
-    an independent run pairs label (1, i) with property i.  So metrics of a
-    joint run are reproduced up to the CSVs' rounding, and ``report.json``
-    states mode "joint" for any run.  A depth that is not positive, or a
-    file with no truth row, raises SiteTableError naming the file, the row
-    and the column.
+    ``mode="joint"`` whatever the run used.  Metrics and plots read neither,
+    but ``report.json`` states mode "joint" for any run.  A depth that is not
+    positive, a kind other than truth, obs or clutter, or a truth or obs row
+    naming no property raises SiteTableError naming the file, the row and
+    the column; so does a file with no truth row, or a depth short of a
+    truth row for each property.
     """
     truth_rows: dict[float, dict[str, float]] = {}
     obs: dict[float, dict[str, float]] = {}
@@ -417,18 +433,32 @@ def read_scenario_csv(path) -> Scenario:
     seed = 0
     columns = ("kind", "property_or_unknown")
     for row_num, row, (depth, value, seed) in _read_csv(path, columns, ("depth", "value", "seed")):
+        where = f"{path}: row {row_num}"
         if depth <= 0:
-            raise SiteTableError(f"{path}: row {row_num}, column depth: must be > 0, got {row['depth']!r}")
+            raise SiteTableError(f"{where}, column depth: must be > 0, got {row['depth']!r}")
         kind, prop = row["kind"], row["property_or_unknown"]
+        if kind not in ("truth", "obs", "clutter"):
+            raise SiteTableError(
+                f"{where}, column kind: must be truth, obs or clutter, got {kind!r}"
+            )
+        if kind != "clutter" and prop not in PROPERTIES:
+            raise SiteTableError(
+                f"{where}, column property_or_unknown: a {kind} row must name "
+                f"{', '.join(PROPERTIES)}, got {prop!r}"
+            )
         if kind == "truth":
             truth_rows.setdefault(depth, {})[prop] = value
         elif kind == "obs":
             obs.setdefault(depth, {})[prop] = value
-        elif kind == "clutter":
+        else:
             clutter.setdefault(depth, []).append(value)
 
     if not truth_rows:
         raise SiteTableError(f"{path}: no row after the header row has 'truth' in column kind")
+    for depth, values in truth_rows.items():
+        missing = [p for p in PROPERTIES if p not in values]
+        if missing:
+            raise SiteTableError(f"{path}: no truth row for {missing} at depth {depth:g}")
     records = tuple(
         SiteRecord(depth=d, values=vals) for d, vals in sorted(truth_rows.items())
     )
@@ -462,13 +492,17 @@ def read_estimates_csv(path, n_depths: int | None = None) -> EstimateSeries:
 
     A step must be a whole number from 1 to ``n_depths`` (the depth count
     of the run's schedule; no upper bound when None) and a label must read
-    ``<birth step>:<index>`` in non-negative integers.  Otherwise, as for a
+    ``<birth step>:<index>`` in non-negative integers.  A property is one
+    of LL, PI, w or unknown (the track carries None), the same on every row
+    of a label, and no two labels name one property.  Otherwise, as for a
     missing column or a bad number, SiteTableError names the file, the row
     and the column.
     """
     per_label: dict[Label, list[tuple[float, float, float, float]]] = {}
+    props: dict[Label, str] = {}
+    owners: dict[str, Label] = {}
     numeric = ("step", "depth", "mean", "variance")
-    for row_num, row, values in _read_csv(path, ("label",), numeric):
+    for row_num, row, values in _read_csv(path, ("label", "property"), numeric):
         where = f"{path}: row {row_num}"
         step = values[0]
         if not step.is_integer() or step < 1 or (n_depths is not None and step > n_depths):
@@ -483,6 +517,21 @@ def read_estimates_csv(path, n_depths: int | None = None) -> EstimateSeries:
                 f"integers, got {row['label']!r}"
             )
         label = Label(int(parts[0]), int(parts[1]))
+        prop = row["property"]
+        if prop not in (*PROPERTIES, "unknown"):
+            raise SiteTableError(
+                f"{where}, column property: must be one of {', '.join(PROPERTIES)} "
+                f"or unknown, got {prop!r}"
+            )
+        if props.setdefault(label, prop) != prop:
+            raise SiteTableError(
+                f"{where}, column property: label {label} is {props[label]!r} on an "
+                f"earlier row, got {prop!r}"
+            )
+        if prop != "unknown" and owners.setdefault(prop, label) != label:
+            raise SiteTableError(
+                f"{where}, column property: {prop!r} is already label {owners[prop]}'s"
+            )
         per_label.setdefault(label, []).append(tuple(values))
     tracks = []
     depths_all: set[float] = set()
@@ -498,6 +547,7 @@ def read_estimates_csv(path, n_depths: int | None = None) -> EstimateSeries:
                 values=means,
                 rates=np.zeros_like(means),
                 variances=variances,
+                prop=None if props[label] == "unknown" else props[label],
             )
         )
     return EstimateSeries(

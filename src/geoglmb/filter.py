@@ -508,7 +508,8 @@ def run_sequence(
 
 @dataclass(frozen=True)
 class TrackEstimate:
-    """Per-depth state readout for one label along the MAP hypothesis."""
+    """Per-depth state readout for one label along the MAP hypothesis, and
+    the property the run paired the label with (None: paired by value)."""
 
     label: Label
     steps: np.ndarray
@@ -516,6 +517,7 @@ class TrackEstimate:
     values: np.ndarray
     rates: np.ndarray
     variances: np.ndarray
+    prop: str | None = None
 
 
 @dataclass(frozen=True)

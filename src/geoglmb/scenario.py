@@ -129,10 +129,9 @@ def load_site_table(source) -> list[SiteRecord]:
         return []
 
     reader = csv.DictReader(io.StringIO(text))
-    header = [h.strip() for h in reader.fieldnames or []]
-    required = ["depth", *PROPERTIES]
-    for column in required:
-        if column not in header:
+    reader.fieldnames = [h.strip() for h in reader.fieldnames or []]
+    for column in ("depth", *PROPERTIES):
+        if column not in reader.fieldnames:
             raise SiteTableError(f"header row: missing column {column!r}")
 
     records: list[SiteRecord] = []
@@ -205,7 +204,8 @@ def synthesize_observations(
         for d_idx in range(n):
             vals = [prop_obs[d_idx, p] for p in range(n_props) if detected[d_idx, p]]
             n_clutter = int(clutter_rng.poisson(sensor.clutter_rate))
-            vals.extend(clutter_rng.uniform(lo, hi, size=n_clutter).tolist())
+            if n_clutter:
+                vals.extend(clutter_rng.uniform(lo, hi, size=n_clutter).tolist())
             order = shuffle_rng.permutation(len(vals))
             sets.append(tuple(float(vals[i]) for i in order))
         measurement_sets = tuple(sets)
@@ -219,7 +219,8 @@ def synthesize_observations(
             for p_idx in range(n_props):
                 vals = [float(prop_obs[d_idx, p_idx])] if detected[d_idx, p_idx] else []
                 n_clutter = int(clutter_rngs[p_idx].poisson(sensor.clutter_rate))
-                vals.extend(clutter_rngs[p_idx].uniform(lo, hi, size=n_clutter).tolist())
+                if n_clutter:
+                    vals.extend(clutter_rngs[p_idx].uniform(lo, hi, size=n_clutter).tolist())
                 per_prop.append(tuple(vals))
             sets.append(tuple(per_prop))
         measurement_sets = tuple(sets)

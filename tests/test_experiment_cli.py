@@ -245,29 +245,36 @@ class TestCli:
     def test_eval_reproduces_joint_run_metrics_with_non_default_sensor(self, tmp_path):
         # The scenario CSV keeps no sensor settings; eval's rebuilt scenario
         # carries the default sensor, which the metrics must not depend on.
-        code = main([
-            "run", "--site", "taipei", "--mode", "joint", "--seed", "5", "--mc", "1",
-            "--pd", "0.75", "--sigma-m", "6", "--clutter", "0.6",
-            "--trunc", "ranked", "--hyps", "24", "--out", str(tmp_path / "run"),
-        ])
-        assert code == 0
-        trial = tmp_path / "run" / "trials" / "trial_000"
-        code = main([
-            "eval", "--scenario", str(trial / "scenario.csv"),
-            "--estimates", str(trial / "estimates.csv"), "--out", str(tmp_path / "eval"),
-        ])
-        assert code == 0
-        run = json.loads((tmp_path / "run" / "report.json").read_text())
-        evaluated = json.loads((tmp_path / "eval" / "report.json").read_text())
-        assert run["config"]["p_detect"] == 0.75 and run["config"]["sigma_m"] == 6.0
-        assert evaluated["mode"] == run["mode"] == "joint"
-        assert set(evaluated["per_property"]) == set(run["per_property"]) == {"LL", "PI", "w"}
-        for prop, metrics in run["per_property"].items():
-            got = evaluated["per_property"][prop]
-            assert got["n_detections"] == metrics["n_detections"]
-            # the CSVs hold 10 significant digits
-            assert got["rmse_estimate"] == pytest.approx(metrics["rmse_estimate"], rel=1e-8)
-            assert got["rmse_observation"] == pytest.approx(metrics["rmse_observation"], rel=1e-8)
+        # The independent run is one whose labels least total RMSE would pair
+        # otherwise: eval must pair them as the run did, from estimates.csv.
+        runs = {
+            "joint": ["--site", "taipei", "--mode", "joint", "--seed", "5", "--mc", "1",
+                      "--pd", "0.75", "--sigma-m", "6", "--clutter", "0.6",
+                      "--trunc", "ranked", "--hyps", "24"],
+            "independent": ["--site", "onsoy", "--mode", "independent", "--p-survival", "1",
+                            "--seed", "5", "--mc", "1"],
+        }
+        for mode, flags in runs.items():
+            out = tmp_path / mode
+            assert main(["run", *flags, "--out", str(out / "run")]) == 0
+            trial = out / "run" / "trials" / "trial_000"
+            code = main([
+                "eval", "--scenario", str(trial / "scenario.csv"),
+                "--estimates", str(trial / "estimates.csv"), "--out", str(out / "eval"),
+            ])
+            assert code == 0
+            run = json.loads((out / "run" / "report.json").read_text())
+            evaluated = json.loads((out / "eval" / "report.json").read_text())
+            if mode == "joint":
+                assert run["config"]["p_detect"] == 0.75 and run["config"]["sigma_m"] == 6.0
+            assert run["mode"] == mode and evaluated["mode"] == "joint"
+            assert set(evaluated["per_property"]) == set(run["per_property"]) == {"LL", "PI", "w"}
+            for prop, metrics in run["per_property"].items():
+                got = evaluated["per_property"][prop]
+                assert got["n_detections"] == metrics["n_detections"]
+                # the CSVs hold 10 significant digits
+                for metric in ("rmse_estimate", "rmse_observation", "recovery_rate"):
+                    assert got[metric] == pytest.approx(metrics[metric], rel=1e-8), (mode, prop)
 
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch):
         code = main(["run", "--site", "onsoy", "--pd", "1.5", "--out", str(tmp_path)])
@@ -346,6 +353,11 @@ class TestCli:
         ("estimates", "step", "1.5"),
         ("estimates", "step", "0"),
         ("estimates", "step", "999"),
+        ("scenario", "kind", "guess"),
+        ("scenario", "property_or_unknown", "LLL"),
+        ("estimates", "property", "clay"),
+        # label 1:0 is LL on row 1
+        ("estimates", "property", "PI"),
     ]
 
     @pytest.mark.parametrize("command", ["eval", "plot"])
@@ -374,6 +386,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2, err
         for part in ("header_only.csv", "header row", "column kind"):
+            assert part in err, err
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_property_of_two_labels_exit_code(self, exported_trial, tmp_path, capsys, command):
+        text = (exported_trial / "estimates.csv").read_text().replace(",PI,", ",LL,")
+        row = next(i for i, line in enumerate(text.splitlines()) if ",1:1," in line)
+        estimates = tmp_path / "two_labels.csv"
+        estimates.write_text(text)
+        code = main([command, "--scenario", str(exported_trial / "scenario.csv"),
+                     "--estimates", str(estimates), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        for part in ("two_labels.csv", f"row {row}", "column property", "'LL'", "label 1:0"):
+            assert part in err, err
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_missing_truth_row_exit_code(self, exported_trial, tmp_path, capsys, command):
+        lines = (exported_trial / "scenario.csv").read_text().splitlines(keepends=True)
+        assert lines[1].startswith("1,1.03,truth,LL,")
+        scenario = tmp_path / "no_truth.csv"
+        scenario.write_text("".join(lines[:1] + lines[2:]))
+        code = main([command, "--scenario", str(scenario),
+                     "--estimates", str(exported_trial / "estimates.csv"),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        for part in ("no_truth.csv", "['LL']", "depth 1.03"):
             assert part in err, err
 
     CONFIG_FLAGS = [
@@ -406,6 +445,17 @@ class TestCli:
         site = tmp_path / "site.csv"
         site.write_text("depth,LL,PI,w\n1.0,10,20,30\n2.0,nan,20,30\n")
         assert main(["run", "--site", str(site), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_short_site_table_exit_code(self, tmp_path, capsys, command):
+        for rows in ("", "1.0,10,20,30\n"):
+            site = tmp_path / "short.csv"
+            site.write_text("depth,LL,PI,w\n" + rows)
+            out = tmp_path / "out"
+            assert main([command, "--site", str(site), "--out", str(out)]) == 2, rows
+            err = capsys.readouterr().err
+            assert "short.csv" in err and "at least two" in err, err
+            assert not out.exists()
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # births disabled: nothing can ever exist, so there is no estimate

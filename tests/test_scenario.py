@@ -53,6 +53,12 @@ class TestLoadSiteTable:
         records = load_site_table(text.encode())
         assert [r.depth for r in records] == [1.0, 2.0]
 
+    def test_header_names_are_stripped(self):
+        rows = "1.0,10,20,30\n2.0,11,21,31\n"
+        spaced = load_site_table(("depth, LL, PI, w\n" + rows).encode())
+        assert spaced == load_site_table(("depth,LL,PI,w\n" + rows).encode())
+        assert len(spaced) == 2
+
     def test_missing_column_named(self):
         with pytest.raises(SiteTableError, match="missing column 'PI'"):
             load_site_table(b"depth,LL,w\n1.0,10,30\n")
