@@ -27,12 +27,21 @@ __all__ = ["Solutions", "murty_kbest", "enumerate_solutions", "ranked_solutions"
 # n_rows), Murty beyond: at k = 64, 2-5 rows, warm enumeration won at every
 # size up to here on every machine measured, as Murty's fixed cost per
 # subproblem dominates small problems (Miller, Stone & Cox 1997).
+# Same-shape problems within it may be enumerated as one stack.
 _ENUMERATION_LIMIT = 16384
 
-# Enumeration scores fewer valid combinations than this one by one on
-# Python floats: a dozen numpy calls cost as much as about 8 combinations
-# of that loop (one- and two-label problems with few readings).
+# A problem enumerated alone scores fewer valid combinations than this one
+# by one on Python floats: a dozen numpy calls cost as much as about 8
+# combinations of that loop (one- and two-label problems with few readings).
 _FEW_COMBOS = 8
+
+# ``ranked_batch`` takes same-shape problems from this many scores (problems
+# x combinations) on.  A stack of up to a few hundred scores costs about as
+# much as two or three problems solved alone (its two dozen numpy calls), so
+# a pair of one-label problems (independent mode) is solved alone.  A stack
+# is scored in chunks of at most _BATCH_CELLS scores, which bounds its memory.
+_BATCH_MIN_CELLS = 24
+_BATCH_CELLS = 2**14
 
 # The Gibbs chain draws its uniforms in blocks of at most this many doubles.
 _BLOCK = 4096
@@ -105,15 +114,10 @@ def _pack(pairs: list[tuple[tuple[int, ...], float]], n_rows: int) -> Solutions:
 
 
 def _enumerate_scored(cost: np.ndarray, k: int | None = None) -> Solutions:
-    """The k best feasible combos (all when k is None), best first.
-
-    A combo scores 0.0 plus its cells in row order, as ``solution_score``
-    sums them.  Ties break on the lexicographic product order, as a stable
-    sort on descending score over all combos would: the top k are picked
-    with a partition, ties at the k-th score filled in combo order, then
-    sorted.  Fewer than ``_FEW_COMBOS`` combos, when k takes them all, are
-    summed on Python floats in the same order and stably sorted, to the
-    same result.
+    """The k best feasible combos (all when k is None), best first, as
+    ``ranked_batch`` picks them.  Fewer than ``_FEW_COMBOS`` combos, when k
+    takes them all, are summed on Python floats in the same order and
+    stably sorted, to the same result.
     """
     table = _valid_combos(*cost.shape)
     if table.shape[1] < _FEW_COMBOS and (k is None or table.shape[1] <= k):
@@ -127,23 +131,59 @@ def _enumerate_scored(cost: np.ndarray, k: int | None = None) -> Solutions:
         feasible = [i for i, score in enumerate(sums) if math.isfinite(score)]
         order = sorted(feasible, key=lambda i: -sums[i])
         return Solutions(table.T.take(order, axis=0), np.array([sums[i] for i in order]))
-    scores = np.zeros(table.shape[1])
-    for row, cols in zip(cost, table):
-        scores += row.take(cols)
-    feasible = np.isfinite(scores)
-    pick = None if feasible.all() else np.flatnonzero(feasible)
-    if pick is not None:
-        scores = scores[pick]
-    if k is not None and k < len(scores):
-        neg = -scores
-        kth = np.partition(neg, k - 1)[k - 1]
-        top = neg < kth
-        top[np.flatnonzero(neg == kth)[: k - np.count_nonzero(top)]] = True
-        pick = np.flatnonzero(top) if pick is None else pick[top]
-        scores = scores[top]
-    order = np.argsort(-scores, kind="stable")
-    rows = order if pick is None else pick[order]
-    return Solutions(table.T.take(rows, axis=0), scores[order])
+    _, scores, cols = ranked_batch(cost[None], table.shape[1] if k is None else k)
+    return Solutions(cols, scores)
+
+
+def batch_enumerable(n_problems: int, n_rows: int, n_cols: int) -> bool:
+    """Whether ``ranked_batch`` should solve these same-shape problems
+    together rather than one ``ranked_solutions`` call each."""
+    if n_problems < 2 or n_rows < 1 or n_cols**n_rows > _ENUMERATION_LIMIT:
+        return False
+    return n_problems * _valid_combos(n_rows, n_cols).shape[1] >= _BATCH_MIN_CELLS
+
+
+def ranked_batch(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k best feasible combos of each matrix of a stack [P, R, C]: flat
+    problem index, score and columns [R] of each, problem by problem, best
+    first within each.  A problem with no feasible combo has no entry.
+
+    A combo scores 0.0 plus its cells in row order, as ``solution_score``
+    sums them.  Ties break on the lexicographic product order, as a stable
+    sort on descending score over all combos would: the top k are picked
+    with a partition, ties at the k-th score filled in combo order, then
+    sorted.  So a problem's entries do not depend on the others in the
+    stack.  Problems are scored in chunks of at most ``_BATCH_CELLS``.
+    """
+    n_problems, n_rows, n_cols = costs.shape
+    table = _valid_combos(n_rows, n_cols)
+    n_combos = table.shape[1]
+    size = max(1, _BATCH_CELLS // n_combos)
+    parts = []
+    for lo in range(0, n_problems, size):
+        chunk = costs[lo : lo + size]
+        scores = np.zeros((len(chunk), n_combos))
+        for i, cols in enumerate(table):
+            scores += chunk[:, i].take(cols, axis=1)
+        top = scores > -np.inf
+        if k < n_combos:
+            kth = np.partition(scores, n_combos - k, axis=1)[:, n_combos - k, None]
+            ties = top & (scores == kth)
+            top &= scores > kth
+            top |= ties & (ties.cumsum(axis=1) <= k - top.sum(axis=1)[:, None])
+        # Each problem's picks, packed into a row padded with +inf, are
+        # ordered by one stable row-wise sort of their negated scores.
+        picked = np.flatnonzero(top)
+        counts = top.sum(axis=1)
+        starts = counts.cumsum() - counts
+        local = picked // n_combos
+        packed = np.full((len(chunk), counts.max()), np.inf)
+        packed[local, np.arange(len(picked)) - starts.take(local)] = -scores.take(picked)
+        order = packed.argsort(axis=1, kind="stable") + starts[:, None]
+        picked = picked.take(order[np.arange(packed.shape[1]) < counts[:, None]])
+        parts.append((picked // n_combos + lo, scores.take(picked), picked % n_combos))
+    problem, scores, combo = (np.concatenate(part) for part in zip(*parts))
+    return problem, scores, table.T.take(combo, axis=0)
 
 
 def enumerate_solutions(cost: np.ndarray) -> Solutions:

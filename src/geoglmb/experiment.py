@@ -424,12 +424,14 @@ def read_scenario_csv(path) -> Scenario:
     but ``report.json`` states mode "joint" for any run.  A depth that is not
     positive, a kind other than truth, obs or clutter, or a truth or obs row
     naming no property raises SiteTableError naming the file, the row and
-    the column; so does a file with no truth row, or a depth short of a
-    truth row for each property.
+    the column; so does a second truth or obs row for one depth and
+    property, an obs or clutter row at a depth without truth rows, a file
+    with no truth row, or a depth short of a truth row for each property.
     """
     truth_rows: dict[float, dict[str, float]] = {}
     obs: dict[float, dict[str, float]] = {}
     clutter: dict[float, list[float]] = {}
+    readings: dict[float, int] = {}  # depth -> first obs or clutter row
     seed = 0
     columns = ("kind", "property_or_unknown")
     for row_num, row, (depth, value, seed) in _read_csv(path, columns, ("depth", "value", "seed")):
@@ -446,15 +448,26 @@ def read_scenario_csv(path) -> Scenario:
                 f"{where}, column property_or_unknown: a {kind} row must name "
                 f"{', '.join(PROPERTIES)}, got {prop!r}"
             )
-        if kind == "truth":
-            truth_rows.setdefault(depth, {})[prop] = value
-        elif kind == "obs":
-            obs.setdefault(depth, {})[prop] = value
-        else:
+        if kind == "clutter":
             clutter.setdefault(depth, []).append(value)
+        else:
+            cells = (truth_rows if kind == "truth" else obs).setdefault(depth, {})
+            if prop in cells:
+                raise SiteTableError(
+                    f"{where}, column property_or_unknown: a second {kind} row for {prop} "
+                    f"at depth {depth:g}"
+                )
+            cells[prop] = value
+        if kind != "truth":
+            readings.setdefault(depth, row_num)
 
     if not truth_rows:
         raise SiteTableError(f"{path}: no row after the header row has 'truth' in column kind")
+    for depth, row_num in readings.items():
+        if depth not in truth_rows:
+            raise SiteTableError(
+                f"{path}: row {row_num}, column depth: no truth row at depth {depth:g}"
+            )
     for depth, values in truth_rows.items():
         missing = [p for p in PROPERTIES if p not in values]
         if missing:
@@ -494,9 +507,9 @@ def read_estimates_csv(path, n_depths: int | None = None) -> EstimateSeries:
     of the run's schedule; no upper bound when None) and a label must read
     ``<birth step>:<index>`` in non-negative integers.  A property is one
     of LL, PI, w or unknown (the track carries None), the same on every row
-    of a label, and no two labels name one property.  Otherwise, as for a
-    missing column or a bad number, SiteTableError names the file, the row
-    and the column.
+    of a label, and no two labels name one property.  A label has one row
+    per step.  Otherwise, as for a missing column or a bad number,
+    SiteTableError names the file, the row and the column.
     """
     per_label: dict[Label, list[tuple[float, float, float, float]]] = {}
     props: dict[Label, str] = {}
@@ -532,7 +545,10 @@ def read_estimates_csv(path, n_depths: int | None = None) -> EstimateSeries:
             raise SiteTableError(
                 f"{where}, column property: {prop!r} is already label {owners[prop]}'s"
             )
-        per_label.setdefault(label, []).append(tuple(values))
+        rows = per_label.setdefault(label, [])
+        if any(r[0] == step for r in rows):
+            raise SiteTableError(f"{where}, column step: label {label} has a row at step {step:g}")
+        rows.append(tuple(values))
     tracks = []
     depths_all: set[float] = set()
     for label, rows in sorted(per_label.items()):

@@ -13,10 +13,17 @@ never share an identity and are never merged.
 
 Every label carries one Gaussian, and a density is held as arrays (see
 ``lrfs.DensityArrays``).  The prior density's state rows are predicted and
-scored in one table, each parent's solutions come back as column and score
-arrays, and all children are weighed, pruned and capped together.  The kept
-children become the next density's parent, outcome and state arrays.  No
-hypothesis object is built unless a caller asks for one.
+scored in one table.  Under ranked truncation, the parents with equally many
+labels are enumerated as one stack by ``ranked_batch`` when
+``batch_enumerable`` allows: they share the step's readings, so the numpy
+overhead is paid once per step, not once per parent (Vo, Vo & Hoang 2017).
+Other parents get their own ``ranked_solutions`` call (too few to stack, or
+beyond the enumeration limit), and Gibbs parents their own
+``gibbs_solutions`` call, whose generator is keyed on the parent.  All
+children, as parent, score and column arrays in parent order, are weighed,
+pruned and capped together.  The kept children become the next density's
+parent, outcome and state arrays.  No hypothesis object is built unless a
+caller asks for one.
 
 A numpy call costs about as much as a dozen float operations in Python, and
 a one-label filter (independent mode) makes steps of one parent, one label
@@ -39,14 +46,13 @@ indices backward through the densities.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .assignment import Solutions, gibbs_solutions, ranked_solutions
+from .assignment import Solutions, batch_enumerable, gibbs_solutions, ranked_batch, ranked_solutions
 from .errors import InfeasibleAssociationError, WeightCollapseError
 from .gaussian import (
     _ROWS_AS_ARRAYS,
@@ -303,10 +309,11 @@ class _StepCosts:
         return self.table.take(self.rows[parent], axis=0)
 
     def children(
-        self, kept: Sequence[tuple[int, Sequence[int]]]
+        self, parents: Sequence[int], solutions: Sequence[Sequence[int]]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Outcome and state arrays [H, L] of the children, given as (parent,
-        solution), and the means [S, 2] and covariances [S, 2, 2] of the state.
+        """Outcome and state arrays [H, L] of the children, given as parent
+        indices and solution columns (padding past a parent's rows is
+        ignored), and the means [S, 2] and covariances [S, 2, 2] of the state.
 
         Solution column c of a row is outcome c - 1: column 0 is DEAD,
         column 1 UNDETECTED and keeps the row's predicted density, and
@@ -320,9 +327,10 @@ class _StepCosts:
         n_labels, width = len(self.labels), self.table.shape[1]
         slots: dict[int, int] = {}  # row * width + column -> state row
         # the [H, L] cells in row-major order
-        n_cells = len(kept) * n_labels
+        n_cells = len(parents) * n_labels
         outcome, state = [ABSENT] * n_cells, [-1] * n_cells
-        for base, (p_idx, solution) in zip(range(0, n_cells, n_labels), kept):
+        bases = range(0, n_cells, n_labels or 1)  # no labels: no cells to write
+        for base, p_idx, solution in zip(bases, parents, solutions):
             for c, row, col in zip(self.columns[p_idx], self.rows[p_idx], solution):
                 outcome[base + c] = col - 1
                 if col >= 1:
@@ -348,7 +356,7 @@ class _StepCosts:
             if post:
                 z = np.array([self.z[keys[slot] % width - 2] for slot in post])
                 means[post], covs[post] = kalman_update_rows(means[post], covs[post], z, self.sensor)
-        shape = (len(kept), n_labels)
+        shape = (len(parents), n_labels)
         outcome, state = np.array(outcome, dtype=int), np.array(state, dtype=int)
         return outcome.reshape(shape), state.reshape(shape), means, covs
 
@@ -393,6 +401,15 @@ def _truncate(values: np.ndarray, trunc: TruncationConfig, rng_key) -> Solutions
     return Solutions(sols.cols[order], sols.scores[order])
 
 
+def _padded(cols: np.ndarray, width: int) -> np.ndarray:
+    """Solution columns [m, r] widened to [m, width] with zeros."""
+    if cols.shape[1] == width:
+        return cols
+    out = np.zeros((len(cols), width), dtype=cols.dtype)
+    out[:, : cols.shape[1]] = cols
+    return out
+
+
 def joint_predict_update(
     glmb: GlmbDensity,
     birth: BirthModel,
@@ -408,12 +425,13 @@ def joint_predict_update(
     extended association histories.  Each child appends one solution of its
     parent's cost matrix to that parent's history.  The solvers return every
     solution at most once and distinct parents carry distinct histories, so
-    no two children share an identity and none need merging.  Children are
-    weighed as one array in parent order, then pruned and capped, on Python
-    floats when they are fewer than ``_ROWS_AS_ARRAYS``; the kept ones
-    become the arrays of the returned density, which points back at
-    ``glmb``.  The result does not depend on scheduling.  Non-finite
-    measurements raise ValueError.
+    no two children share an identity and none need merging.  Parents are
+    solved in stacks or one by one (see the module docstring), to the same
+    solutions.  Children are weighed as one array in parent order, then
+    pruned and capped, on Python floats when they are fewer than
+    ``_ROWS_AS_ARRAYS``; the kept ones become the arrays of the returned
+    density, which points back at ``glmb``.  The result does not depend on
+    scheduling.  Non-finite measurements raise ValueError.
     """
     if not glmb.hypotheses:
         raise WeightCollapseError("cannot step a density with no hypotheses")
@@ -426,22 +444,46 @@ def joint_predict_update(
     prior = glmb.arrays
     costs = _StepCosts(prior, birth, measurements, motion, sensor, delta)
 
-    solved: list[tuple[int, Solutions]] = []  # (parent index, its solutions)
-    for p_idx in range(len(costs.rows)):
+    width, n_labels = costs.table.shape[1], len(costs.labels)
+    # (parent, score, columns padded to n_labels) of each child: a block per
+    # stack, then one per parent solved alone, parents ascending in each
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    alone: Sequence[int] = range(len(costs.rows))
+    if trunc.method == "ranked" and len(alone) > 1:
+        groups: dict[int, list[int]] = {}  # row count -> parents
+        for p_idx, rows in enumerate(costs.rows):
+            groups.setdefault(len(rows), []).append(p_idx)
+        alone = []
+        for n_rows, group in groups.items():
+            if not batch_enumerable(len(group), n_rows, width):
+                alone += group
+                continue
+            stack = costs.table.take([costs.rows[p] for p in group], axis=0)
+            problem, scores, cols = ranked_batch(stack, trunc.requested_hypotheses)
+            if len(scores):
+                blocks.append((np.take(group, problem), scores, _padded(cols, n_labels)))
+        alone.sort()
+    stacks = len(blocks)
+    for p_idx in alone:
         try:
             sols = _truncate(costs.values(p_idx), trunc, (trunc.seed, glmb.step, p_idx))
         except InfeasibleAssociationError:
             continue
-        solved.append((p_idx, sols))
-    if not solved:
+        blocks.append((np.array([p_idx] * len(sols)), sols.scores, _padded(sols.cols, n_labels)))
+    if not blocks:
         raise InfeasibleAssociationError(
             "truncation produced no valid association map; "
             "check clutter rate, detection and survival probabilities"
         )
 
-    parent_logw = prior.log_weights.tolist()
-    logw = [parent_logw[p] + sols.scores for p, sols in solved]
-    logw = logw[0] if len(logw) == 1 else np.concatenate(logw)
+    parent, scores, cols = blocks[0]
+    merge = None  # child in parent order -> its row of cols
+    if len(blocks) > 1:
+        parent, scores, cols = (np.concatenate(part) for part in zip(*blocks))
+        if stacks:  # into parent order; each parent's children keep theirs
+            merge = np.argsort(parent, kind="stable")
+            parent, scores = parent[merge], scores[merge]
+    logw = prior.log_weights.take(parent) + scores
     norm = logw - log_sum_weights(logw)
     weights = np.exp(norm)
     if len(norm) < _ROWS_AS_ARRAYS:
@@ -457,18 +499,11 @@ def joint_predict_update(
             keep = np.array([int(np.argmax(norm))])
         order = keep[np.argsort(-norm[keep], kind="stable")][: trunc.max_hypotheses]
         kept = norm[order]
-        order = order.tolist()
     final_logw = kept - log_sum_weights(kept)
 
-    starts = [0]  # index of each solved parent's first child in logw
-    for _, sols in solved:
-        starts.append(starts[-1] + len(sols))
-    children = []  # (parent index, solution) of each kept child
-    for child in order:
-        s_idx = bisect.bisect_right(starts, child) - 1
-        p_idx, sols = solved[s_idx]
-        children.append((p_idx, sols.cols[child - starts[s_idx]].tolist()))
-    outcome, state, means, covs = costs.children(children)
+    parent = parent.take(order)
+    solutions = cols.take(order if merge is None else merge.take(order), axis=0)
+    outcome, state, means, covs = costs.children(parent.tolist(), solutions.tolist())
     arrays = DensityArrays(
         log_weights=final_logw,
         labels=costs.labels,
@@ -476,7 +511,7 @@ def joint_predict_update(
         means=means,
         covs=covs,
         prior=glmb,
-        parent=np.array([p_idx for p_idx, _ in children]),
+        parent=parent,
         outcome=outcome,
     )
     return GlmbDensity(arrays, next_step)

@@ -195,6 +195,30 @@ def test_criterion_4_first_site_reproduction(announce):
     )
 
 
+def test_criterion_4_joint_mode_reproduction(announce):
+    """Criterion 4 for the unlabeled multi-object filter: joint mode with
+    the default truncation, every property surviving, estimates beat raw
+    observations on every property over 100 trials and exist at all 36
+    depths."""
+    config = ExperimentConfig(
+        site="onsoy", mode="joint", p_survival=1.0, seed=0, mc_trials=100, jobs=2
+    )
+    _, report = run_monte_carlo(config)
+
+    lines = []
+    for prop in ("LL", "PI", "w"):
+        est = report.mc_summary[f"rmse_estimate_{prop}"]["mean"]
+        obs = report.mc_summary[f"rmse_observation_{prop}"]["mean"]
+        recovery = report.mc_summary[f"recovery_rate_{prop}"]["mean"]
+        assert est < obs, f"{prop}: estimate RMSE {est} not below observation RMSE {obs}"
+        assert recovery == 1.0, f"{prop}: estimates missing at some depths"
+        lines.append(f"{prop} {est:.2f}<{obs:.2f} recovery {recovery:.0%}")
+    announce(
+        f"[PASS] criterion 4 (joint mode): 100-trial mean estimate RMSE beats "
+        f"observations ({', '.join(lines)})"
+    )
+
+
 def test_criterion_5_cross_site_check(announce):
     """Sparser site is less accurate: over paired-seed 100-trial batches the
     second site's LL and PI estimate RMSE is at least the first site's in

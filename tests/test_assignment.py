@@ -13,9 +13,11 @@ from geoglmb.assignment import (
     Solutions,
     _enumerate_scored,
     _valid_combos,
+    batch_enumerable,
     enumerate_solutions,
     gibbs_solutions,
     murty_kbest,
+    ranked_batch,
     ranked_solutions,
     solution_score,
 )
@@ -429,6 +431,53 @@ def test_few_combinations_on_floats_equal_the_array_pass(data):
         assert got.cols.shape == arrays.cols.shape
         assert got.scores.dtype == arrays.scores.dtype
         assert_same_solutions(got, arrays)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batch_equals_per_problem_solutions(data):
+    # A stack of 1-7 same-shape problems: tied integer, -0.0 and -inf cells,
+    # whole -inf rows, and problems with no feasible combo among feasible
+    # ones.  Each problem's slice of the batch must be its own
+    # ranked_solutions call, and the brute-force ranking, bit for bit, for
+    # k from 1 to beyond the combination count and any chunk size.
+    n_rows = data.draw(st.integers(1, 3))
+    n_cols = data.draw(st.integers(2, 5))
+    n_problems = data.draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-2, 2).map(float), st.floats(-4.0, 4.0),
+                      st.just(-0.0), st.just(-math.inf))
+    costs = np.array(data.draw(st.lists(
+        st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                 min_size=n_rows, max_size=n_rows),
+        min_size=n_problems, max_size=n_problems)))
+    for p in data.draw(st.lists(st.integers(0, n_problems - 1), max_size=2)):
+        costs[p, data.draw(st.integers(0, n_rows - 1))] = -math.inf
+    n_combos = _valid_combos(n_rows, n_cols).shape[1]
+    k = data.draw(st.one_of(st.just(1), st.integers(1, n_combos + 2)))
+    budget = data.draw(st.sampled_from([1, geoglmb.assignment._BATCH_CELLS, 10**9]))
+    with patch.object(geoglmb.assignment, "_BATCH_CELLS", budget):
+        problem, scores, cols = ranked_batch(costs, k)
+    assert problem.dtype == cols.dtype == np.intp and scores.dtype == float
+    assert np.all(np.diff(problem) >= 0)
+    for p in range(n_problems):
+        got = Solutions(cols[problem == p], scores[problem == p])
+        want = brute_force(costs[p])[:k]
+        assert [(c, s) for c, s in got] == want
+        assert got.scores.tobytes() == np.array([s for _, s in want]).tobytes()
+        if not want:
+            with pytest.raises(InfeasibleAssociationError):
+                ranked_solutions(costs[p], k)
+            continue
+        assert_same_solutions(got, ranked_solutions(costs[p], k))
+    for crossover, batched in ((0, n_problems > 1), (10**9, False)):
+        with patch.object(geoglmb.assignment, "_BATCH_MIN_CELLS", crossover):
+            assert batch_enumerable(n_problems, n_rows, n_cols) == batched
+
+
+def test_batch_skips_shapes_beyond_the_enumeration_limit():
+    with patch.object(geoglmb.assignment, "_BATCH_MIN_CELLS", 0):
+        assert batch_enumerable(2, 3, 25) and not batch_enumerable(2, 3, 26)
+        assert not batch_enumerable(2, 0, 5)
 
 
 def test_limit_splits_the_hypothesis_shapes():

@@ -415,6 +415,32 @@ class TestCli:
         for part in ("no_truth.csv", "['LL']", "depth 1.03"):
             assert part in err, err
 
+    # (table, appended row, column named): a repeated truth or obs row for
+    # one (depth, property), obs and clutter rows at a depth without truth
+    # rows, and a repeated (label, step) row
+    EXTRA_ROWS = [
+        ("scenario", "1,1.03,truth,LL,10,3", "property_or_unknown"),
+        ("scenario", "1,1.03,obs,PI,50,3", "property_or_unknown"),
+        ("scenario", "99,99.5,obs,LL,50,3", "depth"),
+        ("scenario", "99,99.5,clutter,unknown,50,3", "depth"),
+        ("estimates", "1,1.03,1:0,LL,0,50", "step"),
+    ]
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    @pytest.mark.parametrize("table, extra, column", EXTRA_ROWS)
+    def test_extra_row_exit_code(self, exported_trial, tmp_path, capsys, command, table,
+                                 extra, column):
+        paths = {name: exported_trial / f"{name}.csv" for name in ("scenario", "estimates")}
+        lines = paths[table].read_text().splitlines()
+        paths[table] = tmp_path / f"extra_{table}.csv"
+        paths[table].write_text("\n".join(lines + [extra]) + "\n")
+        code = main([command, "--scenario", str(paths["scenario"]),
+                     "--estimates", str(paths["estimates"]), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        for part in (f"extra_{table}.csv", f"row {len(lines)}", f"column {column}"):
+            assert part in err, err
+
     CONFIG_FLAGS = [
         ("--site", "taipei", "site", "taipei"),
         ("--mode", "independent", "mode", "independent"),

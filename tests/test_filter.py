@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import geoglmb.assignment
 import geoglmb.experiment
 import geoglmb.filter
-from conftest import enumeration_oracle, kf_oracle, make_density, simple_birth
+from conftest import enumeration_oracle, kf_oracle, make_density, make_gaussian, simple_birth
 from geoglmb.errors import InfeasibleAssociationError, WeightCollapseError
 from geoglmb.experiment import ExperimentConfig, run_trial
 from geoglmb.filter import (
@@ -641,6 +642,106 @@ class TestFloatAndArrayStepsAgree:
             want = _under_switch(geoglmb.filter._ROWS_AS_ARRAYS, job)
             for switch in (0, 10**9):
                 assert_same_densities(_under_switch(switch, job), want)
+
+
+def _under_batch(crossover, budget, step):
+    """``step()`` with the stacking crossover of ``assignment`` at
+    ``crossover`` cells and its chunk budget at ``budget``; an error is
+    returned as its type and message."""
+    with patch.object(geoglmb.assignment, "_BATCH_MIN_CELLS", crossover), \
+            patch.object(geoglmb.assignment, "_BATCH_CELLS", budget):
+        try:
+            return step()
+        except (InfeasibleAssociationError, WeightCollapseError) as exc:
+            return type(exc), str(exc)
+
+
+# (crossover, chunk budget): every group of two or more parents stacked, in
+# chunks of one problem or all at once, and the defaults.
+_BATCH_SETTINGS = (
+    (0, 1),
+    (0, 10**9),
+    (geoglmb.assignment._BATCH_MIN_CELLS, geoglmb.assignment._BATCH_CELLS),
+)
+
+
+class TestBatchedStepsAgree:
+    """A ranked step whose same-shape parents are enumerated as stacks gives
+    the bits of the per-parent path (crossover above every group)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_mixed_row_counts_equal_the_per_parent_path(self, data):
+        # Parents of 0-3 labels plus 0-2 births: several row counts in one
+        # step, up to 5 rows of 10 columns (beyond the enumeration limit).
+        draw = data.draw
+        prior = make_density(np.random.default_rng(draw(st.integers(0, 2**16))),
+                             n_hypotheses=draw(st.integers(2, 12)))
+        birth = BirthModel(tuple(
+            BirthEntry(Label(2, i), draw(st.sampled_from([0.3, 1.0])),
+                       Gaussian([draw(st.floats(-20.0, 20.0)), 0.0], np.diag([100.0, 1.0])))
+            for i in range(draw(st.integers(0, 2)))
+        ))
+        motion = MotionModel(sigma_p=0.3, p_survival=draw(st.sampled_from([1.0, 0.9])))
+        sensor = SensorModel(sigma_m=draw(st.floats(1.0, 20.0)),
+                             p_detect=draw(st.sampled_from([0.5, 1.0])),
+                             clutter_rate=draw(st.sampled_from([0.0, 3.0])))
+        trunc = TruncationConfig(
+            method="ranked",
+            requested_hypotheses=draw(st.sampled_from([1, 5, 64])),
+            min_weight=draw(st.sampled_from([0.0, 1e-6])),
+            max_hypotheses=draw(st.sampled_from([3, 1000])),
+        )
+        readings = draw(st.lists(st.floats(-30.0, 30.0), max_size=draw(st.sampled_from([3, 8]))))
+
+        def step():
+            return [joint_predict_update(prior, birth, readings, motion, sensor, 0.5, trunc)]
+
+        want = _under_batch(10**9, geoglmb.assignment._BATCH_CELLS, step)
+        for crossover, budget in _BATCH_SETTINGS:
+            assert_same_densities(_under_batch(crossover, budget, step), want)
+
+    def test_each_row_count_is_one_stack(self):
+        # Two parents each of 1, 2 and 3 labels and one of none, interleaved.
+        rng = np.random.default_rng(5)
+        hyps = []
+        for h, n_labels in enumerate([1, 3, 2, 0, 1, 2, 3]):
+            labels = tuple(Label(1, i) for i in range(n_labels))
+            densities = {lbl: make_gaussian(rng) for lbl in labels}
+            history = (((Label(0, h), UNDETECTED),),)
+            hyps.append(GlmbHypothesis(labels, history, math.log(1 / 7), densities))
+        prior = GlmbDensity(tuple(hyps), step=1)
+        motion, sensor = MotionModel(p_survival=0.9), SensorModel(clutter_rate=1.0)
+        trunc = TruncationConfig(method="ranked", requested_hypotheses=6, min_weight=0.0)
+
+        def step():
+            zs = [1.0, -5.0, 12.0]
+            return [joint_predict_update(prior, BirthModel(), zs, motion, sensor, 0.5, trunc)]
+
+        want = _under_batch(10**9, geoglmb.assignment._BATCH_CELLS, step)
+        for crossover, budget in _BATCH_SETTINGS[:2]:
+            with patch.object(geoglmb.filter, "ranked_batch",
+                              wraps=geoglmb.filter.ranked_batch) as spy:
+                assert_same_densities(_under_batch(crossover, budget, step), want)
+            assert [call.args[0].shape for call in spy.call_args_list] == [
+                (2, 1, 5), (2, 3, 5), (2, 2, 5)
+            ]
+        assert want[0].arrays.parent.tolist().count(3) == 1  # the empty parent
+
+
+@pytest.mark.parametrize("method", ["ranked", "gibbs"])
+def test_step_without_labels_keeps_each_parent(method):
+    # No parent holds a label and nothing is born: each parent has the one
+    # empty solution, so each keeps its weight.
+    hyps = tuple(
+        GlmbHypothesis((), (((Label(0, h), UNDETECTED),),), math.log(w), {})
+        for h, w in enumerate([0.25, 0.75])
+    )
+    out = joint_predict_update(GlmbDensity(hyps, step=1), BirthModel(), [1.0], MotionModel(),
+                               SensorModel(), 0.5, TruncationConfig(method=method))
+    assert out.arrays.state.shape == (2, 0) and out.arrays.outcome.shape == (2, 0)
+    assert sorted(out.arrays.parent.tolist()) == [0, 1]
+    np.testing.assert_allclose(np.exp(out.arrays.log_weights), [0.75, 0.25], rtol=1e-15)
 
 
 def _identity_mass(key, glmb, birth, zs, motion, sensor, delta):
