@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InfeasibleAssociationError
 
-__all__ = ["Solutions", "murty_kbest", "enumerate_solutions", "ranked_solutions", "gibbs_solutions"]
+__all__ = ["Solutions", "murty_kbest", "ranked_solutions", "gibbs_solutions"]
 
 # Ranked truncation enumerates up to this many combinations (n_cols **
 # n_rows), Murty beyond: at k = 64, 2-5 rows, warm enumeration won at every
@@ -35,11 +35,12 @@ _ENUMERATION_LIMIT = 16384
 # combinations of that loop (one- and two-label problems with few readings).
 _FEW_COMBOS = 8
 
-# ``ranked_batch`` takes same-shape problems from this many scores (problems
-# x combinations) on.  A stack of up to a few hundred scores costs about as
-# much as two or three problems solved alone (its two dozen numpy calls), so
-# a pair of one-label problems (independent mode) is solved alone.  A stack
-# is scored in chunks of at most _BATCH_CELLS scores, which bounds its memory.
+# ``ranked_batch`` takes a step's problems, all posed over the step's labels,
+# from this many scores (problems x combinations) on.  A stack of up to a few
+# hundred scores costs about as much as two or three problems solved alone
+# (its two dozen numpy calls), so a pair of one-label problems (independent
+# mode) is solved alone.  A stack is scored in chunks of at most _BATCH_CELLS
+# scores, which bounds its memory.
 _BATCH_MIN_CELLS = 24
 _BATCH_CELLS = 2**14
 
@@ -113,14 +114,14 @@ def _pack(pairs: list[tuple[tuple[int, ...], float]], n_rows: int) -> Solutions:
     return Solutions(cols, np.array([score for _, score in pairs], dtype=float))
 
 
-def _enumerate_scored(cost: np.ndarray, k: int | None = None) -> Solutions:
-    """The k best feasible combos (all when k is None), best first, as
-    ``ranked_batch`` picks them.  Fewer than ``_FEW_COMBOS`` combos, when k
-    takes them all, are summed on Python floats in the same order and
-    stably sorted, to the same result.
+def _enumerate_scored(cost: np.ndarray, k: int) -> Solutions:
+    """The k best feasible combos, best first, as ``ranked_batch`` picks
+    them.  Fewer than ``_FEW_COMBOS`` combos, when k takes them all, are
+    summed on Python floats in the same order and stably sorted, to the
+    same result.
     """
     table = _valid_combos(*cost.shape)
-    if table.shape[1] < _FEW_COMBOS and (k is None or table.shape[1] <= k):
+    if table.shape[1] < _FEW_COMBOS and table.shape[1] <= k:
         rows = cost.tolist()
         sums = []
         for combo in table.T.tolist():
@@ -131,13 +132,14 @@ def _enumerate_scored(cost: np.ndarray, k: int | None = None) -> Solutions:
         feasible = [i for i, score in enumerate(sums) if math.isfinite(score)]
         order = sorted(feasible, key=lambda i: -sums[i])
         return Solutions(table.T.take(order, axis=0), np.array([sums[i] for i in order]))
-    _, scores, cols = ranked_batch(cost[None], table.shape[1] if k is None else k)
+    _, scores, cols = ranked_batch(cost[None], k)
     return Solutions(cols, scores)
 
 
 def batch_enumerable(n_problems: int, n_rows: int, n_cols: int) -> bool:
-    """Whether ``ranked_batch`` should solve these same-shape problems
-    together rather than one ``ranked_solutions`` call each."""
+    """Whether ``ranked_batch`` should solve these same-shape problems (a
+    step's parents, each over the step's labels) together rather than one
+    ``ranked_solutions`` call each."""
     if n_problems < 2 or n_rows < 1 or n_cols**n_rows > _ENUMERATION_LIMIT:
         return False
     return n_problems * _valid_combos(n_rows, n_cols).shape[1] >= _BATCH_MIN_CELLS
@@ -184,13 +186,6 @@ def ranked_batch(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.
         parts.append((picked // n_combos + lo, scores.take(picked), picked % n_combos))
     problem, scores, combo = (np.concatenate(part) for part in zip(*parts))
     return problem, scores, table.T.take(combo, axis=0)
-
-
-def enumerate_solutions(cost: np.ndarray) -> Solutions:
-    """All valid finite-score solutions, best first (ties lexicographic)."""
-    if cost.shape[0] == 0:
-        return _pack([((), 0.0)], 0)
-    return _enumerate_scored(cost)
 
 
 def _extended_matrix(cost: np.ndarray) -> np.ndarray:

@@ -13,17 +13,20 @@ never share an identity and are never merged.
 
 Every label carries one Gaussian, and a density is held as arrays (see
 ``lrfs.DensityArrays``).  The prior density's state rows are predicted and
-scored in one table.  Under ranked truncation, the parents with equally many
-labels are enumerated as one stack by ``ranked_batch`` when
-``batch_enumerable`` allows: they share the step's readings, so the numpy
-overhead is paid once per step, not once per parent (Vo, Vo & Hoang 2017).
-Other parents get their own ``ranked_solutions`` call (too few to stack, or
-beyond the enumeration limit), and Gibbs parents their own
-``gibbs_solutions`` call, whose generator is keyed on the parent.  All
-children, as parent, score and column arrays in parent order, are weighed,
-pruned and capped together.  The kept children become the next density's
-parent, outcome and state arrays.  No hypothesis object is built unless a
-caller asks for one.
+scored in one table.  Under ranked truncation, when ``batch_enumerable``
+allows, every parent is posed over all labels of the step and the step is
+enumerated as one stack by ``ranked_batch``: the parents share the step's
+readings, so the numpy overhead is paid once per step, not once per parent
+(Vo, Vo & Hoang 2017).  A label a parent lacks gets an absent row whose
+only finite cell is 0.0 in column 0, which adds nothing to any score and
+keeps the order of the parent's combinations.  Otherwise each parent gets
+its own ``ranked_solutions`` call over the rows of its labels (a single
+parent, too few to stack, or beyond the enumeration limit), and Gibbs
+parents their own ``gibbs_solutions`` call, whose generator is keyed on the
+parent.  All children, as parent, score and column arrays in parent order,
+are weighed, pruned and capped together.  The kept children become the next
+density's parent, outcome and state arrays.  No hypothesis object is built
+unless a caller asks for one.
 
 A numpy call costs about as much as a dozen float operations in Python, and
 a one-label filter (independent mode) makes steps of one parent, one label
@@ -153,12 +156,6 @@ class AssociationMap:
         if len(set(meas)) != len(meas):
             raise ValueError("association map reuses a measurement index")
 
-    def outcome(self, label: Label) -> int:
-        for lbl, o in self.assignment:
-            if lbl == label:
-                return o
-        raise KeyError(label)
-
     def key(self) -> tuple[tuple[Label, int], ...]:
         return self.assignment
 
@@ -227,9 +224,10 @@ class _StepCosts:
     covariances are then symmetrized once, as the ``Gaussian`` constructor
     does.  A table of fewer than ``_ROWS_AS_ARRAYS`` rows is then filled
     row by row on Python floats, a larger one as numpy columns; both apply
-    the same operations in the same order, so they agree to the bit.  A
-    parent's cost matrix is a gather of its labels' rows, in label-table
-    order.
+    the same operations in the same order, so they agree to the bit.
+    ``rows[p]`` holds parent p's table row per label of the step, in
+    label-table order, or -1 where p lacks the label; p's cost matrix is a
+    gather of its present rows.
     """
 
     def __init__(
@@ -253,13 +251,10 @@ class _StepCosts:
         order = sorted(range(len(labels)), key=labels.__getitem__)
         self.labels = tuple(labels[i] for i in order)
         birth_rows = list(range(n_prior, n_prior + len(births)))
-        # per parent: the label-table columns of its labels and their table rows
-        self.columns, self.rows = [], []
+        self.rows = []
         for prior_rows in prior.state.tolist():
             table_rows = prior_rows + birth_rows
-            table_rows = [table_rows[i] for i in order]
-            self.columns.append([c for c, row in enumerate(table_rows) if row >= 0])
-            self.rows.append([row for row in table_rows if row >= 0])
+            self.rows.append([table_rows[i] for i in order])
 
         means = np.einsum("ij,nj->ni", self.f, prior.means)
         covs = symmetrize(self.f @ prior.covs @ self.f.T + self.q)
@@ -305,15 +300,13 @@ class _StepCosts:
                 ll = -0.5 * (innov * innov / s[:, None] + LOG_2PI + log_s[:, None])
                 self.table[:, 2:] = alive + log_detect + ll - log_kappa
 
-    def values(self, parent: int) -> np.ndarray:
-        return self.table.take(self.rows[parent], axis=0)
-
     def children(
         self, parents: Sequence[int], solutions: Sequence[Sequence[int]]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Outcome and state arrays [H, L] of the children, given as parent
-        indices and solution columns (padding past a parent's rows is
-        ignored), and the means [S, 2] and covariances [S, 2, 2] of the state.
+        indices and solution columns per label of the step (a column where
+        the parent lacks the label is ignored), and the means [S, 2] and
+        covariances [S, 2, 2] of the state.
 
         Solution column c of a row is outcome c - 1: column 0 is DEAD,
         column 1 UNDETECTED and keeps the row's predicted density, and
@@ -331,10 +324,11 @@ class _StepCosts:
         outcome, state = [ABSENT] * n_cells, [-1] * n_cells
         bases = range(0, n_cells, n_labels or 1)  # no labels: no cells to write
         for base, p_idx, solution in zip(bases, parents, solutions):
-            for c, row, col in zip(self.columns[p_idx], self.rows[p_idx], solution):
-                outcome[base + c] = col - 1
-                if col >= 1:
-                    state[base + c] = slots.setdefault(row * width + col, len(slots))
+            for cell, row, col in zip(range(base, base + n_labels), self.rows[p_idx], solution):
+                if row >= 0:
+                    outcome[cell] = col - 1
+                    if col >= 1:
+                        state[cell] = slots.setdefault(row * width + col, len(slots))
         keys = list(slots)
         if len(keys) < _ROWS_AS_ARRAYS:
             pred_means, pred_covs = self._means.tolist(), self._covs.tolist()
@@ -376,7 +370,8 @@ def build_log_cost(
     """
     prior = GlmbDensity((hypothesis,)).arrays
     costs = _StepCosts(prior, birth, measurements, motion, sensor, delta)
-    return LogCostMatrix(costs.values(0), costs.labels)
+    # a lone hypothesis holds every label of its table
+    return LogCostMatrix(costs.table.take(costs.rows[0], axis=0), costs.labels)
 
 
 def ranked_assignments(cost: LogCostMatrix, k: int) -> list[AssociationMap]:
@@ -401,15 +396,6 @@ def _truncate(values: np.ndarray, trunc: TruncationConfig, rng_key) -> Solutions
     return Solutions(sols.cols[order], sols.scores[order])
 
 
-def _padded(cols: np.ndarray, width: int) -> np.ndarray:
-    """Solution columns [m, r] widened to [m, width] with zeros."""
-    if cols.shape[1] == width:
-        return cols
-    out = np.zeros((len(cols), width), dtype=cols.dtype)
-    out[:, : cols.shape[1]] = cols
-    return out
-
-
 def joint_predict_update(
     glmb: GlmbDensity,
     birth: BirthModel,
@@ -426,63 +412,59 @@ def joint_predict_update(
     parent's cost matrix to that parent's history.  The solvers return every
     solution at most once and distinct parents carry distinct histories, so
     no two children share an identity and none need merging.  Parents are
-    solved in stacks or one by one (see the module docstring), to the same
-    solutions.  Children are weighed as one array in parent order, then
+    solved as one stack or one by one (see the module docstring), to the
+    same solutions.  Children are weighed as one array in parent order, then
     pruned and capped, on Python floats when they are fewer than
     ``_ROWS_AS_ARRAYS``; the kept ones become the arrays of the returned
     density, which points back at ``glmb``.  The result does not depend on
-    scheduling.  Non-finite measurements raise ValueError.
+    scheduling.  Non-finite measurements, and birth labels that do not carry
+    the next step or that the density already holds, raise ValueError.
     """
     if not glmb.hypotheses:
         raise WeightCollapseError("cannot step a density with no hypotheses")
     next_step = glmb.step + 1
+    prior = glmb.arrays
     for entry in birth.entries:
         if entry.label.birth_step != next_step:
             raise ValueError(
                 f"birth label {entry.label} does not carry birth step {next_step}"
             )
-    prior = glmb.arrays
+        if entry.label in prior.labels:
+            raise ValueError(f"birth label {entry.label} is already a label of the density")
     costs = _StepCosts(prior, birth, measurements, motion, sensor, delta)
 
-    width, n_labels = costs.table.shape[1], len(costs.labels)
-    # (parent, score, columns padded to n_labels) of each child: a block per
-    # stack, then one per parent solved alone, parents ascending in each
+    n_labels, width = len(costs.labels), costs.table.shape[1]
+    # (parent, score, columns per label of the step) of the children: one
+    # block for the stack, else one per parent, parents ascending
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    alone: Sequence[int] = range(len(costs.rows))
-    if trunc.method == "ranked" and len(alone) > 1:
-        groups: dict[int, list[int]] = {}  # row count -> parents
+    if trunc.method == "ranked" and batch_enumerable(len(costs.rows), n_labels, width):
+        absent = [0.0] + [-math.inf] * (width - 1)  # row -1, for labels a parent lacks
+        table = np.concatenate([costs.table, [absent]])
+        block = ranked_batch(table.take(costs.rows, axis=0), trunc.requested_hypotheses)
+        if len(block[1]):
+            blocks.append(block)
+    else:
         for p_idx, rows in enumerate(costs.rows):
-            groups.setdefault(len(rows), []).append(p_idx)
-        alone = []
-        for n_rows, group in groups.items():
-            if not batch_enumerable(len(group), n_rows, width):
-                alone += group
+            present = [c for c, row in enumerate(rows) if row >= 0]
+            values = costs.table.take([rows[c] for c in present], axis=0)
+            try:
+                sols = _truncate(values, trunc, (trunc.seed, glmb.step, p_idx))
+            except InfeasibleAssociationError:
                 continue
-            stack = costs.table.take([costs.rows[p] for p in group], axis=0)
-            problem, scores, cols = ranked_batch(stack, trunc.requested_hypotheses)
-            if len(scores):
-                blocks.append((np.take(group, problem), scores, _padded(cols, n_labels)))
-        alone.sort()
-    stacks = len(blocks)
-    for p_idx in alone:
-        try:
-            sols = _truncate(costs.values(p_idx), trunc, (trunc.seed, glmb.step, p_idx))
-        except InfeasibleAssociationError:
-            continue
-        blocks.append((np.array([p_idx] * len(sols)), sols.scores, _padded(sols.cols, n_labels)))
+            cols = sols.cols
+            if len(present) < n_labels:  # widen to the step's labels
+                cols = np.zeros((len(sols), n_labels), dtype=cols.dtype)
+                if present:
+                    cols[:, present] = sols.cols
+            blocks.append((np.array([p_idx] * len(sols)), sols.scores, cols))
     if not blocks:
         raise InfeasibleAssociationError(
             "truncation produced no valid association map; "
             "check clutter rate, detection and survival probabilities"
         )
-
     parent, scores, cols = blocks[0]
-    merge = None  # child in parent order -> its row of cols
     if len(blocks) > 1:
         parent, scores, cols = (np.concatenate(part) for part in zip(*blocks))
-        if stacks:  # into parent order; each parent's children keep theirs
-            merge = np.argsort(parent, kind="stable")
-            parent, scores = parent[merge], scores[merge]
     logw = prior.log_weights.take(parent) + scores
     norm = logw - log_sum_weights(logw)
     weights = np.exp(norm)
@@ -502,7 +484,7 @@ def joint_predict_update(
     final_logw = kept - log_sum_weights(kept)
 
     parent = parent.take(order)
-    solutions = cols.take(order if merge is None else merge.take(order), axis=0)
+    solutions = cols.take(order, axis=0)
     outcome, state, means, covs = costs.children(parent.tolist(), solutions.tolist())
     arrays = DensityArrays(
         log_weights=final_logw,
@@ -564,12 +546,6 @@ class EstimateSeries:
     map_cardinality: int
     map_log_weight: float
     hypothesis_counts: tuple[int, ...]
-
-    def track(self, label: Label) -> TrackEstimate:
-        for t in self.tracks:
-            if t.label == label:
-                return t
-        raise KeyError(label)
 
 
 def extract_map_trajectories(

@@ -192,12 +192,6 @@ class GlmbDensity:
     def arrays(self) -> DensityArrays:
         return self.hypotheses
 
-    def log_weights(self) -> np.ndarray:
-        return self.arrays.log_weights.copy()
-
-    def weights(self) -> np.ndarray:
-        return np.exp(self.arrays.log_weights)
-
 
 def empty_density(step: int = 0) -> GlmbDensity:
     """The density certain of 'nothing exists': one empty hypothesis, weight 1."""

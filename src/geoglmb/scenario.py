@@ -114,9 +114,10 @@ def _parse_float(text: str, row: int, column: str) -> float:
 def load_site_table(source) -> list[SiteRecord]:
     """Parse a `depth,LL,PI,w` CSV into depth-ascending site records.
 
-    Accepts a path, bytes, or a readable (binary or text) stream.  An empty
-    source yields an empty list; a missing column, non-numeric or non-finite
-    cell, or duplicate depth raises SiteTableError naming the row and column.
+    Accepts a path, bytes, or a readable (binary or text) stream; a leading
+    UTF-8 byte-order mark is dropped.  An empty source yields an empty list;
+    a missing column, non-numeric or non-finite cell, or duplicate depth
+    raises SiteTableError naming the row and column.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
@@ -125,6 +126,7 @@ def load_site_table(source) -> list[SiteRecord]:
     else:
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    text = text.removeprefix("\ufeff")
     if not text.strip():
         return []
 

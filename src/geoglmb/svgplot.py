@@ -46,7 +46,7 @@ def profile_plot(
     target,
 ) -> None:
     """Write one profile figure to the path ``target``; each series is
-    (depth m, value %) pairs."""
+    (depth m, value %) pairs, and ``title`` is plain text."""
     all_depths = [d for series in (truth, observations, estimates) for d, _ in series]
     all_values = [v for series in (truth, observations, estimates) for _, v in series]
     if not all_depths:
@@ -67,6 +67,7 @@ def profile_plot(
     def sy(depth: float) -> float:
         return MARGIN_T + (depth - d_lo) / (d_hi - d_lo) * px_h
 
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="11">',

@@ -14,7 +14,6 @@ from geoglmb.assignment import (
     _enumerate_scored,
     _valid_combos,
     batch_enumerable,
-    enumerate_solutions,
     gibbs_solutions,
     murty_kbest,
     ranked_batch,
@@ -316,7 +315,7 @@ class TestGibbs:
 class TestEnumerate:
     def test_sorted_descending_with_lexicographic_ties(self):
         cost = np.array([[1.0, 1.0, 0.0], [0.5, 0.5, 0.5]])
-        sols = enumerate_solutions(cost)
+        sols = ranked_solutions(cost, 3**2)  # every combination
         assert len({c for c, _ in sols}) == len(sols)
         scores = [s for _, s in sols]
         assert scores == sorted(scores, reverse=True)
@@ -340,7 +339,7 @@ class TestEnumerate:
             cost[rng.random(size=cost.shape) < 0.2] = -0.0
             combos = reference_combos(n_rows, n_cols)
             want = cost[np.arange(n_rows), combos].sum(axis=1)
-            got = _enumerate_scored(cost)
+            got = _enumerate_scored(cost, len(combos))
             order = np.argsort(-want, kind="stable")
             assert np.array_equal(got.cols, combos[order])
             assert got.scores.tobytes() == want[order].tobytes()
@@ -369,7 +368,10 @@ def test_ranked_is_prefix_of_enumeration(data):
         data.draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
                            min_size=n_rows, max_size=n_rows))
     )
-    full = enumerate_solutions(cost)
+    try:  # every combination
+        full = ranked_solutions(cost, _valid_combos(n_rows, n_cols).shape[1])
+    except InfeasibleAssociationError:
+        full = []
     if not full:
         with pytest.raises(InfeasibleAssociationError):
             ranked_solutions(cost, 1)
@@ -422,7 +424,7 @@ def test_few_combinations_on_floats_equal_the_array_pass(data):
     if data.draw(st.booleans()):
         cost[data.draw(st.integers(0, n_rows - 1))] = -math.inf
     n_combos = _valid_combos(n_rows, n_cols).shape[1]
-    k = data.draw(st.one_of(st.none(), st.integers(1, n_combos + 2)))
+    k = data.draw(st.integers(1, n_combos + 2))
     with patch.object(geoglmb.assignment, "_FEW_COMBOS", 0):
         arrays = _enumerate_scored(cost, k)
     with patch.object(geoglmb.assignment, "_FEW_COMBOS", 10**9):

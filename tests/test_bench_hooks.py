@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 
 from conftest import simple_birth
+from geoglmb import experiment
 from geoglmb.filter import TruncationConfig, run_sequence
 from geoglmb.gaussian import MotionModel, SensorModel
 from geoglmb.lrfs import Label
+from geoglmb.scenario import bundled_records
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "glmbbench"))
 import workload  # noqa: E402
@@ -41,3 +43,16 @@ def test_sampler_sees_ranked_and_gibbs_solutions_of_a_joint_run():
     counts = sampler.counts()
     assert counts["ranked"] >= 1 and counts["gibbs"] >= 1
     assert sampler.check() == []
+
+
+def test_traced_trial_counts_filter_steps():
+    # Independent mode: three one-property groups, one step per depth each.
+    records = bundled_records("onsoy")[:6]
+    config = experiment.ExperimentConfig(site="onsoy", mode="independent", trunc_method="ranked")
+    tracer = Tracer()
+    with patched(workload.tracer_patches(tracer)):
+        experiment.run_trial(records, config, 0)
+    metrics = workload.layer_metrics(tracer, 0, 0.0)
+    assert metrics["filter.joint_predict_update.calls"][0] == 3 * len(records)
+    assert metrics["filter.hyps_in"][0] >= 3 * len(records)
+    assert metrics["filter.hyps_out"][0] >= 3 * len(records)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from geoglmb.experiment import (
     run_trial,
     write_estimates_csv,
 )
-from geoglmb.scenario import bundled_records
+from geoglmb.scenario import bundled_records, bundled_site_path
 
 FAST = dict(
     trunc_method="ranked", requested_hypotheses=24, min_weight=1e-5, max_hypotheses=60
@@ -212,6 +213,16 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "report.json").exists()
         assert "report.json" in capsys.readouterr().out
+
+    def test_plots_parse_when_the_site_name_holds_markup(self, tmp_path):
+        # The site name, the table's file name, goes into every plot title.
+        site = tmp_path / "a&b<c>d.csv"
+        site.write_bytes(bundled_site_path("onsoy").read_bytes())
+        out = tmp_path / "run"
+        assert main(["run", "--site", str(site), "--mode", "independent", "--out", str(out)]) == 0
+        for prop in ("LL", "PI", "w"):
+            title = ET.parse(out / f"plot_{prop}.svg").getroot().find("{http://www.w3.org/2000/svg}text")
+            assert title.text == f"a&b<c>d: {prop}"
 
     def test_synth_subcommand(self, tmp_path):
         code = main(["synth", "--site", "taipei", "--seed", "2", "--out", str(tmp_path)])

@@ -167,9 +167,9 @@ class TestBuildLogCost:
             glmb.hypotheses[0], BirthModel(), [48.0, 52.0],
             MotionModel(), SensorModel(), delta=0.5,
         )
-        assert cost.solution_to_map((0,)).outcome(lbl) == DEAD
-        assert cost.solution_to_map((1,)).outcome(lbl) == UNDETECTED
-        assert cost.solution_to_map((3,)).outcome(lbl) == 2
+        assert dict(cost.solution_to_map((0,)).assignment)[lbl] == DEAD
+        assert dict(cost.solution_to_map((1,)).assignment)[lbl] == UNDETECTED
+        assert dict(cost.solution_to_map((3,)).assignment)[lbl] == 2
 
 
 class TestAssociationMap:
@@ -218,7 +218,7 @@ class TestAssignmentWrappers:
             delta=0.5,
         )
         trunc = TruncationConfig(method="gibbs", gibbs_iterations=200, seed=2)
-        outcomes = {m.outcome(lbl) for m in gibbs_assignments(cost, trunc)}
+        outcomes = {dict(m.assignment)[lbl] for m in gibbs_assignments(cost, trunc)}
         assert outcomes == {DEAD, UNDETECTED}
 
 
@@ -390,6 +390,15 @@ class TestJointPredictUpdate:
                 empty_density(0), birth, [], MotionModel(), SensorModel(), 1.0, EXHAUSTIVE
             )
 
+    def test_birth_of_a_held_label_is_error(self):
+        # The label carries the next step, but the density already holds it.
+        glmb, lbl = one_label_prior(step=0)
+        birth = simple_birth([(lbl, np.array([50.0, 0.0]))])
+        for method in ("ranked", "gibbs"):
+            with pytest.raises(ValueError, match=f"birth label {lbl} is already"):
+                joint_predict_update(glmb, birth, [48.0], MotionModel(), SensorModel(), 1.0,
+                                     TruncationConfig(method=method))
+
     def test_non_finite_measurement_is_error(self):
         birth = simple_birth([(Label(1, 0), np.array([50.0, 0.0]))])
         for bad in ([math.nan], [48.0, math.inf], [-math.inf]):
@@ -457,7 +466,7 @@ class TestJointPredictUpdate:
                 min_weight=1e-10, max_hypotheses=100,
             )
             for density in run_sequence(deltas, sets, birth, motion, sensor, trunc):
-                w = density.weights()
+                w = np.exp(density.arrays.log_weights)
                 assert abs(w.sum() - 1.0) < 1e-9
                 rho = cardinality_distribution(density)
                 assert abs(rho.sum() - 1.0) < 1e-9
@@ -479,7 +488,7 @@ class TestJointPredictUpdate:
         a = run_sequence(deltas, sets, birth, motion, sensor, trunc)
         b = run_sequence(deltas, sets, birth, motion, sensor, trunc)
         for da, db in zip(a, b):
-            assert da.log_weights().tolist() == db.log_weights().tolist()
+            assert da.arrays.log_weights.tolist() == db.arrays.log_weights.tolist()
             for ha, hb in zip(da.hypotheses, db.hypotheses):
                 assert ha.label_set == hb.label_set and ha.history == hb.history
 
@@ -656,7 +665,7 @@ def _under_batch(crossover, budget, step):
             return type(exc), str(exc)
 
 
-# (crossover, chunk budget): every group of two or more parents stacked, in
+# (crossover, chunk budget): every step of two or more parents stacked, in
 # chunks of one problem or all at once, and the defaults.
 _BATCH_SETTINGS = (
     (0, 1),
@@ -666,8 +675,8 @@ _BATCH_SETTINGS = (
 
 
 class TestBatchedStepsAgree:
-    """A ranked step whose same-shape parents are enumerated as stacks gives
-    the bits of the per-parent path (crossover above every group)."""
+    """A ranked step enumerated as one stack gives the bits of the
+    per-parent path (crossover above every step)."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -701,8 +710,9 @@ class TestBatchedStepsAgree:
         for crossover, budget in _BATCH_SETTINGS:
             assert_same_densities(_under_batch(crossover, budget, step), want)
 
-    def test_each_row_count_is_one_stack(self):
-        # Two parents each of 1, 2 and 3 labels and one of none, interleaved.
+    def test_a_ranked_step_is_at_most_one_stack(self):
+        # Two parents each of 1, 2 and 3 labels and one of none, interleaved:
+        # every parent is posed over the step's 3 labels.
         rng = np.random.default_rng(5)
         hyps = []
         for h, n_labels in enumerate([1, 3, 2, 0, 1, 2, 3]):
@@ -719,14 +729,13 @@ class TestBatchedStepsAgree:
             return [joint_predict_update(prior, BirthModel(), zs, motion, sensor, 0.5, trunc)]
 
         want = _under_batch(10**9, geoglmb.assignment._BATCH_CELLS, step)
-        for crossover, budget in _BATCH_SETTINGS[:2]:
+        for crossover, budget in _BATCH_SETTINGS:
             with patch.object(geoglmb.filter, "ranked_batch",
                               wraps=geoglmb.filter.ranked_batch) as spy:
-                assert_same_densities(_under_batch(crossover, budget, step), want)
-            assert [call.args[0].shape for call in spy.call_args_list] == [
-                (2, 1, 5), (2, 3, 5), (2, 2, 5)
-            ]
-        assert want[0].arrays.parent.tolist().count(3) == 1  # the empty parent
+                got = _under_batch(crossover, budget, step)
+            assert_same_densities(got, want)
+            assert [call.args[0].shape for call in spy.call_args_list] == [(7, 3, 5)]
+            assert got[0].arrays.parent.tolist().count(3) == 1  # the empty parent
 
 
 @pytest.mark.parametrize("method", ["ranked", "gibbs"])

@@ -44,7 +44,7 @@ def normalize(glmb: GlmbDensity) -> GlmbDensity:
     """Rescale hypothesis weights to sum to one, in log space via max-shift."""
     if not glmb.hypotheses:
         raise WeightCollapseError("cannot normalize a density with no hypotheses")
-    logw = glmb.log_weights()
+    logw = glmb.arrays.log_weights
     total = log_sum_weights(logw)
     if not np.isfinite(total):
         raise WeightCollapseError("total weight collapsed: all log-weights are -inf")
@@ -116,11 +116,11 @@ class TestNormalize:
             (hyp([], math.log(2.0), 0), hyp([], math.log(2.0), 1)), step=1
         )
         out = normalize(glmb)
-        np.testing.assert_allclose(out.weights(), [0.5, 0.5], rtol=1e-15)
+        np.testing.assert_allclose(np.exp(out.arrays.log_weights), [0.5, 0.5], rtol=1e-15)
 
     def test_single_hypothesis(self):
         out = normalize(GlmbDensity((hyp([], math.log(0.3), 0),), step=1))
-        np.testing.assert_allclose(out.weights(), [1.0], rtol=1e-15)
+        np.testing.assert_allclose(np.exp(out.arrays.log_weights), [1.0], rtol=1e-15)
 
     def test_extreme_log_weights_match_high_precision_oracle(self):
         # Oracle: shifted evaluation with 50-digit decimals.
@@ -129,7 +129,7 @@ class TestNormalize:
         expected = [float(1 / (1 + e1)), float(e1 / (1 + e1))]
         glmb = GlmbDensity((hyp([], -1000.0, 0), hyp([], -1001.0, 1)), step=1)
         out = normalize(glmb)
-        np.testing.assert_allclose(out.weights(), expected, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(out.arrays.log_weights), expected, rtol=1e-12)
 
     def test_all_minus_inf_collapses(self):
         glmb = GlmbDensity((hyp([], -math.inf, 0),), step=1)
@@ -146,7 +146,7 @@ class TestNormalize:
             once = normalize(make_density(rng))
             twice = normalize(once)
             np.testing.assert_allclose(
-                twice.log_weights(), once.log_weights(), atol=1e-12
+                twice.arrays.log_weights, once.arrays.log_weights, atol=1e-12
             )
 
     def test_preserves_relative_weights(self):
@@ -154,7 +154,7 @@ class TestNormalize:
             (hyp([], math.log(1.0), 0), hyp([], math.log(3.0), 1)), step=1
         )
         out = normalize(glmb)
-        np.testing.assert_allclose(out.weights(), [0.25, 0.75], rtol=1e-14)
+        np.testing.assert_allclose(np.exp(out.arrays.log_weights), [0.25, 0.75], rtol=1e-14)
 
 
 class TestGlmbDensity:

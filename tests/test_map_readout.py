@@ -173,13 +173,14 @@ def test_filtered_exact_tie_breaks_on_history():
     trunc = TruncationConfig(method="ranked", requested_hypotheses=16, min_weight=0.0)
     history = run_sequence([1.0, 0.5, 0.8], [[52.0], [], []], birth, motion, sensor, trunc)
     final = history[-1]
-    top = final.log_weights().max()
-    assert np.count_nonzero(final.log_weights() == top) >= 2
+    top = final.arrays.log_weights.max()
+    assert np.count_nonzero(final.arrays.log_weights == top) >= 2
     series = assert_readouts_equal(history, [1.0, 1.5, 2.3])
     assert series.map_cardinality == 2
     chosen = final.hypotheses[best_hypothesis_with_cardinality(final, 2)]
     assert chosen.history[0] == ((l0, UNDETECTED), (l1, 1))
-    assert series.track(l1).variances[0] < series.track(l0).variances[0]
+    tracks = {t.label: t for t in series.tracks}
+    assert tracks[l1].variances[0] < tracks[l0].variances[0]
 
 
 def test_hand_built_exact_tie_breaks_on_label_set_then_history():
@@ -198,7 +199,7 @@ def test_hand_built_exact_tie_breaks_on_label_set_then_history():
     final = GlmbDensity(hyps, step=1)
     assert best_hypothesis_with_cardinality(final, 2) == 3
     series = assert_readouts_equal([final], [1.0])
-    assert series.track(l0).values.tolist() == [40.0]
+    assert {t.label: t for t in series.tracks}[l0].values.tolist() == [40.0]
     # a replaced density is packed anew
     swapped = dataclasses.replace(final, hypotheses=hyps[::-1])
     assert best_hypothesis_with_cardinality(swapped, 2) == 0

@@ -48,6 +48,17 @@ class TestLoadSiteTable:
         assert load_site_table(io.StringIO(text))[0].depth == 1.0
         assert load_site_table(io.BytesIO(text.encode()))[0].values["PI"] == 20.0
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with one
+        plain = bundled_site_path("onsoy").read_bytes()
+        marked = "\ufeff".encode() + plain
+        path = tmp_path / "onsoy.csv"
+        path.write_bytes(marked)
+        want = load_site_table(plain)
+        assert load_site_table(marked) == want
+        assert load_site_table(path) == want
+        assert load_site_table(io.StringIO(marked.decode())) == want
+
     def test_rows_sorted_by_depth(self):
         text = "depth,LL,PI,w\n2.0,1,1,1\n1.0,2,2,2\n"
         records = load_site_table(text.encode())
