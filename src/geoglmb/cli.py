@@ -58,7 +58,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
@@ -103,7 +103,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     scenario = read_scenario_csv(args.scenario)
-    estimates = read_estimates_csv(args.estimates, len(scenario.depths))
+    estimates = read_estimates_csv(args.estimates, scenario.depths)
     report = build_report(scenario, estimates)
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -116,7 +116,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     scenario = read_scenario_csv(args.scenario)
-    estimates = read_estimates_csv(args.estimates, len(scenario.depths))
+    estimates = read_estimates_csv(args.estimates, scenario.depths)
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in write_plots(scenario, estimates, out_dir):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import numbers
@@ -166,7 +167,7 @@ class ExperimentConfig:
 
     def resolve_site(self) -> Path:
         path = Path(self.site)
-        if path.exists():
+        if path.is_file():
             return path
         try:
             return bundled_site_path(self.site)
@@ -174,12 +175,13 @@ class ExperimentConfig:
             raise ConfigError(f"site {self.site!r} is neither a file nor a bundled name")
 
     def site_records(self) -> tuple[Path, list[SiteRecord]]:
-        """The site table's path and records.  A malformed table, or one of
-        fewer than two depth rows, raises SiteTableError naming the file."""
+        """The site table's path and records.  A malformed or unreadable
+        table, or one of fewer than two depth rows, raises SiteTableError
+        naming the file."""
         path = self.resolve_site()
         try:
             records = load_site_table(path)
-        except SiteTableError as exc:
+        except (SiteTableError, OSError, UnicodeDecodeError) as exc:
             raise SiteTableError(f"{path}: {exc}") from None
         if len(records) < 2:
             raise SiteTableError(
@@ -402,17 +404,22 @@ def _read_csv(path, columns: Sequence[str], numeric: Sequence[str]):
     """Each row of an exported CSV as (row number, row, its ``numeric`` cells
     parsed), rows numbered from 1 after the header.  A missing column of
     ``columns`` or ``numeric``, or a bad number, raises SiteTableError
-    naming the file, the row and the column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for column in (*columns, *numeric):
-            if column not in (reader.fieldnames or ()):
-                raise SiteTableError(f"{path}: header row: missing column {column!r}")
-        for row_num, row in enumerate(reader, start=1):
-            try:
-                yield row_num, row, [_parse_float(row[c], row_num, c) for c in numeric]
-            except SiteTableError as exc:
-                raise SiteTableError(f"{path}: {exc}") from None
+    naming the file, the row and the column; so does a file that cannot be
+    read as UTF-8 text."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SiteTableError(f"{path}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    for column in (*columns, *numeric):
+        if column not in (reader.fieldnames or ()):
+            raise SiteTableError(f"{path}: header row: missing column {column!r}")
+    for row_num, row in enumerate(reader, start=1):
+        try:
+            yield row_num, row, [_parse_float(row[c], row_num, c) for c in numeric]
+        except SiteTableError as exc:
+            raise SiteTableError(f"{path}: {exc}") from None
 
 
 def read_scenario_csv(path) -> Scenario:
@@ -500,16 +507,18 @@ def read_scenario_csv(path) -> Scenario:
     )
 
 
-def read_estimates_csv(path, n_depths: int | None = None) -> EstimateSeries:
+def read_estimates_csv(path, depths: Sequence[float] | None = None) -> EstimateSeries:
     """Rebuild an estimate series from an exported estimates.csv.
 
-    A step must be a whole number from 1 to ``n_depths`` (the depth count
-    of the run's schedule; no upper bound when None) and a label must read
-    ``<birth step>:<index>`` in non-negative integers.  A property is one
-    of LL, PI, w or unknown (the track carries None), the same on every row
-    of a label, and no two labels name one property.  A label has one row
-    per step.  Otherwise, as for a missing column or a bad number,
-    SiteTableError names the file, the row and the column.
+    A step must be a whole number from 1 to ``len(depths)`` (``depths`` is
+    the run's depth schedule; no upper bound when None), its depth the
+    schedule's depth at that step to the 6 significant digits the file
+    holds, and a label must read ``<birth step>:<index>`` in non-negative
+    integers.  A property is one of LL, PI, w or unknown (the track carries
+    None), the same on every row of a label, and no two labels name one
+    property.  A label has one row per step.  Otherwise, as for a missing
+    column or a bad number, SiteTableError names the file, the row and the
+    column.
     """
     per_label: dict[Label, list[tuple[float, float, float, float]]] = {}
     props: dict[Label, str] = {}
@@ -518,10 +527,15 @@ def read_estimates_csv(path, n_depths: int | None = None) -> EstimateSeries:
     for row_num, row, values in _read_csv(path, ("label", "property"), numeric):
         where = f"{path}: row {row_num}"
         step = values[0]
-        if not step.is_integer() or step < 1 or (n_depths is not None and step > n_depths):
-            bound = ">= 1" if n_depths is None else f"from 1 to {n_depths}"
+        if not step.is_integer() or step < 1 or (depths is not None and step > len(depths)):
+            bound = ">= 1" if depths is None else f"from 1 to {len(depths)}"
             raise SiteTableError(
                 f"{where}, column step: must be a whole number {bound}, got {row['step']!r}"
+            )
+        if depths is not None and f"{values[1]:.6g}" != f"{depths[int(step) - 1]:.6g}":
+            raise SiteTableError(
+                f"{where}, column depth: step {step:g} is at depth "
+                f"{depths[int(step) - 1]:.6g} in the scenario, got {row['depth']!r}"
             )
         parts = row["label"].split(":")
         if len(parts) != 2 or not all(part.isdecimal() for part in parts):

@@ -13,20 +13,24 @@ never share an identity and are never merged.
 
 Every label carries one Gaussian, and a density is held as arrays (see
 ``lrfs.DensityArrays``).  The prior density's state rows are predicted and
-scored in one table.  Under ranked truncation, when ``batch_enumerable``
-allows, every parent is posed over all labels of the step and the step is
-enumerated as one stack by ``ranked_batch``: the parents share the step's
-readings, so the numpy overhead is paid once per step, not once per parent
-(Vo, Vo & Hoang 2017).  A label a parent lacks gets an absent row whose
-only finite cell is 0.0 in column 0, which adds nothing to any score and
-keeps the order of the parent's combinations.  Otherwise each parent gets
-its own ``ranked_solutions`` call over the rows of its labels (a single
-parent, too few to stack, or beyond the enumeration limit), and Gibbs
-parents their own ``gibbs_solutions`` call, whose generator is keyed on the
-parent.  All children, as parent, score and column arrays in parent order,
-are weighed, pruned and capped together.  The kept children become the next
-density's parent, outcome and state arrays.  No hypothesis object is built
-unless a caller asks for one.
+scored in one table.  A label is (birth step, index) and a step's births
+carry the next step, so they sort after every label the prior holds: the
+step's label table is the prior's labels followed by the births, and a
+parent's table row per label is its prior state row, widened by the birth
+rows on a birth step (Vo & Vo 2013).  Under ranked truncation, when
+``batch_enumerable`` allows, every parent is posed over all labels of the
+step and the step is enumerated as one stack by ``ranked_batch``: the
+parents share the step's readings, so the numpy overhead is paid once per
+step, not once per parent (Vo, Vo & Hoang 2017).  A label a parent lacks
+gets an absent row whose only finite cell is 0.0 in column 0, which adds
+nothing to any score and keeps the order of the parent's combinations.
+Otherwise each parent gets its own ``ranked_solutions`` call over the rows
+of its labels (a single parent, too few to stack, or beyond the enumeration
+limit), and Gibbs parents their own ``gibbs_solutions`` call, whose
+generator is keyed on the parent.  All children, as parent, score and
+column arrays in parent order, are weighed, pruned and capped together.
+The kept children become the next density's parent, outcome and state
+arrays.  No hypothesis object is built unless a caller asks for one.
 
 A numpy call costs about as much as a dozen float operations in Python, and
 a one-label filter (independent mode) makes steps of one parent, one label
@@ -225,9 +229,14 @@ class _StepCosts:
     does.  A table of fewer than ``_ROWS_AS_ARRAYS`` rows is then filled
     row by row on Python floats, a larger one as numpy columns; both apply
     the same operations in the same order, so they agree to the bit.
-    ``rows[p]`` holds parent p's table row per label of the step, in
-    label-table order, or -1 where p lacks the label; p's cost matrix is a
-    gather of its present rows.
+
+    The step's labels are the prior's labels followed by the births, sorted
+    among themselves.  ``rows`` [H, L] holds each parent's table row per
+    label of the step, or -1 where the parent lacks the label: on a
+    birthless step it is the prior's state array itself, and on a birth
+    step each prior row is followed by the birth rows.  A parent's cost
+    matrix is a gather of its present rows.  A birth label that the prior
+    holds, or that sorts before one of its labels, raises ValueError.
     """
 
     def __init__(
@@ -246,15 +255,20 @@ class _StepCosts:
         self.sensor = sensor
 
         births = sorted(birth.entries, key=lambda e: e.label)
-        n_prior = len(prior.means)
-        labels = prior.labels + tuple(e.label for e in births)
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        self.labels = tuple(labels[i] for i in order)
-        birth_rows = list(range(n_prior, n_prior + len(births)))
-        self.rows = []
-        for prior_rows in prior.state.tolist():
-            table_rows = prior_rows + birth_rows
-            self.rows.append([table_rows[i] for i in order])
+        for e in births:
+            if prior.labels and e.label <= prior.labels[-1]:
+                if e.label in prior.labels:
+                    raise ValueError(f"birth label {e.label} is already a label of the density")
+                raise ValueError(
+                    f"birth label {e.label} sorts before label {prior.labels[-1]} of the density"
+                )
+        n_prior, n_held = len(prior.means), len(prior.labels)
+        self.labels = prior.labels + tuple(e.label for e in births)
+        self.rows = prior.state
+        if births:  # each prior row widened by the birth rows
+            self.rows = np.empty((len(prior.state), len(self.labels)), dtype=int)
+            self.rows[:, :n_held] = prior.state
+            self.rows[:, n_held:] = range(n_prior, n_prior + len(births))
 
         means = np.einsum("ij,nj->ni", self.f, prior.means)
         covs = symmetrize(self.f @ prior.covs @ self.f.T + self.q)
@@ -323,8 +337,9 @@ class _StepCosts:
         n_cells = len(parents) * n_labels
         outcome, state = [ABSENT] * n_cells, [-1] * n_cells
         bases = range(0, n_cells, n_labels or 1)  # no labels: no cells to write
+        rows = self.rows.tolist()
         for base, p_idx, solution in zip(bases, parents, solutions):
-            for cell, row, col in zip(range(base, base + n_labels), self.rows[p_idx], solution):
+            for cell, row, col in zip(range(base, base + n_labels), rows[p_idx], solution):
                 if row >= 0:
                     outcome[cell] = col - 1
                     if col >= 1:
@@ -367,6 +382,8 @@ def build_log_cost(
 
     Surviving labels' densities are predicted over the interval before the
     measurement likelihoods are evaluated; birth densities enter as given.
+    A birth label that the hypothesis holds, or that sorts before one of its
+    labels, raises ValueError.
     """
     prior = GlmbDensity((hypothesis,)).arrays
     costs = _StepCosts(prior, birth, measurements, motion, sensor, delta)
@@ -418,7 +435,8 @@ def joint_predict_update(
     ``_ROWS_AS_ARRAYS``; the kept ones become the arrays of the returned
     density, which points back at ``glmb``.  The result does not depend on
     scheduling.  Non-finite measurements, and birth labels that do not carry
-    the next step or that the density already holds, raise ValueError.
+    the next step, that the density already holds or that sort before one
+    of its labels, raise ValueError.
     """
     if not glmb.hypotheses:
         raise WeightCollapseError("cannot step a density with no hypotheses")
@@ -429,8 +447,6 @@ def joint_predict_update(
             raise ValueError(
                 f"birth label {entry.label} does not carry birth step {next_step}"
             )
-        if entry.label in prior.labels:
-            raise ValueError(f"birth label {entry.label} is already a label of the density")
     costs = _StepCosts(prior, birth, measurements, motion, sensor, delta)
 
     n_labels, width = len(costs.labels), costs.table.shape[1]
@@ -444,7 +460,7 @@ def joint_predict_update(
         if len(block[1]):
             blocks.append(block)
     else:
-        for p_idx, rows in enumerate(costs.rows):
+        for p_idx, rows in enumerate(costs.rows.tolist()):
             present = [c for c, row in enumerate(rows) if row >= 0]
             values = costs.table.take([rows[c] for c in present], axis=0)
             try:

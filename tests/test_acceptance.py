@@ -229,7 +229,7 @@ def test_criterion_5_cross_site_check(announce):
         reports = {}
         for site in ("onsoy", "taipei"):
             config = ExperimentConfig(
-                site=site, seed=10_000 * b, mc_trials=100, **FAST_MC
+                site=site, seed=10_000 * b, mc_trials=100, jobs=2, **FAST_MC
             )
             _, reports[site] = run_monte_carlo(config)
         comparison = compare_reports(reports["onsoy"], reports["taipei"])

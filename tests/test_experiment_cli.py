@@ -364,6 +364,8 @@ class TestCli:
         ("estimates", "step", "1.5"),
         ("estimates", "step", "0"),
         ("estimates", "step", "999"),
+        # row 2 is at depth 1.42
+        ("estimates", "depth", "5.89"),
         ("scenario", "kind", "guess"),
         ("scenario", "property_or_unknown", "LLL"),
         ("estimates", "property", "clay"),
@@ -385,6 +387,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2, err
         for part in (f"bad_{table}.csv", "row 2", f"column {column}", repr(text)):
+            assert part in err, err
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_estimates_of_another_schedule_exit_code(self, exported_trial, tmp_path, capsys,
+                                                     command):
+        # taipei's first depth is 5.89, onsoy's 1.03
+        assert main(["run", "--site", "taipei", "--mode", "independent", "--seed", "3",
+                     "--out", str(tmp_path / "taipei")]) == 0
+        estimates = tmp_path / "taipei" / "trials" / "trial_000" / "estimates.csv"
+        code = main([command, "--scenario", str(exported_trial / "scenario.csv"),
+                     "--estimates", str(estimates), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        for part in (str(estimates), "row 1", "column depth", "depth 1.03", "'5.89'"):
             assert part in err, err
 
     @pytest.mark.parametrize("command", ["eval", "plot"])
@@ -476,6 +492,43 @@ class TestCli:
         config = _build_config(build_parser().parse_args([command, flag, text]))
         assert getattr(config, field) == value
         assert config == dataclasses.replace(ExperimentConfig(), **{field: value})
+
+    # (command, flag, input): a directory, a file that is not UTF-8 text
+    # (the flag's usual contents plus one Latin-1 byte) and no file
+    UNREADABLE = [
+        ("run", "--site", "directory"),
+        ("run", "--site", "latin-1"),
+        ("run", "--config", "latin-1"),
+        *((command, flag, kind) for command in ("eval", "plot")
+          for flag in ("--scenario", "--estimates")
+          for kind in ("directory", "latin-1", "missing")),
+    ]
+
+    @pytest.mark.parametrize("command, flag, kind", UNREADABLE)
+    def test_unreadable_input_exit_code(self, exported_trial, tmp_path, capsys, command, flag,
+                                        kind):
+        contents = {
+            "--site": bundled_site_path("onsoy").read_bytes(),
+            "--config": b'{"seed": 1}\n',
+            "--scenario": (exported_trial / "scenario.csv").read_bytes(),
+            "--estimates": (exported_trial / "estimates.csv").read_bytes(),
+        }
+        target = tmp_path / "input.csv"
+        if kind == "directory":
+            target.mkdir()
+        elif kind == "latin-1":
+            target.write_bytes(contents[flag] + "caf\xe9\n".encode("latin-1"))
+        out = ["--out", str(tmp_path / "out")]
+        if command == "run":
+            argv = [command, flag, str(target), *out]
+        else:
+            paths = {f: str(exported_trial / f"{f[2:]}.csv") for f in ("--scenario", "--estimates")}
+            paths[flag] = str(target)
+            argv = [command, *(part for item in paths.items() for part in item), *out]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(target) in err, err
 
     def test_missing_site_exit_code(self, tmp_path):
         assert main(["run", "--site", "nowhere.csv", "--out", str(tmp_path)]) == 2

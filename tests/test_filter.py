@@ -399,6 +399,40 @@ class TestJointPredictUpdate:
                 joint_predict_update(glmb, birth, [48.0], MotionModel(), SensorModel(), 1.0,
                                      TruncationConfig(method=method))
 
+    def test_birth_sorting_before_a_held_label_is_error(self):
+        # Label (1, 1) is held, so a birth (1, 0) would not follow the
+        # density's labels in the step's label table.
+        held = Label(1, 1)
+        hyp = GlmbHypothesis((held,), ((),), 0.0, {held: make_gaussian(np.random.default_rng(0))})
+        birth = simple_birth([(Label(1, 0), np.array([50.0, 0.0]))])
+        args = (birth, [48.0], MotionModel(), SensorModel(), 1.0)
+        with pytest.raises(ValueError, match="birth label 1:0 sorts before label 1:1"):
+            joint_predict_update(GlmbDensity((hyp,), step=0), *args, EXHAUSTIVE)
+        with pytest.raises(ValueError, match="birth label 1:0 sorts before label 1:1"):
+            build_log_cost(hyp, *args)
+
+    def test_build_log_cost_rejects_a_held_birth_label(self):
+        glmb, lbl = one_label_prior()
+        birth = simple_birth([(lbl, np.array([50.0, 0.0]))])
+        with pytest.raises(ValueError, match=f"birth label {lbl} is already"):
+            build_log_cost(glmb.hypotheses[0], birth, [48.0], MotionModel(), SensorModel(), 1.0)
+
+    def test_births_follow_the_prior_labels(self):
+        prior = make_density(np.random.default_rng(3), n_hypotheses=6)
+        assert prior.arrays.labels  # a non-empty prior
+        born = [Label(2, 1), Label(2, 0)]
+        birth = simple_birth([(lbl, np.array([10.0 * i, 0.0])) for i, lbl in enumerate(born)])
+        out = joint_predict_update(prior, birth, [1.0, 20.0], MotionModel(), SensorModel(),
+                                   0.5, EXHAUSTIVE)
+        assert out.arrays.labels == prior.arrays.labels + (Label(2, 0), Label(2, 1))
+
+    def test_birthless_step_rows_are_the_prior_state(self):
+        prior = make_density(np.random.default_rng(3), n_hypotheses=6).arrays
+        costs = geoglmb.filter._StepCosts(prior, BirthModel(), [1.0], MotionModel(),
+                                          SensorModel(), 0.5)
+        assert costs.rows is prior.state
+        assert costs.labels == prior.labels
+
     def test_non_finite_measurement_is_error(self):
         birth = simple_birth([(Label(1, 0), np.array([50.0, 0.0]))])
         for bad in ([math.nan], [48.0, math.inf], [-math.inf]):
