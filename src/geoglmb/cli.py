@@ -19,12 +19,12 @@ from .errors import ConfigError, GeoGlmbError, SiteTableError
 from .evaluation import build_report, write_metrics_csv, write_report_json
 from .experiment import (
     ExperimentConfig,
+    check_out_dir,
     read_estimates_csv,
-    read_scenario_csv,
     run_experiment,
     write_plots,
 )
-from .scenario import scenario_to_csv, synthesize_observations
+from .scenario import read_scenario_csv, scenario_to_csv, synthesize_observations
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,8 +76,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    out_dir = check_out_dir(config.out_dir)
     site_path, records = config.site_records()
-    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = synthesize_observations(
         records,
@@ -102,10 +102,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    out_dir = check_out_dir(args.out_dir or ".")
     scenario = read_scenario_csv(args.scenario)
     estimates = read_estimates_csv(args.estimates, scenario.depths)
     report = build_report(scenario, estimates)
-    out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out_dir / "report.json")
     write_metrics_csv(report, out_dir / "metrics.csv")
@@ -115,9 +115,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    out_dir = check_out_dir(args.out_dir or ".")
     scenario = read_scenario_csv(args.scenario)
     estimates = read_estimates_csv(args.estimates, scenario.depths)
-    out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in write_plots(scenario, estimates, out_dir):
         print(f"wrote {path}")

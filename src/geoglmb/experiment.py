@@ -3,17 +3,18 @@
 A trial synthesizes one observation sequence from a site table, filters it,
 and extracts the MAP trajectory readout.  Monte Carlo batches repeat trials
 under derived seeds (seed + trial index) and aggregate one report.
+``read_estimates_csv`` reads an estimates.csv back through
+``scenario.read_csv_rows``, the reader of every input table.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
-import io
-import json
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -43,10 +44,10 @@ from .scenario import (
     PROPERTIES,
     Scenario,
     SiteRecord,
-    _parse_float,
     bundled_site_path,
     depth_intervals,
     load_site_table,
+    read_csv_rows,
     scenario_to_csv,
     synthesize_observations,
 )
@@ -58,7 +59,7 @@ __all__ = [
     "run_trial",
     "run_monte_carlo",
     "run_experiment",
-    "read_scenario_csv",
+    "check_out_dir",
     "read_estimates_csv",
     "write_estimates_csv",
     "write_plots",
@@ -179,10 +180,7 @@ class ExperimentConfig:
         table, or one of fewer than two depth rows, raises SiteTableError
         naming the file."""
         path = self.resolve_site()
-        try:
-            records = load_site_table(path)
-        except (SiteTableError, OSError, UnicodeDecodeError) as exc:
-            raise SiteTableError(f"{path}: {exc}") from None
+        records = load_site_table(path)
         if len(records) < 2:
             raise SiteTableError(
                 f"{path}: {len(records)} depth rows, need at least two to form intervals"
@@ -373,15 +371,27 @@ def write_plots(scenario: Scenario, series: EstimateSeries, out_dir: Path) -> li
     return written
 
 
+def check_out_dir(path) -> Path:
+    """``path`` as a Path, once it is a directory or one can be made there;
+    otherwise ConfigError names it.  Nothing is created."""
+    out = Path(path)
+    nearest = next(p for p in (out, *out.absolute().parents) if os.path.lexists(p))
+    if not nearest.is_dir() or not os.access(nearest, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {path}: {nearest} is not a writable directory")
+    return out
+
+
 def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
     """Run the configured experiment and write all artifacts.
 
     Produces per-trial scenario/estimate tables under trials/, the
     aggregated report.json and metrics.csv, and one SVG profile per
-    property rendered from the first trial.
+    property rendered from the first trial.  The output directory is
+    checked before any trial runs.
     """
+    config.validate()
+    out_dir = check_out_dir(config.out_dir)
     trials, report = run_monte_carlo(config)
-    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     written: dict[str, list[str]] = {"scenario": [], "estimates": [], "report": [], "plots": []}
@@ -398,113 +408,6 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
     written["report"] = [str(out_dir / "report.json"), str(out_dir / "metrics.csv")]
     written["plots"] = [str(p) for p in write_plots(trials[0][0], trials[0][1], out_dir)]
     return written
-
-
-def _read_csv(path, columns: Sequence[str], numeric: Sequence[str]):
-    """Each row of an exported CSV as (row number, row, its ``numeric`` cells
-    parsed), rows numbered from 1 after the header.  A missing column of
-    ``columns`` or ``numeric``, or a bad number, raises SiteTableError
-    naming the file, the row and the column; so does a file that cannot be
-    read as UTF-8 text."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SiteTableError(f"{path}: {exc}") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    for column in (*columns, *numeric):
-        if column not in (reader.fieldnames or ()):
-            raise SiteTableError(f"{path}: header row: missing column {column!r}")
-    for row_num, row in enumerate(reader, start=1):
-        try:
-            yield row_num, row, [_parse_float(row[c], row_num, c) for c in numeric]
-        except SiteTableError as exc:
-            raise SiteTableError(f"{path}: {exc}") from None
-
-
-def read_scenario_csv(path) -> Scenario:
-    """Rebuild a Scenario from an exported scenario.csv.
-
-    The CSV holds truth, observations, clutter and the seed, not the run's
-    settings, so the rebuilt scenario carries a default ``SensorModel()`` and
-    ``mode="joint"`` whatever the run used.  Metrics and plots read neither,
-    but ``report.json`` states mode "joint" for any run.  A depth that is not
-    positive, a kind other than truth, obs or clutter, or a truth or obs row
-    naming no property raises SiteTableError naming the file, the row and
-    the column; so does a second truth or obs row for one depth and
-    property, an obs or clutter row at a depth without truth rows, a file
-    with no truth row, or a depth short of a truth row for each property.
-    """
-    truth_rows: dict[float, dict[str, float]] = {}
-    obs: dict[float, dict[str, float]] = {}
-    clutter: dict[float, list[float]] = {}
-    readings: dict[float, int] = {}  # depth -> first obs or clutter row
-    seed = 0
-    columns = ("kind", "property_or_unknown")
-    for row_num, row, (depth, value, seed) in _read_csv(path, columns, ("depth", "value", "seed")):
-        where = f"{path}: row {row_num}"
-        if depth <= 0:
-            raise SiteTableError(f"{where}, column depth: must be > 0, got {row['depth']!r}")
-        kind, prop = row["kind"], row["property_or_unknown"]
-        if kind not in ("truth", "obs", "clutter"):
-            raise SiteTableError(
-                f"{where}, column kind: must be truth, obs or clutter, got {kind!r}"
-            )
-        if kind != "clutter" and prop not in PROPERTIES:
-            raise SiteTableError(
-                f"{where}, column property_or_unknown: a {kind} row must name "
-                f"{', '.join(PROPERTIES)}, got {prop!r}"
-            )
-        if kind == "clutter":
-            clutter.setdefault(depth, []).append(value)
-        else:
-            cells = (truth_rows if kind == "truth" else obs).setdefault(depth, {})
-            if prop in cells:
-                raise SiteTableError(
-                    f"{where}, column property_or_unknown: a second {kind} row for {prop} "
-                    f"at depth {depth:g}"
-                )
-            cells[prop] = value
-        if kind != "truth":
-            readings.setdefault(depth, row_num)
-
-    if not truth_rows:
-        raise SiteTableError(f"{path}: no row after the header row has 'truth' in column kind")
-    for depth, row_num in readings.items():
-        if depth not in truth_rows:
-            raise SiteTableError(
-                f"{path}: row {row_num}, column depth: no truth row at depth {depth:g}"
-            )
-    for depth, values in truth_rows.items():
-        missing = [p for p in PROPERTIES if p not in values]
-        if missing:
-            raise SiteTableError(f"{path}: no truth row for {missing} at depth {depth:g}")
-    records = tuple(
-        SiteRecord(depth=d, values=vals) for d, vals in sorted(truth_rows.items())
-    )
-    n = len(records)
-    detected = np.zeros((n, len(PROPERTIES)), dtype=bool)
-    prop_obs = np.full((n, len(PROPERTIES)), np.nan)
-    sets = []
-    for d_idx, rec in enumerate(records):
-        vals = []
-        for p_idx, prop in enumerate(PROPERTIES):
-            if prop in obs.get(rec.depth, {}):
-                detected[d_idx, p_idx] = True
-                prop_obs[d_idx, p_idx] = obs[rec.depth][prop]
-                vals.append(obs[rec.depth][prop])
-        vals.extend(clutter.get(rec.depth, []))
-        sets.append(tuple(vals))
-    return Scenario(
-        site_name=Path(path).stem,
-        records=records,
-        mode="joint",
-        measurement_sets=tuple(sets),
-        detection_flags=detected,
-        property_observations=prop_obs,
-        seed=int(seed),
-        sensor=SensorModel(),
-    )
 
 
 def read_estimates_csv(path, depths: Sequence[float] | None = None) -> EstimateSeries:
@@ -524,8 +427,7 @@ def read_estimates_csv(path, depths: Sequence[float] | None = None) -> EstimateS
     props: dict[Label, str] = {}
     owners: dict[str, Label] = {}
     numeric = ("step", "depth", "mean", "variance")
-    for row_num, row, values in _read_csv(path, ("label", "property"), numeric):
-        where = f"{path}: row {row_num}"
+    for where, row, values in read_csv_rows(path, ("label", "property"), numeric):
         step = values[0]
         if not step.is_integer() or step < 1 or (depths is not None and step > len(depths)):
             bound = ">= 1" if depths is None else f"from 1 to {len(depths)}"

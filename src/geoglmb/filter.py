@@ -35,7 +35,7 @@ arrays.  No hypothesis object is built unless a caller asks for one.
 A numpy call costs about as much as a dozen float operations in Python, and
 a one-label filter (independent mode) makes steps of one parent, one label
 and at most one reading.  So three phases switch on their own row count at
-``gaussian._ROWS_AS_ARRAYS``: below it, the cost table is filled row by row,
+``_ROWS_AS_ARRAYS``: below it, the cost table is filled row by row,
 the kept children's posteriors are written one by one, and the prune and
 cap order is chosen, all on Python floats; at or above it, they run as
 numpy arrays.  Both sides apply the same operations in the same order, so
@@ -62,7 +62,6 @@ import numpy as np
 from .assignment import Solutions, batch_enumerable, gibbs_solutions, ranked_batch, ranked_solutions
 from .errors import InfeasibleAssociationError, WeightCollapseError
 from .gaussian import (
-    _ROWS_AS_ARRAYS,
     LOG_2PI,
     Gaussian,
     MotionModel,
@@ -107,6 +106,13 @@ __all__ = [
 # zero-clutter configurations stay numerically defined: maps leaving a
 # measurement unexplained then carry a ~ -708 log penalty and vanish.
 _LOG_KAPPA_FLOOR = math.log(np.finfo(float).tiny)
+
+# The row count at which the three phases the module docstring names move
+# from Python floats to numpy arrays.  A pass over arrays makes some 10-30
+# numpy calls whatever its row count, as costly as about 15 rows of a loop
+# over floats.  Most steps of a one-label filter fall below it, most
+# joint-mode steps above.
+_ROWS_AS_ARRAYS = 16
 
 # Only the benchmark's tracer reads these names; the step calls none of them.
 predict_mixture, mixture_log_likelihood, update_mixture, mixture_reduce = (

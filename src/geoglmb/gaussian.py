@@ -187,17 +187,6 @@ def _joseph(r, m0, m1, p00, p01, p11, z):
     )
 
 
-# A pass over numpy arrays makes some 10-30 calls whatever its row count, as
-# costly as about 15 rows of a loop over Python floats, so smaller batches
-# take the loop.  Its users in ``filter``, each switching on its own row
-# count: the cost table of ``_StepCosts`` (table rows), the posteriors of
-# ``_StepCosts.children`` (the kept children's state rows, by ``_joseph``
-# on floats below the switch and by ``kalman_update_rows`` from it), and the
-# prune and cap order of ``joint_predict_update`` (children).  Most steps of
-# a one-label filter fall below it, most joint-mode steps above.
-_ROWS_AS_ARRAYS = 16
-
-
 def kalman_update_rows(
     means: np.ndarray, covs: np.ndarray, z: np.ndarray, sensor: SensorModel
 ) -> tuple[np.ndarray, np.ndarray]:

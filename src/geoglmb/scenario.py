@@ -6,12 +6,17 @@ observation set keeps each property with probability p_detect, perturbs
 kept values with Gaussian noise, and optionally adds uniform clutter; in
 joint mode the per-depth values are pooled and shuffled so the filter sees
 an unlabeled measurement set.
+
+Every CSV table the program reads goes through ``read_csv_rows``.  A
+run's scenario.csv is written by ``scenario_to_csv`` and read back by
+``read_scenario_csv``.
 """
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -25,10 +30,12 @@ __all__ = [
     "PROPERTIES",
     "SiteRecord",
     "Scenario",
+    "read_csv_rows",
     "load_site_table",
     "depth_intervals",
     "synthesize_observations",
     "scenario_to_csv",
+    "read_scenario_csv",
     "bundled_records",
     "bundled_site_path",
 ]
@@ -77,7 +84,6 @@ class Scenario:
     detection_flags: np.ndarray  # (n_depths, n_properties) bool
     property_observations: np.ndarray  # (n_depths, n_properties), NaN = missed
     seed: int
-    sensor: SensorModel
 
     def __post_init__(self):
         depths = [r.depth for r in self.records]
@@ -99,57 +105,72 @@ class Scenario:
         return [list(per_depth[idx]) for per_depth in self.measurement_sets]
 
 
-def _parse_float(text: str, row: int, column: str) -> float:
+def _parse_float(text, where: str, column: str) -> float:
     try:
         value = float(text)
     except (TypeError, ValueError):
-        raise SiteTableError(
-            f"row {row}, column {column}: non-numeric value {text!r}"
-        ) from None
-    if not np.isfinite(value):
-        raise SiteTableError(f"row {row}, column {column}: non-finite value {text!r}")
+        raise SiteTableError(f"{where}, column {column}: non-numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise SiteTableError(f"{where}, column {column}: non-finite value {text!r}")
     return value
 
 
-def load_site_table(source) -> list[SiteRecord]:
-    """Parse a `depth,LL,PI,w` CSV into depth-ascending site records.
+def read_csv_rows(source, columns: Sequence[str], numeric: Sequence[str],
+                  allow_blank: bool = False):
+    """Yield (where, row, its ``numeric`` cells as floats) for each row of a
+    CSV table, ``where`` naming the row as ``row N`` (from 1 after the
+    header), after the file when ``source`` is a path.
 
-    Accepts a path, bytes, or a readable (binary or text) stream; a leading
-    UTF-8 byte-order mark is dropped.  An empty source yields an empty list;
-    a missing column, non-numeric or non-finite cell, or duplicate depth
-    raises SiteTableError naming the row and column.
+    ``source`` is a path, bytes, or a readable (binary or text) stream of
+    UTF-8 text.  A leading byte-order mark is dropped and header names are
+    stripped.  A missing column of ``columns`` or ``numeric``, a bad number,
+    or a source that cannot be read as UTF-8 text raises SiteTableError
+    naming the file, and the row and the column where there is one.  A
+    blank source yields no rows when ``allow_blank``; otherwise it lacks
+    every column.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    name = f"{source}: " if isinstance(source, (str, Path)) else ""
+    try:
+        if name:
+            with open(source, newline="", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            raw = source if isinstance(source, bytes) else source.read()
+            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SiteTableError(f"{name}{exc}") from None
     text = text.removeprefix("\ufeff")
-    if not text.strip():
-        return []
-
-    reader = csv.DictReader(io.StringIO(text))
-    reader.fieldnames = [h.strip() for h in reader.fieldnames or []]
-    for column in ("depth", *PROPERTIES):
+    if allow_blank and not text.strip():
+        return
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader.fieldnames = [h.strip() for h in reader.fieldnames or ()]
+    for column in (*columns, *numeric):
         if column not in reader.fieldnames:
-            raise SiteTableError(f"header row: missing column {column!r}")
-
-    records: list[SiteRecord] = []
-    seen_depths: dict[float, int] = {}
+            raise SiteTableError(f"{name}header row: missing column {column!r}")
     for row_num, row in enumerate(reader, start=1):
-        depth = _parse_float(row["depth"], row_num, "depth")
+        where = f"{name}row {row_num}"
+        yield where, row, [_parse_float(row[c], where, c) for c in numeric]
+
+
+def load_site_table(source) -> list[SiteRecord]:
+    """Parse a `depth,LL,PI,w` CSV, read by ``read_csv_rows``, into
+    depth-ascending site records.
+
+    A blank source yields an empty list.  A depth that is not positive or
+    repeats an earlier row's raises SiteTableError naming the row and the
+    column, as the reader's own errors do.
+    """
+    records: list[SiteRecord] = []
+    first_rows: dict[float, str] = {}
+    numeric = ("depth", *PROPERTIES)
+    for where, _, (depth, *values) in read_csv_rows(source, (), numeric, allow_blank=True):
         if depth <= 0:
-            raise SiteTableError(f"row {row_num}, column depth: must be > 0")
-        if depth in seen_depths:
-            raise SiteTableError(
-                f"row {row_num}, column depth: duplicate depth {depth} "
-                f"(first seen at row {seen_depths[depth]})"
-            )
-        seen_depths[depth] = row_num
-        values = {p: _parse_float(row[p], row_num, p) for p in PROPERTIES}
-        records.append(SiteRecord(depth=depth, values=values))
+            raise SiteTableError(f"{where}, column depth: must be > 0")
+        if depth in first_rows:
+            raise SiteTableError(f"{where}, column depth: duplicate depth {depth} "
+                                 f"(first seen at {first_rows[depth]})")
+        first_rows[depth] = where
+        records.append(SiteRecord(depth=depth, values=dict(zip(PROPERTIES, values))))
     records.sort(key=lambda r: r.depth)
     return records
 
@@ -235,7 +256,6 @@ def synthesize_observations(
         detection_flags=detected,
         property_observations=prop_obs,
         seed=seed,
-        sensor=sensor,
     )
 
 
@@ -276,6 +296,86 @@ def _clutter_values(scenario: Scenario, d_idx: int) -> list[float]:
         if scenario.detection_flags[d_idx, p_idx]:
             pool.remove(scenario.property_observations[d_idx, p_idx])
     return pool
+
+
+def read_scenario_csv(path) -> Scenario:
+    """Rebuild a Scenario from an exported scenario.csv.
+
+    The file is read by ``read_csv_rows``.  It holds truth, observations,
+    clutter and the seed, not the run's settings, so the rebuilt scenario
+    has ``mode="joint"`` whatever the run used.  Metrics and plots do not
+    read it, but ``report.json`` states mode "joint" for any run.  A depth
+    that is not positive, a kind other than truth, obs or clutter, or a
+    truth or obs row naming no property raises SiteTableError naming the
+    file, the row and the column; so does a second truth or obs row for one
+    depth and property, an obs or clutter row at a depth without truth rows,
+    a file with no truth row, or a depth short of a truth row for each
+    property.
+    """
+    truth_rows: dict[float, dict[str, float]] = {}
+    obs: dict[float, dict[str, float]] = {}
+    clutter: dict[float, list[float]] = {}
+    readings: dict[float, str] = {}  # depth -> its first obs or clutter row
+    columns = ("kind", "property_or_unknown")
+    numeric = ("depth", "value", "seed")
+    for where, row, (depth, value, seed) in read_csv_rows(path, columns, numeric):
+        if depth <= 0:
+            raise SiteTableError(f"{where}, column depth: must be > 0, got {row['depth']!r}")
+        kind, prop = row["kind"], row["property_or_unknown"]
+        if kind not in ("truth", "obs", "clutter"):
+            raise SiteTableError(
+                f"{where}, column kind: must be truth, obs or clutter, got {kind!r}"
+            )
+        if kind != "clutter" and prop not in PROPERTIES:
+            raise SiteTableError(
+                f"{where}, column property_or_unknown: a {kind} row must name "
+                f"{', '.join(PROPERTIES)}, got {prop!r}"
+            )
+        if kind == "clutter":
+            clutter.setdefault(depth, []).append(value)
+        else:
+            cells = (truth_rows if kind == "truth" else obs).setdefault(depth, {})
+            if prop in cells:
+                raise SiteTableError(
+                    f"{where}, column property_or_unknown: a second {kind} row for {prop} "
+                    f"at depth {depth:g}"
+                )
+            cells[prop] = value
+        if kind != "truth":
+            readings.setdefault(depth, where)
+
+    if not truth_rows:
+        raise SiteTableError(f"{path}: no row after the header row has 'truth' in column kind")
+    for depth, where in readings.items():
+        if depth not in truth_rows:
+            raise SiteTableError(f"{where}, column depth: no truth row at depth {depth:g}")
+    for depth, values in truth_rows.items():
+        missing = [p for p in PROPERTIES if p not in values]
+        if missing:
+            raise SiteTableError(f"{path}: no truth row for {missing} at depth {depth:g}")
+    records = tuple(SiteRecord(depth=d, values=v) for d, v in sorted(truth_rows.items()))
+    n = len(records)
+    detected = np.zeros((n, len(PROPERTIES)), dtype=bool)
+    prop_obs = np.full((n, len(PROPERTIES)), np.nan)
+    sets = []
+    for d_idx, rec in enumerate(records):
+        vals = []
+        for p_idx, prop in enumerate(PROPERTIES):
+            if prop in obs.get(rec.depth, {}):
+                detected[d_idx, p_idx] = True
+                prop_obs[d_idx, p_idx] = obs[rec.depth][prop]
+                vals.append(obs[rec.depth][prop])
+        vals.extend(clutter.get(rec.depth, []))
+        sets.append(tuple(vals))
+    return Scenario(
+        site_name=Path(path).stem,
+        records=records,
+        mode="joint",
+        measurement_sets=tuple(sets),
+        detection_flags=detected,
+        property_observations=prop_obs,
+        seed=int(seed),
+    )
 
 
 def bundled_records(site: str) -> list[SiteRecord]:

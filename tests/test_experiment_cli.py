@@ -5,19 +5,18 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from geoglmb import experiment
+from geoglmb import cli, experiment
 from geoglmb.cli import _build_config, build_parser, main
 from geoglmb.errors import ConfigError
 from geoglmb.experiment import (
     ExperimentConfig,
     read_estimates_csv,
-    read_scenario_csv,
     run_experiment,
     run_monte_carlo,
     run_trial,
     write_estimates_csv,
 )
-from geoglmb.scenario import bundled_records, bundled_site_path
+from geoglmb.scenario import bundled_records, bundled_site_path, read_scenario_csv
 
 FAST = dict(
     trunc_method="ranked", requested_hypotheses=24, min_weight=1e-5, max_hypotheses=60
@@ -254,8 +253,8 @@ class TestCli:
         assert svg.startswith("<svg") and "polyline" in svg
 
     def test_eval_reproduces_joint_run_metrics_with_non_default_sensor(self, tmp_path):
-        # The scenario CSV keeps no sensor settings; eval's rebuilt scenario
-        # carries the default sensor, which the metrics must not depend on.
+        # The scenario CSV keeps no sensor settings, and the metrics eval
+        # computes from its rebuilt scenario must not depend on them.
         # The independent run is one whose labels least total RMSE would pair
         # otherwise: eval must pair them as the run did, from estimates.csv.
         runs = {
@@ -529,6 +528,84 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2, err
         assert str(target) in err, err
+
+    @pytest.mark.parametrize("command, written", [
+        ("eval", ("report.json", "metrics.csv")),
+        ("plot", ("plot_LL.svg", "plot_PI.svg", "plot_w.svg")),
+    ])
+    @pytest.mark.parametrize("table", ["scenario", "estimates"])
+    @pytest.mark.parametrize("quirk", ["bom", "padded"])
+    def test_quirky_csv_gives_the_same_artifacts(self, exported_trial, tmp_path, command,
+                                                 written, table, quirk):
+        # a byte-order mark, or header names padded with spaces
+        def rewrite(text):
+            if quirk == "bom":
+                return "\ufeff" + text
+            header, rows = text.split("\n", 1)
+            return ",".join(f" {name} " for name in header.split(",")) + "\n" + rows
+
+        plain = {name: exported_trial / f"{name}.csv" for name in ("scenario", "estimates")}
+        # same file name, since the scenario's name goes into the artifacts
+        quirky = dict(plain, **{table: tmp_path / quirk / f"{table}.csv"})
+        quirky[table].parent.mkdir()
+        quirky[table].write_text(rewrite(plain[table].read_text()), encoding="utf-8")
+        outputs = []
+        for paths, out in ((plain, tmp_path / "plain"), (quirky, tmp_path / "quirky")):
+            assert main([command, "--scenario", str(paths["scenario"]),
+                         "--estimates", str(paths["estimates"]), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in written])
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_naming_a_file_fails_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                      below):
+        calls, original = [], experiment.run_trial
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_trial", spy)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub" if below else afile
+        code = main(["run", "--site", "onsoy", "--mode", "independent", "--mc", "2",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(out) in err and "output directory" in err, err
+        assert calls == []
+        with pytest.raises(ConfigError, match="output directory"):
+            run_experiment(ExperimentConfig(mode="independent", out_dir=str(out)))
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["synth", "eval", "plot"])
+    def test_out_naming_a_file_fails_before_any_input_is_read(self, exported_trial, tmp_path,
+                                                             capsys, monkeypatch, command):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for module, name in ((experiment, "load_site_table"), (cli, "read_scenario_csv"),
+                             (cli, "read_estimates_csv")):
+            monkeypatch.setattr(module, name, unread)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        if command == "synth":
+            argv = [command, "--site", "onsoy"]
+        else:
+            argv = [command, "--scenario", str(exported_trial / "scenario.csv"),
+                    "--estimates", str(exported_trial / "estimates.csv")]
+        code = main(argv + ["--out", str(afile)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(afile) in err and "output directory" in err, err
+        assert afile.read_text() == ""
+
+    def test_out_check_creates_nothing(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert experiment.check_out_dir(str(out)) == out
+        assert not (tmp_path / "a").exists()
+        assert experiment.check_out_dir(tmp_path) == tmp_path
 
     def test_missing_site_exit_code(self, tmp_path):
         assert main(["run", "--site", "nowhere.csv", "--out", str(tmp_path)]) == 2

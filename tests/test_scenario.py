@@ -13,6 +13,7 @@ from geoglmb.scenario import (
     bundled_site_path,
     depth_intervals,
     load_site_table,
+    read_scenario_csv,
     scenario_to_csv,
     synthesize_observations,
 )
@@ -246,3 +247,14 @@ class TestScenarioExport:
         clutter_lines = [l for l in target.read_text(encoding="utf-8").splitlines() if ",clutter," in l]
         assert clutter_lines, "expected clutter at rate 3.0"
         assert all(",unknown," in l for l in clutter_lines)
+
+    @pytest.mark.parametrize("site", ["onsoy", "taipei"])
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    @pytest.mark.parametrize("clutter_rate", [1e-6, 9.0])
+    def test_read_back_writes_the_same_bytes(self, tmp_path, site, mode, clutter_rate):
+        sensor = SensorModel(clutter_rate=clutter_rate)
+        scenario = synthesize_observations(bundled_records(site), sensor, mode, seed=4)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        scenario_to_csv(scenario, first)
+        scenario_to_csv(read_scenario_csv(first), second)
+        assert second.read_bytes() == first.read_bytes()
