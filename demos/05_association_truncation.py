@@ -2,9 +2,10 @@
 
 A single parent hypothesis with two alive labels and three measurements
 already has dozens of valid association maps. This demo builds the log-cost
-matrix for such a step and shows the exact ranked maps next to what the
-seeded Gibbs sampler visits, including the weight each map would give a
-child hypothesis.
+matrix for such a step, one row per label and one column per outcome, and
+shows the exact ranked solutions (one column per row) next to what the
+seeded Gibbs sampler visits, including the weight each would give a child
+hypothesis.
 """
 import math
 
@@ -17,14 +18,8 @@ from geoglmb import (
     SensorModel,
     MotionModel,
 )
-from geoglmb.filter import (
-    BirthModel,
-    TruncationConfig,
-    build_log_cost,
-    gibbs_assignments,
-    ranked_assignments,
-)
-from geoglmb.lrfs import DEAD, UNDETECTED
+from geoglmb.assignment import gibbs_solutions, ranked_solutions
+from geoglmb.filter import BirthModel, build_log_cost
 
 la, lb = Label(1, 0), Label(1, 1)
 parent = GlmbHypothesis(
@@ -41,34 +36,25 @@ sensor = SensorModel(sigma_m=10.0, p_detect=0.5, clutter_rate=0.5, clutter_regio
 cost = build_log_cost(parent, BirthModel(), measurements, MotionModel(), sensor, delta=0.5)
 
 print("rows: one per label; columns: [dead, undetected, z1, z2, z3]")
-print(np.array2string(cost.values, precision=2, suppress_small=True))
+print(np.array2string(cost, precision=2, suppress_small=True))
 print()
 
 
-def describe(amap):
-    parts = []
-    for lbl, outcome in amap.assignment:
-        what = "dead" if outcome == DEAD else "miss" if outcome == UNDETECTED else f"z{outcome}"
-        parts.append(f"{lbl}->{what}")
-    return ", ".join(parts)
+def describe(solution):
+    """Column 0 is dead, 1 missed and c >= 2 reading z(c - 1), per label."""
+    what = {0: "dead", 1: "miss"}
+    return ", ".join(f"{lbl}->{what.get(c, f'z{c - 1}')}" for lbl, c in zip((la, lb), solution))
 
 
-score_of = {}
-for amap in ranked_assignments(cost, 10**6):
-    total = sum(
-        cost.values[i, 0 if o == DEAD else 1 if o == UNDETECTED else o + 1]
-        for i, (_, o) in enumerate(amap.assignment)
-    )
-    score_of[amap.key()] = total
+score_of = dict(ranked_solutions(cost, 10**6))
 
 print("top 8 of", len(score_of), "feasible maps (exact ranking):")
-ranked = ranked_assignments(cost, 8)
-best = score_of[ranked[0].key()]
-for amap in ranked:
-    rel = math.exp(score_of[amap.key()] - best)
-    print(f"  weight x{rel:8.2e}  {describe(amap)}")
+ranked = ranked_solutions(cost, 8)
+best = score_of[ranked[0][0]]
+for solution, _ in ranked:
+    rel = math.exp(score_of[solution] - best)
+    print(f"  weight x{rel:8.2e}  {describe(solution)}")
 
-trunc = TruncationConfig(method="gibbs", gibbs_iterations=150, seed=3)
-visited = gibbs_assignments(cost, trunc)
+visited = gibbs_solutions(cost, 150, np.random.default_rng(3))
 print(f"\nseeded Gibbs run (150 sweeps) visited {len(visited)} distinct maps;")
-print(f"its best is the exact best: {visited and max(score_of[m.key()] for m in visited) == best}")
+print(f"its best is the exact best: {max(score_of[sol] for sol, _ in visited) == best}")

@@ -30,18 +30,14 @@ from .lrfs import (
     empty_density,
 )
 from .filter import (
-    AssociationMap,
     BirthEntry,
     BirthModel,
     EstimateSeries,
-    LogCostMatrix,
     TrackEstimate,
     TruncationConfig,
     build_log_cost,
     extract_map_trajectories,
-    gibbs_assignments,
     joint_predict_update,
-    ranked_assignments,
     run_sequence,
 )
 from .scenario import (

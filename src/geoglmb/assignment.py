@@ -310,8 +310,8 @@ def gibbs_solutions(
     The output is fixed by the generator state on entry: the k-th uniform
     used is the k-th double the generator yields.  Uniforms are drawn in
     blocks, so the generator's state after the call is not part of the
-    contract.  ``filter._truncate`` and ``filter.gibbs_assignments`` seed a
-    fresh generator per call, so no caller reuses it.
+    contract.  ``filter._truncate`` seeds a fresh generator per call, so the
+    filter never reuses it.
     """
     n, n_cols = cost.shape
     if n == 0:

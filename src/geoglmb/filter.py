@@ -89,12 +89,8 @@ from .lrfs import (
 __all__ = [
     "BirthEntry",
     "BirthModel",
-    "AssociationMap",
     "TruncationConfig",
-    "LogCostMatrix",
     "build_log_cost",
-    "gibbs_assignments",
-    "ranked_assignments",
     "joint_predict_update",
     "run_sequence",
     "extract_map_trajectories",
@@ -148,29 +144,6 @@ EMPTY_BIRTH = BirthModel()
 
 
 @dataclass(frozen=True)
-class AssociationMap:
-    """Outcome per label: DEAD (-1), UNDETECTED (0), or measurement index >= 1.
-
-    Measurement indices are 1-based and used by at most one label.
-    """
-
-    assignment: tuple[tuple[Label, int], ...]
-
-    def __post_init__(self):
-        pairs = tuple(sorted(self.assignment))
-        object.__setattr__(self, "assignment", pairs)
-        labels = [lbl for lbl, _ in pairs]
-        if len(set(labels)) != len(labels):
-            raise ValueError("association map assigns a label twice")
-        meas = [o for _, o in pairs if o >= 1]
-        if len(set(meas)) != len(meas):
-            raise ValueError("association map reuses a measurement index")
-
-    def key(self) -> tuple[tuple[Label, int], ...]:
-        return self.assignment
-
-
-@dataclass(frozen=True)
 class TruncationConfig:
     """How the per-parent child space is truncated."""
 
@@ -190,24 +163,6 @@ class TruncationConfig:
             raise ValueError(f"min_weight must be finite and >= 0, got {self.min_weight}")
         if self.max_hypotheses < 1:
             raise ValueError("max_hypotheses must be >= 1")
-
-
-@dataclass(frozen=True)
-class LogCostMatrix:
-    """Per-label log factors for one parent hypothesis.
-
-    Row order is sorted labels, the parent's and the births; columns are
-    [death/not-born, undetected, one per measurement].  The score of an
-    association map is the sum of its selected entries.
-    """
-
-    values: np.ndarray
-    labels: tuple[Label, ...]
-
-    def solution_to_map(self, solution: tuple[int, ...]) -> AssociationMap:
-        """Column 0 is DEAD, column 1 UNDETECTED and column c >= 2
-        measurement index c - 1."""
-        return AssociationMap(tuple((lbl, col - 1) for lbl, col in zip(self.labels, solution)))
 
 
 def _log(p: float) -> float:
@@ -383,10 +338,13 @@ def build_log_cost(
     motion: MotionModel,
     sensor: SensorModel,
     delta: float,
-) -> LogCostMatrix:
+) -> np.ndarray:
     """Association cost matrix for one parent hypothesis, as the filter scores it.
 
-    Surviving labels' densities are predicted over the interval before the
+    Rows are the hypothesis's labels sorted, then the births sorted;
+    columns are [death/not-born, undetected, one per measurement], as
+    ``ranked_solutions`` and ``gibbs_solutions`` take them.  Surviving
+    labels' densities are predicted over the interval before the
     measurement likelihoods are evaluated; birth densities enter as given.
     A birth label that the hypothesis holds, or that sorts before one of its
     labels, raises ValueError.
@@ -394,20 +352,7 @@ def build_log_cost(
     prior = GlmbDensity((hypothesis,)).arrays
     costs = _StepCosts(prior, birth, measurements, motion, sensor, delta)
     # a lone hypothesis holds every label of its table
-    return LogCostMatrix(costs.table.take(costs.rows[0], axis=0), costs.labels)
-
-
-def ranked_assignments(cost: LogCostMatrix, k: int) -> list[AssociationMap]:
-    """The k highest-score association maps, exact and sorted."""
-    sols = ranked_solutions(cost.values, k)
-    return [cost.solution_to_map(sol) for sol, _ in sols]
-
-
-def gibbs_assignments(cost: LogCostMatrix, trunc: TruncationConfig) -> list[AssociationMap]:
-    """Distinct association maps visited by a seeded Gibbs sweep."""
-    rng = np.random.default_rng(trunc.seed)
-    sols = gibbs_solutions(cost.values, trunc.gibbs_iterations, rng)
-    return [cost.solution_to_map(sol) for sol, _ in sols]
+    return costs.table.take(costs.rows[0], axis=0)
 
 
 def _truncate(values: np.ndarray, trunc: TruncationConfig, rng_key) -> Solutions:

@@ -123,11 +123,13 @@ def read_csv_rows(source, columns: Sequence[str], numeric: Sequence[str],
 
     ``source`` is a path, bytes, or a readable (binary or text) stream of
     UTF-8 text.  A leading byte-order mark is dropped and header names are
-    stripped.  A missing column of ``columns`` or ``numeric``, a bad number,
-    or a source that cannot be read as UTF-8 text raises SiteTableError
-    naming the file, and the row and the column where there is one.  A
-    blank source yields no rows when ``allow_blank``; otherwise it lacks
-    every column.
+    stripped.  A missing column of ``columns`` or ``numeric``, a header
+    name given twice, a non-blank cell beyond the header's columns, a bad
+    number, or a source that cannot be read as UTF-8 text raises
+    SiteTableError naming the file, and the row and the column where there
+    is one.  Blank header names and blank cells beyond the header, as
+    spreadsheet exports write them, are ignored.  A blank source yields no
+    rows when ``allow_blank``; otherwise it lacks every column.
     """
     name = f"{source}: " if isinstance(source, (str, Path)) else ""
     try:
@@ -143,12 +145,19 @@ def read_csv_rows(source, columns: Sequence[str], numeric: Sequence[str],
     if allow_blank and not text.strip():
         return
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    reader.fieldnames = [h.strip() for h in reader.fieldnames or ()]
+    header = reader.fieldnames = [h.strip() for h in reader.fieldnames or ()]
+    for column in header:
+        if column and header.count(column) > 1:
+            raise SiteTableError(f"{name}header row: column {column!r} appears twice")
     for column in (*columns, *numeric):
-        if column not in reader.fieldnames:
+        if column not in header:
             raise SiteTableError(f"{name}header row: missing column {column!r}")
     for row_num, row in enumerate(reader, start=1):
         where = f"{name}row {row_num}"
+        for pos, cell in enumerate(row.get(None, ()), start=len(header) + 1):
+            if cell.strip():
+                raise SiteTableError(f"{where}, column {pos}: cell {cell!r} lies beyond "
+                                     f"the {len(header)} columns of the header row")
         yield where, row, [_parse_float(row[c], where, c) for c in numeric]
 
 
@@ -309,16 +318,19 @@ def read_scenario_csv(path) -> Scenario:
     truth or obs row naming no property raises SiteTableError naming the
     file, the row and the column; so does a second truth or obs row for one
     depth and property, an obs or clutter row at a depth without truth rows,
-    a file with no truth row, or a depth short of a truth row for each
-    property.
+    a file with no truth row, a depth short of a truth row for each
+    property, or a step other than its depth's 1-based place in the
+    depth-ascending schedule.
     """
     truth_rows: dict[float, dict[str, float]] = {}
     obs: dict[float, dict[str, float]] = {}
     clutter: dict[float, list[float]] = {}
     readings: dict[float, str] = {}  # depth -> its first obs or clutter row
+    steps: list[tuple[str, float, float, str]] = []  # where, depth, step, its cell
     columns = ("kind", "property_or_unknown")
-    numeric = ("depth", "value", "seed")
-    for where, row, (depth, value, seed) in read_csv_rows(path, columns, numeric):
+    numeric = ("step", "depth", "value", "seed")
+    for where, row, (step, depth, value, seed) in read_csv_rows(path, columns, numeric):
+        steps.append((where, depth, step, row["step"]))
         if depth <= 0:
             raise SiteTableError(f"{where}, column depth: must be > 0, got {row['depth']!r}")
         kind, prop = row["kind"], row["property_or_unknown"]
@@ -354,6 +366,13 @@ def read_scenario_csv(path) -> Scenario:
         if missing:
             raise SiteTableError(f"{path}: no truth row for {missing} at depth {depth:g}")
     records = tuple(SiteRecord(depth=d, values=v) for d, v in sorted(truth_rows.items()))
+    place = {rec.depth: k for k, rec in enumerate(records, start=1)}
+    for where, depth, step, text in steps:
+        if step != place[depth]:
+            raise SiteTableError(
+                f"{where}, column step: depth {depth:g} is step {place[depth]} "
+                f"of the schedule, got {text!r}"
+            )
     n = len(records)
     detected = np.zeros((n, len(PROPERTIES)), dtype=bool)
     prop_obs = np.full((n, len(PROPERTIES)), np.nan)

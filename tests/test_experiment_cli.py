@@ -441,6 +441,55 @@ class TestCli:
         for part in ("no_truth.csv", "['LL']", "depth 1.03"):
             assert part in err, err
 
+    # (form, rewrite of a scenario.csv row's cells, parts of the message): the
+    # step column deleted, every step not a number, every step shifted by 5
+    BAD_STEPS = [
+        ("deleted", lambda cells: cells[1:], ["header row", "column 'step'"]),
+        ("x", lambda cells: ["x"] + cells[1:], ["row 1", "column step", "'x'"]),
+        ("shifted", lambda cells: [str(int(cells[0]) + 5)] + cells[1:],
+         ["row 1", "column step", "depth 1.03 is step 1", "'6'"]),
+    ]
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    @pytest.mark.parametrize("form, rewrite, expected", BAD_STEPS, ids=[f for f, *_ in BAD_STEPS])
+    def test_scenario_step_exit_code(self, exported_trial, tmp_path, capsys, command, form,
+                                     rewrite, expected):
+        header, *rows = (exported_trial / "scenario.csv").read_text().splitlines()
+        lines = [",".join(header.split(",")[1:] if form == "deleted" else header.split(","))]
+        lines += [",".join(rewrite(row.split(","))) for row in rows]
+        scenario = tmp_path / "bad_steps.csv"
+        scenario.write_text("\n".join(lines) + "\n")
+        code = main([command, "--scenario", str(scenario),
+                     "--estimates", str(exported_trial / "estimates.csv"),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        for part in ("bad_steps.csv", *expected):
+            assert part in err, err
+
+    # (header rewrite, row rewrite, parts of the message): a column named
+    # twice, once only after stripping, and a cell beyond the header
+    BAD_SHAPES = [
+        (lambda h: h + ",kind", lambda r: r + ",truth", ["header row", "'kind' appears twice"]),
+        (lambda h: h + ", seed", lambda r: r + ",3", ["header row", "'seed' appears twice"]),
+        (lambda h: h, lambda r: r + ",99", ["row 1", "column 7", "'99'"]),
+    ]
+
+    @pytest.mark.parametrize("header_to, row_to, expected", BAD_SHAPES,
+                             ids=["twice", "twice-stripped", "beyond"])
+    def test_scenario_shape_exit_code(self, exported_trial, tmp_path, capsys, header_to,
+                                      row_to, expected):
+        header, *rows = (exported_trial / "scenario.csv").read_text().splitlines()
+        scenario = tmp_path / "bad_shape.csv"
+        scenario.write_text("\n".join([header_to(header), *map(row_to, rows)]) + "\n")
+        code = main(["eval", "--scenario", str(scenario),
+                     "--estimates", str(exported_trial / "estimates.csv"),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        for part in ("bad_shape.csv", *expected):
+            assert part in err, err
+
     # (table, appended row, column named): a repeated truth or obs row for
     # one (depth, property), obs and clutter rows at a depth without truth
     # rows, and a repeated (label, step) row

@@ -11,18 +11,16 @@ import geoglmb.assignment
 import geoglmb.experiment
 import geoglmb.filter
 from conftest import enumeration_oracle, kf_oracle, make_density, make_gaussian, simple_birth
+from geoglmb.assignment import gibbs_solutions, ranked_solutions
 from geoglmb.errors import InfeasibleAssociationError, WeightCollapseError
 from geoglmb.experiment import ExperimentConfig, run_trial
 from geoglmb.filter import (
-    AssociationMap,
     BirthEntry,
     BirthModel,
     TruncationConfig,
     build_log_cost,
     extract_map_trajectories,
-    gibbs_assignments,
     joint_predict_update,
-    ranked_assignments,
     run_sequence,
 )
 from geoglmb.gaussian import (
@@ -34,6 +32,7 @@ from geoglmb.gaussian import (
     transition_matrices,
 )
 from geoglmb.lrfs import (
+    ABSENT,
     DEAD,
     UNDETECTED,
     GlmbDensity,
@@ -80,8 +79,8 @@ class TestBuildLogCost:
             SensorModel(sigma_m=5.0, p_detect=0.0),
             delta=0.5,
         )
-        assert np.all(np.isinf(cost.values[:, 2:]))
-        assert np.all(cost.values[:, 2:] < 0)
+        assert np.all(np.isinf(cost[:, 2:]))
+        assert np.all(cost[:, 2:] < 0)
 
     def test_certain_survival_kills_death_column(self):
         glmb, _ = one_label_prior()
@@ -93,7 +92,7 @@ class TestBuildLogCost:
             SensorModel(sigma_m=5.0, p_detect=0.5),
             delta=0.5,
         )
-        assert cost.values[0, 0] == -math.inf
+        assert cost[0, 0] == -math.inf
 
     def test_selected_entries_sum_to_direct_factor_product(self):
         # direct product oracle: per-label factors from first principles
@@ -107,7 +106,7 @@ class TestBuildLogCost:
         z = [51.0, 29.0]
         delta = 0.8
         cost = build_log_cost(glmb.hypotheses[0], birth, z, motion, sensor, delta)
-        assert cost.labels == (lbl, birth_lbl)
+        assert cost.shape == (2, 4)  # rows: the parent's label, then the birth
 
         f, q = transition_matrices(motion, delta)
         prior = glmb.hypotheses[0].densities[lbl]
@@ -121,12 +120,12 @@ class TestBuildLogCost:
         expected = math.log(
             0.95 * 0.6 * norm.pdf(z[0], pred_mean[0], math.sqrt(s_surv)) / kappa
         ) + math.log(0.7 * 0.6 * norm.pdf(z[1], 30.0, math.sqrt(s_birth)) / kappa)
-        got = cost.values[0, 2] + cost.values[1, 3]
+        got = cost[0, 2] + cost[1, 3]
         assert abs(got - expected) < 1e-10
 
         # map: survivor undetected, birth not born
         expected = math.log(0.95 * 0.4) + math.log(0.3)
-        assert abs(cost.values[0, 1] + cost.values[1, 0] - expected) < 1e-12
+        assert abs(cost[0, 1] + cost[1, 0] - expected) < 1e-12
 
     def test_rows_equal_single_object_code_bit_for_bit(self):
         # The step predicts and scores all densities as arrays; every entry
@@ -155,39 +154,17 @@ class TestBuildLogCost:
             log_kappa = math.log(0.5 / 100.0)
             rows = [(math.log(0.9), kalman_predict(densities[lbl], f, q)) for lbl in labels]
             rows.append((math.log(0.6), birth.entries[0].density))
-            for got, (log_alive, g) in zip(cost.values.tolist(), rows):
+            for got, (log_alive, g) in zip(cost.tolist(), rows, strict=True):
                 assert got[1] == log_alive + math.log(1.0 - 0.7)
                 for z, value in zip(zs, got[2:]):
                     _, ll = kalman_update(g, z, sensor)
                     assert value == log_alive + math.log(0.7) + ll - log_kappa, trial
 
-    def test_solution_to_map_encoding(self):
-        glmb, lbl = one_label_prior()
-        cost = build_log_cost(
-            glmb.hypotheses[0], BirthModel(), [48.0, 52.0],
-            MotionModel(), SensorModel(), delta=0.5,
-        )
-        assert dict(cost.solution_to_map((0,)).assignment)[lbl] == DEAD
-        assert dict(cost.solution_to_map((1,)).assignment)[lbl] == UNDETECTED
-        assert dict(cost.solution_to_map((3,)).assignment)[lbl] == 2
-
-
-class TestAssociationMap:
-    def test_one_to_one_on_measurements(self):
-        with pytest.raises(ValueError):
-            AssociationMap(((Label(1, 0), 1), (Label(1, 1), 1)))
-
-    def test_shared_no_measurement_outcomes_allowed(self):
-        amap = AssociationMap(((Label(1, 0), UNDETECTED), (Label(1, 1), UNDETECTED)))
-        assert amap.assignment == ((Label(1, 0), UNDETECTED), (Label(1, 1), UNDETECTED))
-        assert not [o for _, o in amap.assignment if o >= 1]
-
-    def test_duplicate_label_rejected(self):
-        with pytest.raises(ValueError):
-            AssociationMap(((Label(1, 0), 1), (Label(1, 0), 2)))
-
 
 class TestAssignmentWrappers:
+    """The solvers on a one-label cost matrix: columns [dead, undetected,
+    z1, z2]."""
+
     def _cost(self):
         glmb, _ = one_label_prior()
         return build_log_cost(
@@ -197,32 +174,46 @@ class TestAssignmentWrappers:
         )
 
     def test_ranked_returns_all_feasible_maps_sorted(self):
-        maps = ranked_assignments(self._cost(), 10)
-        assert all(isinstance(m, AssociationMap) for m in maps)
-        assert len(maps) == 4  # dead, undetected, z1, z2
+        sols = ranked_solutions(self._cost(), 10)
+        assert sorted(sol for sol, _ in sols) == [(0,), (1,), (2,), (3,)]
+        assert sols.scores.tolist() == sorted(sols.scores.tolist(), reverse=True)
 
     def test_gibbs_deterministic_and_distinct(self):
         cost = self._cost()
-        trunc = TruncationConfig(method="gibbs", gibbs_iterations=300, seed=7)
-        a = gibbs_assignments(cost, trunc)
-        b = gibbs_assignments(cost, trunc)
+        a = gibbs_solutions(cost, 300, np.random.default_rng(7))
+        b = gibbs_solutions(cost, 300, np.random.default_rng(7))
         assert a == b
-        keys = [m.key() for m in a]
+        keys = [sol for sol, _ in a]
         assert len(set(keys)) == len(keys)
 
     def test_gibbs_one_label_no_measurements_finds_both_maps(self):
-        glmb, lbl = one_label_prior()
+        glmb, _ = one_label_prior()
         cost = build_log_cost(
             glmb.hypotheses[0], BirthModel(), [],
             MotionModel(p_survival=0.9), SensorModel(sigma_m=5.0, p_detect=0.5),
             delta=0.5,
         )
-        trunc = TruncationConfig(method="gibbs", gibbs_iterations=200, seed=2)
-        outcomes = {dict(m.assignment)[lbl] for m in gibbs_assignments(cost, trunc)}
-        assert outcomes == {DEAD, UNDETECTED}
+        sols = gibbs_solutions(cost, 200, np.random.default_rng(2))
+        assert {sol for sol, _ in sols} == {(0,), (1,)}  # dead, undetected
 
 
 class TestJointPredictUpdate:
+    def test_solution_columns_become_outcomes(self):
+        # Column 0 is DEAD, 1 UNDETECTED and c >= 2 reading c - 1, whose
+        # posterior the child's state row holds.
+        glmb, lbl = one_label_prior()
+        motion, sensor, zs = MotionModel(p_survival=0.9), SensorModel(), [48.0, 52.0]
+        out = joint_predict_update(glmb, BirthModel(), zs, motion, sensor, 0.5, EXHAUSTIVE)
+        a = out.arrays
+        assert a.labels == (lbl,)
+        assert sorted(a.outcome[:, 0].tolist()) == [DEAD, UNDETECTED, 1, 2]
+        pred = kalman_predict(glmb.hypotheses[0].densities[lbl], *transition_matrices(motion, 0.5))
+        for outcome, row in zip(a.outcome[:, 0].tolist(), a.state[:, 0].tolist()):
+            assert (row >= 0) == (outcome != DEAD)
+            if outcome >= 1:
+                post, _ = kalman_update(pred, zs[outcome - 1], sensor)
+                np.testing.assert_allclose(a.means[row], post.mean, rtol=1e-12)
+
     def test_nothing_exists_nothing_observed(self):
         birth = simple_birth(
             [(Label(1, 0), np.array([50.0, 0.0])), (Label(1, 1), np.array([20.0, 0.0]))],
@@ -772,6 +763,51 @@ class TestBatchedStepsAgree:
             assert got[0].arrays.parent.tolist().count(3) == 1  # the empty parent
 
 
+# (method, stacking crossover): ranked steps stacked whenever they are
+# enumerable, ranked steps solved parent by parent, and Gibbs steps.
+_SOLVE_PATHS = (("ranked", 0), ("ranked", 10**9), ("gibbs", 0))
+
+
+@pytest.mark.parametrize("method, crossover", _SOLVE_PATHS, ids=["stacked", "per-parent", "gibbs"])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_step_outcomes_are_association_maps(method, crossover, data):
+    # Each child's outcome row is one association map of its parent: labels
+    # the parent lacks and nobody bears are ABSENT, readings are used at most
+    # once, a label has a state row unless it is dead or absent, and no two
+    # children of a parent share a map.
+    draw = data.draw
+    prior = make_density(np.random.default_rng(draw(st.integers(0, 2**16))),
+                         n_hypotheses=draw(st.integers(1, 8)))
+    birth = BirthModel(tuple(
+        BirthEntry(Label(2, i), draw(st.sampled_from([0.3, 1.0])),
+                   Gaussian([draw(st.floats(-20.0, 20.0)), 0.0], np.diag([100.0, 1.0])))
+        for i in range(draw(st.integers(0, 2)))
+    ))
+    motion = MotionModel(p_survival=draw(st.sampled_from([1.0, 0.9])))
+    sensor = SensorModel(sigma_m=draw(st.floats(1.0, 20.0)),
+                         p_detect=draw(st.sampled_from([0.5, 0.9])),
+                         clutter_rate=draw(st.sampled_from([0.0, 3.0])))
+    zs = draw(st.lists(st.floats(-30.0, 30.0), max_size=4))
+    trunc = TruncationConfig(method=method, requested_hypotheses=draw(st.sampled_from([1, 5, 64])),
+                             gibbs_iterations=30, min_weight=0.0, max_hypotheses=10**6)
+    with patch.object(geoglmb.assignment, "_BATCH_MIN_CELLS", crossover):
+        a = joint_predict_update(prior, birth, zs, motion, sensor, 0.5, trunc).arrays
+
+    n_held = len(prior.arrays.labels)
+    assert a.labels[:n_held] == prior.arrays.labels and len(a.labels) == n_held + len(birth.entries)
+    lacks = np.zeros(a.outcome.shape, dtype=bool)
+    lacks[:, :n_held] = prior.arrays.state[a.parent] < 0
+    np.testing.assert_array_equal(a.outcome == ABSENT, lacks)
+    np.testing.assert_array_equal(a.state >= 0, a.outcome >= UNDETECTED)
+    assert set(a.outcome.ravel().tolist()) <= {ABSENT, DEAD, UNDETECTED, *range(1, len(zs) + 1)}
+    for row in a.outcome.tolist():
+        used = [o for o in row if o >= 1]
+        assert len(set(used)) == len(used)
+    maps = {(p, tuple(row)) for p, row in zip(a.parent.tolist(), a.outcome.tolist())}
+    assert len(maps) == len(a.parent)
+
+
 @pytest.mark.parametrize("method", ["ranked", "gibbs"])
 def test_step_without_labels_keeps_each_parent(method):
     # No parent holds a label and nothing is born: each parent has the one
@@ -792,12 +828,12 @@ def _identity_mass(key, glmb, birth, zs, motion, sensor, delta):
     directly off the parent cost matrix."""
     label_set, history = key
     entry = dict(history[-1])
-    cost = build_log_cost(glmb.hypotheses[0], birth, zs, motion, sensor, delta)
-    total = glmb.hypotheses[0].log_weight
-    for i, lbl in enumerate(cost.labels):
-        outcome = entry[lbl]
-        col = 0 if outcome == DEAD else 1 if outcome == UNDETECTED else outcome + 1
-        total += cost.values[i, col]
+    parent = glmb.hypotheses[0]
+    cost = build_log_cost(parent, birth, zs, motion, sensor, delta)
+    labels = sorted(parent.label_set) + sorted(e.label for e in birth.entries)
+    total = parent.log_weight
+    for i, lbl in enumerate(labels):
+        total += cost[i, entry[lbl] + 1]  # outcome o is column o + 1
     return math.exp(total)
 
 

@@ -71,6 +71,23 @@ class TestLoadSiteTable:
         assert spaced == load_site_table(("depth,LL,PI,w\n" + rows).encode())
         assert len(spaced) == 2
 
+    def test_column_named_twice_rejected(self):
+        rows = "1,10,20,30,99\n2,11,21,31,98\n"
+        for header in ("depth,LL,PI,w,LL", "depth,LL,PI,w, LL"):
+            with pytest.raises(SiteTableError, match="header row: column 'LL' appears twice"):
+                load_site_table(f"{header}\n{rows}".encode())
+
+    def test_cell_beyond_the_header_rejected(self):
+        text = b"depth,LL,PI,w\n1,10,20,30\n2,11,21,31,99\n"
+        with pytest.raises(SiteTableError, match="row 2, column 5: cell '99' lies beyond"):
+            load_site_table(text)
+
+    def test_blank_trailing_names_and_cells_accepted(self):
+        # as a spreadsheet export writes them
+        want = load_site_table(b"depth,LL,PI,w\n1,10,20,30\n2,11,21,31\n")
+        assert load_site_table(b"depth,LL,PI,w,,\n1,10,20,30,,\n2,11,21,31\n") == want
+        assert load_site_table(b"depth,LL,PI,w\n1,10,20,30,, \n2,11,21,31,\n") == want
+
     def test_missing_column_named(self):
         with pytest.raises(SiteTableError, match="missing column 'PI'"):
             load_site_table(b"depth,LL,w\n1.0,10,30\n")
