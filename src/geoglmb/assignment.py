@@ -4,6 +4,9 @@ A problem instance is a log-score matrix with one row per label and columns
 [0] death/not-born, [1] undetected, [2+j] measurement j.  A solution picks
 one column per row, measurement columns at most once; its score is the sum
 of the picked entries (maximize).  Entries of -inf mark forbidden outcomes.
+Ranked truncation enumerates stacks of problems (``ranked_batch``), a wide
+stack narrowed first by an exact bound on each problem's k-th best score,
+as Miller, Stone & Cox (1997) bound Murty's subproblems.
 
 The solvers return a ``Solutions`` sequence: one row of column indices per
 solution and one score per solution, best first for the ranked solvers.
@@ -17,7 +20,6 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InfeasibleAssociationError
 
@@ -43,6 +45,10 @@ _FEW_COMBOS = 8
 # scores, which bounds its memory.
 _BATCH_MIN_CELLS = 24
 _BATCH_CELLS = 2**14
+
+# ``ranked_batch`` bounds wider stacks from their rows' top this-many columns.
+# On 3 rows at k = 64, 4 left most problems unbounded: slower than no bound.
+_BOUND_WIDTH = 5
 
 # The Gibbs chain draws its uniforms in blocks of at most this many doubles.
 _BLOCK = 4096
@@ -156,7 +162,58 @@ def ranked_batch(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.
     with a partition, ties at the k-th score filled in combo order, then
     sorted.  So a problem's entries do not depend on the others in the
     stack.  Problems are scored in chunks of at most ``_BATCH_CELLS``.
+
+    A stack wider than ``_BOUND_WIDTH`` columns, if ``_BOUND_WIDTH ** R >= k``,
+    is narrowed first.  A problem's bound is its k-th best feasible combo over
+    its rows' top ``_BOUND_WIDTH`` columns (score descending, then column),
+    if it has k.  A column stays if its cell in some row plus the other rows'
+    maxima reaches the bound less a slack far above rounding, as do columns
+    0 and 1.  The kept columns, ascending and padded with -inf, are
+    enumerated to the same picks, tie fill and score bits.
     """
+    n_problems, n_rows, n_cols = costs.shape
+    if n_cols <= _BOUND_WIDTH or _BOUND_WIDTH**n_rows < k:
+        return _ranked_kernel(costs, k)
+    size = max(1, _BATCH_CELLS // _BOUND_WIDTH**n_rows)
+    keep = np.concatenate([_kept_columns(costs[lo : lo + size], k)
+                           for lo in range(0, n_problems, size)])
+    kept = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
+    slots = np.take_along_axis(keep, kept, axis=1)  # [P, width]: false in the padding
+    narrow = np.full(kept.shape + (n_rows,), -np.inf)
+    narrow[slots] = costs.transpose(0, 2, 1)[keep]
+    problem, scores, cols = _ranked_kernel(narrow.transpose(0, 2, 1).copy(), k)
+    return problem, scores, kept.take(problem[:, None] * kept.shape[1] + cols)
+
+
+def _kept_columns(costs: np.ndarray, k: int) -> np.ndarray:
+    """Which columns [P, C] a combo reaching its problem's bound may use."""
+    n_problems, n_rows, _ = costs.shape
+    top = np.argsort(-costs, axis=2, kind="stable")[:, :, :_BOUND_WIDTH]
+    cells = np.take_along_axis(costs, top, axis=2)
+    # The top columns' combos, one axis per row, scored as 0.0 plus their cells
+    # in row order; one whose row i repeats an earlier row's measurement is -inf.
+    scores, placed = np.zeros(n_problems), []  # placed: earlier rows' columns
+    for i in range(n_rows):
+        shape = (n_problems,) + (1,) * i + (-1,)
+        scores = scores[..., None] + cells[:, i].reshape(shape)
+        col = top[:, i].reshape(shape)
+        placed = [c[..., None] for c in placed]
+        np.copyto(scores, -np.inf, where=(col >= 2) & (sum(c == col for c in placed) > 0))
+        placed.append(col)
+    bound = np.partition(scores.reshape(n_problems, -1), -k, axis=1)[:, -k]  # -inf: none
+    rowmax = costs.max(axis=2)
+    floor = bound - 1e-9 * (1.0 + np.abs(rowmax).sum(axis=1) + np.abs(bound))
+    # The other rows' maxima are summed, not all rows' less this one's: a
+    # whole -inf row makes that NaN.
+    reach = np.max([costs[:, r] + np.delete(rowmax, r, axis=1).sum(axis=1, keepdims=True)
+                    for r in range(n_rows)], axis=0)
+    keep = reach >= floor[:, None]
+    keep[:, :2] = True
+    return keep
+
+
+def _ranked_kernel(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ranked_batch`` over every column of the stack."""
     n_problems, n_rows, n_cols = costs.shape
     table = _valid_combos(n_rows, n_cols)
     n_combos = table.shape[1]
@@ -206,6 +263,16 @@ def _extended_matrix(cost: np.ndarray) -> np.ndarray:
 
 def _collapse(ext_solution: np.ndarray, n: int) -> tuple[int, ...]:
     return tuple(0 if c < n else 1 if c < 2 * n else c - 2 * n + 2 for c in ext_solution.tolist())
+
+
+def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
+    """scipy's solver, imported at first call: that import is most of
+    ``import geoglmb``.  A CLI run's main process imports it for the report's
+    OSPA after the pool's workers fork, so only Murty makes a worker import
+    it.  glmbbench's untimed CLI warm-up run imports it before timed passes."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost, maximize=maximize)
 
 
 def _best_assignment(work: np.ndarray, sentinel: float) -> tuple[np.ndarray, float] | None:

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .filter import EstimateSeries
 from .scenario import PROPERTIES, Scenario
@@ -72,6 +71,7 @@ def ospa(
         return 0.0
     if n == 0 or m == 0:
         return float(cutoff)
+    from scipy.optimize import linear_sum_assignment  # imported at first use
     d = np.minimum(np.abs(xs[:, None] - ys[None, :]), cutoff) ** order
     rows, cols = linear_sum_assignment(d)
     cost = float(d[rows, cols].sum())

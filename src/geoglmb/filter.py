@@ -53,6 +53,7 @@ indices backward through the densities.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -419,10 +420,10 @@ def joint_predict_update(
             except InfeasibleAssociationError:
                 continue
             cols = sols.cols
-            if len(present) < n_labels:  # widen to the step's labels
-                cols = np.zeros((len(sols), n_labels), dtype=cols.dtype)
-                if present:
-                    cols[:, present] = sols.cols
+            if len(present) < n_labels:  # widen; ``children`` ignores absent labels' columns
+                seen = itertools.accumulate(row >= 0 for row in rows)  # present up to each
+                cols = (cols.take([n - 1 for n in seen], axis=1) if present  # -1 is valid too
+                        else np.zeros((len(sols), n_labels), dtype=cols.dtype))
             blocks.append((np.array([p_idx] * len(sols)), sols.scores, cols))
     if not blocks:
         raise InfeasibleAssociationError(

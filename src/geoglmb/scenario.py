@@ -124,12 +124,12 @@ def read_csv_rows(source, columns: Sequence[str], numeric: Sequence[str],
     ``source`` is a path, bytes, or a readable (binary or text) stream of
     UTF-8 text.  A leading byte-order mark is dropped and header names are
     stripped.  A missing column of ``columns`` or ``numeric``, a header
-    name given twice, a non-blank cell beyond the header's columns, a bad
-    number, or a source that cannot be read as UTF-8 text raises
-    SiteTableError naming the file, and the row and the column where there
-    is one.  Blank header names and blank cells beyond the header, as
-    spreadsheet exports write them, are ignored.  A blank source yields no
-    rows when ``allow_blank``; otherwise it lacks every column.
+    name given twice, a non-blank cell under a blank header name or beyond
+    the header's columns, a bad number, or a source that cannot be read as
+    UTF-8 text raises SiteTableError naming the file, and the row and the
+    column where there is one.  Blank cells under blank header names or
+    beyond the header, as spreadsheet exports write them, are ignored.  A
+    blank source yields no rows when ``allow_blank``; else it lacks every column.
     """
     name = f"{source}: " if isinstance(source, (str, Path)) else ""
     try:
@@ -144,20 +144,22 @@ def read_csv_rows(source, columns: Sequence[str], numeric: Sequence[str],
     text = text.removeprefix("\ufeff")
     if allow_blank and not text.strip():
         return
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    header = reader.fieldnames = [h.strip() for h in reader.fieldnames or ()]
+    rows = csv.reader(io.StringIO(text, newline=""))
+    header = [h.strip() for h in next(rows, ())]
     for column in header:
         if column and header.count(column) > 1:
             raise SiteTableError(f"{name}header row: column {column!r} appears twice")
     for column in (*columns, *numeric):
         if column not in header:
             raise SiteTableError(f"{name}header row: missing column {column!r}")
-    for row_num, row in enumerate(reader, start=1):
+    for row_num, cells in enumerate(filter(None, rows), start=1):  # blank lines skipped
         where = f"{name}row {row_num}"
-        for pos, cell in enumerate(row.get(None, ()), start=len(header) + 1):
-            if cell.strip():
-                raise SiteTableError(f"{where}, column {pos}: cell {cell!r} lies beyond "
-                                     f"the {len(header)} columns of the header row")
+        for pos, (column, cell) in enumerate(zip(header + [None] * len(cells), cells), start=1):
+            if not column and cell.strip():
+                place = ("under a blank header name" if column == "" else
+                         f"beyond the {len(header)} columns of the header row")
+                raise SiteTableError(f"{where}, column {pos}: cell {cell!r} lies {place}")
+        row = dict(zip(header, cells + [None] * len(header)))  # a short row's cells: None
         yield where, row, [_parse_float(row[c], where, c) for c in numeric]
 
 

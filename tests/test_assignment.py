@@ -11,7 +11,10 @@ import geoglmb.assignment
 from geoglmb.assignment import (
     _ENUMERATION_LIMIT,
     Solutions,
+    _BOUND_WIDTH,
     _enumerate_scored,
+    _kept_columns,
+    _ranked_kernel,
     _valid_combos,
     batch_enumerable,
     gibbs_solutions,
@@ -474,6 +477,90 @@ def test_batch_equals_per_problem_solutions(data):
     for crossover, batched in ((0, n_problems > 1), (10**9, False)):
         with patch.object(geoglmb.assignment, "_BATCH_MIN_CELLS", crossover):
             assert batch_enumerable(n_problems, n_rows, n_cols) == batched
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bounded_batch_equals_the_full_enumeration(data):
+    # Stacks of 1-5 problems of 1-3 rows over 6-14 columns, wide enough for
+    # the bound.  Tied integer, -0.0 and -inf cells, clutter-like cells far
+    # below the rest (the columns the bound drops), whole -inf rows and
+    # absent rows [0.0, -inf, ...], which leave a problem unbounded beside
+    # bounded ones.  k runs from 1 to beyond the feasible count, mostly
+    # within the bound's reach, under any chunk size.  The stack must equal
+    # the unpruned kernel and the brute-force ranking, bit for bit.
+    n_rows = data.draw(st.integers(1, 3))
+    n_cols = data.draw(st.integers(_BOUND_WIDTH + 1, 14))
+    n_problems = data.draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-2, 2).map(float), st.floats(-4.0, 4.0),
+                      st.just(-0.0), st.just(-math.inf), st.floats(-60.0, -30.0))
+    costs = np.array(data.draw(st.lists(
+        st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                 min_size=n_rows, max_size=n_rows),
+        min_size=n_problems, max_size=n_problems)))
+    for p in data.draw(st.lists(st.integers(0, n_problems - 1), max_size=2)):
+        row = data.draw(st.integers(0, n_rows - 1))
+        costs[p, row] = -math.inf
+        costs[p, row, 0] = data.draw(st.sampled_from([0.0, -math.inf]))  # absent or -inf
+    n_combos = _valid_combos(n_rows, n_cols).shape[1]
+    k = data.draw(st.one_of(st.integers(1, min(_BOUND_WIDTH**n_rows, n_combos + 2)),
+                            st.integers(1, n_combos + 2)))
+    budget = data.draw(st.sampled_from([1, geoglmb.assignment._BATCH_CELLS, 10**9]))
+    with patch.object(geoglmb.assignment, "_BATCH_CELLS", budget):
+        got = ranked_batch(costs, k)
+        want = _ranked_kernel(costs, k)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    problem, scores, cols = got
+    for p in range(n_problems):
+        brute = brute_force(costs[p])[:k]
+        assert [(tuple(c), s) for c, s in zip(cols[problem == p].tolist(),
+                                              scores[problem == p].tolist())] == brute
+        assert scores[problem == p].tobytes() == np.array([s for _, s in brute]).tobytes()
+
+
+def _cluttered_stack():
+    """Three problems of 3 rows over 20 columns: the readings 2-4 score near
+    a missed detection, the other 15 far below it (clutter); problem 2 lacks
+    a label (an absent row), so it has no bound at k = 64."""
+    rng = np.random.default_rng(5)
+    costs = rng.normal(-60.0, 5.0, size=(3, 3, 20))
+    costs[:, :, :5] = rng.normal(-2.0, 1.0, size=(3, 3, 5))
+    costs[2, 1] = [0.0] + [-math.inf] * 19
+    costs[1, 2, 7] = costs[1, 2, 3]  # a clutter reading tied with a good one
+    return costs
+
+
+def test_wide_stack_reaches_the_kernel_narrowed():
+    # Problem 2 keeps every column, and so the whole stack's width; without
+    # it the stack must reach the kernel narrower than it entered.
+    costs = _cluttered_stack()[:2]
+    want = _ranked_kernel(costs, 64)
+    with patch.object(geoglmb.assignment, "_ranked_kernel",
+                      wraps=geoglmb.assignment._ranked_kernel) as spy:
+        got = ranked_batch(costs, 64)
+    (narrow, k), _ = spy.call_args
+    assert spy.call_count == 1 and k == 64
+    assert narrow.shape[:2] == (2, 3) and narrow.shape[2] < costs.shape[2]
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_kept_columns_drop_clutter_only_where_bounded():
+    keep = _kept_columns(_cluttered_stack(), 64)
+    assert keep.shape == (3, 20) and keep[:, :2].all()
+    assert not keep[0].all() and not keep[1].all()
+    assert keep[1, 7]  # tied with a kept reading
+    assert keep[2].all()  # unbounded: every column kept
+
+
+def test_bound_keeps_every_column_of_a_problem_with_no_feasible_combo():
+    costs = _cluttered_stack()
+    costs[0, 0] = -math.inf  # a whole -inf row
+    assert _kept_columns(costs, 64)[0].all()
+    for a, b in zip(ranked_batch(costs, 64), _ranked_kernel(costs, 64)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_batch_skips_shapes_beyond_the_enumeration_limit():

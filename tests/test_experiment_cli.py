@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geoglmb
 from geoglmb import cli, experiment
 from geoglmb.cli import _build_config, build_parser, main
 from geoglmb.errors import ConfigError
@@ -21,6 +26,18 @@ from geoglmb.scenario import bundled_records, bundled_site_path, read_scenario_c
 FAST = dict(
     trunc_method="ranked", requested_hypotheses=24, min_weight=1e-5, max_hypotheses=60
 )
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported at first use, so a cold start does not pay for it
+    src = str(Path(geoglmb.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, geoglmb, geoglmb.cli; "
+                               "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
@@ -468,15 +485,20 @@ class TestCli:
             assert part in err, err
 
     # (header rewrite, row rewrite, parts of the message): a column named
-    # twice, once only after stripping, and a cell beyond the header
+    # twice, once only after stripping, a cell beyond the header, and a cell
+    # under a blank header name, inside the header and trailing it
     BAD_SHAPES = [
         (lambda h: h + ",kind", lambda r: r + ",truth", ["header row", "'kind' appears twice"]),
         (lambda h: h + ", seed", lambda r: r + ",3", ["header row", "'seed' appears twice"]),
         (lambda h: h, lambda r: r + ",99", ["row 1", "column 7", "'99'"]),
+        (lambda h: h.replace(",", ",,", 1), lambda r: r.replace(",", ",77,", 1),
+         ["row 1", "column 2", "'77'", "blank header name"]),
+        (lambda h: h + ",", lambda r: r + ",99", ["row 1", "column 7", "'99'", "blank header name"]),
     ]
 
     @pytest.mark.parametrize("header_to, row_to, expected", BAD_SHAPES,
-                             ids=["twice", "twice-stripped", "beyond"])
+                             ids=["twice", "twice-stripped", "beyond", "blank-name",
+                                  "blank-trailing-name"])
     def test_scenario_shape_exit_code(self, exported_trial, tmp_path, capsys, header_to,
                                       row_to, expected):
         header, *rows = (exported_trial / "scenario.csv").read_text().splitlines()

@@ -82,6 +82,19 @@ class TestLoadSiteTable:
         with pytest.raises(SiteTableError, match="row 2, column 5: cell '99' lies beyond"):
             load_site_table(text)
 
+    def test_cell_under_a_blank_header_name_rejected(self):
+        # a blank name inside the header, and a trailing one
+        for text, pos, cell in ((b"depth,LL,,PI,w\n1,10,77,20,30\n", 3, "77"),
+                                (b"depth,LL,PI,w,\n1,10,20,30,99\n", 5, "99")):
+            with pytest.raises(SiteTableError, match=f"row 1, column {pos}: cell '{cell}' "
+                                                     "lies under a blank header name"):
+                load_site_table(text)
+
+    def test_blank_names_over_blank_cells_accepted(self):
+        want = load_site_table(b"depth,LL,PI,w\n1,10,20,30\n")
+        assert load_site_table(b"depth,LL,,PI,w\n1,10,,20,30\n") == want
+        assert load_site_table(b"depth,LL, ,PI,w\n1,10, ,20,30\n") == want
+
     def test_blank_trailing_names_and_cells_accepted(self):
         # as a spreadsheet export writes them
         want = load_site_table(b"depth,LL,PI,w\n1,10,20,30\n2,11,21,31\n")
