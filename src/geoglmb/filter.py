@@ -34,18 +34,20 @@ arrays.  No hypothesis object is built unless a caller asks for one.
 
 A numpy call costs about as much as a dozen float operations in Python, and
 a one-label filter (independent mode) makes steps of one parent, one label
-and at most one reading.  So three phases switch on their own row count at
-``_ROWS_AS_ARRAYS``: below it, the cost table is filled row by row,
-the kept children's posteriors are written one by one, and the prune and
-cap order is chosen, all on Python floats; at or above it, they run as
-numpy arrays.  Both sides apply the same operations in the same order, so
-they agree to the bit.  Two phases stay in numpy at every size.  Prediction
-does, because Python floats do not round F P F' + Q as numpy's stacked
-matrix product does.  Weights do, because ``math.exp`` and ``np.exp``
-differ in the last bit on some inputs and numpy sums short arrays neither
-left to right nor first-plus-rest, so the exponentials, logarithms and
-sums of ``log_sum_weights`` and the pruning threshold keep their array
-calls.
+and at most one reading.  So three phases switch at ``_ROWS_AS_ARRAYS``:
+the cost table on its row count, the prune and cap order on the children
+generated, and the kept children's arrays on the kept child count.  Below
+it, the table is filled row by row, the order is chosen, and the kept
+children's cells are numbered and their posteriors written one by one, all
+on Python floats; at or above it, they run as numpy arrays.  Both sides
+apply the same operations in the same order, so they agree to the bit, and
+both number state rows in order of first use.  Two phases stay in numpy at
+every size.  Prediction does, because Python floats do not round
+F P F' + Q as numpy's stacked matrix product does.  Weights do, because
+``math.exp`` and ``np.exp`` differ in the last bit on some inputs and numpy
+sums short arrays neither left to right nor first-plus-rest, so the
+exponentials, logarithms and sums of ``log_sum_weights`` and the pruning
+threshold keep their array calls.
 
 Trajectories are read out by maximum a posteriori: pick the most probable
 cardinality, the best hypothesis of that cardinality, and follow its parent
@@ -104,11 +106,11 @@ __all__ = [
 # measurement unexplained then carry a ~ -708 log penalty and vanish.
 _LOG_KAPPA_FLOOR = math.log(np.finfo(float).tiny)
 
-# The row count at which the three phases the module docstring names move
-# from Python floats to numpy arrays.  A pass over arrays makes some 10-30
-# numpy calls whatever its row count, as costly as about 15 rows of a loop
-# over floats.  Most steps of a one-label filter fall below it, most
-# joint-mode steps above.
+# The row or child count at which the three phases the module docstring
+# names move from Python floats to numpy arrays.  A pass over arrays makes
+# some 10-30 numpy calls whatever its row count, as costly as about 15 rows
+# of a loop over floats.  Most steps of a one-label filter fall below it,
+# most joint-mode steps above.
 _ROWS_AS_ARRAYS = 16
 
 # Only the benchmark's tracer reads these names; the step calls none of them.
@@ -191,6 +193,7 @@ class _StepCosts:
     does.  A table of fewer than ``_ROWS_AS_ARRAYS`` rows is then filled
     row by row on Python floats, a larger one as numpy columns; both apply
     the same operations in the same order, so they agree to the bit.
+    ``children`` switches the same way on the kept child count.
 
     The step's labels are the prior's labels followed by the births, sorted
     among themselves.  ``rows`` [H, L] holds each parent's table row per
@@ -277,59 +280,80 @@ class _StepCosts:
                 self.table[:, 2:] = alive + log_detect + ll - log_kappa
 
     def children(
-        self, parents: Sequence[int], solutions: Sequence[Sequence[int]]
+        self, parent: np.ndarray, solutions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Outcome and state arrays [H, L] of the children, given as parent
-        indices and solution columns per label of the step (a column where
-        the parent lacks the label is ignored), and the means [S, 2] and
-        covariances [S, 2, 2] of the state.
+        indices [H] and solution columns [H, L] per label of the step (a
+        column where the parent lacks the label is ignored), and the means
+        [S, 2] and covariances [S, 2, 2] of the state.
 
         Solution column c of a row is outcome c - 1: column 0 is DEAD,
         column 1 UNDETECTED and keeps the row's predicted density, and
         column c >= 2 takes its posterior under measurement c - 2.  Every
-        distinct (row, column) with a density is one state row, in order of
-        first use.  Fewer than ``_ROWS_AS_ARRAYS`` state rows are written
-        one by one on Python floats, the posteriors by ``_joseph``; more
-        are gathered as arrays and their posteriors come from one batched
-        ``kalman_update_rows``.  Both round as ``kalman_update`` does.
+        distinct (row, column) with a density is one state row, numbered in
+        order of first use over the [H, L] cells in row-major order.  Fewer
+        than ``_ROWS_AS_ARRAYS`` children are numbered by a loop over their
+        cells and their state rows written one by one on Python floats, the
+        posteriors by ``_joseph``; more go to ``_children_as_arrays``.  Both
+        round as ``kalman_update`` does.
         """
+        if len(parent) >= _ROWS_AS_ARRAYS:
+            return self._children_as_arrays(parent, solutions)
         n_labels, width = len(self.labels), self.table.shape[1]
         slots: dict[int, int] = {}  # row * width + column -> state row
         # the [H, L] cells in row-major order
-        n_cells = len(parents) * n_labels
+        n_cells = len(parent) * n_labels
         outcome, state = [ABSENT] * n_cells, [-1] * n_cells
         bases = range(0, n_cells, n_labels or 1)  # no labels: no cells to write
         rows = self.rows.tolist()
-        for base, p_idx, solution in zip(bases, parents, solutions):
+        for base, p_idx, solution in zip(bases, parent.tolist(), solutions.tolist()):
             for cell, row, col in zip(range(base, base + n_labels), rows[p_idx], solution):
                 if row >= 0:
                     outcome[cell] = col - 1
                     if col >= 1:
                         state[cell] = slots.setdefault(row * width + col, len(slots))
-        keys = list(slots)
-        if len(keys) < _ROWS_AS_ARRAYS:
-            pred_means, pred_covs = self._means.tolist(), self._covs.tolist()
-            means, covs = [], []  # flat, row after row
-            for key in keys:
-                row, col = divmod(key, width)
-                (m0, m1), ((p00, p01), (p10, p11)) = pred_means[row], pred_covs[row]
-                if col >= 2:
-                    r = _measurement_variance(self.sensor)
-                    m0, m1, p00, p01, p11 = _joseph(r, m0, m1, p00, p01, p11, self.z[col - 2])
-                    p10 = p01
-                means += (m0, m1)
-                covs += (p00, p01, p10, p11)
-            means, covs = np.array(means).reshape(-1, 2), np.array(covs).reshape(-1, 2, 2)
-        else:
-            rows = [key // width for key in keys]
-            means, covs = self._means[rows], self._covs[rows]
-            post = [slot for slot, key in enumerate(keys) if key % width >= 2]
-            if post:
-                z = np.array([self.z[keys[slot] % width - 2] for slot in post])
-                means[post], covs[post] = kalman_update_rows(means[post], covs[post], z, self.sensor)
-        shape = (len(parents), n_labels)
+        pred_means, pred_covs = self._means.tolist(), self._covs.tolist()
+        # sigma_m is checked only where a posterior is taken, as kalman_update_rows does
+        r = _measurement_variance(self.sensor) if any(k % width >= 2 for k in slots) else 0.0
+        means, covs = [], []  # flat, row after row
+        for key in slots:
+            row, col = divmod(key, width)
+            (m0, m1), ((p00, p01), (p10, p11)) = pred_means[row], pred_covs[row]
+            if col >= 2:
+                m0, m1, p00, p01, p11 = _joseph(r, m0, m1, p00, p01, p11, self.z[col - 2])
+                p10 = p01
+            means += (m0, m1)
+            covs += (p00, p01, p10, p11)
+        shape = (len(parent), n_labels)
         outcome, state = np.array(outcome, dtype=int), np.array(state, dtype=int)
+        means, covs = np.array(means).reshape(-1, 2), np.array(covs).reshape(-1, 2, 2)
         return outcome.reshape(shape), state.reshape(shape), means, covs
+
+    def _children_as_arrays(self, parent: np.ndarray, solutions: np.ndarray):
+        """``children`` as array gathers: the (row, column) keys are numbered
+        by ``np.unique`` and a rank of their first uses, and the posteriors
+        come from one batched ``kalman_update_rows``."""
+        rows = self.rows.take(parent, axis=0)
+        width = self.table.shape[1]
+        present = rows >= 0
+        outcome = np.where(present, solutions - 1, ABSENT)
+        kept = present & (solutions >= 1)
+        # 1-D keys, so ``inverse`` is 1-D on every numpy
+        keys, first, inverse = np.unique(
+            (rows * width + solutions)[kept], return_index=True, return_inverse=True
+        )
+        # the distinct keys in order of first use; the sort ``np.unique`` ran,
+        # as numpy's default int64 sort maps another 256 KB of library code
+        order = first.argsort(kind="stable")
+        state = np.full(rows.shape, -1)
+        state[kept] = order.argsort(kind="stable")[inverse]
+        rows, cols = np.divmod(keys[order], width)
+        means, covs = self._means[rows], self._covs[rows]
+        post = (cols >= 2).nonzero()[0]
+        if post.size:
+            z = np.array(self.z)[cols[post] - 2]
+            means[post], covs[post] = kalman_update_rows(means[post], covs[post], z, self.sensor)
+        return outcome, state, means, covs
 
 
 def build_log_cost(
@@ -453,7 +477,7 @@ def joint_predict_update(
 
     parent = parent.take(order)
     solutions = cols.take(order, axis=0)
-    outcome, state, means, covs = costs.children(parent.tolist(), solutions.tolist())
+    outcome, state, means, covs = costs.children(parent, solutions)
     arrays = DensityArrays(
         log_weights=final_logw,
         labels=costs.labels,

@@ -678,6 +678,102 @@ class TestFloatAndArrayStepsAgree:
                 assert_same_densities(_under_switch(switch, job), want)
 
 
+def _children_both_ways(costs, parent, solutions):
+    """``costs.children`` by the loop (switch above every child count) and
+    as array gathers (switch at 0), which must agree in bytes, dtype and
+    shape; returns the loop's arrays."""
+    parent = np.array(parent, dtype=np.intp)
+    solutions = np.array(solutions, dtype=np.intp).reshape(len(parent), len(costs.labels))
+    loop, arrays = (_under_switch(s, lambda: costs.children(parent, solutions)) for s in (10**9, 0))
+    for name, x, y in zip(("outcome", "state", "means", "covs"), loop, arrays):
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+    return loop
+
+
+class TestChildrenPathsAgree:
+    """``_StepCosts.children`` numbers state rows in order of first use and
+    writes no outcome for a label a parent lacks, on both of its paths."""
+
+    MOTION = MotionModel(sigma_p=0.5, p_survival=0.9)
+
+    def test_hand_built_step(self):
+        a, b = Label(1, 0), Label(1, 1)
+        g = Gaussian([40.0, 0.5], np.diag([30.0, 2.0]))
+        prior = GlmbDensity((
+            GlmbHypothesis((a, b), (((a, 1), (b, 1)),), math.log(0.6), {a: g, b: g}),
+            GlmbHypothesis((a,), (((a, 2),),), math.log(0.4), {a: g}),
+        ), step=1)
+        birth = simple_birth([(Label(2, 0), np.array([20.0, 0.0]))])
+        costs = geoglmb.filter._StepCosts(prior.arrays, birth, [10.0, 30.0], self.MOTION,
+                                          SensorModel(sigma_m=5.0), 1.0)
+        # table rows: a of parent 0, b of parent 0, a of parent 1, the birth;
+        # (row, column) keys in first use 11, 14, 1, 6, 13, 7, unlike sorted
+        outcome, state, means, covs = _children_both_ways(
+            costs, [1, 0, 1, 0], [[3, 0, 2], [1, 2, 0], [3, 1, 1], [0, 3, 2]]
+        )
+        assert outcome.tolist() == [[2, ABSENT, 1], [0, 1, DEAD], [2, ABSENT, 0], [DEAD, 2, 1]]
+        assert state.tolist() == [[0, -1, 1], [2, 3, -1], [0, -1, 4], [-1, 5, 1]]
+        assert means.shape == (6, 2) and covs.shape == (6, 2, 2)
+        assert means[4].tolist() == costs._means[3].tolist()  # undetected birth: predicted
+
+    @pytest.mark.parametrize("zs", [[], [5.0]])
+    def test_steps_without_labels_or_readings(self, zs):
+        costs = geoglmb.filter._StepCosts(empty_density(1).arrays, BirthModel(), zs, self.MOTION,
+                                          SensorModel(sigma_m=5.0), 1.0)
+        outcome, state, means, _ = _children_both_ways(costs, [0, 0, 0], np.zeros((3, 0)))
+        assert outcome.shape == state.shape == (3, 0) and means.shape == (0, 2)
+        prior = make_density(np.random.default_rng(3), n_hypotheses=4).arrays
+        costs = geoglmb.filter._StepCosts(prior, BirthModel(), zs, self.MOTION,
+                                          SensorModel(sigma_m=5.0), 1.0)
+        n_labels = len(costs.labels)
+        _children_both_ways(costs, [3, 1, 3, 0, 2], [[1, 0, 1][:n_labels]] * 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_drawn_steps(self, data):
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        prior = make_density(rng, n_hypotheses=draw(st.integers(1, 6)),
+                             max_labels=draw(st.integers(0, 3))).arrays
+        birth = simple_birth([(Label(2, i), np.array([float(rng.uniform(0, 100)), 0.0]))
+                              for i in range(draw(st.integers(0, 2)))])
+        zs = draw(st.lists(st.floats(0.0, 120.0), max_size=3))
+        sensor = SensorModel(sigma_m=draw(st.floats(1.0, 20.0)))
+        costs = geoglmb.filter._StepCosts(prior, birth, zs, self.MOTION, sensor,
+                                          draw(st.floats(0.1, 2.0)))
+        n, n_labels = draw(st.integers(1, 40)), len(costs.labels)
+        parent = draw(st.lists(st.integers(0, len(prior.log_weights) - 1), min_size=n, max_size=n))
+        column = st.integers(0, 1 + len(zs))
+        solutions = draw(st.lists(st.lists(column, min_size=n_labels, max_size=n_labels),
+                                  min_size=n, max_size=n))
+        _children_both_ways(costs, parent, solutions)
+
+
+def _array_path_calls(config, seed):
+    """Kept child counts of the steps of one onsoy trial that reached the
+    array path of ``_StepCosts.children``, and the trial's readout."""
+    calls = []
+    gather = geoglmb.filter._StepCosts._children_as_arrays
+
+    def spy(costs, parent, solutions):
+        calls.append(len(parent))
+        return gather(costs, parent, solutions)
+
+    with patch.object(geoglmb.filter._StepCosts, "_children_as_arrays", spy):
+        _, series = run_trial(bundled_records("onsoy"), config, seed, "onsoy")
+    return calls, series
+
+
+def test_children_reach_the_array_path_from_the_kept_child_count():
+    config = ExperimentConfig(site="onsoy", mode="joint", trunc_method="ranked")
+    calls, series = _array_path_calls(config, 0)
+    wide = [n for n in series.hypothesis_counts if n >= geoglmb.filter._ROWS_AS_ARRAYS]
+    assert calls == wide and len(wide) >= len(series.hypothesis_counts) - 2
+    calls, _ = _array_path_calls(ExperimentConfig(site="onsoy", mode="independent"), 0)
+    assert calls == []
+
+
 def _under_batch(crossover, budget, step):
     """``step()`` with the stacking crossover of ``assignment`` at
     ``crossover`` cells and its chunk budget at ``budget``; an error is
