@@ -26,23 +26,24 @@ from .errors import InfeasibleAssociationError
 __all__ = ["Solutions", "murty_kbest", "ranked_solutions", "gibbs_solutions"]
 
 # Ranked truncation enumerates up to this many combinations (n_cols **
-# n_rows), Murty beyond: at k = 64, 2-5 rows, warm enumeration won at every
-# size up to here on every machine measured, as Murty's fixed cost per
-# subproblem dominates small problems (Miller, Stone & Cox 1997).
+# n_rows), Murty beyond.  Single random problems near it at k = 64 (2-core
+# x86): enumeration 0.4-1.6 ms at 3-5 rows, Murty 1.7-3.4 ms; at 2 x 128 its
+# sort took 1.5-1.9 ms, Murty 1.1-1.7.  No workload poses such a problem.
 # Same-shape problems within it may be enumerated as one stack.
 _ENUMERATION_LIMIT = 16384
 
 # A problem enumerated alone scores fewer valid combinations than this one
-# by one on Python floats: a dozen numpy calls cost as much as about 8
-# combinations of that loop (one- and two-label problems with few readings).
+# by one on Python floats (one- and two-label problems with few readings).
+# The array pass makes about 15 numpy calls, two more per row; at 8 to 20
+# combinations it took 27-30 us against 12-20 us for the loop.
 _FEW_COMBOS = 8
 
 # ``ranked_batch`` takes a step's problems, all posed over the step's labels,
 # from this many scores (problems x combinations) on.  A stack of up to a few
-# hundred scores costs about as much as two or three problems solved alone
-# (its two dozen numpy calls), so a pair of one-label problems (independent
-# mode) is solved alone.  A stack is scored in chunks of at most _BATCH_CELLS
-# scores, which bounds its memory.
+# hundred scores costs about as much as three one-label problems solved alone
+# (its 15-odd numpy calls), so a pair of them (independent mode) is solved
+# alone.  A stack is scored in chunks of at most _BATCH_CELLS scores, which
+# bounds its memory.
 _BATCH_MIN_CELLS = 24
 _BATCH_CELLS = 2**14
 
@@ -122,12 +123,11 @@ def _pack(pairs: list[tuple[tuple[int, ...], float]], n_rows: int) -> Solutions:
 
 def _enumerate_scored(cost: np.ndarray, k: int) -> Solutions:
     """The k best feasible combos, best first, as ``ranked_batch`` picks
-    them.  Fewer than ``_FEW_COMBOS`` combos, when k takes them all, are
-    summed on Python floats in the same order and stably sorted, to the
-    same result.
+    them.  Fewer than ``_FEW_COMBOS`` combos are summed on Python floats in
+    the same order and stably sorted, to the same result.
     """
     table = _valid_combos(*cost.shape)
-    if table.shape[1] < _FEW_COMBOS and table.shape[1] <= k:
+    if table.shape[1] < _FEW_COMBOS:
         rows = cost.tolist()
         sums = []
         for combo in table.T.tolist():
@@ -136,7 +136,7 @@ def _enumerate_scored(cost: np.ndarray, k: int) -> Solutions:
                 score += row[col]
             sums.append(score)
         feasible = [i for i, score in enumerate(sums) if math.isfinite(score)]
-        order = sorted(feasible, key=lambda i: -sums[i])
+        order = sorted(feasible, key=lambda i: -sums[i])[:k]
         return Solutions(table.T.take(order, axis=0), np.array([sums[i] for i in order]))
     _, scores, cols = ranked_batch(cost[None], k)
     return Solutions(cols, scores)
@@ -157,11 +157,10 @@ def ranked_batch(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.
     first within each.  A problem with no feasible combo has no entry.
 
     A combo scores 0.0 plus its cells in row order, as ``solution_score``
-    sums them.  Ties break on the lexicographic product order, as a stable
-    sort on descending score over all combos would: the top k are picked
-    with a partition, ties at the k-th score filled in combo order, then
-    sorted.  So a problem's entries do not depend on the others in the
-    stack.  Problems are scored in chunks of at most ``_BATCH_CELLS``.
+    sums them.  A problem's entries are the first k of one stable sort of
+    all its combos on descending score, -inf dropped, so ties keep the
+    lexicographic product order and do not depend on the rest of the stack.
+    Problems are scored in chunks of at most ``_BATCH_CELLS``.
 
     A stack wider than ``_BOUND_WIDTH`` columns, if ``_BOUND_WIDTH ** R >= k``,
     is narrowed first.  A problem's bound is its k-th best feasible combo over
@@ -169,7 +168,7 @@ def ranked_batch(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.
     if it has k.  A column stays if its cell in some row plus the other rows'
     maxima reaches the bound less a slack far above rounding, as do columns
     0 and 1.  The kept columns, ascending and padded with -inf, are
-    enumerated to the same picks, tie fill and score bits.
+    enumerated to the same picks, order and score bits.
     """
     n_problems, n_rows, n_cols = costs.shape
     if n_cols <= _BOUND_WIDTH or _BOUND_WIDTH**n_rows < k:
@@ -224,23 +223,10 @@ def _ranked_kernel(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, n
         scores = np.zeros((len(chunk), n_combos))
         for i, cols in enumerate(table):
             scores += chunk[:, i].take(cols, axis=1)
-        top = scores > -np.inf
-        if k < n_combos:
-            kth = np.partition(scores, n_combos - k, axis=1)[:, n_combos - k, None]
-            ties = top & (scores == kth)
-            top &= scores > kth
-            top |= ties & (ties.cumsum(axis=1) <= k - top.sum(axis=1)[:, None])
-        # Each problem's picks, packed into a row padded with +inf, are
-        # ordered by one stable row-wise sort of their negated scores.
-        picked = np.flatnonzero(top)
-        counts = top.sum(axis=1)
-        starts = counts.cumsum() - counts
-        local = picked // n_combos
-        packed = np.full((len(chunk), counts.max()), np.inf)
-        packed[local, np.arange(len(picked)) - starts.take(local)] = -scores.take(picked)
-        order = packed.argsort(axis=1, kind="stable") + starts[:, None]
-        picked = picked.take(order[np.arange(packed.shape[1]) < counts[:, None]])
-        parts.append((picked // n_combos + lo, scores.take(picked), picked % n_combos))
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        top = np.take_along_axis(scores, order, axis=1)
+        feasible = top > -np.inf
+        parts.append((feasible.nonzero()[0] + lo, top[feasible], order[feasible]))
     problem, scores, combo = (np.concatenate(part) for part in zip(*parts))
     return problem, scores, table.T.take(combo, axis=0)
 
@@ -267,9 +253,10 @@ def _collapse(ext_solution: np.ndarray, n: int) -> tuple[int, ...]:
 
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
     """scipy's solver, imported at first call: that import is most of
-    ``import geoglmb``.  A CLI run's main process imports it for the report's
-    OSPA after the pool's workers fork, so only Murty makes a worker import
-    it.  glmbbench's untimed CLI warm-up run imports it before timed passes."""
+    ``import geoglmb``.  Murty and ``evaluation.ospa`` call it.  A CLI run's
+    main process imports it for the report's OSPA after the pool's workers
+    fork, so only Murty makes a worker import it.  glmbbench's untimed CLI
+    warm-up run imports it before timed passes."""
     from scipy.optimize import linear_sum_assignment as solve
 
     return solve(cost, maximize=maximize)

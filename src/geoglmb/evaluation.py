@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .assignment import linear_sum_assignment
 from .filter import EstimateSeries
 from .scenario import PROPERTIES, Scenario
 
@@ -71,7 +72,6 @@ def ospa(
         return 0.0
     if n == 0 or m == 0:
         return float(cutoff)
-    from scipy.optimize import linear_sum_assignment  # imported at first use
     d = np.minimum(np.abs(xs[:, None] - ys[None, :]), cutoff) ** order
     rows, cols = linear_sum_assignment(d)
     cost = float(d[rows, cols].sum())

@@ -295,7 +295,8 @@ def run_monte_carlo(
 
     The site table is parsed once and shared by every trial.  Trials may run
     in parallel up to config.jobs; results are aggregated in trial order, so
-    the report does not depend on scheduling.
+    the report does not depend on scheduling.  The pool has at most one
+    worker per trial, as a forked pool starts every worker at its first job.
     """
     config.validate()
     site_path, records = config.site_records()
@@ -304,7 +305,7 @@ def run_monte_carlo(
         for t in range(config.mc_trials)
     ]
     if config.jobs > 1 and config.mc_trials > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, config.mc_trials)) as pool:
             trials = list(pool.map(_trial_worker, jobs))
     else:
         trials = [_trial_worker(j) for j in jobs]

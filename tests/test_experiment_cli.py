@@ -153,6 +153,28 @@ class TestRunExperiment:
         _, parallel = run_monte_carlo(ExperimentConfig(**base, jobs=2))
         assert serial.mc_summary == parallel.mc_summary
 
+    def test_pool_has_no_more_workers_than_trials(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        base = dict(site="onsoy", mode="independent", seed=7, mc_trials=2, **FAST)
+        _, pooled = run_monte_carlo(ExperimentConfig(**base, jobs=64))
+        _, serial = run_monte_carlo(ExperimentConfig(**base, jobs=1))
+        assert sizes == [2]
+        assert pooled.mc_summary == serial.mc_summary
+
     def test_joint_mode_produces_all_properties(self, tmp_path):
         records = bundled_records("onsoy")
         config = ExperimentConfig(mode="joint", seed=2, **FAST)
