@@ -33,10 +33,11 @@ __all__ = ["Solutions", "murty_kbest", "ranked_solutions", "gibbs_solutions"]
 _ENUMERATION_LIMIT = 16384
 
 # A problem enumerated alone scores fewer valid combinations than this one
-# by one on Python floats (one- and two-label problems with few readings).
-# The array pass makes about 15 numpy calls, two more per row; at 8 to 20
-# combinations it took 27-30 us against 12-20 us for the loop.
-_FEW_COMBOS = 8
+# by one on Python floats.  At k = 64 (2-core x86) the array pass (about 15
+# numpy calls, two more per row) took 19-25 us at 6 to 44 combinations, and
+# the loop about 0.7 us per combination: 6-16 us at 6-22, 22 us at 1 x 30
+# (30) and at 3 x 3 (20), but 20.5 against 19.2 us at 2 x 6 (32).
+_FEW_COMBOS = 32
 
 # ``ranked_batch`` takes a step's problems, all posed over the step's labels,
 # from this many scores (problems x combinations) on.  A stack of up to a few
@@ -254,9 +255,9 @@ def _collapse(ext_solution: np.ndarray, n: int) -> tuple[int, ...]:
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
     """scipy's solver, imported at first call: that import is most of
     ``import geoglmb``.  Murty and ``evaluation.ospa`` call it.  A CLI run's
-    main process imports it for the report's OSPA after the pool's workers
-    fork, so only Murty makes a worker import it.  glmbbench's untimed CLI
-    warm-up run imports it before timed passes."""
+    pool workers compute each trial's OSPA, so every worker imports it unless
+    the main process did before the pool forked them, as glmbbench's untimed
+    CLI warm-up run does."""
     from scipy.optimize import linear_sum_assignment as solve
 
     return solve(cost, maximize=maximize)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .assignment import linear_sum_assignment
 from .filter import EstimateSeries
+from .lrfs import Label
 from .scenario import PROPERTIES, Scenario
 
 __all__ = [
@@ -25,10 +26,13 @@ __all__ = [
     "ospa",
     "PropertyMetrics",
     "RunReport",
+    "TrialMetrics",
+    "aggregate_report",
     "build_report",
     "compare_reports",
     "label_property_matching",
     "track_values_on_schedule",
+    "trial_metrics",
     "report_to_dict",
     "write_report_json",
     "write_metrics_csv",
@@ -148,7 +152,19 @@ def label_property_matching(truth: np.ndarray, series: EstimateSeries, aligned: 
     return {PROPERTIES[p]: lbl for p, lbl in best.items()}
 
 
-def _trial_metrics(scenario: Scenario, series: EstimateSeries) -> dict:
+@dataclass(frozen=True)
+class TrialMetrics:
+    """One trial's share of a run report: its per-property metrics, its
+    OSPA per depth, and the label paired with each property."""
+
+    per_property: dict[str, PropertyMetrics]
+    ospa_per_depth: tuple[float, ...]
+    matching: dict[str, Label]
+
+
+def trial_metrics(scenario: Scenario, series: EstimateSeries) -> TrialMetrics:
+    """Metrics of one trial, its labels paired with property columns by
+    label_property_matching."""
     truth = scenario.truth_matrix()
     n_depths = truth.shape[0]
     aligned = track_values_on_schedule(series, n_depths)
@@ -178,37 +194,30 @@ def _trial_metrics(scenario: Scenario, series: EstimateSeries) -> dict:
             n_detections=int(det.sum()),
         )
 
-    ospa_per_depth = []
-    all_vals = list(aligned.values())
-    for d in range(n_depths):
-        est_set = [v[d] for v in all_vals if not np.isnan(v[d])]
-        ospa_per_depth.append(ospa(truth[d, :], est_set, OSPA_CUTOFF, OSPA_ORDER))
-    return {"per_property": per_property, "ospa_per_depth": tuple(ospa_per_depth)}
+    # One row of estimates per depth, in label order, NaN where none.
+    estimates = np.array(list(aligned.values())).reshape(-1, n_depths).T
+    ospa_per_depth = tuple(
+        ospa(truth[d], row[~np.isnan(row)], OSPA_CUTOFF, OSPA_ORDER)
+        for d, row in enumerate(estimates)
+    )
+    return TrialMetrics(per_property, ospa_per_depth, matching)
 
 
-def build_report(
-    scenario: Scenario,
-    estimates: EstimateSeries,
-    mc_runs: Sequence[tuple[Scenario, EstimateSeries]] = (),
+def aggregate_report(
+    scenario: Scenario, estimates: EstimateSeries, metrics: Sequence[TrialMetrics]
 ) -> RunReport:
-    """Report for one primary trial, with mc_summary over it plus mc_runs.
-
-    Estimated labels are paired with property columns by
-    label_property_matching before per-property metrics are computed.
-    """
-    if estimates is None or not estimates.tracks:
+    """Report for the primary trial (scenario, estimates), whose metrics
+    come first in ``metrics``, with mc_summary over every trial's metrics."""
+    if not estimates.tracks:
         raise ValueError("no estimates to report on")
-    trials = [(scenario, estimates), *mc_runs]
-    metrics = [_trial_metrics(s, e) for s, e in trials]
-
     samples: dict[str, list[float]] = {}
     for m in metrics:
-        for prop, pm in m["per_property"].items():
+        for prop, pm in m.per_property.items():
             samples.setdefault(f"rmse_estimate_{prop}", []).append(pm.rmse_estimate)
             samples.setdefault(f"rmse_observation_{prop}", []).append(pm.rmse_observation)
             samples.setdefault(f"recovery_rate_{prop}", []).append(pm.recovery_rate)
         samples.setdefault("ospa_mean", []).append(
-            float(np.mean(m["ospa_per_depth"])) if m["ospa_per_depth"] else math.nan
+            float(np.mean(m.ospa_per_depth)) if m.ospa_per_depth else math.nan
         )
     mc_summary = {}
     for key, vals in samples.items():
@@ -222,13 +231,24 @@ def build_report(
     return RunReport(
         site_name=scenario.site_name,
         mode=scenario.mode,
-        per_property=primary["per_property"],
-        ospa_per_depth=primary["ospa_per_depth"],
+        per_property=primary.per_property,
+        ospa_per_depth=primary.ospa_per_depth,
         ospa_cutoff=OSPA_CUTOFF,
         ospa_order=OSPA_ORDER,
         mc_summary=mc_summary,
-        n_trials=len(trials),
+        n_trials=len(metrics),
     )
+
+
+def build_report(
+    scenario: Scenario,
+    estimates: EstimateSeries,
+    mc_runs: Sequence[tuple[Scenario, EstimateSeries]] = (),
+) -> RunReport:
+    """Report for one primary trial, with mc_summary over it plus mc_runs:
+    aggregate_report over each trial's trial_metrics."""
+    trials = [(scenario, estimates), *mc_runs]
+    return aggregate_report(scenario, estimates, [trial_metrics(s, e) for s, e in trials])
 
 
 def compare_reports(baseline: RunReport, other: RunReport) -> dict:

@@ -2,13 +2,13 @@
 
 A trial synthesizes one observation sequence from a site table, filters it,
 and extracts the MAP trajectory readout.  Monte Carlo batches repeat trials
-under derived seeds (seed + trial index) and aggregate one report.
+under derived seeds (seed + trial index); each trial's metrics and tables are
+made where it ran, and the batch aggregates one report from the metrics.
 ``read_estimates_csv`` reads an estimates.csv back through
 ``scenario.read_csv_rows``, the reader of every input table.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import numbers
@@ -21,11 +21,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, FilterDivergenceError, GeoGlmbError, SiteTableError
+# glmbbench traces build_report and scenario_to_csv as attributes of this
+# module, which no longer calls them.
 from .evaluation import (
     RunReport,
+    TrialMetrics,
+    aggregate_report,
     build_report,
     label_property_matching,
     track_values_on_schedule,
+    trial_metrics,
     write_metrics_csv,
     write_report_json,
 )
@@ -45,9 +50,11 @@ from .scenario import (
     Scenario,
     SiteRecord,
     bundled_site_path,
+    csv_text,
     depth_intervals,
     load_site_table,
     read_csv_rows,
+    scenario_csv_text,
     scenario_to_csv,
     synthesize_observations,
 )
@@ -55,6 +62,7 @@ from .svgplot import profile_plot
 
 __all__ = [
     "ExperimentConfig",
+    "Trial",
     "birth_model_for",
     "run_trial",
     "run_monte_carlo",
@@ -280,23 +288,41 @@ def run_trial(
     )
 
 
-def _trial_worker(args) -> tuple[Scenario, EstimateSeries]:
+@dataclass(frozen=True)
+class Trial:
+    """One finished trial: its scenario, its readout, its share of the
+    report, and the text of its scenario.csv and estimates.csv by file
+    name."""
+
+    scenario: Scenario
+    series: EstimateSeries
+    metrics: TrialMetrics
+    tables: dict[str, str]
+
+
+def _trial_worker(args) -> Trial:
     records, config, site_name, seed = args
     try:
-        return run_trial(records, config, seed, site_name)
+        scenario, series = run_trial(records, config, seed, site_name)
     except GeoGlmbError as exc:
         raise FilterDivergenceError(f"trial seed {seed}: {exc}") from exc
+    metrics = trial_metrics(scenario, series)
+    tables = {
+        "scenario.csv": scenario_csv_text(scenario),
+        "estimates.csv": _estimates_csv_text(series, metrics.matching),
+    }
+    return Trial(scenario, series, metrics, tables)
 
 
-def run_monte_carlo(
-    config: ExperimentConfig,
-) -> tuple[list[tuple[Scenario, EstimateSeries]], RunReport]:
+def run_monte_carlo(config: ExperimentConfig) -> tuple[list[Trial], RunReport]:
     """All trials (seeds seed+0 .. seed+mc_trials-1) plus one report.
 
     The site table is parsed once and shared by every trial.  Trials may run
-    in parallel up to config.jobs; results are aggregated in trial order, so
-    the report does not depend on scheduling.  The pool has at most one
-    worker per trial, as a forked pool starts every worker at its first job.
+    in parallel up to config.jobs; the pool has at most one worker per
+    trial, as a forked pool starts every worker at its first job.  Each
+    trial's metrics and CSV text are made by the worker that ran it; the
+    report aggregates the metrics in trial order, so it does not depend on
+    scheduling.
     """
     config.validate()
     site_path, records = config.site_records()
@@ -309,9 +335,35 @@ def run_monte_carlo(
             trials = list(pool.map(_trial_worker, jobs))
     else:
         trials = [_trial_worker(j) for j in jobs]
-    scenario0, series0 = trials[0]
-    report = build_report(scenario0, series0, mc_runs=trials[1:])
+    report = aggregate_report(
+        trials[0].scenario, trials[0].series, [trial.metrics for trial in trials]
+    )
     return trials, report
+
+
+def _estimates_csv_text(series: EstimateSeries, matching: dict[str, Label]) -> str:
+    """`step,depth,label,property,mean,variance` rows of one trial, each
+    track under the property ``matching`` pairs it with."""
+    label_to_prop = {lbl: prop for prop, lbl in matching.items()}
+
+    def rows():
+        yield ESTIMATES_HEADER
+        for track in series.tracks:
+            label, prop = str(track.label), label_to_prop.get(track.label, "unknown")
+            for step, depth, value, var in zip(
+                track.steps.tolist(), track.depths.tolist(),
+                track.values.tolist(), track.variances.tolist(),
+            ):
+                yield (
+                    int(step),
+                    f"{depth:.6g}",
+                    label,
+                    prop,
+                    f"{value:.10g}",
+                    f"{var:.10g}",
+                )
+
+    return csv_text(rows())
 
 
 def write_estimates_csv(scenario: Scenario, series: EstimateSeries, target) -> None:
@@ -319,26 +371,11 @@ def write_estimates_csv(scenario: Scenario, series: EstimateSeries, target) -> N
     the path ``target``."""
     aligned = track_values_on_schedule(series, len(scenario.records))
     matching = label_property_matching(scenario.truth_matrix(), series, aligned)
-    label_to_prop = {lbl: prop for prop, lbl in matching.items()}
+    _write_text(target, _estimates_csv_text(series, matching))
 
-    def rows():
-        yield ESTIMATES_HEADER
-        for track in series.tracks:
-            prop = label_to_prop.get(track.label, "unknown")
-            for step, depth, value, var in zip(
-                track.steps, track.depths, track.values, track.variances
-            ):
-                yield (
-                    int(step),
-                    f"{depth:.6g}",
-                    str(track.label),
-                    prop,
-                    f"{value:.10g}",
-                    f"{var:.10g}",
-                )
 
-    with open(target, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows())
+def _write_text(target, text: str) -> None:
+    Path(target).write_text(text, encoding="utf-8", newline="")
 
 
 def write_plots(scenario: Scenario, series: EstimateSeries, out_dir: Path) -> list[Path]:
@@ -388,7 +425,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
     Produces per-trial scenario/estimate tables under trials/, the
     aggregated report.json and metrics.csv, and one SVG profile per
     property rendered from the first trial.  The output directory is
-    checked before any trial runs.
+    checked before any trial runs; nothing is written until every trial
+    has returned and the report is built.
     """
     config.validate()
     out_dir = check_out_dir(config.out_dir)
@@ -396,18 +434,17 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     written: dict[str, list[str]] = {"scenario": [], "estimates": [], "report": [], "plots": []}
-    for t, (scenario, series) in enumerate(trials):
+    for t, trial in enumerate(trials):
         trial_dir = out_dir / "trials" / f"trial_{t:03d}"
         trial_dir.mkdir(parents=True, exist_ok=True)
-        scenario_to_csv(scenario, trial_dir / "scenario.csv")
-        write_estimates_csv(scenario, series, trial_dir / "estimates.csv")
-        written["scenario"].append(str(trial_dir / "scenario.csv"))
-        written["estimates"].append(str(trial_dir / "estimates.csv"))
+        for name, text in trial.tables.items():
+            _write_text(trial_dir / name, text)
+            written[name.removesuffix(".csv")].append(str(trial_dir / name))
 
     write_report_json(report, out_dir / "report.json", extra={"config": config.to_dict()})
     write_metrics_csv(report, out_dir / "metrics.csv")
     written["report"] = [str(out_dir / "report.json"), str(out_dir / "metrics.csv")]
-    written["plots"] = [str(p) for p in write_plots(trials[0][0], trials[0][1], out_dir)]
+    written["plots"] = [str(p) for p in write_plots(trials[0].scenario, trials[0].series, out_dir)]
     return written
 
 

@@ -8,7 +8,7 @@ joint mode the per-depth values are pooled and shuffled so the filter sees
 an unlabeled measurement set.
 
 Every CSV table the program reads goes through ``read_csv_rows``.  A
-run's scenario.csv is written by ``scenario_to_csv`` and read back by
+run's scenario.csv is rendered by ``scenario_csv_text`` and read back by
 ``read_scenario_csv``.
 """
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "load_site_table",
     "depth_intervals",
     "synthesize_observations",
+    "scenario_csv_text",
     "scenario_to_csv",
     "read_scenario_csv",
     "bundled_records",
@@ -270,43 +271,42 @@ def synthesize_observations(
     )
 
 
-def scenario_to_csv(scenario: Scenario, target) -> None:
-    """Write truth/observation/clutter rows as
-    `step,depth,kind,property_or_unknown,value,seed` to the path ``target``."""
+def csv_text(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them, CRLF line ends included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def scenario_csv_text(scenario: Scenario) -> str:
+    """Truth/observation/clutter rows as
+    `step,depth,kind,property_or_unknown,value,seed`."""
+    seed = scenario.seed
 
     def rows():
         yield ("step", "depth", "kind", "property_or_unknown", "value", "seed")
-        for d_idx, rec in enumerate(scenario.records):
-            step = d_idx + 1
-            for p_idx, prop in enumerate(PROPERTIES):
-                yield (step, rec.depth, "truth", prop, f"{rec.values[prop]:.6g}", scenario.seed)
-            for p_idx, prop in enumerate(PROPERTIES):
-                if scenario.detection_flags[d_idx, p_idx]:
-                    yield (
-                        step,
-                        rec.depth,
-                        "obs",
-                        prop,
-                        f"{scenario.property_observations[d_idx, p_idx]:.10g}",
-                        scenario.seed,
-                    )
-            for value in _clutter_values(scenario, d_idx):
-                yield (step, rec.depth, "clutter", "unknown", f"{value:.10g}", scenario.seed)
+        observed = zip(scenario.detection_flags.tolist(), scenario.property_observations.tolist())
+        for d_idx, (rec, (hits, values)) in enumerate(zip(scenario.records, observed)):
+            step, depth = d_idx + 1, rec.depth
+            for prop in PROPERTIES:
+                yield (step, depth, "truth", prop, f"{rec.values[prop]:.6g}", seed)
+            pool = list(scenario.measurement_sets[d_idx])
+            if scenario.mode != "joint":
+                pool = [v for per_prop in pool for v in per_prop]
+            for prop, hit, value in zip(PROPERTIES, hits, values):
+                if hit:
+                    yield (step, depth, "obs", prop, f"{value:.10g}", seed)
+                    pool.remove(value)
+            # What no detection accounts for is clutter.
+            for value in pool:
+                yield (step, depth, "clutter", "unknown", f"{value:.10g}", seed)
 
-    with open(target, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows())
+    return csv_text(rows())
 
 
-def _clutter_values(scenario: Scenario, d_idx: int) -> list[float]:
-    """Measurement values at one depth that no detection accounts for."""
-    if scenario.mode == "joint":
-        pool = list(scenario.measurement_sets[d_idx])
-    else:
-        pool = [v for per_prop in scenario.measurement_sets[d_idx] for v in per_prop]
-    for p_idx in range(len(PROPERTIES)):
-        if scenario.detection_flags[d_idx, p_idx]:
-            pool.remove(scenario.property_observations[d_idx, p_idx])
-    return pool
+def scenario_to_csv(scenario: Scenario, target) -> None:
+    """Write ``scenario_csv_text`` to the path ``target``."""
+    Path(target).write_text(scenario_csv_text(scenario), encoding="utf-8", newline="")
 
 
 def read_scenario_csv(path) -> Scenario:

@@ -413,11 +413,12 @@ def test_ranked_equals_murty_across_the_enumeration_limit(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_few_combinations_on_floats_equal_the_array_pass(data):
-    # 1-3 rows of 2-4 columns hold 2 to 20 valid combinations, on both sides
-    # of _FEW_COMBOS; integer entries tie, -0.0 checks the +0.0 start, and a
-    # row may be all -inf.  k runs below, at and above the combination count.
+    # 1-3 rows of 2-6 columns hold 2 to 152 valid combinations, on both
+    # sides of _FEW_COMBOS; integer entries tie, -0.0 checks the +0.0 start,
+    # and a row may be all -inf.  k runs below, at and above the combination
+    # count.
     n_rows = data.draw(st.integers(1, 3))
-    n_cols = data.draw(st.integers(2, 4))
+    n_cols = data.draw(st.integers(2, 6))
     entry = st.one_of(st.integers(-2, 2).map(float), st.floats(-4.0, 4.0),
                       st.just(-0.0), st.just(-math.inf))
     cost = np.array(
@@ -436,6 +437,31 @@ def test_few_combinations_on_floats_equal_the_array_pass(data):
         assert got.cols.shape == arrays.cols.shape
         assert got.scores.dtype == arrays.scores.dtype
         assert_same_solutions(got, arrays)
+
+
+def test_few_combinations_switch_keeps_bytes_on_random_matrices():
+    # Every shape from 1 x 1 to 3 x 7 (1 to 248 valid combinations), with
+    # the switch forced to each extreme: small-integer ties, -0.0 and +0.0,
+    # scattered -inf and all-(-inf) rows give the same array bytes.
+    rng = np.random.default_rng(20)
+    pool = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, -math.inf])
+    for n_rows, n_cols, trial in itertools.product(range(1, 4), range(1, 8), range(12)):
+        if trial % 3 == 0:
+            cost = rng.normal(size=(n_rows, n_cols)).round(1)
+        else:
+            cost = rng.choice(pool, size=(n_rows, n_cols))
+        if trial % 4 == 3:
+            cost[rng.integers(n_rows)] = -math.inf
+        for k in (1, 3, 64):
+            with patch.object(geoglmb.assignment, "_FEW_COMBOS", 0):
+                arrays = _enumerate_scored(cost, k)
+            with patch.object(geoglmb.assignment, "_FEW_COMBOS", 10**9):
+                floats = _enumerate_scored(cost, k)
+            for got in (arrays, floats):
+                assert got.cols.dtype == np.intp and got.scores.dtype == np.float64
+            assert floats.cols.shape == arrays.cols.shape
+            assert floats.cols.tobytes() == arrays.cols.tobytes()
+            assert floats.scores.tobytes() == arrays.scores.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -56,3 +56,15 @@ def test_traced_trial_counts_filter_steps():
     assert metrics["filter.joint_predict_update.calls"][0] == 3 * len(records)
     assert metrics["filter.hyps_in"][0] >= 3 * len(records)
     assert metrics["filter.hyps_out"][0] >= 3 * len(records)
+
+
+def test_traced_monte_carlo_labels_trial_spans_with_seeds():
+    # The tracer takes a trial's seed from the last item of its job tuple.
+    config = experiment.ExperimentConfig(
+        site="onsoy", mode="independent", trunc_method="ranked", seed=11, mc_trials=2, jobs=1
+    )
+    tracer = Tracer()
+    with patched(workload.tracer_patches(tracer)):
+        experiment.run_monte_carlo(config)
+    for name in ("experiment.trial_worker", "experiment.run_trial"):
+        assert [span[4] for span in tracer.spans if span[0] == name] == [11, 12], name

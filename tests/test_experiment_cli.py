@@ -13,6 +13,7 @@ import geoglmb
 from geoglmb import cli, experiment
 from geoglmb.cli import _build_config, build_parser, main
 from geoglmb.errors import ConfigError
+from geoglmb.evaluation import build_report, report_to_dict
 from geoglmb.experiment import (
     ExperimentConfig,
     read_estimates_csv,
@@ -152,6 +153,44 @@ class TestRunExperiment:
         _, serial = run_monte_carlo(ExperimentConfig(**base, jobs=1))
         _, parallel = run_monte_carlo(ExperimentConfig(**base, jobs=2))
         assert serial.mc_summary == parallel.mc_summary
+
+    def test_job_counts_write_identical_trees(self, tmp_path):
+        trees = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_experiment(ExperimentConfig(
+                site="onsoy", mode="independent", seed=4, mc_trials=3, jobs=jobs,
+                out_dir=str(out), **FAST,
+            ))
+            files = {
+                p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()
+            }
+            report = json.loads(files.pop("report.json"))
+            for key in ("out_dir", "jobs"):
+                report["config"].pop(key)
+            trees.append((files, report))
+        (files, report), (pooled_files, pooled_report) = trees
+        assert sorted(files) == sorted(
+            [f"trials/trial_{t:03d}/{name}" for t in range(3)
+             for name in ("estimates.csv", "scenario.csv")]
+            + ["metrics.csv", "plot_LL.svg", "plot_PI.svg", "plot_w.svg"]
+        )
+        assert pooled_files == files
+        assert pooled_report == report
+
+    @pytest.mark.parametrize("mode,jobs", [("joint", 1), ("independent", 2)])
+    def test_worker_metrics_aggregate_to_build_report(self, mode, jobs):
+        config = ExperimentConfig(
+            site="onsoy", mode=mode, seed=6, mc_trials=3, jobs=jobs, **FAST
+        )
+        trials, report = run_monte_carlo(config)
+        first, rest = trials[0], [(t.scenario, t.series) for t in trials[1:]]
+        rebuilt = build_report(first.scenario, first.series, mc_runs=rest)
+        # JSON text compares NaN with NaN, and every float by its repr
+        assert json.dumps(report_to_dict(report), sort_keys=True) == json.dumps(
+            report_to_dict(rebuilt), sort_keys=True
+        )
 
     def test_pool_has_no_more_workers_than_trials(self, monkeypatch):
         sizes = []
@@ -728,6 +767,18 @@ class TestCli:
         code = main(["run", "--config", str(config_file)])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, jobs):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({
+            "site": "onsoy", "mode": "independent", "r_birth": 0.0, "seed": 1,
+            "mc_trials": 3, "jobs": jobs,
+        }))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 3
+        assert "no estimates to report on" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_file = tmp_path / "config.json"
