@@ -71,12 +71,22 @@ def ospa(
         raise ValueError("order must be >= 1")
     xs = np.asarray(list(x), dtype=float)
     ys = np.asarray(list(y), dtype=float)
-    n, m = xs.size, ys.size
+    d = _capped_distances(xs[:, None], ys[None, :], cutoff, order)
+    return _ospa_of_distances(d, cutoff, order)
+
+
+def _capped_distances(x: np.ndarray, y: np.ndarray, cutoff: float, order: float) -> np.ndarray:
+    """min(|x - y|, cutoff) ** order, broadcast."""
+    return np.minimum(np.abs(x - y), cutoff) ** order
+
+
+def _ospa_of_distances(d: np.ndarray, cutoff: float, order: float) -> float:
+    """``ospa`` of two sets from their capped distances ``d`` [|X|, |Y|]."""
+    n, m = d.shape
     if n == 0 and m == 0:
         return 0.0
     if n == 0 or m == 0:
         return float(cutoff)
-    d = np.minimum(np.abs(xs[:, None] - ys[None, :]), cutoff) ** order
     rows, cols = linear_sum_assignment(d)
     cost = float(d[rows, cols].sum())
     big = max(n, m)
@@ -194,11 +204,15 @@ def trial_metrics(scenario: Scenario, series: EstimateSeries) -> TrialMetrics:
             n_detections=int(det.sum()),
         )
 
-    # One row of estimates per depth, in label order, NaN where none.
+    # Each depth's truth against its estimates (label order, NaN where a
+    # label is not alive), distances taken for all depths at once.
     estimates = np.array(list(aligned.values())).reshape(-1, n_depths).T
+    capped = _capped_distances(
+        truth[:, :, None], estimates[:, None, :], OSPA_CUTOFF, OSPA_ORDER
+    )
     ospa_per_depth = tuple(
-        ospa(truth[d], row[~np.isnan(row)], OSPA_CUTOFF, OSPA_ORDER)
-        for d, row in enumerate(estimates)
+        _ospa_of_distances(d[:, alive], OSPA_CUTOFF, OSPA_ORDER)
+        for d, alive in zip(capped, ~np.isnan(estimates))
     )
     return TrialMetrics(per_property, ospa_per_depth, matching)
 

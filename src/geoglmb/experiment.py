@@ -50,7 +50,6 @@ from .scenario import (
     Scenario,
     SiteRecord,
     bundled_site_path,
-    csv_text,
     depth_intervals,
     load_site_table,
     read_csv_rows,
@@ -343,27 +342,21 @@ def run_monte_carlo(config: ExperimentConfig) -> tuple[list[Trial], RunReport]:
 
 def _estimates_csv_text(series: EstimateSeries, matching: dict[str, Label]) -> str:
     """`step,depth,label,property,mean,variance` rows of one trial, each
-    track under the property ``matching`` pairs it with."""
+    track under the property ``matching`` pairs it with, each row ended by
+    CRLF as ``csv.writer`` ends them; no field needs quoting."""
     label_to_prop = {lbl: prop for prop, lbl in matching.items()}
-
-    def rows():
-        yield ESTIMATES_HEADER
-        for track in series.tracks:
-            label, prop = str(track.label), label_to_prop.get(track.label, "unknown")
+    lines = [",".join(ESTIMATES_HEADER)]
+    for track in series.tracks:
+        at = f"{track.label},{label_to_prop.get(track.label, 'unknown')}"
+        lines += [
+            f"{int(step)},{depth:.6g},{at},{value:.10g},{var:.10g}"
             for step, depth, value, var in zip(
                 track.steps.tolist(), track.depths.tolist(),
                 track.values.tolist(), track.variances.tolist(),
-            ):
-                yield (
-                    int(step),
-                    f"{depth:.6g}",
-                    label,
-                    prop,
-                    f"{value:.10g}",
-                    f"{var:.10g}",
-                )
-
-    return csv_text(rows())
+            )
+        ]
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def write_estimates_csv(scenario: Scenario, series: EstimateSeries, target) -> None:

@@ -68,9 +68,6 @@ class SiteRecord:
             if not np.isfinite(self.values[p]):
                 raise ValueError(f"record at depth {self.depth} has non-finite {p}")
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.values[p] for p in PROPERTIES])
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -96,7 +93,7 @@ class Scenario:
         return np.array([r.depth for r in self.records])
 
     def truth_matrix(self) -> np.ndarray:
-        return np.array([r.vector() for r in self.records])
+        return np.array([[r.values[p] for p in PROPERTIES] for r in self.records])
 
     def property_measurements(self, prop: str) -> list[list[float]]:
         """Per-depth measurement lists for one property (independent mode)."""
@@ -271,37 +268,27 @@ def synthesize_observations(
     )
 
 
-def csv_text(rows) -> str:
-    """``rows`` as ``csv.writer`` writes them, CRLF line ends included."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
 def scenario_csv_text(scenario: Scenario) -> str:
     """Truth/observation/clutter rows as
-    `step,depth,kind,property_or_unknown,value,seed`."""
+    `step,depth,kind,property_or_unknown,value,seed`, each ended by CRLF as
+    ``csv.writer`` ends them; no field needs quoting."""
+    lines = ["step,depth,kind,property_or_unknown,value,seed"]
     seed = scenario.seed
-
-    def rows():
-        yield ("step", "depth", "kind", "property_or_unknown", "value", "seed")
-        observed = zip(scenario.detection_flags.tolist(), scenario.property_observations.tolist())
-        for d_idx, (rec, (hits, values)) in enumerate(zip(scenario.records, observed)):
-            step, depth = d_idx + 1, rec.depth
-            for prop in PROPERTIES:
-                yield (step, depth, "truth", prop, f"{rec.values[prop]:.6g}", seed)
-            pool = list(scenario.measurement_sets[d_idx])
-            if scenario.mode != "joint":
-                pool = [v for per_prop in pool for v in per_prop]
-            for prop, hit, value in zip(PROPERTIES, hits, values):
-                if hit:
-                    yield (step, depth, "obs", prop, f"{value:.10g}", seed)
-                    pool.remove(value)
-            # What no detection accounts for is clutter.
-            for value in pool:
-                yield (step, depth, "clutter", "unknown", f"{value:.10g}", seed)
-
-    return csv_text(rows())
+    observed = zip(scenario.detection_flags.tolist(), scenario.property_observations.tolist())
+    for d_idx, (rec, (hits, values)) in enumerate(zip(scenario.records, observed)):
+        at = f"{d_idx + 1},{rec.depth!r}"
+        lines += [f"{at},truth,{prop},{rec.values[prop]:.6g},{seed}" for prop in PROPERTIES]
+        pool = list(scenario.measurement_sets[d_idx])
+        if scenario.mode != "joint":
+            pool = [v for per_prop in pool for v in per_prop]
+        for prop, hit, value in zip(PROPERTIES, hits, values):
+            if hit:
+                lines.append(f"{at},obs,{prop},{value:.10g},{seed}")
+                pool.remove(value)
+        # What no detection accounts for is clutter.
+        lines += [f"{at},clutter,unknown,{value:.10g},{seed}" for value in pool]
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def scenario_to_csv(scenario: Scenario, target) -> None:
