@@ -12,25 +12,25 @@ import math
 import numpy as np
 
 from geoglmb import (
-    Gaussian,
-    GlmbHypothesis,
+    GlmbDensity,
     Label,
     SensorModel,
     MotionModel,
 )
 from geoglmb.assignment import gibbs_solutions, ranked_solutions
 from geoglmb.filter import BirthModel, build_log_cost
+from geoglmb.lrfs import DensityArrays
 
 la, lb = Label(1, 0), Label(1, 1)
-parent = GlmbHypothesis(
-    label_set=(la, lb),
-    history=(((la, 1), (lb, 2)),),
-    log_weight=0.0,
-    densities={
-        la: Gaussian([56.0, 0.0], np.diag([16.0, 1.0])),
-        lb: Gaussian([22.0, 0.0], np.diag([16.0, 1.0])),
-    },
-)
+# A density of one hypothesis, weight 1, holding both labels: its state row
+# points each label at its row of Gaussian means and covariances.
+parent = GlmbDensity(DensityArrays(
+    log_weights=np.zeros(1),
+    labels=(la, lb),
+    state=np.array([[0, 1]]),
+    means=np.array([[56.0, 0.0], [22.0, 0.0]]),
+    covs=np.array([np.diag([16.0, 1.0])] * 2),
+))
 measurements = [58.5, 24.0, 61.0]
 sensor = SensorModel(sigma_m=10.0, p_detect=0.5, clutter_rate=0.5, clutter_region=(0.0, 100.0))
 cost = build_log_cost(parent, BirthModel(), measurements, MotionModel(), sensor, delta=0.5)
@@ -49,9 +49,8 @@ def describe(solution):
 score_of = dict(ranked_solutions(cost, 10**6))
 
 print("top 8 of", len(score_of), "feasible maps (exact ranking):")
-ranked = ranked_solutions(cost, 8)
-best = score_of[ranked[0][0]]
-for solution, _ in ranked:
+best = max(score_of.values())
+for solution, _ in ranked_solutions(cost, 8):
     rel = math.exp(score_of[solution] - best)
     print(f"  weight x{rel:8.2e}  {describe(solution)}")
 

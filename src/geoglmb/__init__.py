@@ -23,7 +23,6 @@ from .gaussian import (
 )
 from .lrfs import (
     GlmbDensity,
-    GlmbHypothesis,
     Label,
     best_hypothesis_with_cardinality,
     cardinality_distribution,

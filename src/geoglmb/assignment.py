@@ -8,8 +8,8 @@ Ranked truncation enumerates stacks of problems (``ranked_batch``), a wide
 stack narrowed first by an exact bound on each problem's k-th best score,
 as Miller, Stone & Cox (1997) bound Murty's subproblems.
 
-The solvers return a ``Solutions`` sequence: one row of column indices per
-solution and one score per solution, best first for the ranked solvers.
+The solvers return ``Solutions``: arrays of one row of column indices and
+one score per solution, best first for the ranked solvers.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import bisect
 import heapq
 import itertools
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -59,13 +58,12 @@ _BLOCK = 4096
 _SKIP = ()
 
 
-class Solutions(Sequence):
+class Solutions:
     """Solutions of one problem as arrays: ``cols`` (K x rows, intp) holds
     each solution's column per row and ``scores`` (K,) its score.
 
-    Indexes and iterates as ``(tuple of columns, score)`` pairs of Python
-    ints and floats, slices to ``Solutions``, and compares equal to the list
-    of those pairs.
+    Iterates as ``(tuple of columns, score)`` pairs of Python ints and
+    floats; read anything else from the arrays.
     """
 
     __slots__ = ("cols", "scores")
@@ -77,21 +75,8 @@ class Solutions(Sequence):
     def __len__(self) -> int:
         return len(self.scores)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Solutions(self.cols[i], self.scores[i])
-        return tuple(self.cols[i].tolist()), float(self.scores[i])
-
     def __iter__(self):
         return zip(map(tuple, self.cols.tolist()), self.scores.tolist())
-
-    def __eq__(self, other) -> bool:
-        return list(self) == (list(other) if isinstance(other, Solutions) else other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Solutions({list(self)!r})"
 
 
 def solution_score(cost: np.ndarray, solution: tuple[int, ...]) -> float:
@@ -117,7 +102,7 @@ def _valid_combos(n_rows: int, n_cols: int) -> np.ndarray:
     return hit
 
 
-def _pack(pairs: list[tuple[tuple[int, ...], float]], n_rows: int) -> Solutions:
+def _from_pairs(pairs: list[tuple[tuple[int, ...], float]], n_rows: int) -> Solutions:
     cols = np.array([sol for sol, _ in pairs], dtype=np.intp).reshape(len(pairs), n_rows)
     return Solutions(cols, np.array([score for _, score in pairs], dtype=float))
 
@@ -280,11 +265,11 @@ def murty_kbest(cost: np.ndarray, k: int) -> Solutions:
     """
     n = cost.shape[0]
     if n == 0:
-        return _pack([((), 0.0)], 0)
+        return _from_pairs([((), 0.0)], 0)
     ext = _extended_matrix(cost)
     finite = np.isfinite(ext)
     if not finite.any():
-        return _pack([], n)
+        return _from_pairs([], n)
     lo, hi = float(ext[finite].min()), float(ext[finite].max())
     # Forbidden cells hold a sentinel so low that any assignment using one
     # scores below every assignment of finite cells.  Subproblems only
@@ -293,7 +278,7 @@ def murty_kbest(cost: np.ndarray, k: int) -> Solutions:
     root = np.where(finite, ext, sentinel)
     first = _best_assignment(root, sentinel)
     if first is None:
-        return _pack([], n)
+        return _from_pairs([], n)
     # A Hungarian optimum can miss its subproblem's best row-order sum by
     # rounding, so a found solution is final only once it beats every queued
     # optimum by more than a slack far above that rounding.
@@ -324,7 +309,7 @@ def murty_kbest(cost: np.ndarray, k: int) -> Solutions:
             keep = fixed[t, sol_cols[t]]
             fixed[t, :] = sentinel
             fixed[t, sol_cols[t]] = keep
-    return _pack(out, n)
+    return _from_pairs(out, n)
 
 
 def ranked_solutions(cost: np.ndarray, k: int) -> Solutions:
@@ -333,7 +318,7 @@ def ranked_solutions(cost: np.ndarray, k: int) -> Solutions:
         raise ValueError("k must be >= 1")
     n_rows, n_cols = cost.shape
     if n_rows == 0:
-        return _pack([((), 0.0)], 0)
+        return _from_pairs([((), 0.0)], 0)
     if n_cols**n_rows <= _ENUMERATION_LIMIT:
         sols = _enumerate_scored(cost, k)
     else:
@@ -370,7 +355,7 @@ def gibbs_solutions(
     """
     n, n_cols = cost.shape
     if n == 0:
-        return _pack([((), 0.0)], 0)
+        return _from_pairs([((), 0.0)], 0)
 
     no_meas = np.argmax(cost[:, :2], axis=1)
     init = tuple(int(c) for c in no_meas)
@@ -378,7 +363,7 @@ def gibbs_solutions(
         best = murty_kbest(cost, 1)
         if not best:
             raise InfeasibleAssociationError("no feasible association for cost matrix")
-        init = best[0][0]
+        init = tuple(best.cols[0].tolist())
 
     # Row-wise max-shifted exponentials, precomputed; -inf maps to 0 weight.
     exp_rows = []
@@ -388,7 +373,7 @@ def gibbs_solutions(
         exp_rows.append([math.exp(v - shift) if math.isfinite(v) else 0.0 for v in cost[i]])
 
     visited = _gibbs_chain(exp_rows, init, n_cols, iterations, rng)
-    return _pack([(sol, solution_score(cost, sol)) for sol in visited], n)
+    return _from_pairs([(sol, solution_score(cost, sol)) for sol in visited], n)
 
 
 def _gibbs_chain(

@@ -81,7 +81,6 @@ from .lrfs import (
     ABSENT,
     DensityArrays,
     GlmbDensity,
-    GlmbHypothesis,
     Label,
     best_hypothesis_with_cardinality,
     cardinality_distribution,
@@ -357,27 +356,29 @@ class _StepCosts:
 
 
 def build_log_cost(
-    hypothesis: GlmbHypothesis,
+    glmb: GlmbDensity,
     birth: BirthModel,
     measurements: Sequence[float],
     motion: MotionModel,
     sensor: SensorModel,
     delta: float,
 ) -> np.ndarray:
-    """Association cost matrix for one parent hypothesis, as the filter scores it.
+    """Association cost matrix of a density's one hypothesis, as the filter
+    scores it.
 
     Rows are the hypothesis's labels sorted, then the births sorted;
     columns are [death/not-born, undetected, one per measurement], as
     ``ranked_solutions`` and ``gibbs_solutions`` take them.  Surviving
     labels' densities are predicted over the interval before the
     measurement likelihoods are evaluated; birth densities enter as given.
-    A birth label that the hypothesis holds, or that sorts before one of its
-    labels, raises ValueError.
+    A density of any other hypothesis count, or a birth label that the
+    density holds or that sorts before one of its labels, raises ValueError.
     """
-    prior = GlmbDensity((hypothesis,)).arrays
-    costs = _StepCosts(prior, birth, measurements, motion, sensor, delta)
-    # a lone hypothesis holds every label of its table
-    return costs.table.take(costs.rows[0], axis=0)
+    if len(glmb.hypotheses) != 1:
+        raise ValueError(f"need a density of one hypothesis, got {len(glmb.hypotheses)}")
+    costs = _StepCosts(glmb.arrays, birth, measurements, motion, sensor, delta)
+    rows = costs.rows[0]
+    return costs.table.take(rows[rows >= 0], axis=0)
 
 
 def _truncate(values: np.ndarray, trunc: TruncationConfig, rng_key) -> Solutions:

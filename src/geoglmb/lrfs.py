@@ -8,16 +8,15 @@ an index into the step's rows of Gaussian means and covariances.  A density
 made by a filter step also points back at the density it was stepped from:
 each hypothesis keeps its parent's index and its own association outcome
 per label, so its history is its parent's history plus one outcome row.
-``GlmbDensity.hypotheses`` is always such arrays: they build a
-``GlmbHypothesis`` object only when asked for one, and a density given as
-hypothesis objects is packed into arrays at construction.  All weight
-arithmetic stays in log space; products of many small likelihoods underflow
-doubles long before they stop mattering.
+Arrays are the only way to build a density.  ``GlmbHypothesis`` objects
+are a read-only view of them: the arrays build one only when asked for it.
+All weight arithmetic stays in log space; products of many small
+likelihoods underflow doubles long before they stop mattering.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,34 +61,27 @@ ABSENT = -2  # in DensityArrays.outcome only: the label had no row in the step
 
 @dataclass(frozen=True)
 class GlmbHypothesis:
-    """One weighted hypothesis: a label set plus one Gaussian per label.
+    """One weighted hypothesis, as ``DensityArrays`` reads it out: a label
+    set plus one Gaussian per label.
 
-    ``history`` is a hashable per-step record of association outcomes: one
-    tuple per filter step, each a sorted tuple of ``(label, outcome)`` pairs
-    with outcome in {DEAD, UNDETECTED, measurement index >= 1}.  Together
-    with ``label_set`` it identifies the hypothesis.  A filter step extends
-    each parent's history by distinct association solutions, so the
-    hypotheses of one density never share an identity.
+    ``label_set`` is sorted.  ``history`` is a hashable per-step record of
+    association outcomes: one tuple per filter step, each a sorted tuple of
+    ``(label, outcome)`` pairs with outcome in {DEAD, UNDETECTED,
+    measurement index >= 1}.  Together with ``label_set`` it identifies the
+    hypothesis.  A filter step extends each parent's history by distinct
+    association solutions, so the hypotheses of one density never share an
+    identity.
 
-    A density made by a filter step builds each instance from its arrays on
-    first access and keeps it: the history extends the parent instance's
-    history tuple, and the Gaussians are views of the step's state rows,
-    shared by every hypothesis that holds the same row.  Treat instances as
-    immutable.
+    Only ``DensityArrays`` builds instances, on first access, and keeps
+    them: the history extends the parent instance's history tuple, and the
+    Gaussians are views of the step's state rows, shared by every
+    hypothesis that holds the same row.  Treat instances as immutable.
     """
 
     label_set: tuple[Label, ...]
     history: tuple[tuple[tuple[Label, int], ...], ...]
     log_weight: float
-    densities: Mapping[Label, Gaussian] = field(default_factory=dict)
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.label_set))
-        if len(set(ordered)) != len(ordered):
-            raise ValueError(f"duplicate labels in hypothesis label set {ordered}")
-        object.__setattr__(self, "label_set", ordered)
-        if set(self.densities.keys()) != set(ordered):
-            raise ValueError("densities must carry exactly one Gaussian per label")
+    densities: Mapping[Label, Gaussian]
 
 
 @dataclass(eq=False)
@@ -102,9 +94,11 @@ class DensityArrays(Sequence):
     the density it was stepped from, ``parent[h]``, an index into the
     prior, and ``outcome[h, c]``: label c's association outcome in that
     step, or ABSENT where c was neither a label of the parent nor a birth.
+    The arrays are taken as given, unchecked.
 
-    As a sequence it holds the hypothesis objects, each built on first
-    access and then kept; ``len`` builds none, and a slice is a tuple.
+    As a sequence it is a read-only view of the hypothesis objects, each
+    built on first access and then kept; ``len`` builds none, and a slice
+    is a tuple.
     """
 
     log_weights: np.ndarray
@@ -130,7 +124,17 @@ class DensityArrays(Sequence):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
         if self._built[i] is None:
-            self._built[i] = self._build(i)
+            # An object extends its parent's history: walk back to the
+            # nearest built ancestor, then build forward, so a long run
+            # does not recurse once per step.
+            unbuilt, arrays, j = [], self, i
+            while arrays._built[j] is None:
+                unbuilt.append((arrays, j))
+                if arrays.prior is None:
+                    break
+                arrays, j = arrays.prior.hypotheses, int(arrays.parent[j])
+            for arrays, j in reversed(unbuilt):
+                arrays._built[j] = arrays._build(j)
         return self._built[i]
 
     def _build(self, i: int) -> GlmbHypothesis:
@@ -149,44 +153,17 @@ class DensityArrays(Sequence):
         return GlmbHypothesis(tuple(densities), history, float(self.log_weights[i]), densities)
 
 
-def _pack(hypotheses: tuple[GlmbHypothesis, ...]) -> DensityArrays:
-    """Arrays of a density given as hypothesis objects, which they keep: one
-    state row per (hypothesis, label), in order."""
-    labels = tuple(sorted({lbl for h in hypotheses for lbl in h.label_set}))
-    column = {lbl: c for c, lbl in enumerate(labels)}
-    state = np.full((len(hypotheses), len(labels)), -1)
-    gaussians = []
-    for i, h in enumerate(hypotheses):
-        for lbl in h.label_set:
-            state[i, column[lbl]] = len(gaussians)
-            gaussians.append(h.densities[lbl])
-    arrays = DensityArrays(
-        log_weights=np.array([h.log_weight for h in hypotheses], dtype=float),
-        labels=labels,
-        state=state,
-        means=np.array([g.mean for g in gaussians]).reshape(-1, 2),
-        covs=np.array([g.covariance for g in gaussians]).reshape(-1, 2, 2),
-    )
-    arrays._built[:] = hypotheses
-    return arrays
-
-
 @dataclass(frozen=True)
 class GlmbDensity:
     """Weighted set of hypotheses at one step; weights live in log space.
 
-    ``hypotheses`` is a ``DensityArrays``.  A filter step makes a density
-    whose arrays build each object on first access.  A sequence of
-    hypothesis objects is packed into arrays at construction, and the
-    arrays keep those objects.
+    ``hypotheses`` is a ``DensityArrays``, stored as given: a filter step
+    makes it, and ``arrays`` names it.  Indexing or iterating it reads the
+    hypotheses out as objects.
     """
 
-    hypotheses: Sequence[GlmbHypothesis]
+    hypotheses: DensityArrays
     step: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.hypotheses, DensityArrays):
-            object.__setattr__(self, "hypotheses", _pack(tuple(self.hypotheses)))
 
     @property
     def arrays(self) -> DensityArrays:

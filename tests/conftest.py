@@ -12,7 +12,7 @@ import numpy as np
 
 from geoglmb.filter import BirthEntry, BirthModel, TruncationConfig
 from geoglmb.gaussian import Gaussian, MotionModel, SensorModel
-from geoglmb.lrfs import DEAD, UNDETECTED, GlmbDensity, GlmbHypothesis, Label
+from geoglmb.lrfs import ABSENT, DEAD, UNDETECTED, DensityArrays, GlmbDensity, Label
 
 
 def make_gaussian(rng):
@@ -21,30 +21,55 @@ def make_gaussian(rng):
     return Gaussian(mean, a @ a.T + 0.5 * np.eye(2))
 
 
-def make_density(rng, n_hypotheses=5, max_labels=3, step=1):
-    """Random normalized density with distinct (label_set, history) pairs."""
-    hyps = []
-    for h in range(n_hypotheses):
-        n_labels = int(rng.integers(0, max_labels + 1))
-        labels = tuple(Label(1, i) for i in range(n_labels))
-        densities = {lbl: make_gaussian(rng) for lbl in labels}
-        history = ((Label(0, h), UNDETECTED),)  # distinct identities per h
-        hyps.append(
-            GlmbHypothesis(
-                label_set=labels,
-                history=(history,),
-                log_weight=float(rng.normal(0.0, 2.0)),
-                densities=densities,
-            )
+def build_density(log_weights, densities, step=1, prior=None, parent=None, outcomes=None):
+    """A hand-made density, held as ``DensityArrays`` as the filter holds one.
+
+    Hypothesis h has log-weight ``log_weights[h]`` and one Gaussian per
+    label in ``densities[h]`` (a dict), each its own state row, in
+    hypothesis and then label order.  Given a ``prior`` density, h steps
+    from its hypothesis ``parent[h]`` (default 0), and ``outcomes[h]`` maps
+    labels to h's association outcomes in that step, so h's history is its
+    parent's plus one entry; every other label of the table is ABSENT.
+    """
+    outcomes = outcomes or ()
+    labels = tuple(sorted({lbl for d in (*densities, *outcomes) for lbl in d}))
+    column = {lbl: c for c, lbl in enumerate(labels)}
+    state = np.full((len(densities), len(labels)), -1)
+    gaussians = []
+    for h, d in enumerate(densities):
+        for lbl in sorted(d):
+            state[h, column[lbl]] = len(gaussians)
+            gaussians.append(d[lbl])
+    stepped = {}
+    if prior is not None:
+        stepped = dict(
+            prior=prior,
+            parent=np.zeros(len(densities), dtype=int) if parent is None else np.array(parent),
+            outcome=np.array([[o.get(lbl, ABSENT) for lbl in labels] for o in outcomes],
+                             dtype=int).reshape(state.shape),
         )
-    logw = np.array([h.log_weight for h in hyps])
+    arrays = DensityArrays(
+        log_weights=np.array(log_weights, dtype=float),
+        labels=labels,
+        state=state,
+        means=np.array([g.mean for g in gaussians]).reshape(-1, 2),
+        covs=np.array([g.covariance for g in gaussians]).reshape(-1, 2, 2),
+        **stepped,
+    )
+    return GlmbDensity(arrays, step)
+
+
+def make_density(rng, n_hypotheses=5, max_labels=3, step=1):
+    """Random normalized density of hand-made hypotheses, without history."""
+    log_weights, densities = [], []
+    for _ in range(n_hypotheses):
+        n_labels = int(rng.integers(0, max_labels + 1))
+        densities.append({Label(1, i): make_gaussian(rng) for i in range(n_labels)})
+        log_weights.append(float(rng.normal(0.0, 2.0)))
+    logw = np.array(log_weights)
     shift = logw.max()
     total = shift + np.log(np.exp(logw - shift).sum())
-    hyps = [
-        GlmbHypothesis(h.label_set, h.history, h.log_weight - total, h.densities)
-        for h in hyps
-    ]
-    return GlmbDensity(tuple(hyps), step=step)
+    return build_density([w - total for w in log_weights], densities, step)
 
 
 # ---------------------------------------------------------------------------

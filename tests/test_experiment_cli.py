@@ -22,6 +22,7 @@ from geoglmb.experiment import (
     run_trial,
     write_estimates_csv,
 )
+from geoglmb.lrfs import DensityArrays
 from geoglmb.scenario import bundled_records, bundled_site_path, read_scenario_csv
 
 FAST = dict(
@@ -290,6 +291,19 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "report.json").exists()
         assert "report.json" in capsys.readouterr().out
+
+    def test_long_run_with_an_exact_map_tie(self, tmp_path, monkeypatch):
+        # LL = PI = w at every depth: relabeled hypotheses weigh the same to
+        # the bit, so the MAP readout builds hypothesis objects 600 steps deep.
+        site = tmp_path / "tied.csv"
+        site.write_text("depth,LL,PI,w\n" + "".join(
+            f"{1.0 + 0.1 * i:.2f},40.00,40.00,40.00\n" for i in range(600)))
+        built = []
+        build = DensityArrays._build
+        monkeypatch.setattr(DensityArrays, "_build", lambda a, i: built.append(i) or build(a, i))
+        out = tmp_path / "run"
+        assert main(["run", "--site", str(site), "--out", str(out)]) == 0
+        assert (out / "report.json").exists() and len(built) > 600
 
     def test_plots_parse_when_the_site_name_holds_markup(self, tmp_path):
         # The site name, the table's file name, goes into every plot title.

@@ -6,12 +6,12 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from conftest import make_density, make_gaussian
+from conftest import build_density, make_density, make_gaussian
 from geoglmb.errors import WeightCollapseError
+from geoglmb.gaussian import Gaussian
 from geoglmb.lrfs import (
-    DensityArrays,
+    UNDETECTED,
     GlmbDensity,
-    GlmbHypothesis,
     Label,
     best_hypothesis_with_cardinality,
     cardinality_distribution,
@@ -48,22 +48,17 @@ def normalize(glmb: GlmbDensity) -> GlmbDensity:
     total = log_sum_weights(logw)
     if not np.isfinite(total):
         raise WeightCollapseError("total weight collapsed: all log-weights are -inf")
-    hyps = tuple(
-        GlmbHypothesis(h.label_set, h.history, lw - total, h.densities)
-        for h, lw in zip(glmb.hypotheses, logw)
-    )
-    return GlmbDensity(hypotheses=hyps, step=glmb.step)
+    return GlmbDensity(dataclasses.replace(glmb.arrays, log_weights=logw - total), glmb.step)
 
 
-def hyp(labels, log_weight, history_tag=0, rng=None):
-    rng = rng or np.random.default_rng(history_tag)
-    densities = {lbl: make_gaussian(rng) for lbl in labels}
-    return GlmbHypothesis(
-        label_set=tuple(labels),
-        history=(((Label(0, history_tag), 0),),),
-        log_weight=log_weight,
-        densities=densities,
-    )
+def density(*hypotheses):
+    """A step-1 density of (labels, log-weight) pairs; the Gaussians of the
+    h-th pair are drawn from seed h."""
+    densities = []
+    for h, (labels, _) in enumerate(hypotheses):
+        rng = np.random.default_rng(h)
+        densities.append({lbl: make_gaussian(rng) for lbl in labels})
+    return build_density([w for _, w in hypotheses], densities)
 
 
 class TestLabel:
@@ -112,14 +107,12 @@ class TestDistinctLabelIndicator:
 
 class TestNormalize:
     def test_equal_rescale(self):
-        glmb = GlmbDensity(
-            (hyp([], math.log(2.0), 0), hyp([], math.log(2.0), 1)), step=1
-        )
+        glmb = density(([], math.log(2.0)), ([], math.log(2.0)))
         out = normalize(glmb)
         np.testing.assert_allclose(np.exp(out.arrays.log_weights), [0.5, 0.5], rtol=1e-15)
 
     def test_single_hypothesis(self):
-        out = normalize(GlmbDensity((hyp([], math.log(0.3), 0),), step=1))
+        out = normalize(density(([], math.log(0.3))))
         np.testing.assert_allclose(np.exp(out.arrays.log_weights), [1.0], rtol=1e-15)
 
     def test_extreme_log_weights_match_high_precision_oracle(self):
@@ -127,18 +120,18 @@ class TestNormalize:
         getcontext().prec = 50
         e1 = Decimal(-1).exp()
         expected = [float(1 / (1 + e1)), float(e1 / (1 + e1))]
-        glmb = GlmbDensity((hyp([], -1000.0, 0), hyp([], -1001.0, 1)), step=1)
+        glmb = density(([], -1000.0), ([], -1001.0))
         out = normalize(glmb)
         np.testing.assert_allclose(np.exp(out.arrays.log_weights), expected, rtol=1e-12)
 
     def test_all_minus_inf_collapses(self):
-        glmb = GlmbDensity((hyp([], -math.inf, 0),), step=1)
+        glmb = density(([], -math.inf))
         with pytest.raises(WeightCollapseError):
             normalize(glmb)
 
     def test_no_hypotheses_collapses(self):
         with pytest.raises(WeightCollapseError):
-            normalize(GlmbDensity((), step=0))
+            normalize(build_density([], [], step=0))
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)
@@ -150,47 +143,42 @@ class TestNormalize:
             )
 
     def test_preserves_relative_weights(self):
-        glmb = GlmbDensity(
-            (hyp([], math.log(1.0), 0), hyp([], math.log(3.0), 1)), step=1
-        )
+        glmb = density(([], math.log(1.0)), ([], math.log(3.0)))
         out = normalize(glmb)
         np.testing.assert_allclose(np.exp(out.arrays.log_weights), [0.25, 0.75], rtol=1e-14)
 
 
 class TestGlmbDensity:
-    def test_objects_are_packed_at_construction(self):
-        objs = (hyp([Label(1, 0)], math.log(0.6), 0), hyp([], math.log(0.4), 1))
-        d = GlmbDensity(objs, 1)
-        assert isinstance(d.hypotheses, DensityArrays)
-        assert d.arrays is d.hypotheses
-        assert all(d.hypotheses[i] is objs[i] for i in range(len(objs)))
-        np.testing.assert_array_equal(d.arrays.log_weights, [h.log_weight for h in objs])
+    def test_stores_what_it_is_given(self):
+        arrays = make_density(np.random.default_rng(0)).arrays
+        glmb = GlmbDensity(arrays, 2)
+        assert glmb.hypotheses is arrays and glmb.arrays is arrays
+        objects = tuple(glmb.hypotheses)
+        assert dataclasses.replace(glmb, hypotheses=objects).hypotheses is objects
 
-    def test_replace_packs_again(self):
-        objs = (hyp([Label(1, 0)], math.log(0.6), 0), hyp([Label(1, 1)], math.log(0.4), 1))
-        d = dataclasses.replace(GlmbDensity(objs, 1), hypotheses=objs[1:])
-        assert isinstance(d.hypotheses, DensityArrays)
-        assert len(d.hypotheses) == 1 and d.hypotheses[0] is objs[1]
-        assert d.arrays.labels == (Label(1, 1),)
-        assert dataclasses.replace(d, step=2).hypotheses is d.hypotheses
+    def test_a_long_chain_builds_its_last_object(self):
+        # Each object extends its parent's history, 2,000 steps deep.
+        lbl, g = Label(1, 0), Gaussian([40.0, 0.0], np.eye(2))
+        glmb = empty_density()
+        for step in range(1, 2001):
+            glmb = build_density([0.0], [{lbl: g}], step, prior=glmb,
+                                 outcomes=[{lbl: UNDETECTED}])
+        h = glmb.hypotheses[0]
+        assert h.history == (((lbl, UNDETECTED),),) * 2000
+        assert glmb.arrays.prior.hypotheses[0].history == h.history[:-1]
+        assert h.densities[lbl].mean.tolist() == [40.0, 0.0]
 
 
 class TestCardinalityDistribution:
     def test_point_mass(self):
         labels = [Label(1, 0), Label(1, 1), Label(1, 2)]
-        glmb = normalize(GlmbDensity((hyp(labels, 0.0, 0),), step=1))
+        glmb = normalize(density((labels, 0.0)))
         np.testing.assert_allclose(
             cardinality_distribution(glmb), [0, 0, 0, 1.0], atol=1e-15
         )
 
     def test_direct_weight_sum(self):
-        glmb = GlmbDensity(
-            (
-                hyp([Label(1, 0)], math.log(0.6), 0),
-                hyp([Label(1, 0), Label(1, 1)], math.log(0.4), 1),
-            ),
-            step=1,
-        )
+        glmb = density(([Label(1, 0)], math.log(0.6)), ([Label(1, 0), Label(1, 1)], math.log(0.4)))
         np.testing.assert_allclose(
             cardinality_distribution(glmb), [0.0, 0.6, 0.4], rtol=1e-12
         )
@@ -214,19 +202,15 @@ class TestCardinalityDistribution:
 
 class TestBestHypothesisWithCardinality:
     def test_single_candidate(self):
-        h = hyp([Label(1, 0), Label(1, 1)], 0.0, 0)
-        assert best_hypothesis_with_cardinality(GlmbDensity((h,), 1), 2) == 0
+        glmb = density(([Label(1, 0), Label(1, 1)], 0.0))
+        assert best_hypothesis_with_cardinality(glmb, 2) == 0
 
     def test_argmax(self):
-        lo = hyp([Label(1, 0)], math.log(0.3), 0)
-        hi = hyp([Label(1, 1)], math.log(0.7), 1)
-        glmb = GlmbDensity((lo, hi), 1)
-        assert glmb.hypotheses[best_hypothesis_with_cardinality(glmb, 1)] is hi
+        glmb = density(([Label(1, 0)], math.log(0.3)), ([Label(1, 1)], math.log(0.7)))
+        assert best_hypothesis_with_cardinality(glmb, 1) == 1
 
     def test_tie_breaks_on_smaller_label_set(self):
-        a = hyp([Label(1, 1)], math.log(0.5), 0)
-        b = hyp([Label(1, 0)], math.log(0.5), 1)
-        glmb = GlmbDensity((a, b), 1)
+        glmb = density(([Label(1, 1)], math.log(0.5)), ([Label(1, 0)], math.log(0.5)))
         best = glmb.hypotheses[best_hypothesis_with_cardinality(glmb, 1)]
         assert best.label_set == (Label(1, 0),)
 
@@ -240,47 +224,10 @@ class TestBestHypothesisWithCardinality:
             glmb = make_density(rng, n_hypotheses=6)
             sizes = {len(h.label_set) for h in glmb.hypotheses}
             shifted = GlmbDensity(
-                tuple(
-                    GlmbHypothesis(h.label_set, h.history, h.log_weight + 123.45, h.densities)
-                    for h in glmb.hypotheses
-                ),
-                step=glmb.step,
+                dataclasses.replace(glmb.arrays, log_weights=glmb.arrays.log_weights + 123.45),
+                glmb.step,
             )
             for n in sizes:
                 a = glmb.hypotheses[best_hypothesis_with_cardinality(glmb, n)]
                 b = shifted.hypotheses[best_hypothesis_with_cardinality(shifted, n)]
                 assert a.label_set == b.label_set and a.history == b.history
-
-
-class TestHypothesisInvariants:
-    def test_duplicate_labels_rejected(self):
-        rng = np.random.default_rng(0)
-        g = make_gaussian(rng)
-        with pytest.raises(ValueError):
-            GlmbHypothesis(
-                label_set=(Label(1, 0), Label(1, 0)),
-                history=(),
-                log_weight=0.0,
-                densities={Label(1, 0): g},
-            )
-
-    def test_densities_must_cover_label_set(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            GlmbHypothesis(
-                label_set=(Label(1, 0), Label(1, 1)),
-                history=(),
-                log_weight=0.0,
-                densities={Label(1, 0): make_gaussian(rng)},
-            )
-
-    def test_label_set_stored_sorted(self):
-        rng = np.random.default_rng(0)
-        labels = (Label(2, 0), Label(1, 1))
-        h = GlmbHypothesis(
-            label_set=labels,
-            history=(),
-            log_weight=0.0,
-            densities={lbl: make_gaussian(rng) for lbl in labels},
-        )
-        assert h.label_set == (Label(1, 1), Label(2, 0))

@@ -11,7 +11,6 @@ density of the same runs (label set, history, ``log_weight.hex()``, and the
 bytes of every mean and covariance), recorded with that eager filter and
 numpy 2.4.6.
 """
-import dataclasses
 import hashlib
 import math
 
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 
 import geoglmb.experiment as experiment
-from conftest import random_scenario, simple_birth
+from conftest import build_density, random_scenario, simple_birth
 from geoglmb.experiment import ExperimentConfig
 from geoglmb.filter import (
     TruncationConfig,
@@ -29,10 +28,9 @@ from geoglmb.filter import (
 from geoglmb.gaussian import Gaussian, MotionModel, SensorModel
 from geoglmb.lrfs import (
     UNDETECTED,
-    GlmbDensity,
-    GlmbHypothesis,
     Label,
     best_hypothesis_with_cardinality,
+    empty_density,
 )
 from geoglmb.scenario import bundled_records
 
@@ -185,21 +183,25 @@ def test_filtered_exact_tie_breaks_on_history():
 
 def test_hand_built_exact_tie_breaks_on_label_set_then_history():
     l0, l1, l2 = Label(1, 0), Label(1, 1), Label(1, 2)
+    hyps = [  # labels, their outcomes in the one step, weight, first value
+        ((l0,), (1,), 0.1, 10.0),
+        ((l0, l2), (1, 0), 0.3, 20.0),  # tied, larger label set
+        ((l0, l1), (0, 1), 0.3, 30.0),  # tied, larger history
+        ((l0, l1), (0, 0), 0.3, 40.0),  # the MAP hypothesis
+    ]
 
-    def hyp(labels, outcomes, weight, value):
-        densities = {lbl: Gaussian([value + i, 0.0], np.eye(2)) for i, lbl in enumerate(labels)}
-        return GlmbHypothesis(labels, (tuple(zip(labels, outcomes)),), math.log(weight), densities)
+    def density(hyps):
+        return build_density(
+            [math.log(weight) for _, _, weight, _ in hyps],
+            [{lbl: Gaussian([value + i, 0.0], np.eye(2)) for i, lbl in enumerate(labels)}
+             for labels, _, _, value in hyps],
+            prior=empty_density(0),
+            outcomes=[dict(zip(labels, outcomes)) for labels, outcomes, _, _ in hyps],
+        )
 
-    hyps = (
-        hyp((l0,), (1,), 0.1, 10.0),
-        hyp((l0, l2), (1, 0), 0.3, 20.0),  # tied, larger label set
-        hyp((l0, l1), (0, 1), 0.3, 30.0),  # tied, larger history
-        hyp((l0, l1), (0, 0), 0.3, 40.0),  # the MAP hypothesis
-    )
-    final = GlmbDensity(hyps, step=1)
+    final = density(hyps)
+    assert final.hypotheses[1].history == (((l0, 1), (l2, 0)),)
     assert best_hypothesis_with_cardinality(final, 2) == 3
     series = assert_readouts_equal([final], [1.0])
     assert {t.label: t for t in series.tracks}[l0].values.tolist() == [40.0]
-    # a replaced density is packed anew
-    swapped = dataclasses.replace(final, hypotheses=hyps[::-1])
-    assert best_hypothesis_with_cardinality(swapped, 2) == 0
+    assert best_hypothesis_with_cardinality(density(hyps[::-1]), 2) == 0
