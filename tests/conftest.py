@@ -21,15 +21,15 @@ def make_gaussian(rng):
     return Gaussian(mean, a @ a.T + 0.5 * np.eye(2))
 
 
-def build_density(log_weights, densities, step=1, prior=None, parent=None, outcomes=None):
+def build_density(log_weights, densities, step=1, prior=None, outcomes=None):
     """A hand-made density, held as ``DensityArrays`` as the filter holds one.
 
     Hypothesis h has log-weight ``log_weights[h]`` and one Gaussian per
     label in ``densities[h]`` (a dict), each its own state row, in
-    hypothesis and then label order.  Given a ``prior`` density, h steps
-    from its hypothesis ``parent[h]`` (default 0), and ``outcomes[h]`` maps
-    labels to h's association outcomes in that step, so h's history is its
-    parent's plus one entry; every other label of the table is ABSENT.
+    hypothesis and then label order.  Given a ``prior`` density, every h
+    steps from the prior's hypothesis 0, and ``outcomes[h]`` maps labels to
+    h's association outcomes in that step, so h's history is that parent's
+    plus one entry; every other label of the table is ABSENT.
     """
     outcomes = outcomes or ()
     labels = tuple(sorted({lbl for d in (*densities, *outcomes) for lbl in d}))
@@ -44,7 +44,7 @@ def build_density(log_weights, densities, step=1, prior=None, parent=None, outco
     if prior is not None:
         stepped = dict(
             prior=prior,
-            parent=np.zeros(len(densities), dtype=int) if parent is None else np.array(parent),
+            parent=np.zeros(len(densities), dtype=int),
             outcome=np.array([[o.get(lbl, ABSENT) for lbl in labels] for o in outcomes],
                              dtype=int).reshape(state.shape),
         )

@@ -228,6 +228,5 @@ class TestBestHypothesisWithCardinality:
                 glmb.step,
             )
             for n in sizes:
-                a = glmb.hypotheses[best_hypothesis_with_cardinality(glmb, n)]
-                b = shifted.hypotheses[best_hypothesis_with_cardinality(shifted, n)]
-                assert a.label_set == b.label_set and a.history == b.history
+                assert (best_hypothesis_with_cardinality(glmb, n)
+                        == best_hypothesis_with_cardinality(shifted, n))
