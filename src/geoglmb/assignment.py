@@ -17,6 +17,7 @@ import bisect
 import heapq
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,8 @@ _FEW_COMBOS = 32
 # hundred scores costs about as much as three one-label problems solved alone
 # (its 15-odd numpy calls), so a pair of them (independent mode) is solved
 # alone.  A stack is scored in chunks of at most _BATCH_CELLS scores, which
-# bounds its memory.
+# bounds its memory: a chunk's score and cell buffers are allocated once per
+# stack and refilled chunk after chunk.
 _BATCH_MIN_CELLS = 24
 _BATCH_CELLS = 2**14
 
@@ -124,8 +126,8 @@ def _enumerate_scored(cost: np.ndarray, k: int) -> Solutions:
         feasible = [i for i, score in enumerate(sums) if math.isfinite(score)]
         order = sorted(feasible, key=lambda i: -sums[i])[:k]
         return Solutions(table.T.take(order, axis=0), np.array([sums[i] for i in order]))
-    _, scores, cols = ranked_batch(cost[None], k)
-    return Solutions(cols, scores)
+    ranked = ranked_batch(cost[None], k)
+    return Solutions(ranked.columns(), ranked.scores)
 
 
 def batch_enumerable(n_problems: int, n_rows: int, n_cols: int) -> bool:
@@ -137,16 +139,44 @@ def batch_enumerable(n_problems: int, n_rows: int, n_cols: int) -> bool:
     return n_problems * _valid_combos(n_rows, n_cols).shape[1] >= _BATCH_MIN_CELLS
 
 
-def ranked_batch(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class RankedBatch(NamedTuple):
+    """``ranked_batch``'s entries: flat problem index ``problem`` [N], score
+    ``scores`` [N] and ``combo`` [N], the entry's column of ``table``, the
+    combo table [R, n] of the width enumerated.  ``kept`` [P, width] maps a
+    narrowed stack's enumerated columns to the stack's (None: not
+    narrowed).  ``columns`` gathers entries' columns."""
+
+    problem: np.ndarray
+    scores: np.ndarray
+    combo: np.ndarray
+    table: np.ndarray
+    kept: np.ndarray | None = None
+
+    def columns(self, index=None) -> np.ndarray:
+        """Columns [len(index), R] (intp) of the entries at ``index``, in any
+        order and with repeats (every entry if None)."""
+        combo = self.combo if index is None else self.combo.take(index)
+        cols = self.table.T.take(combo, axis=0)
+        if self.kept is None:
+            return cols
+        problem = self.problem if index is None else self.problem.take(index)
+        return self.kept.take(problem[:, None] * self.kept.shape[1] + cols)
+
+
+def ranked_batch(costs: np.ndarray, k: int) -> RankedBatch:
     """The k best feasible combos of each matrix of a stack [P, R, C]: flat
-    problem index, score and columns [R] of each, problem by problem, best
-    first within each.  A problem with no feasible combo has no entry.
+    problem index, score and combo of each, problem by problem, best first
+    within each.  A problem with no feasible combo has no entry.  Columns
+    [R] are gathered only for the entries a caller asks for
+    (``RankedBatch.columns``).
 
     A combo scores 0.0 plus its cells in row order, as ``solution_score``
     sums them.  A problem's entries are the first k of one stable sort of
     all its combos on descending score, -inf dropped, so ties keep the
     lexicographic product order and do not depend on the rest of the stack.
-    Problems are scored in chunks of at most ``_BATCH_CELLS``.
+    Problems are scored in chunks of at most ``_BATCH_CELLS``, in buffers
+    that live for the stack, and each chunk's picks are written into the
+    stack's [P, min(k, combos)] arrays.
 
     A stack wider than ``_BOUND_WIDTH`` columns, if ``_BOUND_WIDTH ** R >= k``,
     is narrowed first.  A problem's bound is its k-th best feasible combo over
@@ -164,10 +194,9 @@ def ranked_batch(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.
                            for lo in range(0, n_problems, size)])
     kept = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
     slots = np.take_along_axis(keep, kept, axis=1)  # [P, width]: false in the padding
-    narrow = np.full(kept.shape + (n_rows,), -np.inf)
-    narrow[slots] = costs.transpose(0, 2, 1)[keep]
-    problem, scores, cols = _ranked_kernel(narrow.transpose(0, 2, 1).copy(), k)
-    return problem, scores, kept.take(problem[:, None] * kept.shape[1] + cols)
+    narrow = np.full((n_problems, n_rows, kept.shape[1]), -np.inf)
+    narrow.transpose(0, 2, 1)[slots] = costs.transpose(0, 2, 1)[keep]
+    return _ranked_kernel(narrow, k)._replace(kept=kept)
 
 
 def _kept_columns(costs: np.ndarray, k: int) -> np.ndarray:
@@ -197,24 +226,33 @@ def _kept_columns(costs: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
-def _ranked_kernel(costs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``ranked_batch`` over every column of the stack."""
+def _ranked_kernel(costs: np.ndarray, k: int) -> RankedBatch:
+    """``ranked_batch`` over every column of the stack.  A chunk's scores
+    are negated in place for the sort and its picks negated back, both
+    exact."""
     n_problems, n_rows, n_cols = costs.shape
     table = _valid_combos(n_rows, n_cols)
     n_combos = table.shape[1]
-    size = max(1, _BATCH_CELLS // n_combos)
-    parts = []
+    size = max(1, min(n_problems, _BATCH_CELLS // n_combos))
+    width = min(k, n_combos)
+    neg, cells = np.empty((size, n_combos)), np.empty((size, n_combos))
+    order, top = np.empty((n_problems, width), dtype=np.intp), np.empty((n_problems, width))
     for lo in range(0, n_problems, size):
         chunk = costs[lo : lo + size]
-        scores = np.zeros((len(chunk), n_combos))
+        scores, row = neg[: len(chunk)], cells[: len(chunk)]
+        scores.fill(0.0)
         for i, cols in enumerate(table):
-            scores += chunk[:, i].take(cols, axis=1)
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-        top = np.take_along_axis(scores, order, axis=1)
-        feasible = top > -np.inf
-        parts.append((feasible.nonzero()[0] + lo, top[feasible], order[feasible]))
-    problem, scores, combo = (np.concatenate(part) for part in zip(*parts))
-    return problem, scores, table.T.take(combo, axis=0)
+            # mode="clip" (the indices are in range): with "raise", np.take
+            # writes through a temporary copy of ``out``
+            np.take(chunk[:, i], cols, axis=1, out=row, mode="clip")
+            scores += row
+        np.negative(scores, out=scores)
+        picks = order[lo : lo + size]
+        picks[:] = np.argsort(scores, axis=1, kind="stable")[:, :width]
+        np.negative(np.take_along_axis(scores, picks, axis=1), out=top[lo : lo + size])
+    del neg, cells, scores, row  # the chunk buffers go before the picks are compacted
+    feasible = top > -np.inf
+    return RankedBatch(feasible.nonzero()[0], top[feasible], order[feasible], table)
 
 
 def _extended_matrix(cost: np.ndarray) -> np.ndarray:

@@ -27,10 +27,13 @@ nothing to any score and keeps the order of the parent's combinations.
 Otherwise each parent gets its own ``ranked_solutions`` call over the rows
 of its labels (a single parent, too few to stack, or beyond the enumeration
 limit), and Gibbs parents their own ``gibbs_solutions`` call, whose
-generator is keyed on the parent.  All children, as parent, score and
-column arrays in parent order, are weighed, pruned and capped together.
-The kept children become the next density's parent, outcome and state
-arrays.  No hypothesis object is built unless a caller asks for one.
+generator is keyed on the parent.  All children, as parent and score
+arrays in parent order, are weighed, pruned and capped together.  Only then
+are solution columns gathered, for the kept children alone: a stack's
+children are (problem, combo) pairs until then, up to k per parent, of which
+the prune and cap keep at most ``max_hypotheses``.  The kept children become
+the next density's parent, outcome and state arrays.  No hypothesis object
+is built unless a caller asks for one.
 
 A numpy call costs about as much as a dozen float operations in Python, and
 a one-label filter (independent mode) makes steps of one parent, one label
@@ -55,6 +58,7 @@ indices backward through the densities.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -409,8 +413,10 @@ def joint_predict_update(
     solved as one stack or one by one (see the module docstring), to the
     same solutions.  Children are weighed as one array in parent order, then
     pruned and capped, on Python floats when they are fewer than
-    ``_ROWS_AS_ARRAYS``; the kept ones become the arrays of the returned
-    density, which points back at ``glmb``.  The result does not depend on
+    ``_ROWS_AS_ARRAYS``; the array cap sorts only the children that reach
+    its last weight.  The kept ones, and only they, get solution columns and
+    become the arrays of the returned density, which points back at
+    ``glmb``.  The result does not depend on
     scheduling.  Non-finite measurements, and birth labels that do not carry
     the next step, that the density already holds or that sort before one
     of its labels, raise ValueError.
@@ -427,16 +433,16 @@ def joint_predict_update(
     costs = _StepCosts(prior, birth, measurements, motion, sensor, delta)
 
     n_labels, width = len(costs.labels), costs.table.shape[1]
-    # (parent, score, columns per label of the step) of the children: one
-    # block for the stack, else one per parent, parents ascending
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # The children's parent and score arrays, and ``columns``, which gathers
+    # the solution columns (per label of the step) of the children at the
+    # given indices; it is called for the kept children only.
     if trunc.method == "ranked" and batch_enumerable(len(costs.rows), n_labels, width):
         absent = [0.0] + [-math.inf] * (width - 1)  # row -1, for labels a parent lacks
         table = np.concatenate([costs.table, [absent]])
-        block = ranked_batch(table.take(costs.rows, axis=0), trunc.requested_hypotheses)
-        if len(block[1]):
-            blocks.append(block)
+        stack = ranked_batch(table.take(costs.rows, axis=0), trunc.requested_hypotheses)
+        parent, scores, columns = stack.problem, stack.scores, stack.columns
     else:
+        blocks = []  # (parent, score, columns) of each parent's children, parents ascending
         for p_idx, rows in enumerate(costs.rows.tolist()):
             present = [c for c, row in enumerate(rows) if row >= 0]
             values = costs.table.take([rows[c] for c in present], axis=0)
@@ -450,14 +456,15 @@ def joint_predict_update(
                 cols = (cols.take([n - 1 for n in seen], axis=1) if present  # -1 is valid too
                         else np.zeros((len(sols), n_labels), dtype=cols.dtype))
             blocks.append((np.array([p_idx] * len(sols)), sols.scores, cols))
-    if not blocks:
+        if len(blocks) > 1:
+            blocks = [tuple(np.concatenate(part) for part in zip(*blocks))]
+        parent, scores, cols = blocks[0] if blocks else (np.zeros(0, dtype=int),) * 3
+        columns = functools.partial(cols.take, axis=0)
+    if not len(parent):
         raise InfeasibleAssociationError(
             "truncation produced no valid association map; "
             "check clutter rate, detection and survival probabilities"
         )
-    parent, scores, cols = blocks[0]
-    if len(blocks) > 1:
-        parent, scores, cols = (np.concatenate(part) for part in zip(*blocks))
     logw = prior.log_weights.take(parent) + scores
     norm = logw - log_sum_weights(logw)
     weights = np.exp(norm)
@@ -472,13 +479,17 @@ def joint_predict_update(
         keep = (weights >= trunc.min_weight).nonzero()[0]
         if keep.size == 0:
             keep = np.array([int(np.argmax(norm))])
-        order = keep[np.argsort(-norm[keep], kind="stable")][: trunc.max_hypotheses]
+        top = norm[keep]
+        cut = keep.size - trunc.max_hypotheses
+        if cut > 0:  # only children at or above the cap's last weight, ties too, can stay
+            best = top >= np.partition(top, cut)[cut]
+            keep, top = keep[best], top[best]
+        order = keep[np.argsort(-top, kind="stable")][: trunc.max_hypotheses]
         kept = norm[order]
     final_logw = kept - log_sum_weights(kept)
 
     parent = parent.take(order)
-    solutions = cols.take(order, axis=0)
-    outcome, state, means, covs = costs.children(parent, solutions)
+    outcome, state, means, covs = costs.children(parent, columns(order))
     arrays = DensityArrays(
         log_weights=final_logw,
         labels=costs.labels,

@@ -464,6 +464,11 @@ def test_few_combinations_switch_keeps_bytes_on_random_matrices():
             assert floats.scores.tobytes() == arrays.scores.tobytes()
 
 
+def _picks(ranked):
+    """A ``ranked_batch`` result as (problem, scores, columns of every entry)."""
+    return ranked.problem, ranked.scores, ranked.columns()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_batch_equals_per_problem_solutions(data):
@@ -487,7 +492,7 @@ def test_batch_equals_per_problem_solutions(data):
     k = data.draw(st.one_of(st.just(1), st.integers(1, n_combos + 2)))
     budget = data.draw(st.sampled_from([1, geoglmb.assignment._BATCH_CELLS, 10**9]))
     with patch.object(geoglmb.assignment, "_BATCH_CELLS", budget):
-        problem, scores, cols = ranked_batch(costs, k)
+        problem, scores, cols = _picks(ranked_batch(costs, k))
     assert problem.dtype == cols.dtype == np.intp and scores.dtype == float
     assert np.all(np.diff(problem) >= 0)
     for p in range(n_problems):
@@ -515,8 +520,27 @@ def test_bounded_batch_equals_the_full_enumeration(data):
     # bounded ones.  k runs from 1 to beyond the feasible count, mostly
     # within the bound's reach, under any chunk size.  The stack must equal
     # the unpruned kernel and the brute-force ranking, bit for bit.
+    costs, k, budget = _draw_stack(data, _BOUND_WIDTH + 1)
+    n_problems = len(costs)
+    with patch.object(geoglmb.assignment, "_BATCH_CELLS", budget):
+        got = _picks(ranked_batch(costs, k))
+        want = _picks(_ranked_kernel(costs, k))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    problem, scores, cols = got
+    for p in range(n_problems):
+        brute = brute_force(costs[p])[:k]
+        assert [(tuple(c), s) for c, s in zip(cols[problem == p].tolist(),
+                                              scores[problem == p].tolist())] == brute
+        assert scores[problem == p].tobytes() == np.array([s for _, s in brute]).tobytes()
+
+
+def _draw_stack(data, min_cols):
+    """A stack of 1-5 problems of 1-3 rows over ``min_cols``-14 columns as
+    the bounded-batch test draws it, a k and a chunk budget."""
     n_rows = data.draw(st.integers(1, 3))
-    n_cols = data.draw(st.integers(_BOUND_WIDTH + 1, 14))
+    n_cols = data.draw(st.integers(min_cols, 14))
     n_problems = data.draw(st.integers(1, 5))
     entry = st.one_of(st.integers(-2, 2).map(float), st.floats(-4.0, 4.0),
                       st.just(-0.0), st.just(-math.inf), st.floats(-60.0, -30.0))
@@ -532,18 +556,28 @@ def test_bounded_batch_equals_the_full_enumeration(data):
     k = data.draw(st.one_of(st.integers(1, min(_BOUND_WIDTH**n_rows, n_combos + 2)),
                             st.integers(1, n_combos + 2)))
     budget = data.draw(st.sampled_from([1, geoglmb.assignment._BATCH_CELLS, 10**9]))
+    return costs, k, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_columns_of_any_entries_are_those_rows_of_the_full_gather(data):
+    # Plain stacks (2-5 columns) and stacks wide enough to be narrowed, drawn
+    # as above.  Columns gathered for any entries, none, unsorted or repeated,
+    # given as a list or an intp array, are those rows of the gather of every
+    # entry, in bytes and as intp.
+    costs, k, budget = _draw_stack(data, 2)
     with patch.object(geoglmb.assignment, "_BATCH_CELLS", budget):
-        got = ranked_batch(costs, k)
-        want = _ranked_kernel(costs, k)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-    problem, scores, cols = got
-    for p in range(n_problems):
-        brute = brute_force(costs[p])[:k]
-        assert [(tuple(c), s) for c, s in zip(cols[problem == p].tolist(),
-                                              scores[problem == p].tolist())] == brute
-        assert scores[problem == p].tobytes() == np.array([s for _, s in brute]).tobytes()
+        ranked = ranked_batch(costs, k)
+    full = ranked.columns()
+    n = len(ranked.scores)
+    assert full.dtype == np.intp and full.shape == (n, costs.shape[1])
+    index = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n + 2) if n else st.just([]))
+    want = full[np.array(index, dtype=np.intp)]
+    for chosen in (index, np.array(index, dtype=np.intp)):
+        got = ranked.columns(chosen)
+        assert got.dtype == np.intp and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _cluttered_stack():
@@ -562,10 +596,10 @@ def test_wide_stack_reaches_the_kernel_narrowed():
     # Problem 2 keeps every column, and so the whole stack's width; without
     # it the stack must reach the kernel narrower than it entered.
     costs = _cluttered_stack()[:2]
-    want = _ranked_kernel(costs, 64)
+    want = _picks(_ranked_kernel(costs, 64))
     with patch.object(geoglmb.assignment, "_ranked_kernel",
                       wraps=geoglmb.assignment._ranked_kernel) as spy:
-        got = ranked_batch(costs, 64)
+        got = _picks(ranked_batch(costs, 64))
     (narrow, k), _ = spy.call_args
     assert spy.call_count == 1 and k == 64
     assert narrow.shape[:2] == (2, 3) and narrow.shape[2] < costs.shape[2]
@@ -585,7 +619,7 @@ def test_bound_keeps_every_column_of_a_problem_with_no_feasible_combo():
     costs = _cluttered_stack()
     costs[0, 0] = -math.inf  # a whole -inf row
     assert _kept_columns(costs, 64)[0].all()
-    for a, b in zip(ranked_batch(costs, 64), _ranked_kernel(costs, 64)):
+    for a, b in zip(_picks(ranked_batch(costs, 64)), _picks(_ranked_kernel(costs, 64))):
         assert a.tobytes() == b.tobytes()
 
 

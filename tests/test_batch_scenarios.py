@@ -59,7 +59,8 @@ def test_stacked_parents_equal_their_own_calls_and_brute_force(name):
         )
 
     checked, sampled = 0, 0
-    for costs, k, (problem, scores, cols) in stacks:
+    for costs, k, result in stacks:
+        problem, scores, cols = result.problem, result.scores, result.columns()
         for p, cost in enumerate(costs):
             mine = problem == p
             try:

@@ -18,7 +18,7 @@ from conftest import (
     make_gaussian,
     simple_birth,
 )
-from geoglmb.assignment import gibbs_solutions, ranked_solutions
+from geoglmb.assignment import RankedBatch, gibbs_solutions, ranked_solutions
 from geoglmb.errors import InfeasibleAssociationError, WeightCollapseError
 from geoglmb.experiment import ExperimentConfig, run_trial
 from geoglmb.filter import (
@@ -692,6 +692,26 @@ class TestFloatAndArrayStepsAgree:
             for switch in (0, 10**9):
                 assert_same_densities(_under_switch(switch, job), want)
 
+    @pytest.mark.parametrize("cap", [1, 5, 6, 7, 23, 10**6])
+    def test_cap_inside_runs_of_tied_weights(self, cap):
+        # Six identical parents: every child's weight is tied with a child of
+        # each other parent, so most caps cut a run of ties.  The kept
+        # children and their order are the loop's stable sort.
+        rng = np.random.default_rng(3)
+        labels = {Label(1, i): make_gaussian(rng) for i in range(2)}
+        prior = build_density([math.log(1 / 6)] * 6, [labels] * 6)
+        trunc = TruncationConfig(method="ranked", requested_hypotheses=8, min_weight=0.0,
+                                 max_hypotheses=cap)
+        motion, sensor = MotionModel(p_survival=0.9), SensorModel(clutter_rate=1.0)
+
+        def step():
+            return [joint_predict_update(prior, BirthModel(), [1.0, -4.0], motion, sensor, 0.5,
+                                         trunc)]
+
+        want = _under_switch(10**9, step)
+        assert len(want[0].hypotheses) == min(cap, 48)
+        assert_same_densities(_under_switch(0, step), want)
+
 
 def _children_both_ways(costs, parent, solutions):
     """``costs.children`` by the loop (switch above every child count) and
@@ -784,6 +804,57 @@ def test_children_reach_the_array_path_from_the_kept_child_count():
     assert calls == wide and len(wide) >= len(series.hypothesis_counts) - 2
     calls, _ = _array_path_calls(ExperimentConfig(site="onsoy", mode="independent"), 0)
     assert calls == []
+
+
+def _stack_gathers(config, seed):
+    """Per step of one trial: the entry count and narrowing of its
+    ``ranked_batch`` stack (empty: none), the rows of each column gather
+    made on a ``RankedBatch``, and the children the step kept."""
+    steps, stack, gathers = [], [], []
+    real_step, real_batch, real_columns = (
+        joint_predict_update, geoglmb.filter.ranked_batch, RankedBatch.columns)
+
+    def batch(costs, k):
+        ranked = real_batch(costs, k)
+        stack.append((len(ranked.scores), ranked.kept is not None))
+        return ranked
+
+    def columns(ranked, index=None):
+        cols = real_columns(ranked, index)
+        gathers.append(len(cols))
+        return cols
+
+    def step(*args):
+        stack.clear()
+        gathers.clear()
+        density = real_step(*args)
+        steps.append((list(stack), list(gathers), len(density.hypotheses)))
+        return density
+
+    with patch.object(geoglmb.filter, "joint_predict_update", step), \
+            patch.object(geoglmb.filter, "ranked_batch", batch), \
+            patch.object(RankedBatch, "columns", columns):
+        run_trial(bundled_records(config.site), config, seed, config.site)
+    return steps
+
+
+@pytest.mark.parametrize("config, seed, bounded", [
+    (ExperimentConfig(site="onsoy", mode="joint", trunc_method="ranked"), 0, False),
+    # the golden taipei-joint-ranked-clutter9 config, its first trial: every
+    # stack is wide enough for the column bound
+    (ExperimentConfig(site="taipei", mode="joint", trunc_method="ranked", clutter_rate=9.0), 3,
+     True),
+], ids=["onsoy-joint", "taipei-clutter9"])
+def test_a_stacked_step_gathers_columns_once_for_its_kept_children(config, seed, bounded):
+    # A stacked step enumerates up to k children per parent (12,800 at 200
+    # parents) and gathers columns once, for the children it keeps.
+    steps = _stack_gathers(config, seed)
+    stacked = [(entries, narrowed, gathers, kept)
+               for stack, gathers, kept in steps for entries, narrowed in stack]
+    assert len(stacked) >= len(steps) - 2
+    for entries, narrowed, gathers, kept in stacked:
+        assert gathers == [kept] and kept <= entries and narrowed == bounded
+    assert max(entries - kept for entries, _, _, kept in stacked) >= 12_000
 
 
 def _under_batch(crossover, budget, step):
