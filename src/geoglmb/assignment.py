@@ -39,14 +39,9 @@ _ENUMERATION_LIMIT = 16384
 # (30) and at 3 x 3 (20), but 20.5 against 19.2 us at 2 x 6 (32).
 _FEW_COMBOS = 32
 
-# ``ranked_batch`` takes a step's problems, all posed over the step's labels,
-# from this many scores (problems x combinations) on.  A stack of up to a few
-# hundred scores costs about as much as three one-label problems solved alone
-# (its 15-odd numpy calls), so a pair of them (independent mode) is solved
-# alone.  A stack is scored in chunks of at most _BATCH_CELLS scores, which
-# bounds its memory: a chunk's score and cell buffers are allocated once per
-# stack and refilled chunk after chunk.
-_BATCH_MIN_CELLS = 24
+# ``ranked_batch`` scores a stack in chunks of at most this many scores
+# (problems x combinations), which bounds its memory: a chunk's score and
+# cell buffers are allocated once per stack and refilled chunk after chunk.
 _BATCH_CELLS = 2**14
 
 # ``ranked_batch`` bounds wider stacks from their rows' top this-many columns.
@@ -131,12 +126,11 @@ def _enumerate_scored(cost: np.ndarray, k: int) -> Solutions:
 
 
 def batch_enumerable(n_problems: int, n_rows: int, n_cols: int) -> bool:
-    """Whether ``ranked_batch`` should solve these same-shape problems (a
-    step's parents, each over the step's labels) together rather than one
-    ``ranked_solutions`` call each."""
-    if n_problems < 2 or n_rows < 1 or n_cols**n_rows > _ENUMERATION_LIMIT:
-        return False
-    return n_problems * _valid_combos(n_rows, n_cols).shape[1] >= _BATCH_MIN_CELLS
+    """Whether ``ranked_batch`` solves these same-shape problems (a step's
+    parents, each over the step's labels) as one stack rather than one
+    ``ranked_solutions`` call each: two or more problems of at least one
+    row, within the enumeration limit."""
+    return n_problems >= 2 and n_rows >= 1 and n_cols**n_rows <= _ENUMERATION_LIMIT
 
 
 class RankedBatch(NamedTuple):

@@ -143,8 +143,6 @@ class ExperimentConfig:
             issues.append(f"birth_offsets={list(self.birth_offsets)} must be finite")
         if self.mode not in ("joint", "independent"):
             issues.append(f"mode={self.mode!r} not in {{joint, independent}}")
-        if self.seed < 0:
-            issues.append(f"seed={self.seed} must be >= 0")
         if self.mc_trials < 1:
             issues.append("mc_trials must be >= 1")
         if self.jobs < 1:

@@ -17,23 +17,24 @@ scored in one table.  A label is (birth step, index) and a step's births
 carry the next step, so they sort after every label the prior holds: the
 step's label table is the prior's labels followed by the births, and a
 parent's table row per label is its prior state row, widened by the birth
-rows on a birth step (Vo & Vo 2013).  Under ranked truncation, when
-``batch_enumerable`` allows, every parent is posed over all labels of the
-step and the step is enumerated as one stack by ``ranked_batch``: the
-parents share the step's readings, so the numpy overhead is paid once per
-step, not once per parent (Vo, Vo & Hoang 2017).  A label a parent lacks
-gets an absent row whose only finite cell is 0.0 in column 0, which adds
-nothing to any score and keeps the order of the parent's combinations.
-Otherwise each parent gets its own ``ranked_solutions`` call over the rows
-of its labels (a single parent, too few to stack, or beyond the enumeration
-limit), and Gibbs parents their own ``gibbs_solutions`` call, whose
-generator is keyed on the parent.  All children, as parent and score
-arrays in parent order, are weighed, pruned and capped together.  Only then
-are solution columns gathered, for the kept children alone: a stack's
-children are (problem, combo) pairs until then, up to k per parent, of which
-the prune and cap keep at most ``max_hypotheses``.  The kept children become
-the next density's parent, outcome and state arrays.  No hypothesis object
-is built unless a caller asks for one.
+rows on a birth step (Vo & Vo 2013).  Under ranked truncation, a step of
+two or more parents over at least one label, within the enumeration limit
+(``batch_enumerable``), poses every parent over all labels of the step and
+is enumerated as one stack by ``ranked_batch``: the parents share the
+step's readings, so the numpy overhead is paid once per step, not once per
+parent (Vo, Vo & Hoang 2017).  A label a parent lacks gets an absent row
+whose only finite cell is 0.0 in column 0, which adds nothing to any score
+and keeps the order of the parent's combinations.  Otherwise each parent
+gets its own ``ranked_solutions`` call over the rows of its labels (a
+single parent, no label, or beyond the enumeration limit), and Gibbs
+parents their own ``gibbs_solutions`` call, whose generator is keyed on the
+parent.  All children, as parent and score arrays in parent order, are
+weighed, pruned and capped together.  Only then are solution columns
+gathered, for the kept children alone: a stack's children are (problem,
+combo) pairs until then, up to k per parent, of which the prune and cap
+keep at most ``max_hypotheses``.  The kept children become the next
+density's parent, outcome and state arrays.  No hypothesis object is built
+unless a caller asks for one.
 
 A numpy call costs about as much as a dozen float operations in Python, and
 a one-label filter (independent mode) makes steps of one parent, one label
@@ -61,6 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,12 +165,13 @@ class TruncationConfig:
     def __post_init__(self):
         if self.method not in ("gibbs", "ranked"):
             raise ValueError(f"unknown truncation method {self.method!r}")
-        if self.requested_hypotheses < 1 or self.gibbs_iterations < 1:
-            raise ValueError("requested_hypotheses and gibbs_iterations must be >= 1")
+        for name, low in (("requested_hypotheses", 1), ("gibbs_iterations", 1),
+                          ("max_hypotheses", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name}={value!r} must be an integer >= {low}")
         if not 0.0 <= self.min_weight < math.inf:
             raise ValueError(f"min_weight must be finite and >= 0, got {self.min_weight}")
-        if self.max_hypotheses < 1:
-            raise ValueError("max_hypotheses must be >= 1")
 
 
 def _log(p: float) -> float:

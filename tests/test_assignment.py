@@ -505,9 +505,7 @@ def test_batch_equals_per_problem_solutions(data):
                 ranked_solutions(costs[p], k)
             continue
         assert_same_solutions(got, ranked_solutions(costs[p], k))
-    for crossover, batched in ((0, n_problems > 1), (10**9, False)):
-        with patch.object(geoglmb.assignment, "_BATCH_MIN_CELLS", crossover):
-            assert batch_enumerable(n_problems, n_rows, n_cols) == batched
+    assert batch_enumerable(n_problems, n_rows, n_cols) == (n_problems > 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -624,9 +622,8 @@ def test_bound_keeps_every_column_of_a_problem_with_no_feasible_combo():
 
 
 def test_batch_skips_shapes_beyond_the_enumeration_limit():
-    with patch.object(geoglmb.assignment, "_BATCH_MIN_CELLS", 0):
-        assert batch_enumerable(2, 3, 25) and not batch_enumerable(2, 3, 26)
-        assert not batch_enumerable(2, 0, 5)
+    assert batch_enumerable(2, 3, 25) and not batch_enumerable(2, 3, 26)
+    assert not batch_enumerable(2, 0, 5) and not batch_enumerable(1, 1, 2)
 
 
 def test_limit_splits_the_hypothesis_shapes():

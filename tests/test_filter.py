@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest.mock import patch
 
@@ -610,18 +611,35 @@ class TestBoundaryProperties:
             run_sequence(deltas, [[48.0], [51.0], [50.0]], birth, MotionModel(),
                          SensorModel(), EXHAUSTIVE)
 
+    @pytest.mark.parametrize("name, value", [
+        ("requested_hypotheses", 2.5),
+        ("max_hypotheses", 1.5),
+        ("gibbs_iterations", 2.5),
+        ("seed", -1),
+        ("requested_hypotheses", True),
+    ])
+    def test_truncation_rejects_non_integer_counts_and_negative_seeds(self, name, value):
+        # each fails at construction, not deep in the first step
+        with pytest.raises(ValueError, match=name):
+            TruncationConfig(**{name: value})
+
 
 _DENSITY_FIELDS = ("log_weights", "state", "outcome", "parent", "means", "covs")
 
 
+def _outcome(step):
+    """``step()``, or the error it raises as its type and message."""
+    try:
+        return step()
+    except (InfeasibleAssociationError, WeightCollapseError) as exc:
+        return type(exc), str(exc)
+
+
 def _under_switch(switch, step):
-    """``step()`` with the float/array switch of the filter at ``switch``;
-    an error is returned as its type and message."""
+    """``_outcome(step)`` with the float/array switch of the filter at
+    ``switch``."""
     with patch.object(geoglmb.filter, "_ROWS_AS_ARRAYS", switch):
-        try:
-            return step()
-        except (InfeasibleAssociationError, WeightCollapseError) as exc:
-            return type(exc), str(exc)
+        return _outcome(step)
 
 
 def assert_same_densities(got, want):
@@ -857,30 +875,47 @@ def test_a_stacked_step_gathers_columns_once_for_its_kept_children(config, seed,
     assert max(entries - kept for entries, _, _, kept in stacked) >= 12_000
 
 
-def _under_batch(crossover, budget, step):
-    """``step()`` with the stacking crossover of ``assignment`` at
-    ``crossover`` cells and its chunk budget at ``budget``; an error is
-    returned as its type and message."""
-    with patch.object(geoglmb.assignment, "_BATCH_MIN_CELLS", crossover), \
-            patch.object(geoglmb.assignment, "_BATCH_CELLS", budget):
-        try:
-            return step()
-        except (InfeasibleAssociationError, WeightCollapseError) as exc:
-            return type(exc), str(exc)
+@pytest.mark.parametrize("survival", [{"p_survival": 1.0}, {}], ids=["p_survival-1", "default"])
+def test_every_ranked_step_of_two_or_more_parents_is_one_stack(survival):
+    # Independent mode steps one or two parents of one label at a time.
+    config = ExperimentConfig(site="onsoy", mode="independent", trunc_method="ranked",
+                              **survival)
+    parents = []
+    real_step = joint_predict_update
+
+    def step(*args):
+        parents.append(len(args[0].hypotheses))
+        return real_step(*args)
+
+    with patch.object(geoglmb.filter, "joint_predict_update", step), \
+            patch.object(geoglmb.filter, "ranked_batch",
+                         wraps=geoglmb.filter.ranked_batch) as stacks, \
+            patch.object(geoglmb.filter, "ranked_solutions",
+                         wraps=geoglmb.filter.ranked_solutions) as alone:
+        run_trial(bundled_records(config.site), config, 0, config.site)
+    assert parents.count(1) > 0 and len(parents) - parents.count(1) > 0
+    assert stacks.call_count == len(parents) - parents.count(1)
+    assert alone.call_count == parents.count(1)
 
 
-# (crossover, chunk budget): every step of two or more parents stacked, in
-# chunks of one problem or all at once, and the defaults.
-_BATCH_SETTINGS = (
-    (0, 1),
-    (0, 10**9),
-    (geoglmb.assignment._BATCH_MIN_CELLS, geoglmb.assignment._BATCH_CELLS),
-)
+@contextlib.contextmanager
+def _per_parent():
+    """Every ranked parent solved by its own ``ranked_solutions`` call: the
+    block must make no ``ranked_batch`` stack."""
+    with patch.object(geoglmb.filter, "batch_enumerable", lambda *shape: False), \
+            patch.object(geoglmb.filter, "ranked_batch",
+                         wraps=geoglmb.filter.ranked_batch) as spy:
+        yield
+    assert spy.call_count == 0
+
+
+# Chunk budgets of a stack: one problem per chunk, all at once, the default.
+_BATCH_BUDGETS = (1, 10**9, geoglmb.assignment._BATCH_CELLS)
 
 
 class TestBatchedStepsAgree:
-    """A ranked step enumerated as one stack gives the bits of the
-    per-parent path (crossover above every step)."""
+    """A ranked step enumerated as one stack, in chunks of any size, gives
+    the bits of the per-parent path."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -910,9 +945,11 @@ class TestBatchedStepsAgree:
         def step():
             return [joint_predict_update(prior, birth, readings, motion, sensor, 0.5, trunc)]
 
-        want = _under_batch(10**9, geoglmb.assignment._BATCH_CELLS, step)
-        for crossover, budget in _BATCH_SETTINGS:
-            assert_same_densities(_under_batch(crossover, budget, step), want)
+        with _per_parent():
+            want = _outcome(step)
+        for budget in _BATCH_BUDGETS:
+            with patch.object(geoglmb.assignment, "_BATCH_CELLS", budget):
+                assert_same_densities(_outcome(step), want)
 
     def test_a_ranked_step_is_at_most_one_stack(self):
         # Two parents each of 1, 2 and 3 labels and one of none, interleaved:
@@ -928,25 +965,27 @@ class TestBatchedStepsAgree:
             zs = [1.0, -5.0, 12.0]
             return [joint_predict_update(prior, BirthModel(), zs, motion, sensor, 0.5, trunc)]
 
-        want = _under_batch(10**9, geoglmb.assignment._BATCH_CELLS, step)
-        for crossover, budget in _BATCH_SETTINGS:
-            with patch.object(geoglmb.filter, "ranked_batch",
-                              wraps=geoglmb.filter.ranked_batch) as spy:
-                got = _under_batch(crossover, budget, step)
+        with _per_parent():
+            want = _outcome(step)
+        for budget in _BATCH_BUDGETS:
+            with patch.object(geoglmb.assignment, "_BATCH_CELLS", budget), \
+                    patch.object(geoglmb.filter, "ranked_batch",
+                                 wraps=geoglmb.filter.ranked_batch) as spy:
+                got = _outcome(step)
             assert_same_densities(got, want)
             assert [call.args[0].shape for call in spy.call_args_list] == [(7, 3, 5)]
             assert got[0].arrays.parent.tolist().count(3) == 1  # the empty parent
 
 
-# (method, stacking crossover): ranked steps stacked whenever they are
-# enumerable, ranked steps solved parent by parent, and Gibbs steps.
-_SOLVE_PATHS = (("ranked", 0), ("ranked", 10**9), ("gibbs", 0))
+# (method, stacked): ranked steps stacked whenever they are enumerable,
+# ranked steps solved parent by parent, and Gibbs steps.
+_SOLVE_PATHS = (("ranked", True), ("ranked", False), ("gibbs", True))
 
 
-@pytest.mark.parametrize("method, crossover", _SOLVE_PATHS, ids=["stacked", "per-parent", "gibbs"])
+@pytest.mark.parametrize("method, stacked", _SOLVE_PATHS, ids=["stacked", "per-parent", "gibbs"])
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_step_outcomes_are_association_maps(method, crossover, data):
+def test_step_outcomes_are_association_maps(method, stacked, data):
     # Each child's outcome row is one association map of its parent: labels
     # the parent lacks and nobody bears are ABSENT, readings are used at most
     # once, a label has a state row unless it is dead or absent, and no two
@@ -966,7 +1005,7 @@ def test_step_outcomes_are_association_maps(method, crossover, data):
     zs = draw(st.lists(st.floats(-30.0, 30.0), max_size=4))
     trunc = TruncationConfig(method=method, requested_hypotheses=draw(st.sampled_from([1, 5, 64])),
                              gibbs_iterations=30, min_weight=0.0, max_hypotheses=10**6)
-    with patch.object(geoglmb.assignment, "_BATCH_MIN_CELLS", crossover):
+    with contextlib.nullcontext() if stacked else _per_parent():
         a = joint_predict_update(prior, birth, zs, motion, sensor, 0.5, trunc).arrays
 
     n_held = len(prior.arrays.labels)
