@@ -47,7 +47,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clutter", type=float, dest="clutter_rate")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--mc", type=int, dest="mc_trials", help="Monte Carlo trials")
-    parser.add_argument("--jobs", type=int, help="parallel trial workers")
+    parser.add_argument(
+        "--jobs", type=int, help="parallel trial workers, at most one per trial and usable CPU"
+    )
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--trunc", choices=["gibbs", "ranked"], dest="trunc_method")
     parser.add_argument("--hyps", type=int, dest="requested_hypotheses")

@@ -3,7 +3,8 @@
 A trial synthesizes one observation sequence from a site table, filters it,
 and extracts the MAP trajectory readout.  Monte Carlo batches repeat trials
 under derived seeds (seed + trial index); each trial's metrics and tables are
-made where it ran, and the batch aggregates one report from the metrics.
+made where it ran, the tables are staged to disk as trials arrive, and the
+batch aggregates one report from the metrics.
 ``read_estimates_csv`` reads an estimates.csv back through
 ``scenario.read_csv_rows``, the reader of every input table.
 """
@@ -13,10 +14,13 @@ import dataclasses
 import math
 import numbers
 import os
+import shutil
+import tempfile
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -287,18 +291,39 @@ def run_trial(
 
 @dataclass(frozen=True)
 class Trial:
-    """One finished trial: its scenario, its readout, its share of the
+    """One finished trial: its scenario and readout, its share of the
     report, and the text of its scenario.csv and estimates.csv by file
-    name."""
+    name.  Past a batch's first trial the scenario and the series are None:
+    only the first trial's are reported on and plotted."""
 
-    scenario: Scenario
-    series: EstimateSeries
+    scenario: Scenario | None
+    series: EstimateSeries | None
     metrics: TrialMetrics
     tables: dict[str, str]
 
 
+# The running batch's site records, config and site name, which every trial
+# shares.  A pool worker's initializer sets them once, as does a serial
+# batch in the main process, so a job carries only its seed.  One process
+# runs one serial batch at a time.
+_batch: tuple = ()
+
+# Jobs in flight per pool worker: enough to keep each worker busy while the
+# main process writes, few enough that held results stay a handful.
+_WINDOW_PER_WORKER = 2
+
+
+def _share_batch(*batch) -> None:
+    global _batch
+    _batch = batch
+
+
 def _trial_worker(args) -> Trial:
-    records, config, site_name, seed = args
+    """The trial of seed ``args[-1]`` in the batch ``_share_batch`` set, with
+    its metrics and tables.  Only the batch's first trial (seed
+    ``config.seed``) keeps its scenario and series."""
+    records, config, site_name = _batch
+    seed = args[-1]
     try:
         scenario, series = run_trial(records, config, seed, site_name)
     except GeoGlmbError as exc:
@@ -308,34 +333,74 @@ def _trial_worker(args) -> Trial:
         "scenario.csv": scenario_csv_text(scenario),
         "estimates.csv": _estimates_csv_text(series, metrics.matching),
     }
+    if seed != config.seed:
+        scenario = series = None
     return Trial(scenario, series, metrics, tables)
 
 
-def run_monte_carlo(config: ExperimentConfig) -> tuple[list[Trial], RunReport]:
-    """All trials (seeds seed+0 .. seed+mc_trials-1) plus one report.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; all of the host's where the
+    platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    The site table is parsed once and shared by every trial.  Trials may run
-    in parallel up to config.jobs; the pool has at most one worker per
-    trial, as a forked pool starts every worker at its first job.  Each
-    trial's metrics and CSV text are made by the worker that ran it; the
-    report aggregates the metrics in trial order, so it does not depend on
-    scheduling.
+
+def run_monte_carlo(
+    config: ExperimentConfig, on_trial: Callable[[int, Trial], None] | None = None
+) -> tuple[Trial, RunReport]:
+    """Trials at seeds seed+0 .. seed+mc_trials-1: the first trial and one
+    report.
+
+    The site table is parsed once; each pool worker receives it, the config
+    and the site name once, through the pool's initializer, and each job
+    carries only its seed.  The pool has min(config.jobs, mc_trials, usable
+    CPUs) workers, as a forked pool starts every worker at its first job,
+    and at most ``_WINDOW_PER_WORKER`` jobs per worker are in flight.
+    Trials are taken in trial order as they complete; each goes to
+    ``on_trial(index, trial)`` and is then dropped, bar the first, so the
+    main process holds a bounded number of trials whatever mc_trials is.
+    Each trial's metrics and CSV text are made by the worker that ran it;
+    the report aggregates the metrics in trial order, so it does not depend
+    on scheduling.
     """
     config.validate()
     site_path, records = config.site_records()
-    jobs = [
-        (records, config, site_path.stem, config.seed + t)
-        for t in range(config.mc_trials)
-    ]
-    if config.jobs > 1 and config.mc_trials > 1:
-        with ProcessPoolExecutor(max_workers=min(config.jobs, config.mc_trials)) as pool:
-            trials = list(pool.map(_trial_worker, jobs))
-    else:
-        trials = [_trial_worker(j) for j in jobs]
-    report = aggregate_report(
-        trials[0].scenario, trials[0].series, [trial.metrics for trial in trials]
-    )
-    return trials, report
+    batch = (records, config, site_path.stem)
+    seeds = range(config.seed, config.seed + config.mc_trials)
+    workers = min(config.jobs, config.mc_trials, _usable_cpus())
+    first, metrics = None, []
+
+    def take(trial: Trial) -> None:
+        nonlocal first
+        if on_trial is not None:
+            on_trial(len(metrics), trial)
+        metrics.append(trial.metrics)
+        if first is None:
+            first = trial
+
+    try:
+        if workers == 1:
+            _share_batch(*batch)
+            for seed in seeds:
+                take(_trial_worker((seed,)))
+        else:
+            with ProcessPoolExecutor(workers, initializer=_share_batch, initargs=batch) as pool:
+                pending = deque()
+                try:
+                    for seed in seeds:
+                        if len(pending) == workers * _WINDOW_PER_WORKER:
+                            take(pending.popleft().result())
+                        pending.append(pool.submit(_trial_worker, (seed,)))
+                    while pending:
+                        take(pending.popleft().result())
+                finally:
+                    for future in pending:
+                        future.cancel()
+    finally:
+        _share_batch()
+    return first, aggregate_report(first.scenario, first.series, metrics)
 
 
 def _estimates_csv_text(series: EstimateSeries, matching: dict[str, Label]) -> str:
@@ -400,43 +465,74 @@ def write_plots(scenario: Scenario, series: EstimateSeries, out_dir: Path) -> li
     return written
 
 
+def _nearest_existing(path: Path) -> Path:
+    return next(p for p in (path, *path.absolute().parents) if os.path.lexists(p))
+
+
 def check_out_dir(path) -> Path:
     """``path`` as a Path, once it is a directory or one can be made there;
     otherwise ConfigError names it.  Nothing is created."""
     out = Path(path)
-    nearest = next(p for p in (out, *out.absolute().parents) if os.path.lexists(p))
+    nearest = _nearest_existing(out)
     if not nearest.is_dir() or not os.access(nearest, os.W_OK | os.X_OK):
         raise ConfigError(f"output directory {path}: {nearest} is not a writable directory")
     return out
 
 
+def _move_tree(src: Path, dst: Path) -> None:
+    """Move every entry of ``src`` into ``dst``, which is created if need
+    be: a directory merges into the one of its name there, anything else
+    replaces its namesake.  ``src`` is removed once empty."""
+    dst.mkdir(parents=True, exist_ok=True)
+    for entry in src.iterdir():
+        target = dst / entry.name
+        if entry.is_dir() and target.is_dir():
+            _move_tree(entry, target)
+        else:
+            os.replace(entry, target)
+    src.rmdir()
+
+
 def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
-    """Run the configured experiment and write all artifacts.
+    """Run the configured experiment and write all artifacts; return the
+    written paths by group, each under ``config.out_dir``.
 
     Produces per-trial scenario/estimate tables under trials/, the
     aggregated report.json and metrics.csv, and one SVG profile per
     property rendered from the first trial.  The output directory is
-    checked before any trial runs; nothing is written until every trial
-    has returned and the report is built.
+    checked before any trial runs.  Each trial's tables are written as the
+    trial arrives, into a staging directory made in the output directory's
+    nearest existing ancestor (the output directory itself, if it exists).
+    Only once the last trial, the report and the plots are written does
+    everything move into the output directory, creating it if needed and
+    replacing files of the same names.  The staging directory is removed
+    whatever happens, so a failed run leaves nothing and changes no
+    existing file.
     """
     config.validate()
     out_dir = check_out_dir(config.out_dir)
-    trials, report = run_monte_carlo(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".geoglmb-run-", dir=_nearest_existing(out_dir)))
+    written: dict[str, list[Path]] = {"scenario": [], "estimates": [], "report": [], "plots": []}
 
-    written: dict[str, list[str]] = {"scenario": [], "estimates": [], "report": [], "plots": []}
-    for t, trial in enumerate(trials):
-        trial_dir = out_dir / "trials" / f"trial_{t:03d}"
-        trial_dir.mkdir(parents=True, exist_ok=True)
+    def write_trial(t: int, trial: Trial) -> None:
+        trial_dir = Path("trials", f"trial_{t:03d}")
+        (stage / trial_dir).mkdir(parents=True)
         for name, text in trial.tables.items():
-            _write_text(trial_dir / name, text)
-            written[name.removesuffix(".csv")].append(str(trial_dir / name))
+            _write_text(stage / trial_dir / name, text)
+            written[name.removesuffix(".csv")].append(trial_dir / name)
 
-    write_report_json(report, out_dir / "report.json", extra={"config": config.to_dict()})
-    write_metrics_csv(report, out_dir / "metrics.csv")
-    written["report"] = [str(out_dir / "report.json"), str(out_dir / "metrics.csv")]
-    written["plots"] = [str(p) for p in write_plots(trials[0].scenario, trials[0].series, out_dir)]
-    return written
+    try:
+        first, report = run_monte_carlo(config, write_trial)
+        write_report_json(report, stage / "report.json", extra={"config": config.to_dict()})
+        write_metrics_csv(report, stage / "metrics.csv")
+        written["report"] = [Path("report.json"), Path("metrics.csv")]
+        written["plots"] = [
+            p.relative_to(stage) for p in write_plots(first.scenario, first.series, stage)
+        ]
+        _move_tree(stage, out_dir)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return {group: [str(out_dir / p) for p in paths] for group, paths in written.items()}
 
 
 def read_estimates_csv(path, depths: Sequence[float] | None = None) -> EstimateSeries:

@@ -77,6 +77,7 @@ from .gaussian import (
     SensorModel,
     _joseph,
     _measurement_variance,
+    check_real,
     kalman_predict,
     kalman_update,
     kalman_update_rows,
@@ -170,6 +171,7 @@ class TruncationConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name}={value!r} must be an integer >= {low}")
+        check_real(min_weight=self.min_weight)
         if not 0.0 <= self.min_weight < math.inf:
             raise ValueError(f"min_weight must be finite and >= 0, got {self.min_weight}")
 

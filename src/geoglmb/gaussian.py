@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,14 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def check_real(**values) -> None:
+    """Raise ValueError naming the first value that is a bool or not a
+    real number."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name}={value!r} must be a real number")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -65,6 +74,7 @@ class MotionModel:
     p_survival: float = 0.99
 
     def __post_init__(self):
+        check_real(sigma_p=self.sigma_p, p_survival=self.p_survival)
         if not 0.0 <= self.sigma_p < math.inf:
             raise ValueError(f"sigma_p must be finite and >= 0, got {self.sigma_p}")
         if not 0.0 <= self.p_survival <= 1.0:
@@ -87,6 +97,9 @@ class SensorModel:
     def __post_init__(self):
         # sigma_m = 0 is allowed for noiseless observation synthesis; the
         # Kalman update itself insists on a positive value.
+        check_real(
+            sigma_m=self.sigma_m, p_detect=self.p_detect, clutter_rate=self.clutter_rate
+        )
         if not 0.0 <= self.sigma_m < math.inf:
             raise ValueError(f"sigma_m must be finite and >= 0, got {self.sigma_m}")
         if not 0.0 <= self.p_detect <= 1.0:

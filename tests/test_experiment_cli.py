@@ -3,7 +3,9 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 import geoglmb
 from geoglmb import cli, experiment
 from geoglmb.cli import _build_config, build_parser, main
-from geoglmb.errors import ConfigError
+from geoglmb.errors import ConfigError, FilterDivergenceError
 from geoglmb.evaluation import build_report, report_to_dict
 from geoglmb.experiment import (
     ExperimentConfig,
@@ -40,6 +42,37 @@ def test_import_leaves_scipy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stand in for the process pool with one that runs each job in this
+    process at submit, on four usable CPUs; returns the list of the sizes
+    of the pools made."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -185,35 +218,70 @@ class TestRunExperiment:
         config = ExperimentConfig(
             site="onsoy", mode=mode, seed=6, mc_trials=3, jobs=jobs, **FAST
         )
-        trials, report = run_monte_carlo(config)
-        first, rest = trials[0], [(t.scenario, t.series) for t in trials[1:]]
+        first, report = run_monte_carlo(config)
+        records = bundled_records("onsoy")
+        rest = [run_trial(records, config, seed, "onsoy") for seed in (7, 8)]
         rebuilt = build_report(first.scenario, first.series, mc_runs=rest)
         # JSON text compares NaN with NaN, and every float by its repr
         assert json.dumps(report_to_dict(report), sort_keys=True) == json.dumps(
             report_to_dict(rebuilt), sort_keys=True
         )
 
-    def test_pool_has_no_more_workers_than_trials(self, monkeypatch):
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_has_no_more_workers_than_trials(self, in_process_pool):
         base = dict(site="onsoy", mode="independent", seed=7, mc_trials=2, **FAST)
         _, pooled = run_monte_carlo(ExperimentConfig(**base, jobs=64))
         _, serial = run_monte_carlo(ExperimentConfig(**base, jobs=1))
-        assert sizes == [2]
+        assert in_process_pool == [2]
         assert pooled.mc_summary == serial.mc_summary
+
+    @pytest.mark.parametrize("affinity, cpu_count, sizes", [
+        ({0, 1, 2}, 8, [3]),
+        (None, 3, [3]),
+        (None, None, []),
+        ({5}, 8, []),
+    ])
+    def test_pool_has_no_more_workers_than_usable_cpus(
+        self, monkeypatch, in_process_pool, affinity, cpu_count, sizes
+    ):
+        # None: the platform has no sched_getaffinity, or no CPU count
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        base = dict(site="onsoy", mode="independent", seed=7, mc_trials=4, **FAST)
+        _, pooled = run_monte_carlo(ExperimentConfig(**base, jobs=500))
+        assert in_process_pool == sizes
+        _, serial = run_monte_carlo(ExperimentConfig(**base, jobs=1))
+        assert pooled.mc_summary == serial.mc_summary
+
+    def test_main_process_holds_a_bounded_number_of_trials(self, monkeypatch, in_process_pool):
+        # The in-process pool hands back the very Trial objects the worker
+        # made, so weak references to them count those still alive.
+        refs, counts = [], []
+        worker = experiment._trial_worker
+
+        def counted(args):
+            trial = worker(args)
+            refs.append(weakref.ref(trial))
+            counts.append(sum(ref() is not None for ref in refs))
+            return trial
+
+        monkeypatch.setattr(experiment, "_trial_worker", counted)
+        held = {}
+        for jobs in (1, 2):
+            for mc in (8, 32):
+                refs.clear()
+                counts.clear()
+                run_monte_carlo(ExperimentConfig(
+                    site="onsoy", mode="independent", seed=1, mc_trials=mc, jobs=jobs, **FAST
+                ))
+                held[jobs, mc] = max(counts)
+        assert in_process_pool == [2, 2]
+        # serial: the first trial and the one just made; pooled: the first
+        # and a full window of results waiting to be taken
+        assert held[1, 8] == held[1, 32] == 2
+        assert held[2, 8] == held[2, 32] == 2 * experiment._WINDOW_PER_WORKER + 1
 
     def test_joint_mode_produces_all_properties(self, tmp_path):
         records = bundled_records("onsoy")
@@ -793,6 +861,64 @@ class TestCli:
         assert main(["run", "--config", str(config_file), "--out", str(out)]) == 3
         assert "no estimates to report on" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_over_an_earlier_run(self, tmp_path, capsys):
+        # A run into an existing directory replaces the files it writes and
+        # leaves the rest; every path it prints names the output directory.
+        argv = ["run", "--site", "onsoy", "--mode", "independent", "--trunc", "ranked",
+                "--hyps", "24"]
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(argv + ["--seed", "5", "--mc", "2", "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept")
+        capsys.readouterr()
+        assert main(argv + ["--seed", "6", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--seed", "6", "--out", str(fresh)]) == 0
+        assert sorted(tmp_path.iterdir()) == [fresh, out]
+        assert printed == [
+            f"wrote {out / p.relative_to(fresh)}" for p in
+            [fresh / "trials" / "trial_000" / "scenario.csv",
+             fresh / "trials" / "trial_000" / "estimates.csv",
+             fresh / "report.json", fresh / "metrics.csv",
+             *(fresh / f"plot_{prop}.svg" for prop in ("LL", "PI", "w"))]
+        ]
+        assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == sorted(
+            [p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file()]
+            + [Path("notes.txt"), Path("trials/trial_001/scenario.csv"),
+               Path("trials/trial_001/estimates.csv")]
+        )
+        for p in fresh.rglob("*"):
+            if p.is_file() and p.name != "report.json":
+                assert (out / p.relative_to(fresh)).read_bytes() == p.read_bytes(), p
+        assert (out / "notes.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_trial_leaves_no_trace(self, tmp_path, monkeypatch, capsys, jobs):
+        # Trials 0 and 1 are staged before trial 2 fails.
+        argv = ["run", "--site", "onsoy", "--mode", "independent", "--trunc", "ranked",
+                "--hyps", "24", "--jobs", str(jobs)]
+        earlier = tmp_path / "earlier"
+        assert main(argv + ["--seed", "20", "--mc", "3", "--out", str(earlier)]) == 0
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in earlier.rglob("*")}
+
+        before = tree()
+        real = experiment.run_trial
+
+        def run_trial(records, config, seed, site_name=""):
+            if seed == config.seed + 2:
+                raise FilterDivergenceError("diverged on purpose")
+            return real(records, config, seed, site_name)
+
+        monkeypatch.setattr(experiment, "run_trial", run_trial)
+        entries = sorted(tmp_path.iterdir())
+        for out in (tmp_path / "fresh", earlier):
+            capsys.readouterr()
+            assert main(argv + ["--seed", "5", "--mc", "4", "--out", str(out)]) == 3
+            assert "trial seed 7: diverged on purpose" in capsys.readouterr().err
+            assert sorted(tmp_path.iterdir()) == entries
+        assert tree() == before
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_file = tmp_path / "config.json"

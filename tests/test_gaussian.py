@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geoglmb.filter import TruncationConfig
 from geoglmb.gaussian import (
     Gaussian,
     MotionModel,
@@ -216,6 +217,24 @@ class TestModelValidation:
         ):
             with pytest.raises(ValueError, match="finite"):
                 SensorModel(**kwargs)
+
+    @pytest.mark.parametrize("model, name, bad", [
+        (MotionModel, "p_survival", True),
+        (MotionModel, "sigma_p", True),
+        (MotionModel, "sigma_p", "1"),
+        (SensorModel, "p_detect", "0.5"),
+        (SensorModel, "p_detect", False),
+        (SensorModel, "clutter_rate", True),
+        (SensorModel, "sigma_m", True),
+        (SensorModel, "sigma_m", None),
+        (TruncationConfig, "min_weight", True),
+        (TruncationConfig, "min_weight", "0.1"),
+    ])
+    def test_bool_and_non_real_model_values_rejected(self, model, name, bad):
+        # a bool would pass as 0 or 1 and a string would fail the range
+        # check with TypeError; both are a ValueError naming the field
+        with pytest.raises(ValueError, match=f"{name}={bad!r} must be a real number"):
+            model(**{name: bad})
 
     def test_clutter_intensity(self):
         sensor = SensorModel(clutter_rate=2.0, clutter_region=(0.0, 100.0))
