@@ -130,36 +130,31 @@ def label_property_matching(truth: np.ndarray, series: EstimateSeries, aligned: 
 
     Tracks that carry the property their run paired them with keep it.  When
     none does, labels are matched to the columns of ``truth`` by least total
-    value-RMSE on ``aligned`` (from track_values_on_schedule), over every
-    injection between the smaller and larger side, so the result is
-    invariant to how labels are numbered.
+    value-RMSE on ``aligned`` (from track_values_on_schedule), so the result
+    is invariant to how labels are numbered: one search over every injection
+    of the smaller side (sorted labels, or the columns) into the larger keeps
+    the first least total, summed and returned in the smaller side's order.
     """
     carried = {track.prop: track.label for track in series.tracks if track.prop is not None}
     labels = sorted(aligned)
     if carried or not labels:
         return carried
-    n_props = truth.shape[1]
-    prop_idx = range(n_props)
 
     def pair_cost(lbl, p):
         vals = aligned[lbl]
         mask = ~np.isnan(vals)
-        if not mask.any():
-            return 0.0
-        return rmse(truth[mask, p], vals[mask])
+        return rmse(truth[mask, p], vals[mask]) if mask.any() else 0.0
 
-    best, best_cost = None, math.inf
-    if len(labels) <= n_props:
-        for props in itertools.permutations(prop_idx, len(labels)):
-            cost = sum(pair_cost(l, p) for l, p in zip(labels, props))
-            if cost < best_cost:
-                best_cost, best = cost, dict(zip(props, labels))
-    else:
-        for subset in itertools.permutations(labels, n_props):
-            cost = sum(pair_cost(l, p) for p, l in enumerate(subset))
-            if cost < best_cost:
-                best_cost, best = cost, dict(enumerate(subset))
-    return {PROPERTIES[p]: lbl for p, lbl in best.items()}
+    # (label, column, cost) cells of the label x column table; rows: the smaller side
+    table = [[(lbl, p, pair_cost(lbl, p)) for p in range(truth.shape[1])] for lbl in labels]
+    if len(table) > len(table[0]):
+        table = list(zip(*table))
+    best = min(  # the first of the least totals
+        ([row[c] for row, c in zip(table, cols)]
+         for cols in itertools.permutations(range(len(table[0])), len(table))),
+        key=lambda cells: sum(cell[2] for cell in cells),
+    )
+    return {PROPERTIES[p]: lbl for lbl, p, _ in best}
 
 
 @dataclass(frozen=True)
@@ -254,15 +249,11 @@ def aggregate_report(
     )
 
 
-def build_report(
-    scenario: Scenario,
-    estimates: EstimateSeries,
-    mc_runs: Sequence[tuple[Scenario, EstimateSeries]] = (),
-) -> RunReport:
-    """Report for one primary trial, with mc_summary over it plus mc_runs:
-    aggregate_report over each trial's trial_metrics."""
-    trials = [(scenario, estimates), *mc_runs]
-    return aggregate_report(scenario, estimates, [trial_metrics(s, e) for s, e in trials])
+def build_report(scenario: Scenario, estimates: EstimateSeries) -> RunReport:
+    """Report for one trial, its mc_summary over that trial alone.  For
+    several trials, pass each one's ``trial_metrics`` to
+    ``aggregate_report``."""
+    return aggregate_report(scenario, estimates, [trial_metrics(scenario, estimates)])
 
 
 def compare_reports(baseline: RunReport, other: RunReport) -> dict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import os
 import shutil
 import tempfile
@@ -47,7 +46,7 @@ from .filter import (
     extract_map_trajectories,
     run_sequence,
 )
-from .gaussian import Gaussian, MotionModel, SensorModel
+from .gaussian import Gaussian, MotionModel, SensorModel, is_number
 from .lrfs import Label
 from .scenario import (
     PROPERTIES,
@@ -84,14 +83,10 @@ _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", tuple: "a 
 
 def _has_type(value, kind: type) -> bool:
     """Whether a config value fits the type of its field's default."""
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, numbers.Real)
-    if kind is int:
-        return isinstance(value, numbers.Integral)
+    if kind in (float, int):
+        return is_number(value, whole=kind is int)
     if kind is tuple:
-        return isinstance(value, (tuple, list)) and all(_has_type(v, float) for v in value)
+        return isinstance(value, (tuple, list)) and all(map(is_number, value))
     return isinstance(value, kind)
 
 
@@ -277,7 +272,6 @@ def run_trial(
     if len(parts) == 1:
         return scenario, parts[0]
     return scenario, EstimateSeries(
-        depths=np.asarray(depths, dtype=float),
         tracks=tuple(
             dataclasses.replace(track, prop=prop)
             for prop, part in zip(PROPERTIES, parts)
@@ -479,18 +473,22 @@ def check_out_dir(path) -> Path:
     return out
 
 
-def _move_tree(src: Path, dst: Path) -> None:
-    """Move every entry of ``src`` into ``dst``, which is created if need
-    be: a directory merges into the one of its name there, anything else
-    replaces its namesake.  ``src`` is removed once empty."""
-    dst.mkdir(parents=True, exist_ok=True)
-    for entry in src.iterdir():
+def _moves(src: Path, dst: Path) -> list[tuple[Path, Path]]:
+    """The (entry, target) renames that move every entry of ``src`` into ``dst``:
+    a directory merges into its namesake there, anything else replaces it.
+    ConfigError names the first target of the other kind (file or directory)."""
+    moves = []
+    for entry in sorted(src.iterdir()):
         target = dst / entry.name
         if entry.is_dir() and target.is_dir():
-            _move_tree(entry, target)
+            moves += _moves(entry, target)
+        elif entry.is_dir() and os.path.lexists(target):
+            raise ConfigError(f"{target} is not a directory, and the run writes one there")
+        elif target.is_dir() and not target.is_symlink():
+            raise ConfigError(f"{target} is a directory, and the run writes a file there")
         else:
-            os.replace(entry, target)
-    src.rmdir()
+            moves.append((entry, target))
+    return moves
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
@@ -505,9 +503,10 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
     nearest existing ancestor (the output directory itself, if it exists).
     Only once the last trial, the report and the plots are written does
     everything move into the output directory, creating it if needed and
-    replacing files of the same names.  The staging directory is removed
-    whatever happens, so a failed run leaves nothing and changes no
-    existing file.
+    replacing files of the same names (ConfigError, before any move, if one
+    is a directory where the run writes a file, or the reverse).  The
+    staging directory is removed whatever happens, so a failed run leaves
+    nothing and changes no existing file.
     """
     config.validate()
     out_dir = check_out_dir(config.out_dir)
@@ -529,17 +528,20 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
         written["plots"] = [
             p.relative_to(stage) for p in write_plots(first.scenario, first.series, stage)
         ]
-        _move_tree(stage, out_dir)
+        moves = _moves(stage, out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for entry, target in moves:
+            os.replace(entry, target)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
     return {group: [str(out_dir / p) for p in paths] for group, paths in written.items()}
 
 
-def read_estimates_csv(path, depths: Sequence[float] | None = None) -> EstimateSeries:
+def read_estimates_csv(path, depths: Sequence[float]) -> EstimateSeries:
     """Rebuild an estimate series from an exported estimates.csv.
 
     A step must be a whole number from 1 to ``len(depths)`` (``depths`` is
-    the run's depth schedule; no upper bound when None), its depth the
+    the run's depth schedule, as its scenario.csv gives it), its depth the
     schedule's depth at that step to the 6 significant digits the file
     holds, and a label must read ``<birth step>:<index>`` in non-negative
     integers.  A property is one of LL, PI, w or unknown (the track carries
@@ -554,12 +556,12 @@ def read_estimates_csv(path, depths: Sequence[float] | None = None) -> EstimateS
     numeric = ("step", "depth", "mean", "variance")
     for where, row, values in read_csv_rows(path, ("label", "property"), numeric):
         step = values[0]
-        if not step.is_integer() or step < 1 or (depths is not None and step > len(depths)):
-            bound = ">= 1" if depths is None else f"from 1 to {len(depths)}"
+        if not step.is_integer() or not 1 <= step <= len(depths):
             raise SiteTableError(
-                f"{where}, column step: must be a whole number {bound}, got {row['step']!r}"
+                f"{where}, column step: must be a whole number from 1 to {len(depths)}, "
+                f"got {row['step']!r}"
             )
-        if depths is not None and f"{values[1]:.6g}" != f"{depths[int(step) - 1]:.6g}":
+        if f"{values[1]:.6g}" != f"{depths[int(step) - 1]:.6g}":
             raise SiteTableError(
                 f"{where}, column depth: step {step:g} is at depth "
                 f"{depths[int(step) - 1]:.6g} in the scenario, got {row['depth']!r}"
@@ -591,16 +593,13 @@ def read_estimates_csv(path, depths: Sequence[float] | None = None) -> EstimateS
             raise SiteTableError(f"{where}, column step: label {label} has a row at step {step:g}")
         rows.append(tuple(values))
     tracks = []
-    depths_all: set[float] = set()
     for label, rows in sorted(per_label.items()):
-        rows.sort()
-        steps, depths, means, variances = (np.array(c) for c in zip(*rows))
-        depths_all.update(depths.tolist())
+        steps, track_depths, means, variances = (np.array(c) for c in zip(*sorted(rows)))
         tracks.append(
             TrackEstimate(
                 label=label,
                 steps=steps.astype(int),
-                depths=depths,
+                depths=track_depths,
                 values=means,
                 rates=np.zeros_like(means),
                 variances=variances,
@@ -608,7 +607,6 @@ def read_estimates_csv(path, depths: Sequence[float] | None = None) -> EstimateS
             )
         )
     return EstimateSeries(
-        depths=np.array(sorted(depths_all)),
         tracks=tuple(tracks),
         map_cardinality=len(tracks),
         map_log_weight=0.0,

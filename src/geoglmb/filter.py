@@ -62,7 +62,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,6 +77,7 @@ from .gaussian import (
     _joseph,
     _measurement_variance,
     check_real,
+    is_number,
     kalman_predict,
     kalman_update,
     kalman_update_rows,
@@ -132,8 +132,8 @@ class BirthEntry:
     density: Gaussian
 
     def __post_init__(self):
-        if not 0.0 <= self.r_birth <= 1.0:
-            raise ValueError("r_birth must lie in [0, 1]")
+        if not is_number(self.r_birth) or not 0.0 <= self.r_birth <= 1.0:
+            raise ValueError(f"r_birth={self.r_birth!r} must be a real number in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class TruncationConfig:
         for name, low in (("requested_hypotheses", 1), ("gibbs_iterations", 1),
                           ("max_hypotheses", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            if not is_number(value, whole=True) or value < low:
                 raise ValueError(f"{name}={value!r} must be an integer >= {low}")
         check_real(min_weight=self.min_weight)
         if not 0.0 <= self.min_weight < math.inf:
@@ -548,9 +548,8 @@ class TrackEstimate:
 
 @dataclass(frozen=True)
 class EstimateSeries:
-    """MAP trajectory readout plus run metrics."""
+    """MAP trajectory readout, each track on its own steps, plus run metrics."""
 
-    depths: np.ndarray
     tracks: tuple[TrackEstimate, ...]
     map_cardinality: int
     map_log_weight: float
@@ -614,7 +613,6 @@ def extract_map_trajectories(
             )
         )
     return EstimateSeries(
-        depths=np.asarray(schedule, dtype=float),
         tracks=tuple(tracks),
         map_cardinality=n_star,
         map_log_weight=map_log_weight,

@@ -29,11 +29,16 @@ __all__ = [
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+def is_number(value, whole: bool = False) -> bool:
+    """Whether ``value`` is a real number (whole if ``whole``), numpy's too, not a bool."""
+    kind = numbers.Integral if whole else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def check_real(**values) -> None:
-    """Raise ValueError naming the first value that is a bool or not a
-    real number."""
+    """Raise ValueError naming the first value that ``is_number`` rejects."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not is_number(value):
             raise ValueError(f"{name}={value!r} must be a real number")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import Gaussian
+from .gaussian import Gaussian, is_number
 
 __all__ = [
     "Label",
@@ -45,8 +45,8 @@ class Label:
     index: int
 
     def __post_init__(self):
-        if self.birth_step < 0 or self.index < 0:
-            raise ValueError(f"label fields must be non-negative, got {self}")
+        if not all(is_number(v, whole=True) and v >= 0 for v in (self.birth_step, self.index)):
+            raise ValueError(f"label fields must be integers >= 0, got {self!r}")
 
     def __str__(self):
         return f"{self.birth_step}:{self.index}"

@@ -309,8 +309,9 @@ def read_scenario_csv(path) -> Scenario:
     depth and property, an obs or clutter row at a depth without truth rows,
     a file with no truth row, a depth short of a truth row for each
     property, or a step other than its depth's 1-based place in the
-    depth-ascending schedule.
+    depth-ascending schedule, or a seed other than row 1's whole number >= 0.
     """
+    first_seed = None
     truth_rows: dict[float, dict[str, float]] = {}
     obs: dict[float, dict[str, float]] = {}
     clutter: dict[float, list[float]] = {}
@@ -322,6 +323,12 @@ def read_scenario_csv(path) -> Scenario:
         steps.append((where, depth, step, row["step"]))
         if depth <= 0:
             raise SiteTableError(f"{where}, column depth: must be > 0, got {row['depth']!r}")
+        first_seed = first_seed or (seed, row["seed"])
+        if not seed.is_integer() or seed < 0 or seed != first_seed[0]:
+            raise SiteTableError(
+                f"{where}, column seed: must be a whole number >= 0, the same on every row "
+                f"(row 1: {first_seed[1]!r}), got {row['seed']!r}"
+            )
         kind, prop = row["kind"], row["property_or_unknown"]
         if kind not in ("truth", "obs", "clutter"):
             raise SiteTableError(
@@ -382,7 +389,7 @@ def read_scenario_csv(path) -> Scenario:
         measurement_sets=tuple(sets),
         detection_flags=detected,
         property_observations=prop_obs,
-        seed=int(seed),
+        seed=int(first_seed[0]),
     )
 
 

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script, and the README's library quick start, runs to completion
+against the package in src/."""
 import os
 import subprocess
 import sys
@@ -21,3 +22,12 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the first python block under README.md's "## Library quick start"
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("PropertyMetrics(")

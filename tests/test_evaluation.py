@@ -7,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoglmb.evaluation import (
+    aggregate_report,
     build_report,
     compare_reports,
+    label_property_matching,
     ospa,
     report_to_dict,
     rmse,
+    track_values_on_schedule,
+    trial_metrics,
     write_metrics_csv,
     write_report_json,
 )
@@ -19,7 +23,7 @@ from geoglmb.experiment import ExperimentConfig, run_trial
 from geoglmb.filter import EstimateSeries, TrackEstimate
 from geoglmb.gaussian import SensorModel
 from geoglmb.lrfs import Label
-from geoglmb.scenario import bundled_records, synthesize_observations
+from geoglmb.scenario import PROPERTIES, bundled_records, synthesize_observations
 
 finite_values = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 small_sets = st.lists(finite_values, min_size=0, max_size=6)
@@ -126,7 +130,6 @@ def series_from_matrix(depths, values, labels=None, variances=None):
             )
         )
     return EstimateSeries(
-        depths=np.asarray(depths, dtype=float),
         tracks=tuple(tracks),
         map_cardinality=k,
         map_log_weight=0.0,
@@ -179,7 +182,8 @@ class TestBuildReport:
         scenario = self._scenario(seed=3)
         est = scenario.truth_matrix() + 1.0
         series = series_from_matrix(scenario.depths, est)
-        report = build_report(scenario, series, mc_runs=[(scenario, series)])
+        metrics = trial_metrics(scenario, series)
+        report = aggregate_report(scenario, series, [metrics, metrics])
         assert report.n_trials == 2
         for key, summary in report.mc_summary.items():
             assert summary["std"] == pytest.approx(0.0, abs=1e-12)
@@ -226,8 +230,7 @@ class TestBuildReport:
     def test_no_estimates_is_error(self):
         scenario = self._scenario(seed=1)
         empty = EstimateSeries(
-            depths=scenario.depths, tracks=(), map_cardinality=0,
-            map_log_weight=0.0, hypothesis_counts=(),
+            tracks=(), map_cardinality=0, map_log_weight=0.0, hypothesis_counts=(),
         )
         with pytest.raises(ValueError):
             build_report(scenario, empty)
@@ -244,3 +247,61 @@ class TestBuildReport:
         text = (tmp_path / "metrics.csv").read_text()
         assert text.splitlines()[0] == "site,property,metric,value,mc_mean,mc_std"
         assert (tmp_path / "report.json").read_text().startswith("{")
+
+
+def two_loop_matching(truth, series, aligned):
+    """label_property_matching as it read while it searched in two loops,
+    one per side being the smaller: the reference for the single search."""
+    carried = {track.prop: track.label for track in series.tracks if track.prop is not None}
+    labels = sorted(aligned)
+    if carried or not labels:
+        return carried
+    n_props = truth.shape[1]
+    prop_idx = range(n_props)
+
+    def pair_cost(lbl, p):
+        vals = aligned[lbl]
+        mask = ~np.isnan(vals)
+        if not mask.any():
+            return 0.0
+        return rmse(truth[mask, p], vals[mask])
+
+    best, best_cost = None, math.inf
+    if len(labels) <= n_props:
+        for props in itertools.permutations(prop_idx, len(labels)):
+            cost = sum(pair_cost(l, p) for l, p in zip(labels, props))
+            if cost < best_cost:
+                best_cost, best = cost, dict(zip(props, labels))
+    else:
+        for subset in itertools.permutations(labels, n_props):
+            cost = sum(pair_cost(l, p) for p, l in enumerate(subset))
+            if cost < best_cost:
+                best_cost, best = cost, dict(enumerate(subset))
+    return {PROPERTIES[p]: lbl for p, lbl in best.items()}
+
+
+@st.composite
+def matching_cases(draw):
+    """Truth and 1-6 labels over a few depths, all values from three levels
+    so that pair costs tie exactly; labels have NaN gaps and may be NaN
+    throughout."""
+    n_depths = draw(st.integers(1, 6))
+    levels = st.sampled_from([10.0, 20.0, 30.0])
+    truth = np.array([draw(st.lists(levels, min_size=3, max_size=3)) for _ in range(n_depths)])
+    labels = draw(st.lists(st.builds(Label, st.integers(1, 3), st.integers(0, 3)),
+                           min_size=1, max_size=6, unique=True))
+    cells = st.one_of(st.just(math.nan), levels)
+    columns = [draw(st.lists(cells, min_size=n_depths, max_size=n_depths)) for _ in labels]
+    for j in draw(st.sets(st.integers(0, len(labels) - 1), max_size=2)):
+        columns[j] = [math.nan] * n_depths
+    values = np.array(columns, dtype=float).T
+    return truth, series_from_matrix(np.arange(1.0, n_depths + 1), values, labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matching_cases())
+def test_single_search_pairs_as_the_two_loops_did(case):
+    truth, series = case
+    aligned = track_values_on_schedule(series, truth.shape[0])
+    expected = two_loop_matching(truth, series, aligned)
+    assert list(label_property_matching(truth, series, aligned).items()) == list(expected.items())

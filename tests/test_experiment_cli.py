@@ -15,7 +15,7 @@ import geoglmb
 from geoglmb import cli, experiment
 from geoglmb.cli import _build_config, build_parser, main
 from geoglmb.errors import ConfigError, FilterDivergenceError
-from geoglmb.evaluation import build_report, report_to_dict
+from geoglmb.evaluation import aggregate_report, report_to_dict, trial_metrics
 from geoglmb.experiment import (
     ExperimentConfig,
     read_estimates_csv,
@@ -221,7 +221,9 @@ class TestRunExperiment:
         first, report = run_monte_carlo(config)
         records = bundled_records("onsoy")
         rest = [run_trial(records, config, seed, "onsoy") for seed in (7, 8)]
-        rebuilt = build_report(first.scenario, first.series, mc_runs=rest)
+        rebuilt = aggregate_report(first.scenario, first.series, [
+            trial_metrics(s, e) for s, e in [(first.scenario, first.series), *rest]
+        ])
         # JSON text compares NaN with NaN, and every float by its repr
         assert json.dumps(report_to_dict(report), sort_keys=True) == json.dumps(
             report_to_dict(rebuilt), sort_keys=True
@@ -311,7 +313,7 @@ class TestCsvRoundTrip:
         np.testing.assert_allclose(
             loaded_scenario.truth_matrix(), scenario.truth_matrix()
         )
-        loaded_series = read_estimates_csv(tmp_path / "estimates.csv")
+        loaded_series = read_estimates_csv(tmp_path / "estimates.csv", scenario.depths)
         assert len(loaded_series.tracks) == len(series.tracks)
         for a, b in zip(loaded_series.tracks, sorted(series.tracks, key=lambda t: t.label)):
             np.testing.assert_allclose(a.values, b.values, rtol=1e-9)
@@ -627,6 +629,33 @@ class TestCli:
         for part in ("bad_steps.csv", *expected):
             assert part in err, err
 
+    # (seed cells of the first rows, the rest reading 3, parts of the
+    # message): seeds that differ between rows, a fraction, a negative seed
+    BAD_SEEDS = [
+        (["1", "99", "3.7"], ["row 2", "(row 1: '1')", "'99'"]),
+        (["3", "3", "4"], ["row 3", "(row 1: '3')", "'4'"]),
+        (["3.7"], ["row 1", "whole number >= 0", "'3.7'"]),
+        (["-3"], ["row 1", "whole number >= 0", "'-3'"]),
+    ]
+
+    @pytest.mark.parametrize("seeds, expected", BAD_SEEDS, ids=["mixed", "last", "fraction",
+                                                                "negative"])
+    def test_scenario_seed_exit_code(self, exported_trial, tmp_path, capsys, seeds, expected):
+        header, *rows = (exported_trial / "scenario.csv").read_text().splitlines()
+        assert all(row.endswith(",3") for row in rows)
+        seeds = seeds + ["3"] * (len(rows) - len(seeds))
+        scenario = tmp_path / "bad_seed.csv"
+        scenario.write_text("\n".join(
+            [header] + [row.rsplit(",", 1)[0] + "," + seed for row, seed in zip(rows, seeds)]
+        ) + "\n")
+        code = main(["eval", "--scenario", str(scenario),
+                     "--estimates", str(exported_trial / "estimates.csv"),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        for part in ("bad_seed.csv", "column seed", *expected):
+            assert part in err, err
+
     # (header rewrite, row rewrite, parts of the message): a column named
     # twice, once only after stripping, a cell beyond the header, and a cell
     # under a blank header name, inside the header and trailing it
@@ -919,6 +948,32 @@ class TestCli:
             assert "trial seed 7: diverged on purpose" in capsys.readouterr().err
             assert sorted(tmp_path.iterdir()) == entries
         assert tree() == before
+
+    @pytest.mark.parametrize("name, kind", [("trials", "file"), ("report.json", "directory")])
+    def test_entry_of_the_other_kind_in_out_leaves_no_trace(self, tmp_path, capsys, name, kind):
+        # The run writes a directory trials/ and a file report.json: an
+        # entry of the other kind under either name stops the run before it
+        # moves anything into --out.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metrics.csv").write_text("earlier")
+        if kind == "file":
+            (out / name).write_text("in the way")
+        else:
+            (out / name).mkdir()
+            (out / name / "inside.txt").write_text("in the way")
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+        before = tree()
+        code = main(["run", "--site", "onsoy", "--mode", "independent", "--seed", "1",
+                     "--mc", "2", "--jobs", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(out / name) in err, err
+        assert tree() == before
+        assert not list(tmp_path.rglob(".geoglmb-run-*"))
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_file = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -579,6 +580,21 @@ _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 class TestBoundaryProperties:
+    @pytest.mark.parametrize("field, bad", [
+        ("r_birth", True), ("r_birth", "0.5"), ("r_birth", None), ("r_birth", 1.5),
+        ("birth_step", 1.5), ("birth_step", True), ("birth_step", "1"),
+        ("index", 2.0), ("index", False), ("index", -2),
+    ])
+    def test_bool_and_non_whole_birth_values_rejected(self, field, bad):
+        # a bool would pass as 0 or 1, a fraction would print as a label
+        # no estimates.csv reader accepts, and a string would fail with
+        # TypeError; each is a ValueError naming the field
+        values = {"birth_step": 1, "index": 0, "r_birth": 0.5, field: bad}
+        with pytest.raises(ValueError, match=re.escape(f"{field}={bad!r}")):
+            BirthEntry(Label(values["birth_step"], values["index"]), values["r_birth"],
+                       Gaussian(np.zeros(2), np.eye(2)))
+        assert Label(np.int64(2), np.int64(1)) == Label(2, 1)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_any_non_finite_measurement_is_rejected(self, data):
