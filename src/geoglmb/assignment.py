@@ -136,9 +136,9 @@ def batch_enumerable(n_problems: int, n_rows: int, n_cols: int) -> bool:
 class RankedBatch(NamedTuple):
     """``ranked_batch``'s entries: flat problem index ``problem`` [N], score
     ``scores`` [N] and ``combo`` [N], the entry's column of ``table``, the
-    combo table [R, n] of the width enumerated.  ``kept`` [P, width] maps a
-    narrowed stack's enumerated columns to the stack's (None: not
-    narrowed).  ``columns`` gathers entries' columns."""
+    combo table [R, n] of the width enumerated.  ``kept`` [width] holds a
+    narrowed stack's enumerated columns, ascending (None: not narrowed).
+    ``columns`` gathers entries' columns."""
 
     problem: np.ndarray
     scores: np.ndarray
@@ -151,10 +151,7 @@ class RankedBatch(NamedTuple):
         order and with repeats (every entry if None)."""
         combo = self.combo if index is None else self.combo.take(index)
         cols = self.table.T.take(combo, axis=0)
-        if self.kept is None:
-            return cols
-        problem = self.problem if index is None else self.problem.take(index)
-        return self.kept.take(problem[:, None] * self.kept.shape[1] + cols)
+        return cols if self.kept is None else self.kept.take(cols)
 
 
 def ranked_batch(costs: np.ndarray, k: int) -> RankedBatch:
@@ -177,8 +174,8 @@ def ranked_batch(costs: np.ndarray, k: int) -> RankedBatch:
     its rows' top ``_BOUND_WIDTH`` columns (score descending, then column),
     if it has k.  A column stays if its cell in some row plus the other rows'
     maxima reaches the bound less a slack far above rounding, as do columns
-    0 and 1.  The kept columns, ascending and padded with -inf, are
-    enumerated to the same picks, order and score bits.
+    0 and 1.  The union of kept columns, ascending, with each problem's own
+    dropped ones at -inf, enumerates to the same picks, order and score bits.
     """
     n_problems, n_rows, n_cols = costs.shape
     if n_cols <= _BOUND_WIDTH or _BOUND_WIDTH**n_rows < k:
@@ -186,10 +183,8 @@ def ranked_batch(costs: np.ndarray, k: int) -> RankedBatch:
     size = max(1, _BATCH_CELLS // _BOUND_WIDTH**n_rows)
     keep = np.concatenate([_kept_columns(costs[lo : lo + size], k)
                            for lo in range(0, n_problems, size)])
-    kept = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
-    slots = np.take_along_axis(keep, kept, axis=1)  # [P, width]: false in the padding
-    narrow = np.full((n_problems, n_rows, kept.shape[1]), -np.inf)
-    narrow.transpose(0, 2, 1)[slots] = costs.transpose(0, 2, 1)[keep]
+    kept = keep.any(axis=0).nonzero()[0]
+    narrow = np.where(keep[:, None, kept], costs.take(kept, axis=2), -np.inf)
     return _ranked_kernel(narrow, k)._replace(kept=kept)
 
 

@@ -50,6 +50,7 @@ from .gaussian import Gaussian, MotionModel, SensorModel, is_number
 from .lrfs import Label
 from .scenario import (
     PROPERTIES,
+    SEED_LIMIT,
     Scenario,
     SiteRecord,
     bundled_site_path,
@@ -144,6 +145,9 @@ class ExperimentConfig:
             issues.append(f"mode={self.mode!r} not in {{joint, independent}}")
         if self.mc_trials < 1:
             issues.append("mc_trials must be >= 1")
+        if self.seed + self.mc_trials - 1 >= SEED_LIMIT:
+            issues.append(f"seed={self.seed}: the last trial seed, seed + mc_trials - 1, "
+                          "must be below 2**53")
         if self.jobs < 1:
             issues.append("jobs must be >= 1")
         if issues:

@@ -68,8 +68,9 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import Solutions, batch_enumerable, gibbs_solutions, ranked_batch, ranked_solutions
-from .errors import InfeasibleAssociationError, WeightCollapseError
+from .errors import FilterDivergenceError, InfeasibleAssociationError, WeightCollapseError
 from .gaussian import (
+    BROKEN_INNOVATION,
     LOG_2PI,
     Gaussian,
     MotionModel,
@@ -268,6 +269,8 @@ class _StepCosts:
                 table.append([dead, alive + log_miss])
                 if self.z:
                     s = p00 + r
+                    if not s > 0:  # NaN too
+                        raise FilterDivergenceError(BROKEN_INNOVATION.format(s))
                     log_s = math.log(s)
                     log_hit = alive + log_detect
                     table[-1] += [
@@ -282,6 +285,9 @@ class _StepCosts:
             self.table[:, 1:2] = alive + log_miss
             if self.z:
                 s = covs[:, 0, 0] + r
+                low = s.min(initial=math.inf)  # NaN if any is; no rows: inf
+                if not low > 0:
+                    raise FilterDivergenceError(BROKEN_INNOVATION.format(low))
                 log_s = np.array([math.log(v) for v in s.tolist()])
                 innov = np.array(self.z) - means[:, :1]
                 ll = -0.5 * (innov * innov / s[:, None] + LOG_2PI + log_s[:, None])

@@ -161,6 +161,9 @@ def _measurement_variance(sensor: SensorModel) -> float:
     return sensor.sigma_m**2
 
 
+BROKEN_INNOVATION = "innovation covariance {} <= 0: covariance broken upstream"
+
+
 def kalman_update(g: Gaussian, z: float, sensor: SensorModel) -> tuple[Gaussian, float]:
     """Bayes update of one Gaussian with a scalar value measurement.
 
@@ -171,9 +174,7 @@ def kalman_update(g: Gaussian, z: float, sensor: SensorModel) -> tuple[Gaussian,
     p = g.covariance
     s = p[0, 0] + r
     if s <= 0:
-        raise FilterDivergenceError(
-            f"innovation covariance {s} <= 0: covariance broken upstream"
-        )
+        raise FilterDivergenceError(BROKEN_INNOVATION.format(s))
     k = np.array([p[0, 0], p[0, 1]]) / s
     innov = z - g.mean[0]
     mean = g.mean + k * innov

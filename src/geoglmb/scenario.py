@@ -43,6 +43,9 @@ __all__ = [
 
 PROPERTIES = ("LL", "PI", "w")
 
+# Seeds stay below this: scenario.csv's seed cell is read as a float, exact up to it.
+SEED_LIMIT = 2**53
+
 # Substream tags keep detection/noise draws per property independent of the
 # clutter and shuffle draws, so joint and independent runs of one seed see
 # identical per-property streams.
@@ -309,7 +312,8 @@ def read_scenario_csv(path) -> Scenario:
     depth and property, an obs or clutter row at a depth without truth rows,
     a file with no truth row, a depth short of a truth row for each
     property, or a step other than its depth's 1-based place in the
-    depth-ascending schedule, or a seed other than row 1's whole number >= 0.
+    depth-ascending schedule, or a seed other than row 1's whole number >= 0
+    below ``SEED_LIMIT``.
     """
     first_seed = None
     truth_rows: dict[float, dict[str, float]] = {}
@@ -324,10 +328,10 @@ def read_scenario_csv(path) -> Scenario:
         if depth <= 0:
             raise SiteTableError(f"{where}, column depth: must be > 0, got {row['depth']!r}")
         first_seed = first_seed or (seed, row["seed"])
-        if not seed.is_integer() or seed < 0 or seed != first_seed[0]:
+        if not seed.is_integer() or not 0 <= seed < SEED_LIMIT or seed != first_seed[0]:
             raise SiteTableError(
-                f"{where}, column seed: must be a whole number >= 0, the same on every row "
-                f"(row 1: {first_seed[1]!r}), got {row['seed']!r}"
+                f"{where}, column seed: must be a whole number >= 0 below 2**53, the same on "
+                f"every row (row 1: {first_seed[1]!r}), got {row['seed']!r}"
             )
         kind, prop = row["kind"], row["property_or_unknown"]
         if kind not in ("truth", "obs", "clutter"):

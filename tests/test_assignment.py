@@ -621,6 +621,27 @@ def test_bound_keeps_every_column_of_a_problem_with_no_feasible_combo():
         assert a.tobytes() == b.tobytes()
 
 
+def test_a_stack_is_narrowed_to_the_union_of_its_problems_kept_columns():
+    # Two problems of 3 rows over 11 columns: the first's readings score in
+    # columns 2-5, the second's in 6-9, all else far below (clutter).  Each
+    # keeps its own readings; the stack is enumerated over their union, with
+    # each problem's dropped columns at -inf, to the full kernel's bytes.
+    rng = np.random.default_rng(7)
+    costs = rng.normal(-60.0, 5.0, size=(2, 3, 11))
+    costs[:, :, :2] = rng.normal(-2.0, 1.0, size=(2, 3, 2))
+    costs[0, :, 2:6] = rng.normal(-2.0, 1.0, size=(3, 4))
+    costs[1, :, 6:10] = rng.normal(-2.0, 1.0, size=(3, 4))
+    keep = _kept_columns(costs, 64)
+    assert keep[0].nonzero()[0].tolist() == [0, 1, 2, 3, 4, 5]
+    assert keep[1].nonzero()[0].tolist() == [0, 1, 6, 7, 8, 9]
+    ranked = ranked_batch(costs, 64)
+    assert ranked.kept.dtype == np.intp
+    assert ranked.kept.tolist() == keep.any(axis=0).nonzero()[0].tolist()
+    for a, b in zip(_picks(ranked), _picks(_ranked_kernel(costs, 64))):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def test_batch_skips_shapes_beyond_the_enumeration_limit():
     assert batch_enumerable(2, 3, 25) and not batch_enumerable(2, 3, 26)
     assert not batch_enumerable(2, 0, 5) and not batch_enumerable(1, 1, 2)

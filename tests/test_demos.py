@@ -1,11 +1,14 @@
-"""Each demo script, and the README's library quick start, runs to completion
-against the package in src/."""
+"""Each demo script, and the README's library quick start and command-line
+block, runs to completion against the package in src/."""
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from geoglmb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -31,3 +34,18 @@ def test_readme_library_quick_start_runs(capsys):
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("PropertyMetrics(")
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # the sh block under README.md's "## Command line", its continuations
+    # joined; each geoglmb line runs through cli.main with out/ in tmp_path
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert commands and all(argv[0] == "geoglmb" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    for path in ("report.json", "eval/report.json", "plots/plot_w.svg"):
+        assert (tmp_path / "out" / path).is_file(), path

@@ -496,6 +496,32 @@ class TestCli:
         assert main(base + ["--config", str(config_file)]) == 2
         assert "clutter_region" in capsys.readouterr().err
 
+    def test_seed_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        # scenario.csv reads its seed back through a float, exact below
+        # 2**53: a run whose last trial seed would reach it exits 2 naming
+        # seed, from a flag or the environment fallback.
+        base = ["run", "--site", "onsoy", "--out", str(tmp_path / "out")]
+        for flags in (["--seed", "9007199254740992"], ["--seed", "9007199254740991", "--mc", "2"]):
+            assert main(base + flags) == 2, flags
+            assert "seed=" in capsys.readouterr().err
+        monkeypatch.setenv("GEOGLMB_SEED", "9007199254740992")
+        assert main(base) == 2
+        assert "seed=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        ExperimentConfig(seed=2**53 - 2, mc_trials=2).validate()
+
+    def test_broken_covariance_exit_code(self, tmp_path, capsys):
+        # No process noise and sigma_m 1e-9: rounding leaves a posterior
+        # variance below zero, so a later step has no innovation variance.
+        code = main(["run", "--site", "onsoy", "--mode", "independent", "--sigma-m", "1e-9",
+                     "--sigma-p", "0", "--seed", "1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "trial seed 1: innovation covariance" in err, err
+        config = ExperimentConfig(site="onsoy", mode="independent", sigma_m=1e-9, sigma_p=0.0)
+        with pytest.raises(FilterDivergenceError, match="innovation covariance"):
+            run_trial(bundled_records("onsoy"), config, 1, "onsoy")
+
     @pytest.mark.parametrize("command", ["eval", "plot"])
     def test_malformed_csv_exit_code(self, tmp_path, capsys, command):
         assert main(["run", "--site", "onsoy", "--mode", "independent", "--seed", "3",
@@ -636,10 +662,11 @@ class TestCli:
         (["3", "3", "4"], ["row 3", "(row 1: '3')", "'4'"]),
         (["3.7"], ["row 1", "whole number >= 0", "'3.7'"]),
         (["-3"], ["row 1", "whole number >= 0", "'-3'"]),
+        (["9007199254740993"], ["row 1", "below 2**53", "'9007199254740993'"]),
     ]
 
     @pytest.mark.parametrize("seeds, expected", BAD_SEEDS, ids=["mixed", "last", "fraction",
-                                                                "negative"])
+                                                                "negative", "2**53"])
     def test_scenario_seed_exit_code(self, exported_trial, tmp_path, capsys, seeds, expected):
         header, *rows = (exported_trial / "scenario.csv").read_text().splitlines()
         assert all(row.endswith(",3") for row in rows)

@@ -21,7 +21,11 @@ from conftest import (
     simple_birth,
 )
 from geoglmb.assignment import RankedBatch, gibbs_solutions, ranked_solutions
-from geoglmb.errors import InfeasibleAssociationError, WeightCollapseError
+from geoglmb.errors import (
+    FilterDivergenceError,
+    InfeasibleAssociationError,
+    WeightCollapseError,
+)
 from geoglmb.experiment import ExperimentConfig, run_trial
 from geoglmb.filter import (
     BirthEntry,
@@ -451,6 +455,21 @@ class TestJointPredictUpdate:
                     empty_density(0), birth, bad, MotionModel(), SensorModel(), 1.0,
                     EXHAUSTIVE,
                 )
+
+    @pytest.mark.parametrize("switch", [10**9, 0], ids=["floats", "arrays"])
+    @pytest.mark.parametrize("p00", [-500.0, math.nan], ids=["negative", "nan"])
+    def test_broken_prior_variance_is_divergence(self, switch, p00):
+        # A prior variance below -r (rounding can leave one there) or NaN
+        # leaves no innovation variance to take the log of, on either path
+        # of the cost table.
+        rng = np.random.default_rng(3)
+        broken = Gaussian(np.array([10.0, 0.0]), np.array([[p00, 0.0], [0.0, 1.0]]))
+        prior = build_density([math.log(0.5)] * 2,
+                              [{Label(1, 0): make_gaussian(rng)}, {Label(1, 0): broken}])
+        with patch.object(geoglmb.filter, "_ROWS_AS_ARRAYS", switch), \
+                pytest.raises(FilterDivergenceError, match=r"innovation covariance \S+ <= 0"):
+            geoglmb.filter._StepCosts(prior.arrays, BirthModel(), [1.0], MotionModel(),
+                                      SensorModel(), 0.5)
 
     def test_child_densities_equal_single_object_code_bit_for_bit(self):
         rng = np.random.default_rng(9)
@@ -889,6 +908,35 @@ def test_a_stacked_step_gathers_columns_once_for_its_kept_children(config, seed,
     for entries, narrowed, gathers, kept in stacked:
         assert gathers == [kept] and kept <= entries and narrowed == bounded
     assert max(entries - kept for entries, _, _, kept in stacked) >= 12_000
+
+
+def test_a_narrowed_stack_is_as_wide_as_its_widest_problem():
+    # The golden taipei-joint-ranked-clutter9 config, both trials: a narrowed
+    # stack is enumerated over the union of its problems' kept columns, and
+    # on this traffic no union is wider than the widest problem's kept set.
+    keeps, widths = [], []  # widths: (enumerated, widest problem's, stack's)
+    real_kept, real_kernel = geoglmb.assignment._kept_columns, geoglmb.assignment._ranked_kernel
+
+    def kept_columns(costs, k):
+        keeps.append(real_kept(costs, k))
+        return keeps[-1]
+
+    def kernel(costs, k):
+        if keeps:  # narrowed: the chunks' keeps of this stack
+            widths.append((costs.shape[2], max(int(keep.sum(axis=1).max()) for keep in keeps),
+                           keeps[0].shape[1]))
+            keeps.clear()
+        return real_kernel(costs, k)
+
+    config = ExperimentConfig(site="taipei", mode="joint", trunc_method="ranked",
+                              clutter_rate=9.0)
+    with patch.object(geoglmb.assignment, "_kept_columns", kept_columns), \
+            patch.object(geoglmb.assignment, "_ranked_kernel", kernel):
+        for seed in (3, 4):
+            run_trial(bundled_records(config.site), config, seed, config.site)
+    assert len(widths) >= 40
+    assert all(enumerated == widest for enumerated, widest, _ in widths)
+    assert any(enumerated < full for enumerated, _, full in widths)
 
 
 @pytest.mark.parametrize("survival", [{"p_survival": 1.0}, {}], ids=["p_survival-1", "default"])
