@@ -86,11 +86,12 @@ _combo_cache: dict[tuple[int, int], np.ndarray] = {}
 
 def _valid_combos(n_rows: int, n_cols: int) -> np.ndarray:
     """(n_rows, N) table of the combinations in which no two rows share a
-    measurement column (>= 2), in lexicographic product order."""
+    measurement column (>= 2), in lexicographic product order.  No rows: one
+    empty combination, (0, 1)."""
     key = (n_rows, n_cols)
     hit = _combo_cache.get(key)
     if hit is None:
-        grid = np.indices((n_cols,) * n_rows, dtype=np.intp).reshape(n_rows, -1)
+        grid = np.indices((n_cols,) * n_rows, dtype=np.intp).reshape(n_rows, n_cols**n_rows)
         valid = np.ones(grid.shape[1], dtype=bool)
         for i in range(1, n_rows):
             for j in range(i):
@@ -275,12 +276,14 @@ def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
     return solve(cost, maximize=maximize)
 
 
-def _best_assignment(work: np.ndarray, sentinel: float) -> tuple[np.ndarray, float] | None:
-    """Optimal row-to-column assignment of work and its cells' sum in row
-    order, or None when it uses a forbidden (sentinel) cell."""
-    rows, cols = linear_sum_assignment(work, maximize=True)
-    picked = work[rows, cols].tolist()
-    return None if sentinel in picked else (cols, sum(picked))
+def _best_assignment(work: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Optimal row-to-column assignment of work avoiding its -inf cells and
+    its cells' sum in row order, or None when every assignment uses one."""
+    try:
+        rows, cols = linear_sum_assignment(work, maximize=True)
+    except ValueError:  # scipy: "cost matrix is infeasible"
+        return None
+    return cols, sum(work[rows, cols].tolist())
 
 
 def murty_kbest(cost: np.ndarray, k: int) -> Solutions:
@@ -288,31 +291,27 @@ def murty_kbest(cost: np.ndarray, k: int) -> Solutions:
 
     Exact and sorted by descending score; ties break on the lexicographic
     encoding of the solution tuple.  Returns fewer than k entries when the
-    feasible set is smaller.
+    feasible set is smaller.  Forbidden (non-finite) cells stay -inf in every
+    subproblem, and scipy reports a subproblem that cannot avoid them infeasible.
     """
     n = cost.shape[0]
-    if n == 0:
-        return _from_pairs([((), 0.0)], 0)
     ext = _extended_matrix(cost)
     finite = np.isfinite(ext)
-    if not finite.any():
-        return _from_pairs([], n)
-    lo, hi = float(ext[finite].min()), float(ext[finite].max())
-    # Forbidden cells hold a sentinel so low that any assignment using one
-    # scores below every assignment of finite cells.  Subproblems only
-    # forbid more cells, so the root's sentinel serves them all.
-    sentinel = lo - (hi - lo + 1.0) * (n + 1)
-    root = np.where(finite, ext, sentinel)
-    first = _best_assignment(root, sentinel)
-    if first is None:
-        return _from_pairs([], n)
+    root = np.where(finite, ext, -np.inf)
     # A Hungarian optimum can miss its subproblem's best row-order sum by
     # rounding, so a found solution is final only once it beats every queued
-    # optimum by more than a slack far above that rounding.
-    slack = 1e-9 * abs(sentinel)
-    cols, score = first
-    queue = [(-score, _collapse(cols, n), 0, root, cols)]
-    counter = itertools.count(1)
+    # optimum by more than a slack far above that rounding (inf with no finite cell).
+    lo, hi = float(ext[finite].min(initial=np.inf)), float(ext[finite].max(initial=-np.inf))
+    slack = 1e-9 * abs(lo - (hi - lo + 1.0) * (n + 1))
+    queue, counter = [], itertools.count()
+
+    def push(node: np.ndarray) -> None:  # queue node's optimum, if it has one
+        best = _best_assignment(node)
+        if best is not None:
+            cols, score = best
+            heapq.heappush(queue, (-score, _collapse(cols, n), next(counter), node, cols))
+
+    push(root)
     found: list[tuple[float, tuple[int, ...]]] = []
     out: list[tuple[tuple[int, ...], float]] = []
     while len(out) < k and (queue or found):
@@ -327,14 +326,10 @@ def murty_kbest(cost: np.ndarray, k: int) -> Solutions:
         fixed = node.copy()
         for t in range(n):
             child = fixed.copy()
-            child[t, sol_cols[t]] = sentinel
-            best = _best_assignment(child, sentinel)
-            if best is not None:
-                c_cols, c_score = best
-                entry = (-c_score, _collapse(c_cols, n), next(counter), child, c_cols)
-                heapq.heappush(queue, entry)
+            child[t, sol_cols[t]] = -np.inf
+            push(child)
             keep = fixed[t, sol_cols[t]]
-            fixed[t, :] = sentinel
+            fixed[t, :] = -np.inf
             fixed[t, sol_cols[t]] = keep
     return _from_pairs(out, n)
 
@@ -344,8 +339,6 @@ def ranked_solutions(cost: np.ndarray, k: int) -> Solutions:
     if k < 1:
         raise ValueError("k must be >= 1")
     n_rows, n_cols = cost.shape
-    if n_rows == 0:
-        return _from_pairs([((), 0.0)], 0)
     if n_cols**n_rows <= _ENUMERATION_LIMIT:
         sols = _enumerate_scored(cost, k)
     else:
@@ -364,7 +357,7 @@ def gibbs_solutions(
     both shared outcomes plus measurements unused by other rows), so the
     chain targets the normalized solution scores; every state the chain
     passes through is recorded.  The initializing solution (per-row best of
-    death/undetected columns, else the overall best) is always part of the
+    death/undetected columns, else the best ranked one) is always part of the
     output.  A row whose candidates all weigh 0 keeps its column and uses no
     draw.
 
@@ -381,16 +374,10 @@ def gibbs_solutions(
     filter never reuses it.
     """
     n, n_cols = cost.shape
-    if n == 0:
-        return _from_pairs([((), 0.0)], 0)
-
     no_meas = np.argmax(cost[:, :2], axis=1)
     init = tuple(int(c) for c in no_meas)
     if not math.isfinite(solution_score(cost, init)):
-        best = murty_kbest(cost, 1)
-        if not best:
-            raise InfeasibleAssociationError("no feasible association for cost matrix")
-        init = tuple(best.cols[0].tolist())
+        init = tuple(ranked_solutions(cost, 1).cols[0].tolist())
 
     # Row-wise max-shifted exponentials, precomputed; -inf maps to 0 weight.
     exp_rows = []

@@ -212,13 +212,10 @@ def trial_metrics(scenario: Scenario, series: EstimateSeries) -> TrialMetrics:
     return TrialMetrics(per_property, ospa_per_depth, matching)
 
 
-def aggregate_report(
-    scenario: Scenario, estimates: EstimateSeries, metrics: Sequence[TrialMetrics]
-) -> RunReport:
-    """Report for the primary trial (scenario, estimates), whose metrics
-    come first in ``metrics``, with mc_summary over every trial's metrics."""
-    if not estimates.tracks:
-        raise ValueError("no estimates to report on")
+def aggregate_report(scenario: Scenario, metrics: Sequence[TrialMetrics]) -> RunReport:
+    """Report for the primary trial (on scenario), whose metrics come first
+    in ``metrics``, with mc_summary over every trial's metrics.  A trial with
+    no estimates has recovery 0, RMSE NaN and OSPA at the cutoff per depth."""
     samples: dict[str, list[float]] = {}
     for m in metrics:
         for prop, pm in m.per_property.items():
@@ -253,7 +250,7 @@ def build_report(scenario: Scenario, estimates: EstimateSeries) -> RunReport:
     """Report for one trial, its mc_summary over that trial alone.  For
     several trials, pass each one's ``trial_metrics`` to
     ``aggregate_report``."""
-    return aggregate_report(scenario, estimates, [trial_metrics(scenario, estimates)])
+    return aggregate_report(scenario, [trial_metrics(scenario, estimates)])
 
 
 def compare_reports(baseline: RunReport, other: RunReport) -> dict:

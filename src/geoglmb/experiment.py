@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .assignment import _ENUMERATION_LIMIT
 from .errors import ConfigError, FilterDivergenceError, GeoGlmbError, SiteTableError
 # glmbbench traces build_report and scenario_to_csv as attributes of this
 # module, which no longer calls them.
@@ -75,6 +76,9 @@ __all__ = [
     "write_estimates_csv",
     "write_plots",
 ]
+
+# 100x the default: one joint Gibbs trial takes 6-9 s at 20,000 (2-core x86).
+_GIBBS_ITERATION_LIMIT = 20_000
 
 ESTIMATES_HEADER = ("step", "depth", "label", "property", "mean", "variance")
 
@@ -143,6 +147,10 @@ class ExperimentConfig:
             issues.append(f"birth_offsets={list(self.birth_offsets)} must be finite")
         if self.mode not in ("joint", "independent"):
             issues.append(f"mode={self.mode!r} not in {{joint, independent}}")
+        if self.requested_hypotheses > _ENUMERATION_LIMIT:
+            issues.append(f"requested_hypotheses={self.requested_hypotheses} above {_ENUMERATION_LIMIT}")
+        if self.gibbs_iterations > _GIBBS_ITERATION_LIMIT:
+            issues.append(f"gibbs_iterations={self.gibbs_iterations} above {_GIBBS_ITERATION_LIMIT}")
         if self.mc_trials < 1:
             issues.append("mc_trials must be >= 1")
         if self.seed + self.mc_trials - 1 >= SEED_LIMIT:
@@ -398,7 +406,7 @@ def run_monte_carlo(
                         future.cancel()
     finally:
         _share_batch()
-    return first, aggregate_report(first.scenario, first.series, metrics)
+    return first, aggregate_report(first.scenario, metrics)
 
 
 def _estimates_csv_text(series: EstimateSeries, matching: dict[str, Label]) -> str:

@@ -116,6 +116,13 @@ def assert_same_solutions(got, want):
     assert got.scores.tobytes() == want.scores.tobytes()
 
 
+def assert_empty_solution(sols):
+    """The one solution of a problem of no rows: no columns, score 0.0."""
+    assert sols.cols.shape == (1, 0) and sols.cols.dtype == np.intp
+    assert sols.scores.dtype == np.float64
+    assert sols.scores.tobytes() == np.zeros(1).tobytes()
+
+
 class CountingGenerator:
     """Generator stand-in that counts scalar ``random()`` calls."""
 
@@ -163,6 +170,7 @@ class TestRankedSolutions:
     def test_empty_problem_has_single_empty_solution(self):
         cost = np.zeros((0, 5))
         assert list(ranked_solutions(cost, 3)) == [((), 0.0)]
+        assert_empty_solution(ranked_solutions(cost, 3))
 
     def test_deterministic_tie_break_is_lexicographic(self):
         cost = np.zeros((2, 3))
@@ -227,6 +235,55 @@ class TestMurty:
         assert ((7, 8, 4, 5), 6.892691271321204) in expected
         assert list(murty_kbest(cost, 12)) == expected
 
+    def test_empty_problem_has_single_empty_solution(self):
+        for n_cols in (2, 5):
+            assert_empty_solution(murty_kbest(np.zeros((0, n_cols)), 3))
+
+    def test_all_forbidden_has_no_solution(self):
+        # (3, 26) is past the enumeration limit, so ranked_solutions asks Murty
+        for shape in ((2, 4), (3, 26)):
+            cost = np.full(shape, -np.inf)
+            assert len(murty_kbest(cost, 5)) == 0
+            with pytest.raises(InfeasibleAssociationError):
+                ranked_solutions(cost, 5)
+
+    def test_nan_and_plus_inf_cells_are_forbidden_as_minus_inf(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            cost = rng.normal(size=(3, 7))
+            draw = rng.random(size=cost.shape)
+            forbidden = cost.copy()
+            forbidden[draw < 0.3] = -np.inf
+            cost[draw < 0.2] = np.nan
+            cost[(draw >= 0.2) & (draw < 0.3)] = np.inf
+            assert_same_solutions(murty_kbest(cost, 50), murty_kbest(forbidden, 50))
+
+    def test_infeasible_child_subproblem(self):
+        # Row 0 may die or take measurement 0, which row 1 alone must take:
+        # the best solution's child forbidding row 0's death has no
+        # assignment, and scipy reports it as infeasible.
+        inf = math.inf
+        cost = np.array([
+            [0.5, -inf, 1.0, -inf, -inf],
+            [-inf, -inf, 2.0, -inf, -inf],
+            [0.1, 0.3, -inf, 0.7, 0.2],
+        ])
+        results = []
+        real = geoglmb.assignment._best_assignment
+
+        def best_assignment(work):
+            results.append(real(work))
+            return results[-1]
+
+        with patch.object(geoglmb.assignment, "_best_assignment", best_assignment):
+            got = murty_kbest(cost, 10)
+        assert None in results
+        expected = brute_force(cost)
+        assert len(expected) == 4
+        want = Solutions(np.array([c for c, _ in expected], dtype=np.intp),
+                         np.array([score for _, score in expected]))
+        assert_same_solutions(got, want)
+
 
 class TestGibbs:
     def test_deterministic_for_fixed_seed(self):
@@ -267,6 +324,7 @@ class TestGibbs:
 
     def test_empty_problem(self):
         assert list(gibbs_solutions(np.zeros((0, 4)), 10, np.random.default_rng(0))) == [((), 0.0)]
+        assert_empty_solution(gibbs_solutions(np.zeros((0, 4)), 10, np.random.default_rng(0)))
 
     def test_infeasible_raises(self):
         cost = np.full((1, 4), -np.inf)
@@ -326,7 +384,7 @@ class TestEnumerate:
         assert top == sorted(top)
 
     def test_combo_table_equals_product_reference(self):
-        for n_rows in range(1, 5):
+        for n_rows in range(0, 5):
             for n_cols in range(1, 12):
                 table = _valid_combos(n_rows, n_cols)
                 want = reference_combos(n_rows, n_cols)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoglmb.evaluation import (
+    OSPA_CUTOFF,
     aggregate_report,
     build_report,
     compare_reports,
@@ -183,7 +184,7 @@ class TestBuildReport:
         est = scenario.truth_matrix() + 1.0
         series = series_from_matrix(scenario.depths, est)
         metrics = trial_metrics(scenario, series)
-        report = aggregate_report(scenario, series, [metrics, metrics])
+        report = aggregate_report(scenario, [metrics, metrics])
         assert report.n_trials == 2
         for key, summary in report.mc_summary.items():
             assert summary["std"] == pytest.approx(0.0, abs=1e-12)
@@ -227,13 +228,16 @@ class TestBuildReport:
         for prop in ("LL", "PI", "w"):
             assert comparison["per_property"][prop]["other_less_accurate"] is True
 
-    def test_no_estimates_is_error(self):
+    def test_no_estimates_report_as_a_trial_with_nothing_recovered(self):
         scenario = self._scenario(seed=1)
         empty = EstimateSeries(
             tracks=(), map_cardinality=0, map_log_weight=0.0, hypothesis_counts=(),
         )
-        with pytest.raises(ValueError):
-            build_report(scenario, empty)
+        report = build_report(scenario, empty)
+        for pm in report.per_property.values():
+            assert pm.recovery_rate == 0.0 and math.isnan(pm.rmse_estimate)
+        assert report.ospa_per_depth == (OSPA_CUTOFF,) * len(scenario.depths)
+        assert report.mc_summary["ospa_mean"] == {"mean": OSPA_CUTOFF, "std": 0.0}
 
     def test_report_serialization(self, tmp_path):
         scenario = self._scenario(seed=1)

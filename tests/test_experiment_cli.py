@@ -119,6 +119,12 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match="finite"):
                 ExperimentConfig(**bad).validate()
 
+    def test_counts_are_bounded_at_their_limits(self):
+        ExperimentConfig(requested_hypotheses=16384, gibbs_iterations=20_000).validate()
+        for field, value in (("requested_hypotheses", 16385), ("gibbs_iterations", 20_001)):
+            with pytest.raises(ConfigError, match=f"{field}={value} above"):
+                ExperimentConfig(**{field: value}).validate()
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"sigma_q": 1.0})
@@ -221,7 +227,7 @@ class TestRunExperiment:
         first, report = run_monte_carlo(config)
         records = bundled_records("onsoy")
         rest = [run_trial(records, config, seed, "onsoy") for seed in (7, 8)]
-        rebuilt = aggregate_report(first.scenario, first.series, [
+        rebuilt = aggregate_report(first.scenario, [
             trial_metrics(s, e) for s, e in [(first.scenario, first.series), *rest]
         ])
         # JSON text compares NaN with NaN, and every float by its repr
@@ -877,6 +883,16 @@ class TestCli:
         assert not (tmp_path / "a").exists()
         assert experiment.check_out_dir(tmp_path) == tmp_path
 
+    def test_count_beyond_its_limit_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--hyps", "16385", "--out", str(out)]) == 2
+        assert "requested_hypotheses=16385" in capsys.readouterr().err
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"trunc_method": "gibbs", "gibbs_iterations": 10**10}))
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+        assert "gibbs_iterations=10000000000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_site_exit_code(self, tmp_path):
         assert main(["run", "--site", "nowhere.csv", "--out", str(tmp_path)]) == 2
         site = tmp_path / "site.csv"
@@ -895,12 +911,12 @@ class TestCli:
             assert not out.exists()
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
-        # births disabled: nothing can ever exist, so there is no estimate
-        # series to report on
+        # No process noise and sigma_m 1e-9: the first trial diverges (as in
+        # test_broken_covariance_exit_code)
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({
-            "site": "onsoy", "mode": "independent", "r_birth": 0.0, "seed": 1,
-            "out_dir": str(tmp_path / "out"),
+            "site": "onsoy", "mode": "independent", "sigma_m": 1e-9, "sigma_p": 0.0,
+            "seed": 1, "out_dir": str(tmp_path / "out"),
         }))
         code = main(["run", "--config", str(config_file)])
         assert code == 3
@@ -910,13 +926,32 @@ class TestCli:
     def test_failed_run_writes_nothing(self, tmp_path, capsys, jobs):
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({
-            "site": "onsoy", "mode": "independent", "r_birth": 0.0, "seed": 1,
-            "mc_trials": 3, "jobs": jobs,
+            "site": "onsoy", "mode": "independent", "sigma_m": 1e-9, "sigma_p": 0.0,
+            "seed": 1, "mc_trials": 3, "jobs": jobs,
         }))
         out = tmp_path / "out"
         assert main(["run", "--config", str(config_file), "--out", str(out)]) == 3
-        assert "no estimates to report on" in capsys.readouterr().err
+        assert "trial seed 1: innovation covariance" in capsys.readouterr().err
         assert not out.exists()
+        assert sorted(tmp_path.iterdir()) == [config_file]  # no staging entry left
+
+    def test_run_with_an_empty_first_trial(self, tmp_path, capsys):
+        # Taipei independent at clutter 2, seed 5, reads out no track.  The
+        # run reports it as any trial (recovery 0, RMSE NaN, OSPA at the
+        # cutoff), and eval reads the files it wrote.
+        out = tmp_path / "out"
+        assert main(["run", "--site", "taipei", "--mode", "independent", "--clutter", "2",
+                     "--seed", "5", "--out", str(out)]) == 0
+        trial = out / "trials" / "trial_000"
+        assert (trial / "estimates.csv").read_text().count("\n") == 1  # the header
+        assert main(["eval", "--scenario", str(trial / "scenario.csv"),
+                     "--estimates", str(trial / "estimates.csv"),
+                     "--out", str(tmp_path / "eval")]) == 0
+        for doc in (out / "report.json", tmp_path / "eval" / "report.json"):
+            report = json.loads(doc.read_text())
+            for prop in ("LL", "PI", "w"):
+                assert report["per_property"][prop]["recovery_rate"] == 0.0
+            assert set(report["ospa_per_depth"]) == {20.0}
 
     def test_run_over_an_earlier_run(self, tmp_path, capsys):
         # A run into an existing directory replaces the files it writes and
