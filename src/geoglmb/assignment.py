@@ -267,10 +267,11 @@ def _collapse(ext_solution: np.ndarray, n: int) -> tuple[int, ...]:
 
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
     """scipy's solver, imported at first call: that import is most of
-    ``import geoglmb``.  Murty and ``evaluation.ospa`` call it.  A CLI run's
-    pool workers compute each trial's OSPA, so every worker imports it unless
-    the main process did before the pool forked them, as glmbbench's untimed
-    CLI warm-up run does."""
+    ``import geoglmb``.  Murty and ``evaluation._ospa_of_distances`` call it;
+    runs reach the latter through each trial's metrics.  A CLI run's pool
+    workers compute each trial's OSPA, so every worker imports it unless the
+    main process did before the pool forked them, as glmbbench's untimed CLI
+    warm-up run does."""
     from scipy.optimize import linear_sum_assignment as solve
 
     return solve(cost, maximize=maximize)

@@ -19,9 +19,9 @@ from .errors import ConfigError, GeoGlmbError, SiteTableError
 from .evaluation import build_report, write_metrics_csv, write_report_json
 from .experiment import (
     ExperimentConfig,
-    check_out_dir,
     read_estimates_csv,
     run_experiment,
+    staged,
     write_plots,
 )
 from .scenario import read_scenario_csv, scenario_to_csv, synthesize_observations
@@ -78,19 +78,17 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    out_dir = check_out_dir(config.out_dir)
-    site_path, records = config.site_records()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    scenario = synthesize_observations(
-        records,
-        config.sensor(),
-        mode=config.mode,
-        seed=config.seed,
-        site_name=site_path.stem,
-    )
-    target = out_dir / "scenario.csv"
-    scenario_to_csv(scenario, target)
-    print(f"wrote {target}")
+    with staged(config.out_dir) as stage:
+        site_path, records = config.site_records()
+        scenario = synthesize_observations(
+            records,
+            config.sensor(),
+            mode=config.mode,
+            seed=config.seed,
+            site_name=site_path.stem,
+        )
+        scenario_to_csv(scenario, stage / "scenario.csv")
+    print(f"wrote {Path(config.out_dir, 'scenario.csv')}")
     return EXIT_OK
 
 
@@ -103,26 +101,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    out_dir = check_out_dir(args.out_dir or ".")
+def _read_trial(args: argparse.Namespace):
+    """The ``--scenario`` table and the ``--estimates`` table on its schedule."""
     scenario = read_scenario_csv(args.scenario)
-    estimates = read_estimates_csv(args.estimates, scenario.depths)
-    report = build_report(scenario, estimates)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_json(report, out_dir / "report.json")
-    write_metrics_csv(report, out_dir / "metrics.csv")
-    print(f"wrote {out_dir / 'report.json'}")
-    print(f"wrote {out_dir / 'metrics.csv'}")
+    return scenario, read_estimates_csv(args.estimates, scenario.depths)
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    out = args.out_dir or "."
+    with staged(out) as stage:
+        report = build_report(*_read_trial(args))
+        write_report_json(report, stage / "report.json")
+        write_metrics_csv(report, stage / "metrics.csv")
+    for name in ("report.json", "metrics.csv"):
+        print(f"wrote {Path(out, name)}")
     return EXIT_OK
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    out_dir = check_out_dir(args.out_dir or ".")
-    scenario = read_scenario_csv(args.scenario)
-    estimates = read_estimates_csv(args.estimates, scenario.depths)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in write_plots(scenario, estimates, out_dir):
-        print(f"wrote {path}")
+    out = args.out_dir or "."
+    with staged(out) as stage:
+        plots = write_plots(*_read_trial(args), stage)
+    for path in plots:
+        print(f"wrote {Path(out, path.name)}")
     return EXIT_OK
 
 

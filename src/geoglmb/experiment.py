@@ -17,6 +17,7 @@ import shutil
 import tempfile
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -71,8 +72,8 @@ __all__ = [
     "run_trial",
     "run_monte_carlo",
     "run_experiment",
-    "check_out_dir",
     "read_estimates_csv",
+    "staged",
     "write_estimates_csv",
     "write_plots",
 ]
@@ -495,44 +496,52 @@ def _moves(src: Path, dst: Path) -> list[tuple[Path, Path]]:
         if entry.is_dir() and target.is_dir():
             moves += _moves(entry, target)
         elif entry.is_dir() and os.path.lexists(target):
-            raise ConfigError(f"{target} is not a directory, and the run writes one there")
+            raise ConfigError(f"{target} is not a directory, and a directory is to be moved there")
         elif target.is_dir() and not target.is_symlink():
-            raise ConfigError(f"{target} is a directory, and the run writes a file there")
+            raise ConfigError(f"{target} is a directory, and a file is to be moved there")
         else:
             moves.append((entry, target))
     return moves
 
 
-def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
-    """Run the configured experiment and write all artifacts; return the
-    written paths by group, each under ``config.out_dir``.
+@contextmanager
+def staged(out_dir):
+    """Yield a staging directory, made in the nearest existing ancestor of
+    ``out_dir`` once ``check_out_dir`` passes it.  When the block ends without
+    error, every staged entry moves into ``out_dir``, created if needed, and
+    replaces its namesake (ConfigError before any move where a file meets a
+    directory).  The staging directory is always removed, so a failed block
+    leaves nothing and changes no existing file."""
+    out_dir = check_out_dir(out_dir)
+    stage = Path(tempfile.mkdtemp(prefix=".geoglmb-run-", dir=_nearest_existing(out_dir)))
+    try:
+        yield stage
+        moves = _moves(stage, out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for entry, target in moves:
+            os.replace(entry, target)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
-    Produces per-trial scenario/estimate tables under trials/, the
-    aggregated report.json and metrics.csv, and one SVG profile per
-    property rendered from the first trial.  The output directory is
-    checked before any trial runs.  Each trial's tables are written as the
-    trial arrives, into a staging directory made in the output directory's
-    nearest existing ancestor (the output directory itself, if it exists).
-    Only once the last trial, the report and the plots are written does
-    everything move into the output directory, creating it if needed and
-    replacing files of the same names (ConfigError, before any move, if one
-    is a directory where the run writes a file, or the reverse).  The
-    staging directory is removed whatever happens, so a failed run leaves
-    nothing and changes no existing file.
+
+def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
+    """Run the configured experiment and write all artifacts through
+    ``staged``; return the written paths by group, each under ``config.out_dir``.
+
+    Produces per-trial scenario/estimate tables under trials/, staged as each
+    trial arrives, the aggregated report.json and metrics.csv, and one SVG
+    profile per property rendered from the first trial.
     """
     config.validate()
-    out_dir = check_out_dir(config.out_dir)
-    stage = Path(tempfile.mkdtemp(prefix=".geoglmb-run-", dir=_nearest_existing(out_dir)))
     written: dict[str, list[Path]] = {"scenario": [], "estimates": [], "report": [], "plots": []}
+    with staged(config.out_dir) as stage:
+        def write_trial(t: int, trial: Trial) -> None:
+            trial_dir = Path("trials", f"trial_{t:03d}")
+            (stage / trial_dir).mkdir(parents=True)
+            for name, text in trial.tables.items():
+                _write_text(stage / trial_dir / name, text)
+                written[name.removesuffix(".csv")].append(trial_dir / name)
 
-    def write_trial(t: int, trial: Trial) -> None:
-        trial_dir = Path("trials", f"trial_{t:03d}")
-        (stage / trial_dir).mkdir(parents=True)
-        for name, text in trial.tables.items():
-            _write_text(stage / trial_dir / name, text)
-            written[name.removesuffix(".csv")].append(trial_dir / name)
-
-    try:
         first, report = run_monte_carlo(config, write_trial)
         write_report_json(report, stage / "report.json", extra={"config": config.to_dict()})
         write_metrics_csv(report, stage / "metrics.csv")
@@ -540,13 +549,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
         written["plots"] = [
             p.relative_to(stage) for p in write_plots(first.scenario, first.series, stage)
         ]
-        moves = _moves(stage, out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for entry, target in moves:
-            os.replace(entry, target)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-    return {group: [str(out_dir / p) for p in paths] for group, paths in written.items()}
+    return {group: [str(Path(config.out_dir, p)) for p in paths] for group, paths in written.items()}
 
 
 def read_estimates_csv(path, depths: Sequence[float]) -> EstimateSeries:

@@ -116,45 +116,36 @@ def _parse_float(text, where: str, column: str) -> float:
     return value
 
 
-def read_csv_rows(source, columns: Sequence[str], numeric: Sequence[str],
-                  allow_blank: bool = False):
-    """Yield (where, row, its ``numeric`` cells as floats) for each row of a
-    CSV table, ``where`` naming the row as ``row N`` (from 1 after the
-    header), after the file when ``source`` is a path.
+def read_csv_rows(path, columns: Sequence[str], numeric: Sequence[str]):
+    """Yield (where, row, its ``numeric`` cells as floats) for each row of the
+    CSV table at ``path`` (a str or a Path), ``where`` naming the file and
+    the row as ``row N`` (from 1 after the header).
 
-    ``source`` is a path, bytes, or a readable (binary or text) stream of
-    UTF-8 text.  A leading byte-order mark is dropped and header names are
-    stripped.  A missing column of ``columns`` or ``numeric``, a header
-    name given twice, a non-blank cell under a blank header name or beyond
-    the header's columns, a bad number, or a source that cannot be read as
-    UTF-8 text raises SiteTableError naming the file, and the row and the
-    column where there is one.  Blank cells under blank header names or
-    beyond the header, as spreadsheet exports write them, are ignored.  A
-    blank source yields no rows when ``allow_blank``; else it lacks every column.
+    The file is read as UTF-8 text.  A leading byte-order mark is dropped
+    and header names are stripped.  A missing column of ``columns`` or
+    ``numeric`` (so in a blank file, the first of them), a header name given
+    twice, a non-blank cell under a blank header name or beyond the header's
+    columns, a bad number, or a file that cannot be read as UTF-8 text
+    raises SiteTableError whose message starts with the path, then names
+    the row and the column where there is one.  Blank cells under blank
+    header names or beyond the header, as spreadsheet exports write them,
+    are ignored.
     """
-    name = f"{source}: " if isinstance(source, (str, Path)) else ""
     try:
-        if name:
-            with open(source, newline="", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            raw = source if isinstance(source, bytes) else source.read()
-            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
-        raise SiteTableError(f"{name}{exc}") from None
-    text = text.removeprefix("\ufeff")
-    if allow_blank and not text.strip():
-        return
+        raise SiteTableError(f"{path}: {exc}") from None
     rows = csv.reader(io.StringIO(text, newline=""))
     header = [h.strip() for h in next(rows, ())]
     for column in header:
         if column and header.count(column) > 1:
-            raise SiteTableError(f"{name}header row: column {column!r} appears twice")
+            raise SiteTableError(f"{path}: header row: column {column!r} appears twice")
     for column in (*columns, *numeric):
         if column not in header:
-            raise SiteTableError(f"{name}header row: missing column {column!r}")
+            raise SiteTableError(f"{path}: header row: missing column {column!r}")
     for row_num, cells in enumerate(filter(None, rows), start=1):  # blank lines skipped
-        where = f"{name}row {row_num}"
+        where = f"{path}: row {row_num}"
         for pos, (column, cell) in enumerate(zip(header + [None] * len(cells), cells), start=1):
             if not column and cell.strip():
                 place = ("under a blank header name" if column == "" else
@@ -164,18 +155,19 @@ def read_csv_rows(source, columns: Sequence[str], numeric: Sequence[str],
         yield where, row, [_parse_float(row[c], where, c) for c in numeric]
 
 
-def load_site_table(source) -> list[SiteRecord]:
-    """Parse a `depth,LL,PI,w` CSV, read by ``read_csv_rows``, into
-    depth-ascending site records.
+def load_site_table(path) -> list[SiteRecord]:
+    """Parse the `depth,LL,PI,w` CSV at ``path``, read by ``read_csv_rows``,
+    into depth-ascending site records.
 
-    A blank source yields an empty list.  A depth that is not positive or
-    repeats an earlier row's raises SiteTableError naming the row and the
-    column, as the reader's own errors do.
+    A header with no rows yields an empty list; a blank file lacks the
+    header's columns.  A depth that is not positive or repeats an earlier
+    row's raises SiteTableError naming the file, the row and the column, as
+    the reader's own errors do.
     """
     records: list[SiteRecord] = []
     first_rows: dict[float, str] = {}
     numeric = ("depth", *PROPERTIES)
-    for where, _, (depth, *values) in read_csv_rows(source, (), numeric, allow_blank=True):
+    for where, _, (depth, *values) in read_csv_rows(path, (), numeric):
         if depth <= 0:
             raise SiteTableError(f"{where}, column depth: must be > 0")
         if depth in first_rows:

@@ -9,10 +9,25 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from geoglmb.filter import BirthEntry, BirthModel, TruncationConfig
 from geoglmb.gaussian import Gaussian, MotionModel, SensorModel
 from geoglmb.lrfs import ABSENT, DEAD, UNDETECTED, DensityArrays, GlmbDensity, Label
+
+
+@pytest.fixture
+def table_file(tmp_path):
+    """A function that writes bytes to a new file under ``tmp_path`` and
+    returns its path, for tests of the path-only CSV reader."""
+    names = itertools.count()
+
+    def write(data: bytes):
+        path = tmp_path / f"table_{next(names)}.csv"
+        path.write_bytes(data)
+        return path
+
+    return write
 
 
 def make_gaussian(rng):

@@ -281,7 +281,7 @@ def test_criterion_6_invariant_suite(announce):
     )
 
 
-def test_criterion_7_data_fidelity(announce):
+def test_criterion_7_data_fidelity(announce, table_file):
     """Bundled tables round-trip through the parser and match the published
     spot values exactly."""
     onsoy = bundled_records("onsoy")
@@ -308,7 +308,7 @@ def test_criterion_7_data_fidelity(announce):
             f"{r.depth},{r.values['LL']},{r.values['PI']},{r.values['w']}"
             for r in records
         )
-        again = load_site_table(text.encode())
+        again = load_site_table(table_file(text.encode()))
         assert again == records
     announce(
         "[PASS] criterion 7: bundled tables (36 + 23 rows) round-trip and "

@@ -9,6 +9,7 @@ import numpy as np
 
 from conftest import simple_birth
 from geoglmb import experiment
+from geoglmb.cli import main
 from geoglmb.filter import TruncationConfig, run_sequence
 from geoglmb.gaussian import MotionModel, SensorModel
 from geoglmb.lrfs import Label
@@ -16,7 +17,7 @@ from geoglmb.scenario import bundled_records
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "glmbbench"))
 import workload  # noqa: E402
-from spans import Tracer, patched  # noqa: E402
+from spans import Tracer, patched, summarize  # noqa: E402
 
 
 def test_patched_names_resolve():
@@ -68,3 +69,15 @@ def test_traced_monte_carlo_labels_trial_spans_with_seeds():
         experiment.run_monte_carlo(config)
     for name in ("experiment.trial_worker", "experiment.run_trial"):
         assert [span[4] for span in tracer.spans if span[0] == name] == [11, 12], name
+
+
+def test_traced_cli_run_sees_its_report_and_plot_writes(tmp_path):
+    # experiment.write_s and svgplot.profile_plot.s time the writes that run
+    # makes in the main process: report.json, metrics.csv and three plots.
+    tracer = Tracer()
+    with patched(workload.tracer_patches(tracer)):
+        assert main(["run", "--site", "onsoy", "--mode", "independent", "--seed", "1",
+                     "--jobs", "1", "--out", str(tmp_path / "out")]) == 0
+    spans = summarize(tracer.spans)
+    assert spans["experiment.write"]["calls"] == 2
+    assert spans["svgplot.profile_plot"]["calls"] == 3

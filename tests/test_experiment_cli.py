@@ -84,6 +84,18 @@ def exported_trial(tmp_path_factory):
     return out / "trials" / "trial_000"
 
 
+def _argv_of(command, trial):
+    """A ``command`` argv without --out: run and synth on onsoy, eval and plot
+    on ``trial``'s exported tables."""
+    if command == "run":
+        return ["run", "--site", "onsoy", "--mode", "independent", "--seed", "1", "--mc", "2",
+                "--jobs", "1"]
+    if command == "synth":
+        return ["synth", "--site", "onsoy"]
+    return [command, "--scenario", str(trial / "scenario.csv"),
+            "--estimates", str(trial / "estimates.csv")]
+
+
 class TestExperimentConfig:
     def test_defaults_match_reference_setup(self):
         config = ExperimentConfig()
@@ -1011,14 +1023,23 @@ class TestCli:
             assert sorted(tmp_path.iterdir()) == entries
         assert tree() == before
 
-    @pytest.mark.parametrize("name, kind", [("trials", "file"), ("report.json", "directory")])
-    def test_entry_of_the_other_kind_in_out_leaves_no_trace(self, tmp_path, capsys, name, kind):
-        # The run writes a directory trials/ and a file report.json: an
-        # entry of the other kind under either name stops the run before it
-        # moves anything into --out.
+    @pytest.mark.parametrize("command, name, kind, older", [
+        ("run", "trials", "file", "metrics.csv"),
+        ("run", "report.json", "directory", "metrics.csv"),
+        ("synth", "scenario.csv", "directory", "notes.txt"),
+        ("eval", "metrics.csv", "directory", "report.json"),
+        ("plot", "plot_PI.svg", "directory", "plot_LL.svg"),
+    ])
+    def test_entry_of_the_other_kind_in_out_leaves_no_trace(self, exported_trial, tmp_path,
+                                                            capsys, command, name, kind, older):
+        # run writes a directory trials/ and a file report.json, synth a file
+        # scenario.csv, eval report.json then metrics.csv, plot plot_LL.svg then
+        # plot_PI.svg: an entry of the other kind under any of those names stops
+        # the command before it moves anything into --out, so ``older``, a file
+        # it would otherwise replace or leave, keeps its bytes.
         out = tmp_path / "out"
         out.mkdir()
-        (out / "metrics.csv").write_text("earlier")
+        (out / older).write_text("earlier")
         if kind == "file":
             (out / name).write_text("in the way")
         else:
@@ -1029,11 +1050,44 @@ class TestCli:
             return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
 
         before = tree()
-        code = main(["run", "--site", "onsoy", "--mode", "independent", "--seed", "1",
-                     "--mc", "2", "--jobs", "1", "--out", str(out)])
+        code = main(_argv_of(command, exported_trial) + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2, err
         assert str(out / name) in err, err
+        assert tree() == before
+        assert not list(tmp_path.rglob(".geoglmb-run-*"))
+
+    @pytest.mark.parametrize("command, module, name, fail_at", [
+        ("eval", cli, "write_metrics_csv", 1),
+        ("plot", experiment, "profile_plot", 2),
+    ], ids=["eval", "plot"])
+    def test_failed_write_leaves_no_trace(self, exported_trial, tmp_path, capsys, monkeypatch,
+                                          command, module, name, fail_at):
+        # eval's report.json and plot's plot_LL.svg are staged before the
+        # patched writer fails.
+        real = getattr(module, name)
+        calls = []
+
+        def writer(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise OSError("failed on purpose")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, writer)
+        out = tmp_path / "out"
+        out.mkdir()
+        for older in ("report.json", "metrics.csv", "plot_LL.svg", "plot_PI.svg"):
+            (out / older).write_text("earlier")
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+        before = tree()
+        code = main(_argv_of(command, exported_trial) + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "failed on purpose" in err, err
         assert tree() == before
         assert not list(tmp_path.rglob(".geoglmb-run-*"))
 

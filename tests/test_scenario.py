@@ -1,10 +1,10 @@
 import hashlib
-import io
 import math
 
 import numpy as np
 import pytest
 
+from geoglmb.cli import main
 from geoglmb.errors import SiteTableError
 from geoglmb.gaussian import SensorModel
 from geoglmb.scenario import (
@@ -40,88 +40,87 @@ class TestLoadSiteTable:
         assert len(bundled_records("onsoy")) == 36
         assert len(bundled_records("taipei")) == 23
 
-    def test_empty_file_gives_empty_list(self):
-        assert load_site_table(b"") == []
-        assert load_site_table(b"   \n  ") == []
+    def test_blank_file_lacks_the_depth_column(self, table_file, tmp_path, capsys):
+        for data in (b"", b"   \n  "):
+            path = table_file(data)
+            with pytest.raises(SiteTableError) as err:
+                load_site_table(path)
+            assert str(err.value) == f"{path}: header row: missing column 'depth'"
+        out = tmp_path / "out"
+        assert main(["run", "--site", str(path), "--out", str(out)]) == 2
+        assert f"{path}: header row: missing column 'depth'" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_accepts_text_and_binary_streams(self):
-        text = "depth,LL,PI,w\n1.0,10,20,30\n"
-        assert load_site_table(io.StringIO(text))[0].depth == 1.0
-        assert load_site_table(io.BytesIO(text.encode()))[0].values["PI"] == 20.0
-
-    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+    def test_leading_byte_order_mark_is_dropped(self, table_file):
         # a spreadsheet's "CSV UTF-8" export starts with one
         plain = bundled_site_path("onsoy").read_bytes()
         marked = "\ufeff".encode() + plain
-        path = tmp_path / "onsoy.csv"
-        path.write_bytes(marked)
-        want = load_site_table(plain)
-        assert load_site_table(marked) == want
+        path = table_file(marked)
+        want = load_site_table(table_file(plain))
         assert load_site_table(path) == want
-        assert load_site_table(io.StringIO(marked.decode())) == want
 
-    def test_rows_sorted_by_depth(self):
+    def test_rows_sorted_by_depth(self, table_file):
         text = "depth,LL,PI,w\n2.0,1,1,1\n1.0,2,2,2\n"
-        records = load_site_table(text.encode())
+        records = load_site_table(table_file(text.encode()))
         assert [r.depth for r in records] == [1.0, 2.0]
 
-    def test_header_names_are_stripped(self):
+    def test_header_names_are_stripped(self, table_file):
         rows = "1.0,10,20,30\n2.0,11,21,31\n"
-        spaced = load_site_table(("depth, LL, PI, w\n" + rows).encode())
-        assert spaced == load_site_table(("depth,LL,PI,w\n" + rows).encode())
+        spaced = load_site_table(table_file(("depth, LL, PI, w\n" + rows).encode()))
+        assert spaced == load_site_table(table_file(("depth,LL,PI,w\n" + rows).encode()))
         assert len(spaced) == 2
 
-    def test_column_named_twice_rejected(self):
+    def test_column_named_twice_rejected(self, table_file):
         rows = "1,10,20,30,99\n2,11,21,31,98\n"
         for header in ("depth,LL,PI,w,LL", "depth,LL,PI,w, LL"):
             with pytest.raises(SiteTableError, match="header row: column 'LL' appears twice"):
-                load_site_table(f"{header}\n{rows}".encode())
+                load_site_table(table_file(f"{header}\n{rows}".encode()))
 
-    def test_cell_beyond_the_header_rejected(self):
+    def test_cell_beyond_the_header_rejected(self, table_file):
         text = b"depth,LL,PI,w\n1,10,20,30\n2,11,21,31,99\n"
         with pytest.raises(SiteTableError, match="row 2, column 5: cell '99' lies beyond"):
-            load_site_table(text)
+            load_site_table(table_file(text))
 
-    def test_cell_under_a_blank_header_name_rejected(self):
+    def test_cell_under_a_blank_header_name_rejected(self, table_file):
         # a blank name inside the header, and a trailing one
         for text, pos, cell in ((b"depth,LL,,PI,w\n1,10,77,20,30\n", 3, "77"),
                                 (b"depth,LL,PI,w,\n1,10,20,30,99\n", 5, "99")):
             with pytest.raises(SiteTableError, match=f"row 1, column {pos}: cell '{cell}' "
                                                      "lies under a blank header name"):
-                load_site_table(text)
+                load_site_table(table_file(text))
 
-    def test_blank_names_over_blank_cells_accepted(self):
-        want = load_site_table(b"depth,LL,PI,w\n1,10,20,30\n")
-        assert load_site_table(b"depth,LL,,PI,w\n1,10,,20,30\n") == want
-        assert load_site_table(b"depth,LL, ,PI,w\n1,10, ,20,30\n") == want
+    def test_blank_names_over_blank_cells_accepted(self, table_file):
+        want = load_site_table(table_file(b"depth,LL,PI,w\n1,10,20,30\n"))
+        assert load_site_table(table_file(b"depth,LL,,PI,w\n1,10,,20,30\n")) == want
+        assert load_site_table(table_file(b"depth,LL, ,PI,w\n1,10, ,20,30\n")) == want
 
-    def test_blank_trailing_names_and_cells_accepted(self):
+    def test_blank_trailing_names_and_cells_accepted(self, table_file):
         # as a spreadsheet export writes them
-        want = load_site_table(b"depth,LL,PI,w\n1,10,20,30\n2,11,21,31\n")
-        assert load_site_table(b"depth,LL,PI,w,,\n1,10,20,30,,\n2,11,21,31\n") == want
-        assert load_site_table(b"depth,LL,PI,w\n1,10,20,30,, \n2,11,21,31,\n") == want
+        want = load_site_table(table_file(b"depth,LL,PI,w\n1,10,20,30\n2,11,21,31\n"))
+        assert load_site_table(table_file(b"depth,LL,PI,w,,\n1,10,20,30,,\n2,11,21,31\n")) == want
+        assert load_site_table(table_file(b"depth,LL,PI,w\n1,10,20,30,, \n2,11,21,31,\n")) == want
 
-    def test_missing_column_named(self):
+    def test_missing_column_named(self, table_file):
         with pytest.raises(SiteTableError, match="missing column 'PI'"):
-            load_site_table(b"depth,LL,w\n1.0,10,30\n")
+            load_site_table(table_file(b"depth,LL,w\n1.0,10,30\n"))
 
-    def test_non_numeric_cell_names_row_and_column(self):
+    def test_non_numeric_cell_names_row_and_column(self, table_file):
         with pytest.raises(SiteTableError, match="row 2, column LL"):
-            load_site_table(b"depth,LL,PI,w\n1.0,10,20,30\n2.0,bad,20,30\n")
+            load_site_table(table_file(b"depth,LL,PI,w\n1.0,10,20,30\n2.0,bad,20,30\n"))
         with pytest.raises(SiteTableError, match="row 2, column PI"):
-            load_site_table(b"depth,LL,PI,w\n1.0,10,20,30\n2.0,11,nan,30\n")
+            load_site_table(table_file(b"depth,LL,PI,w\n1.0,10,20,30\n2.0,11,nan,30\n"))
         with pytest.raises(SiteTableError, match="row 1, column w"):
-            load_site_table(b"depth,LL,PI,w\n1.0,10,20,inf\n")
+            load_site_table(table_file(b"depth,LL,PI,w\n1.0,10,20,inf\n"))
         with pytest.raises(SiteTableError, match="row 1, column depth"):
-            load_site_table(b"depth,LL,PI,w\nnan,10,20,30\n")
+            load_site_table(table_file(b"depth,LL,PI,w\nnan,10,20,30\n"))
 
-    def test_duplicate_depth_rejected(self):
+    def test_duplicate_depth_rejected(self, table_file):
         with pytest.raises(SiteTableError, match="duplicate depth"):
-            load_site_table(b"depth,LL,PI,w\n1.0,10,20,30\n1.0,11,21,31\n")
+            load_site_table(table_file(b"depth,LL,PI,w\n1.0,10,20,30\n1.0,11,21,31\n"))
 
-    def test_nonpositive_depth_rejected(self):
+    def test_nonpositive_depth_rejected(self, table_file):
         with pytest.raises(SiteTableError, match="row 1, column depth"):
-            load_site_table(b"depth,LL,PI,w\n0.0,10,20,30\n")
+            load_site_table(table_file(b"depth,LL,PI,w\n0.0,10,20,30\n"))
 
     def test_bundled_checksums(self):
         for site, expected in BUNDLED_SHA256.items():
