@@ -33,7 +33,7 @@ scenario = synthesize_observations(
 )
 history = run_sequence(
     depth_intervals(records),
-    scenario.measurement_sets,
+    scenario.groups[0].readings,
     birth_model_for(records, config),
     config.motion(),
     config.sensor(),

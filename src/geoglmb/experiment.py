@@ -259,10 +259,10 @@ def run_trial(
 ) -> tuple[Scenario, EstimateSeries]:
     """Synthesize, filter, and extract one trial at one seed.
 
-    Joint mode filters all properties as one group and returns its readout.
-    Independent mode filters each property alone and merges the readouts in
-    property order: tracks concatenate, each carrying its group's property;
-    MAP cardinalities, MAP log-weights and per-step hypothesis counts add.
+    Each of the scenario's filter groups is filtered alone.  Several groups'
+    readouts merge in group order: tracks concatenate, each carrying its
+    one-property group's property; MAP cardinalities, MAP log-weights and
+    per-step hypothesis counts add.
     """
     sensor = config.sensor()
     motion = config.motion()
@@ -273,21 +273,17 @@ def run_trial(
     depths = [r.depth for r in records]
     trunc = config.truncation(seed)
 
-    if config.mode == "joint":
-        groups = [(PROPERTIES, scenario.measurement_sets)]
-    else:
-        groups = [((prop,), scenario.property_measurements(prop)) for prop in PROPERTIES]
     parts = []
-    for properties, measurement_sets in groups:
+    for properties, readings in scenario.groups:
         birth = birth_model_for(records, config, properties)
-        history = run_sequence(deltas, measurement_sets, birth, motion, sensor, trunc)
+        history = run_sequence(deltas, readings, birth, motion, sensor, trunc)
         parts.append(extract_map_trajectories(history, depths))
     if len(parts) == 1:
         return scenario, parts[0]
     return scenario, EstimateSeries(
         tracks=tuple(
             dataclasses.replace(track, prop=prop)
-            for prop, part in zip(PROPERTIES, parts)
+            for ((prop,), _), part in zip(scenario.groups, parts)
             for track in part.tracks
         ),
         map_cardinality=sum(part.map_cardinality for part in parts),
@@ -446,6 +442,7 @@ def write_plots(scenario: Scenario, series: EstimateSeries, out_dir: Path) -> li
     estimate circles."""
     depths = scenario.depths
     truth = scenario.truth_matrix()
+    detected = scenario.detection_flags
     aligned = track_values_on_schedule(series, len(depths))
     matching = label_property_matching(truth, series, aligned)
 
@@ -455,7 +452,7 @@ def write_plots(scenario: Scenario, series: EstimateSeries, out_dir: Path) -> li
         obs_pairs = [
             (depths[d], scenario.property_observations[d, p_idx])
             for d in range(len(depths))
-            if scenario.detection_flags[d, p_idx]
+            if detected[d, p_idx]
         ]
         est_pairs = []
         lbl = matching.get(prop)

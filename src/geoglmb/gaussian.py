@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+_MAX_FLOAT = sys.float_info.max
+# The largest standard deviation whose square, a variance, is a finite double.
+_MAX_SCALE = math.sqrt(_MAX_FLOAT)
 
 
 def is_number(value, whole: bool = False) -> bool:
@@ -80,8 +84,8 @@ class MotionModel:
 
     def __post_init__(self):
         check_real(sigma_p=self.sigma_p, p_survival=self.p_survival)
-        if not 0.0 <= self.sigma_p < math.inf:
-            raise ValueError(f"sigma_p must be finite and >= 0, got {self.sigma_p}")
+        if not 0.0 <= self.sigma_p <= _MAX_SCALE:
+            raise ValueError(f"sigma_p must be >= 0 with a finite square, got {self.sigma_p}")
         if not 0.0 <= self.p_survival <= 1.0:
             raise ValueError("p_survival must lie in [0, 1]")
 
@@ -105,15 +109,18 @@ class SensorModel:
         check_real(
             sigma_m=self.sigma_m, p_detect=self.p_detect, clutter_rate=self.clutter_rate
         )
-        if not 0.0 <= self.sigma_m < math.inf:
-            raise ValueError(f"sigma_m must be finite and >= 0, got {self.sigma_m}")
+        if not 0.0 <= self.sigma_m <= _MAX_SCALE:
+            raise ValueError(f"sigma_m must be >= 0 with a finite square, got {self.sigma_m}")
         if not 0.0 <= self.p_detect <= 1.0:
             raise ValueError("p_detect must lie in [0, 1]")
         if not 0.0 <= self.clutter_rate < math.inf:
             raise ValueError(f"clutter_rate must be finite and >= 0, got {self.clutter_rate}")
         lo, hi = self.clutter_region
-        if not -math.inf < lo < hi < math.inf:
-            raise ValueError(f"clutter_region must be finite with lo < hi, got {self.clutter_region}")
+        if not (-_MAX_FLOAT <= lo < hi <= _MAX_FLOAT and float(hi) - float(lo) < math.inf):
+            raise ValueError(
+                f"clutter_region must be finite with lo < hi and a finite width, "
+                f"got {self.clutter_region}"
+            )
 
     def clutter_intensity(self) -> float:
         lo, hi = self.clutter_region

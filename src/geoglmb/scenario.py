@@ -3,9 +3,9 @@
 Ground truths are depth-indexed rows of three clay properties (liquid
 limit, plasticity index, natural water content, all in percent).  An
 observation set keeps each property with probability p_detect, perturbs
-kept values with Gaussian noise, and optionally adds uniform clutter; in
-joint mode the per-depth values are pooled and shuffled so the filter sees
-an unlabeled measurement set.
+kept values with Gaussian noise, and optionally adds uniform clutter.  A
+scenario holds one reading list per filter group: joint mode pools and
+shuffles all properties' readings, independent mode has one group each.
 
 Every CSV table the program reads goes through ``read_csv_rows``.  A
 run's scenario.csv is rendered by ``scenario_csv_text`` and read back by
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .gaussian import SensorModel
 __all__ = [
     "PROPERTIES",
     "SiteRecord",
+    "FilterGroup",
     "Scenario",
     "read_csv_rows",
     "load_site_table",
@@ -72,6 +73,13 @@ class SiteRecord:
                 raise ValueError(f"record at depth {self.depth} has non-finite {p}")
 
 
+class FilterGroup(NamedTuple):
+    """Properties filtered together; their readings, one tuple per depth."""
+
+    properties: tuple[str, ...]
+    readings: tuple[tuple[float, ...], ...]
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Ground truth plus one synthesized observation sequence."""
@@ -79,10 +87,8 @@ class Scenario:
     site_name: str
     records: tuple[SiteRecord, ...]
     mode: str
-    # joint: one unlabeled value list per depth; independent: one list per
-    # property per depth (empty = missed).
-    measurement_sets: tuple
-    detection_flags: np.ndarray  # (n_depths, n_properties) bool
+    # joint: one group of all properties; independent: one per property
+    groups: tuple[FilterGroup, ...]
     property_observations: np.ndarray  # (n_depths, n_properties), NaN = missed
     seed: int
 
@@ -95,15 +101,13 @@ class Scenario:
     def depths(self) -> np.ndarray:
         return np.array([r.depth for r in self.records])
 
+    @property
+    def detection_flags(self) -> np.ndarray:
+        """(n_depths, n_properties) bool: where a property was read."""
+        return ~np.isnan(self.property_observations)
+
     def truth_matrix(self) -> np.ndarray:
         return np.array([[r.values[p] for p in PROPERTIES] for r in self.records])
-
-    def property_measurements(self, prop: str) -> list[list[float]]:
-        """Per-depth measurement lists for one property (independent mode)."""
-        if self.mode != "independent":
-            raise ValueError("per-property measurement sets exist in independent mode")
-        idx = PROPERTIES.index(prop)
-        return [list(per_depth[idx]) for per_depth in self.measurement_sets]
 
 
 def _parse_float(text, where: str, column: str) -> float:
@@ -209,55 +213,40 @@ def synthesize_observations(
     """
     if mode not in ("joint", "independent"):
         raise ValueError(f"unknown mode {mode!r}")
+    # Joint mode: one group, whose readings at a depth are pooled with one
+    # clutter stream's and shuffled.  Independent mode: one group and one
+    # clutter stream per property.
+    joint = mode == "joint"
     records = tuple(records)
-    n = len(records)
-    n_props = len(PROPERTIES)
-
-    detected = np.zeros((n, n_props), dtype=bool)
-    prop_obs = np.full((n, n_props), np.nan)
-    for p_idx in range(n_props):
+    names = [PROPERTIES] if joint else [(prop,) for prop in PROPERTIES]
+    pools = [[[] for _ in records] for _ in names]  # per group, per depth
+    prop_obs = np.full((len(records), len(PROPERTIES)), np.nan)
+    for p_idx, prop in enumerate(PROPERTIES):
         rng = np.random.default_rng([seed, _TAG_DETECT, p_idx])
+        pool = pools[0 if joint else p_idx]
         for d_idx, rec in enumerate(records):
-            truth = rec.values[PROPERTIES[p_idx]]
             if rng.random() < sensor.p_detect:
-                detected[d_idx, p_idx] = True
-                prop_obs[d_idx, p_idx] = truth + rng.normal(0.0, sensor.sigma_m)
+                prop_obs[d_idx, p_idx] = rec.values[prop] + rng.normal(0.0, sensor.sigma_m)
+                pool[d_idx].append(float(prop_obs[d_idx, p_idx]))
 
-    lo, hi = sensor.clutter_region
-    if mode == "joint":
-        clutter_rng = np.random.default_rng([seed, _TAG_CLUTTER])
-        shuffle_rng = np.random.default_rng([seed, _TAG_SHUFFLE])
-        sets = []
-        for d_idx in range(n):
-            vals = [prop_obs[d_idx, p] for p in range(n_props) if detected[d_idx, p]]
+    shuffle_rng = np.random.default_rng([seed, _TAG_SHUFFLE]) if joint else None
+    groups = []
+    for g_idx, (properties, pool) in enumerate(zip(names, pools)):
+        key = [seed, _TAG_CLUTTER] if joint else [seed, _TAG_CLUTTER, g_idx]
+        clutter_rng = np.random.default_rng(key)
+        for vals in pool:
             n_clutter = int(clutter_rng.poisson(sensor.clutter_rate))
             if n_clutter:
-                vals.extend(clutter_rng.uniform(lo, hi, size=n_clutter).tolist())
-            order = shuffle_rng.permutation(len(vals))
-            sets.append(tuple(float(vals[i]) for i in order))
-        measurement_sets = tuple(sets)
-    else:
-        clutter_rngs = [
-            np.random.default_rng([seed, _TAG_CLUTTER, p_idx]) for p_idx in range(n_props)
-        ]
-        sets = []
-        for d_idx in range(n):
-            per_prop = []
-            for p_idx in range(n_props):
-                vals = [float(prop_obs[d_idx, p_idx])] if detected[d_idx, p_idx] else []
-                n_clutter = int(clutter_rngs[p_idx].poisson(sensor.clutter_rate))
-                if n_clutter:
-                    vals.extend(clutter_rngs[p_idx].uniform(lo, hi, size=n_clutter).tolist())
-                per_prop.append(tuple(vals))
-            sets.append(tuple(per_prop))
-        measurement_sets = tuple(sets)
+                vals.extend(clutter_rng.uniform(*sensor.clutter_region, size=n_clutter).tolist())
+            if joint:
+                vals[:] = [vals[i] for i in shuffle_rng.permutation(len(vals))]
+        groups.append(FilterGroup(properties, tuple(map(tuple, pool))))
 
     return Scenario(
         site_name=site_name,
         records=records,
         mode=mode,
-        measurement_sets=measurement_sets,
-        detection_flags=detected,
+        groups=tuple(groups),
         property_observations=prop_obs,
         seed=seed,
     )
@@ -273,9 +262,7 @@ def scenario_csv_text(scenario: Scenario) -> str:
     for d_idx, (rec, (hits, values)) in enumerate(zip(scenario.records, observed)):
         at = f"{d_idx + 1},{rec.depth!r}"
         lines += [f"{at},truth,{prop},{rec.values[prop]:.6g},{seed}" for prop in PROPERTIES]
-        pool = list(scenario.measurement_sets[d_idx])
-        if scenario.mode != "joint":
-            pool = [v for per_prop in pool for v in per_prop]
+        pool = [v for group in scenario.groups for v in group.readings[d_idx]]
         for prop, hit, value in zip(PROPERTIES, hits, values):
             if hit:
                 lines.append(f"{at},obs,{prop},{value:.10g},{seed}")
@@ -365,25 +352,18 @@ def read_scenario_csv(path) -> Scenario:
                 f"{where}, column step: depth {depth:g} is step {place[depth]} "
                 f"of the schedule, got {text!r}"
             )
-    n = len(records)
-    detected = np.zeros((n, len(PROPERTIES)), dtype=bool)
-    prop_obs = np.full((n, len(PROPERTIES)), np.nan)
-    sets = []
-    for d_idx, rec in enumerate(records):
-        vals = []
-        for p_idx, prop in enumerate(PROPERTIES):
-            if prop in obs.get(rec.depth, {}):
-                detected[d_idx, p_idx] = True
-                prop_obs[d_idx, p_idx] = obs[rec.depth][prop]
-                vals.append(obs[rec.depth][prop])
-        vals.extend(clutter.get(rec.depth, []))
-        sets.append(tuple(vals))
+    prop_obs = np.array(
+        [[obs.get(rec.depth, {}).get(prop, np.nan) for prop in PROPERTIES] for rec in records]
+    )
+    readings = tuple(
+        (*(v for v in row if not math.isnan(v)), *clutter.get(rec.depth, []))
+        for rec, row in zip(records, prop_obs.tolist())
+    )
     return Scenario(
         site_name=Path(path).stem,
         records=records,
         mode="joint",
-        measurement_sets=tuple(sets),
-        detection_flags=detected,
+        groups=(FilterGroup(PROPERTIES, readings),),
         property_observations=prop_obs,
         seed=int(first_seed[0]),
     )

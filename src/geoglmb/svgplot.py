@@ -20,9 +20,22 @@ OBS_STYLE = 'stroke="#e07b00" stroke-width="1.4"'
 EST_STYLE = 'fill="none" stroke="#1f5fd0" stroke-width="1.4"'
 
 
+def _axis_range(title: str, axis: str, values, share: float) -> tuple[float, float]:
+    """The least and greatest of ``values``, each moved out by ``share`` of
+    their span.  A span of 0, or one too narrow to tick (at most 1e-9 of the
+    values' magnitude), counts as that magnitude, or 1 if the magnitude is
+    less.  A range whose width is not a finite double raises ValueError
+    naming the plot and the axis."""
+    lo, hi = float(min(values)), float(max(values))
+    magnitude = max(abs(lo), abs(hi))
+    span = hi - lo if hi - lo > 1e-9 * magnitude else max(magnitude, 1.0)
+    lo, hi = lo - share * span, hi + share * span
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"plot {title!r}: the {axis} axis is wider than the largest double")
+    return lo, hi
+
+
 def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -51,12 +64,8 @@ def profile_plot(
     all_values = [v for series in (truth, observations, estimates) for _, v in series]
     if not all_depths:
         all_depths, all_values = [0.0, 1.0], [0.0, 1.0]
-    d_lo, d_hi = min(all_depths), max(all_depths)
-    v_lo, v_hi = min(all_values), max(all_values)
-    d_pad = 0.04 * (d_hi - d_lo or 1.0)
-    v_pad = 0.08 * (v_hi - v_lo or 1.0)
-    d_lo, d_hi = d_lo - d_pad, d_hi + d_pad
-    v_lo, v_hi = v_lo - v_pad, v_hi + v_pad
+    d_lo, d_hi = _axis_range(title, "depth", all_depths, 0.04)
+    v_lo, v_hi = _axis_range(title, "value", all_values, 0.08)
 
     px_w = WIDTH - MARGIN_L - MARGIN_R
     px_h = HEIGHT - MARGIN_T - MARGIN_B

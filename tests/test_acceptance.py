@@ -58,7 +58,7 @@ def test_criterion_1_kalman_reduction_oracle(announce):
     )
     motion = MotionModel(sigma_p=0.3, p_survival=1.0)
     scenario = synthesize_observations(records, sensor, mode="independent", seed=11)
-    zs = [per_depth[0][0] for per_depth in scenario.measurement_sets]
+    zs = [z for (z,) in scenario.groups[0].readings]
 
     prior_mean = np.array([records[0].values["LL"], 0.0])
     prior_cov = np.diag([sensor.sigma_m**2, 1.0])

@@ -51,7 +51,7 @@ def test_stacked_parents_equal_their_own_calls_and_brute_force(name):
     with patch.object(geoglmb.filter, "ranked_batch", recording):
         run_sequence(
             depth_intervals(records)[:n_depths],
-            scenario.measurement_sets[:n_depths],
+            scenario.groups[0].readings[:n_depths],
             birth_model_for(records, config),
             config.motion(),
             config.sensor(),

@@ -2,10 +2,12 @@
 attribute: it wraps functions for tracing and samples solver results for
 its brute-force checks.  These tests keep those hooks working."""
 import importlib
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import simple_birth
 from geoglmb import experiment
@@ -13,9 +15,10 @@ from geoglmb.cli import main
 from geoglmb.filter import TruncationConfig, run_sequence
 from geoglmb.gaussian import MotionModel, SensorModel
 from geoglmb.lrfs import Label
-from geoglmb.scenario import bundled_records
+from geoglmb.scenario import bundled_records, synthesize_observations
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "glmbbench"))
+import oracle  # noqa: E402
 import workload  # noqa: E402
 from spans import Tracer, patched, summarize  # noqa: E402
 
@@ -81,3 +84,22 @@ def test_traced_cli_run_sees_its_report_and_plot_writes(tmp_path):
     spans = summarize(tracer.spans)
     assert spans["experiment.write"]["calls"] == 2
     assert spans["svgplot.profile_plot"]["calls"] == 3
+
+
+@pytest.mark.parametrize("mode", ["joint", "independent"])
+def test_oracle_reads_each_scenarios_readings_by_depth_and_property(mode):
+    # oracle.scenario_tables indexes detection_flags and property_observations
+    # as [d, p]; clutter must not show among the readings it takes.
+    records = bundled_records("taipei")
+    sensor = SensorModel(sigma_m=10.0, p_detect=0.5, clutter_rate=3.0, clutter_region=(0.0, 500.0))
+    scenario = synthesize_observations(records, sensor, mode, seed=4)
+    n_readings = sum(len(per_depth) for g in scenario.groups for per_depth in g.readings)
+    assert n_readings > scenario.detection_flags.sum()
+    truth, observations = oracle.scenario_tables(scenario)
+    assert truth == scenario.truth_matrix().tolist()
+    expected = [
+        [None if math.isnan(v) else v for v in row]
+        for row in scenario.property_observations.tolist()
+    ]
+    assert observations == expected
+    assert any(v is None for row in observations for v in row)

@@ -540,6 +540,24 @@ class TestCli:
         with pytest.raises(FilterDivergenceError, match="innovation covariance"):
             run_trial(bundled_records("onsoy"), config, 1, "onsoy")
 
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_overflowing_model_inputs_exit_code(self, tmp_path, capsys, command):
+        # Each would overflow a double: sigma_m ** 2 in the birth model,
+        # sigma_p ** 2 in the transition, the region's width in the clutter
+        # draw.  Each is named, with no traceback, and nothing is written.
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"clutter_region": [-1e308, 1e308], "clutter_rate": 1.0}))
+        out = tmp_path / "out"
+        for flags, name in (
+            (["--sigma-m", "1e300"], "sigma_m"),
+            (["--sigma-p", "1e200"], "sigma_p"),
+            (["--config", str(config_file)], "clutter_region"),
+        ):
+            assert main([command, "--site", "taipei", *flags, "--out", str(out)]) == 2, flags
+            err = capsys.readouterr().err
+            assert name in err and "Traceback" not in err, err
+            assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "plot"])
     def test_malformed_csv_exit_code(self, tmp_path, capsys, command):
         assert main(["run", "--site", "onsoy", "--mode", "independent", "--seed", "3",
@@ -1090,6 +1108,43 @@ class TestCli:
         assert "failed on purpose" in err, err
         assert tree() == before
         assert not list(tmp_path.rglob(".geoglmb-run-*"))
+
+    @pytest.mark.parametrize("ll", [("1e17",) * 4, ("1e17", "100000000000000016") * 2],
+                             ids=["flat", "one-ulp"])
+    def test_plot_of_a_span_lost_to_rounding(self, tmp_path, ll):
+        # LL's span is 0 or one unit in the last place of 1e17: a pad of a
+        # fixed 0.08 would vanish, leaving no axis to tick.
+        site = tmp_path / "site.csv"
+        site.write_text("depth,LL,PI,w\n" + "".join(
+            f"{depth},{value},20,30\n" for depth, value in enumerate(ll, start=1)))
+        out = tmp_path / "out"
+        assert main(["run", "--site", str(site), "--pd", "0", "--out", str(out)]) == 0
+        for prop in ("LL", "PI", "w"):
+            # the value axis' tick labels, in the row below the plot area
+            ticks = [t.text for t in ET.parse(out / f"plot_{prop}.svg").iter()
+                     if t.tag.endswith("text") and t.get("y") == "530"]
+            assert len(set(ticks)) == len(ticks) >= 2, (prop, ticks)
+
+    def test_plot_wider_than_a_double_exit_code(self, exported_trial, tmp_path, capsys):
+        # LL means of 1.5e308 and -1.5e308 are finite, but their span is not.
+        text = (exported_trial / "estimates.csv").read_text(encoding="utf-8")
+        rows = [line.split(",") for line in text.splitlines()]
+        ll_rows = [row for row in rows if row[3] == "LL"]
+        for k, row in enumerate(ll_rows):
+            row[4] = ("1.5e308", "-1.5e308")[k % 2]
+        assert len(ll_rows) > 1
+        estimates = tmp_path / "estimates.csv"
+        estimates.write_text("\n".join(map(",".join, rows)) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "plot_LL.svg").write_text("earlier")
+        code = main(["plot", "--scenario", str(exported_trial / "scenario.csv"),
+                     "--estimates", str(estimates), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "plot 'scenario: LL'" in err and "Traceback" not in err, err
+        assert [p.name for p in out.iterdir()] == ["plot_LL.svg"]
+        assert (out / "plot_LL.svg").read_text() == "earlier"
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_file = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +218,26 @@ class TestModelValidation:
         ):
             with pytest.raises(ValueError, match="finite"):
                 SensorModel(**kwargs)
+
+    def test_scales_and_regions_beyond_a_double_rejected(self):
+        # A variance is a scale squared, and the clutter intensity divides by
+        # the region's width: each must be a finite double.
+        top = math.sqrt(sys.float_info.max)
+        assert math.isfinite(top * top)
+        MotionModel(sigma_p=top)
+        SensorModel(sigma_m=top, clutter_region=(-sys.float_info.max / 2, sys.float_info.max / 2))
+        for model, kwargs, name in (
+            (SensorModel, dict(sigma_m=math.nextafter(top, math.inf)), "sigma_m"),
+            (SensorModel, dict(sigma_m=1e300), "sigma_m"),
+            (SensorModel, dict(sigma_m=10**200), "sigma_m"),
+            (MotionModel, dict(sigma_p=1e200), "sigma_p"),
+            (SensorModel, dict(clutter_region=(-1e308, 1e308)), "clutter_region"),
+            (SensorModel, dict(clutter_region=(np.float64(-1e308), np.float64(1e308))),
+             "clutter_region"),
+            (SensorModel, dict(clutter_region=(0, 10**400)), "clutter_region"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                model(**kwargs)
 
     @pytest.mark.parametrize("model, name, bad", [
         (MotionModel, "p_survival", True),

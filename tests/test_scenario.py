@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from geoglmb.cli import main
 from geoglmb.errors import SiteTableError
 from geoglmb.gaussian import SensorModel
 from geoglmb.scenario import (
+    PROPERTIES,
     SiteRecord,
     bundled_records,
     bundled_site_path,
@@ -172,7 +174,7 @@ class TestSynthesize:
         records = bundled_records("onsoy")
         sensor = SensorModel(sigma_m=10.0, p_detect=0.0, clutter_rate=0.0)
         scenario = synthesize_observations(records, sensor, mode="joint", seed=1)
-        assert all(len(s) == 0 for s in scenario.measurement_sets)
+        assert all(len(s) == 0 for s in scenario.groups[0].readings)
         assert not scenario.detection_flags.any()
 
     def test_detection_count_matches_binomial_oracle(self):
@@ -194,7 +196,7 @@ class TestSynthesize:
         sensor = SensorModel()
         a = synthesize_observations(records, sensor, "joint", seed=99)
         b = synthesize_observations(records, sensor, "joint", seed=99)
-        assert a.measurement_sets == b.measurement_sets
+        assert a.groups == b.groups
         np.testing.assert_array_equal(a.detection_flags, b.detection_flags)
         np.testing.assert_array_equal(
             a.property_observations, b.property_observations, strict=True
@@ -214,7 +216,7 @@ class TestSynthesize:
         records = bundled_records("onsoy")
         sensor = SensorModel(sigma_m=10.0, p_detect=0.5, clutter_rate=0.0)
         scenario = synthesize_observations(records, sensor, "joint", seed=5)
-        for d_idx, per_depth in enumerate(scenario.measurement_sets):
+        for d_idx, per_depth in enumerate(scenario.groups[0].readings):
             expected = sorted(
                 scenario.property_observations[d_idx, p]
                 for p in range(3)
@@ -239,7 +241,7 @@ class TestSynthesize:
         n_runs = 300
         for seed in range(n_runs):
             s = synthesize_observations(records, sensor, "joint", seed=seed)
-            total += sum(len(m) for m in s.measurement_sets)
+            total += sum(len(m) for m in s.groups[0].readings)
         rate = total / (n_runs * 5)
         assert abs(rate - 2.0) < 4 * math.sqrt(2.0 / (n_runs * 5))
 
@@ -251,6 +253,82 @@ class TestSynthesize:
         records = list(reversed(bundled_records("onsoy")[:3]))
         with pytest.raises(ValueError, match="strictly increasing"):
             synthesize_observations(records, SensorModel(), "joint", 0)
+
+
+def two_branch_synthesis(records, sensor, mode, seed):
+    """synthesize_observations as it read while each mode had its own branch
+    and a scenario stored its readings in a mode-shaped field: the reference
+    for the one loop over filter groups.  Returns (readings, detected,
+    property observations); joint readings are one tuple per depth,
+    independent readings one tuple per property per depth."""
+    from geoglmb.scenario import _TAG_CLUTTER, _TAG_DETECT, _TAG_SHUFFLE
+
+    n, n_props = len(records), len(PROPERTIES)
+    detected = np.zeros((n, n_props), dtype=bool)
+    prop_obs = np.full((n, n_props), np.nan)
+    for p_idx in range(n_props):
+        rng = np.random.default_rng([seed, _TAG_DETECT, p_idx])
+        for d_idx, rec in enumerate(records):
+            truth = rec.values[PROPERTIES[p_idx]]
+            if rng.random() < sensor.p_detect:
+                detected[d_idx, p_idx] = True
+                prop_obs[d_idx, p_idx] = truth + rng.normal(0.0, sensor.sigma_m)
+
+    lo, hi = sensor.clutter_region
+    sets = []
+    if mode == "joint":
+        clutter_rng = np.random.default_rng([seed, _TAG_CLUTTER])
+        shuffle_rng = np.random.default_rng([seed, _TAG_SHUFFLE])
+        for d_idx in range(n):
+            vals = [prop_obs[d_idx, p] for p in range(n_props) if detected[d_idx, p]]
+            n_clutter = int(clutter_rng.poisson(sensor.clutter_rate))
+            if n_clutter:
+                vals.extend(clutter_rng.uniform(lo, hi, size=n_clutter).tolist())
+            order = shuffle_rng.permutation(len(vals))
+            sets.append(tuple(float(vals[i]) for i in order))
+    else:
+        clutter_rngs = [
+            np.random.default_rng([seed, _TAG_CLUTTER, p_idx]) for p_idx in range(n_props)
+        ]
+        for d_idx in range(n):
+            per_prop = []
+            for p_idx in range(n_props):
+                vals = [float(prop_obs[d_idx, p_idx])] if detected[d_idx, p_idx] else []
+                n_clutter = int(clutter_rngs[p_idx].poisson(sensor.clutter_rate))
+                if n_clutter:
+                    vals.extend(clutter_rngs[p_idx].uniform(lo, hi, size=n_clutter).tolist())
+                per_prop.append(tuple(vals))
+            sets.append(tuple(per_prop))
+    return tuple(sets), detected, prop_obs
+
+
+def _hexes(readings):
+    return [[v.hex() for v in per_depth] for per_depth in readings]
+
+
+@pytest.mark.parametrize("mode", ["joint", "independent"])
+def test_groups_draw_as_the_two_branches_did(mode):
+    # No golden run covers independent-mode clutter: this is its guard.
+    records = bundled_records("taipei")
+    for p_detect, rate, region, seed in itertools.product(
+        (0.0, 0.5, 1.0), (0.0, 1e-6, 3.0), ((0.0, 120.0), (0.0, 500.0)), range(40)
+    ):
+        sensor = SensorModel(
+            sigma_m=10.0, p_detect=p_detect, clutter_rate=rate, clutter_region=region
+        )
+        sets, detected, prop_obs = two_branch_synthesis(records, sensor, mode, seed)
+        scenario = synthesize_observations(records, sensor, mode, seed)
+        if mode == "joint":
+            expected = [(PROPERTIES, sets)]
+        else:
+            expected = [((prop,), [per_depth[p] for per_depth in sets])
+                        for p, prop in enumerate(PROPERTIES)]
+        assert [g.properties for g in scenario.groups] == [props for props, _ in expected]
+        for group, (_, readings) in zip(scenario.groups, expected):
+            assert all(type(v) is float for per_depth in group.readings for v in per_depth)
+            assert _hexes(group.readings) == _hexes(readings)
+        assert scenario.property_observations.tobytes() == prop_obs.tobytes()
+        assert scenario.detection_flags.tobytes() == detected.tobytes()
 
 
 class TestScenarioExport:
