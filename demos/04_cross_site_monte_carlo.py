@@ -19,7 +19,7 @@ for site in ("onsoy", "taipei"):
     config = ExperimentConfig(
         site=site, mode="independent", p_survival=1.0, seed=0, mc_trials=N_TRIALS
     )
-    _, reports[site] = run_monte_carlo(config)
+    reports[site] = run_monte_carlo(config)
 print(f"{2 * N_TRIALS} trials in {time.perf_counter() - t0:.1f}s\n")
 
 print(f"mean RMSE over {N_TRIALS} paired trials:")

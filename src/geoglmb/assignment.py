@@ -14,6 +14,7 @@ one score per solution, best first for the ranked solvers.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -81,23 +82,17 @@ def solution_score(cost: np.ndarray, solution: tuple[int, ...]) -> float:
 
 
 # Valid column combinations depend only on the matrix shape; cache them.
-_combo_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _valid_combos(n_rows: int, n_cols: int) -> np.ndarray:
     """(n_rows, N) table of the combinations in which no two rows share a
     measurement column (>= 2), in lexicographic product order.  No rows: one
     empty combination, (0, 1)."""
-    key = (n_rows, n_cols)
-    hit = _combo_cache.get(key)
-    if hit is None:
-        grid = np.indices((n_cols,) * n_rows, dtype=np.intp).reshape(n_rows, n_cols**n_rows)
-        valid = np.ones(grid.shape[1], dtype=bool)
-        for i in range(1, n_rows):
-            for j in range(i):
-                valid &= (grid[i] < 2) | (grid[i] != grid[j])
-        hit = _combo_cache[key] = grid.compress(valid, axis=1)
-    return hit
+    grid = np.indices((n_cols,) * n_rows, dtype=np.intp).reshape(n_rows, n_cols**n_rows)
+    valid = np.ones(grid.shape[1], dtype=bool)
+    for i in range(1, n_rows):
+        for j in range(i):
+            valid &= (grid[i] < 2) | (grid[i] != grid[j])
+    return grid.compress(valid, axis=1)
 
 
 def _from_pairs(pairs: list[tuple[tuple[int, ...], float]], n_rows: int) -> Solutions:

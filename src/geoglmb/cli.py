@@ -19,12 +19,12 @@ from .errors import ConfigError, GeoGlmbError, SiteTableError
 from .evaluation import build_report, write_metrics_csv, write_report_json
 from .experiment import (
     ExperimentConfig,
-    read_estimates_csv,
+    read_trial,
     run_experiment,
     staged,
     write_plots,
 )
-from .scenario import read_scenario_csv, scenario_to_csv, synthesize_observations
+from .scenario import scenario_to_csv, synthesize_observations
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,16 +101,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_trial(args: argparse.Namespace):
-    """The ``--scenario`` table and the ``--estimates`` table on its schedule."""
-    scenario = read_scenario_csv(args.scenario)
-    return scenario, read_estimates_csv(args.estimates, scenario.depths)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     out = args.out_dir or "."
     with staged(out) as stage:
-        report = build_report(*_read_trial(args))
+        report = build_report(*read_trial(args.scenario, args.estimates))
         write_report_json(report, stage / "report.json")
         write_metrics_csv(report, stage / "metrics.csv")
     for name in ("report.json", "metrics.csv"):
@@ -121,7 +115,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     out = args.out_dir or "."
     with staged(out) as stage:
-        plots = write_plots(*_read_trial(args), stage)
+        plots = write_plots(*read_trial(args.scenario, args.estimates), stage)
     for path in plots:
         print(f"wrote {Path(out, path.name)}")
     return EXIT_OK

@@ -33,7 +33,6 @@ __all__ = [
     "label_property_matching",
     "track_values_on_schedule",
     "trial_metrics",
-    "report_to_dict",
     "write_report_json",
     "write_metrics_csv",
 ]
@@ -212,9 +211,9 @@ def trial_metrics(scenario: Scenario, series: EstimateSeries) -> TrialMetrics:
     return TrialMetrics(per_property, ospa_per_depth, matching)
 
 
-def aggregate_report(scenario: Scenario, metrics: Sequence[TrialMetrics]) -> RunReport:
-    """Report for the primary trial (on scenario), whose metrics come first
-    in ``metrics``, with mc_summary over every trial's metrics.  A trial with
+def aggregate_report(site_name: str, mode: str, metrics: Sequence[TrialMetrics]) -> RunReport:
+    """Report for the primary trial, whose metrics come first in
+    ``metrics``, with mc_summary over every trial's metrics.  A trial with
     no estimates has recovery 0, RMSE NaN and OSPA at the cutoff per depth."""
     samples: dict[str, list[float]] = {}
     for m in metrics:
@@ -235,8 +234,8 @@ def aggregate_report(scenario: Scenario, metrics: Sequence[TrialMetrics]) -> Run
 
     primary = metrics[0]
     return RunReport(
-        site_name=scenario.site_name,
-        mode=scenario.mode,
+        site_name=site_name,
+        mode=mode,
         per_property=primary.per_property,
         ospa_per_depth=primary.ospa_per_depth,
         ospa_cutoff=OSPA_CUTOFF,
@@ -250,7 +249,7 @@ def build_report(scenario: Scenario, estimates: EstimateSeries) -> RunReport:
     """Report for one trial, its mc_summary over that trial alone.  For
     several trials, pass each one's ``trial_metrics`` to
     ``aggregate_report``."""
-    return aggregate_report(scenario, [trial_metrics(scenario, estimates)])
+    return aggregate_report(scenario.site_name, scenario.mode, [trial_metrics(scenario, estimates)])
 
 
 def compare_reports(baseline: RunReport, other: RunReport) -> dict:
@@ -271,17 +270,9 @@ def compare_reports(baseline: RunReport, other: RunReport) -> dict:
     return out
 
 
-def report_to_dict(report: RunReport) -> dict:
-    doc = asdict(report)
-    doc["per_property"] = {
-        prop: asdict(pm) for prop, pm in report.per_property.items()
-    }
-    return doc
-
-
 def write_report_json(report: RunReport, target, extra: dict | None = None) -> None:
     """Write the report, updated with ``extra``, as JSON to the path ``target``."""
-    doc = report_to_dict(report)
+    doc = asdict(report)
     if extra:
         doc.update(extra)
     text = json.dumps(doc, indent=2, allow_nan=True, sort_keys=True)

@@ -5,13 +5,13 @@ and extracts the MAP trajectory readout.  Monte Carlo batches repeat trials
 under derived seeds (seed + trial index); each trial's metrics and tables are
 made where it ran, the tables are staged to disk as trials arrive, and the
 batch aggregates one report from the metrics.
-``read_estimates_csv`` reads an estimates.csv back through
-``scenario.read_csv_rows``, the reader of every input table.
+``read_trial`` reads a trial's scenario.csv and estimates.csv back through
+``scenario.read_csv_rows``, the reader of every input table; ``run``,
+``eval`` and ``plot`` draw and score a trial from its files alone.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import shutil
 import tempfile
@@ -48,7 +48,7 @@ from .filter import (
     extract_map_trajectories,
     run_sequence,
 )
-from .gaussian import Gaussian, MotionModel, SensorModel, is_number
+from .gaussian import MAX_MAGNITUDE, Gaussian, MotionModel, SensorModel, is_number
 from .lrfs import Label
 from .scenario import (
     PROPERTIES,
@@ -59,6 +59,7 @@ from .scenario import (
     depth_intervals,
     load_site_table,
     read_csv_rows,
+    read_scenario_csv,
     scenario_csv_text,
     scenario_to_csv,
     synthesize_observations,
@@ -73,6 +74,7 @@ __all__ = [
     "run_monte_carlo",
     "run_experiment",
     "read_estimates_csv",
+    "read_trial",
     "staged",
     "write_estimates_csv",
     "write_plots",
@@ -144,8 +146,9 @@ class ExperimentConfig:
             issues.append(f"r_birth={self.r_birth} outside [0, 1]")
         if len(self.birth_offsets) != len(PROPERTIES):
             issues.append(f"birth_offsets needs {len(PROPERTIES)} values, one per property")
-        if not all(math.isfinite(v) for v in self.birth_offsets):
-            issues.append(f"birth_offsets={list(self.birth_offsets)} must be finite")
+        if not all(abs(v) <= MAX_MAGNITUDE for v in self.birth_offsets):
+            issues.append(f"birth_offsets={list(self.birth_offsets)} must be finite and "
+                          "within +-1e150")
         if self.mode not in ("joint", "independent"):
             issues.append(f"mode={self.mode!r} not in {{joint, independent}}")
         if self.requested_hypotheses > _ENUMERATION_LIMIT:
@@ -294,13 +297,9 @@ def run_trial(
 
 @dataclass(frozen=True)
 class Trial:
-    """One finished trial: its scenario and readout, its share of the
-    report, and the text of its scenario.csv and estimates.csv by file
-    name.  Past a batch's first trial the scenario and the series are None:
-    only the first trial's are reported on and plotted."""
+    """One finished trial: its share of the report, and the text of its
+    scenario.csv and estimates.csv by file name."""
 
-    scenario: Scenario | None
-    series: EstimateSeries | None
     metrics: TrialMetrics
     tables: dict[str, str]
 
@@ -322,23 +321,24 @@ def _share_batch(*batch) -> None:
 
 
 def _trial_worker(args) -> Trial:
-    """The trial of seed ``args[-1]`` in the batch ``_share_batch`` set, with
-    its metrics and tables.  Only the batch's first trial (seed
-    ``config.seed``) keeps its scenario and series."""
+    """The trial of seed ``args[-1]`` in the batch ``_share_batch`` set, as
+    its metrics and tables.  A MAP mean or variance that is not finite
+    raises FilterDivergenceError."""
     records, config, site_name = _batch
     seed = args[-1]
     try:
         scenario, series = run_trial(records, config, seed, site_name)
     except GeoGlmbError as exc:
         raise FilterDivergenceError(f"trial seed {seed}: {exc}") from exc
+    # its estimates.csv would hold a cell that no reader takes
+    if not all(np.isfinite(t.values).all() and np.isfinite(t.variances).all()
+               for t in series.tracks):
+        raise FilterDivergenceError(f"trial seed {seed}: a MAP estimate is not finite")
     metrics = trial_metrics(scenario, series)
-    tables = {
+    return Trial(metrics, {
         "scenario.csv": scenario_csv_text(scenario),
         "estimates.csv": _estimates_csv_text(series, metrics.matching),
-    }
-    if seed != config.seed:
-        scenario = series = None
-    return Trial(scenario, series, metrics, tables)
+    })
 
 
 def _usable_cpus() -> int:
@@ -352,9 +352,8 @@ def _usable_cpus() -> int:
 
 def run_monte_carlo(
     config: ExperimentConfig, on_trial: Callable[[int, Trial], None] | None = None
-) -> tuple[Trial, RunReport]:
-    """Trials at seeds seed+0 .. seed+mc_trials-1: the first trial and one
-    report.
+) -> RunReport:
+    """The report of the trials at seeds seed+0 .. seed+mc_trials-1.
 
     The site table is parsed once; each pool worker receives it, the config
     and the site name once, through the pool's initializer, and each job
@@ -362,8 +361,8 @@ def run_monte_carlo(
     CPUs) workers, as a forked pool starts every worker at its first job,
     and at most ``_WINDOW_PER_WORKER`` jobs per worker are in flight.
     Trials are taken in trial order as they complete; each goes to
-    ``on_trial(index, trial)`` and is then dropped, bar the first, so the
-    main process holds a bounded number of trials whatever mc_trials is.
+    ``on_trial(index, trial)`` and is then dropped, so the main process
+    holds a bounded number of trials whatever mc_trials is.
     Each trial's metrics and CSV text are made by the worker that ran it;
     the report aggregates the metrics in trial order, so it does not depend
     on scheduling.
@@ -373,15 +372,12 @@ def run_monte_carlo(
     batch = (records, config, site_path.stem)
     seeds = range(config.seed, config.seed + config.mc_trials)
     workers = min(config.jobs, config.mc_trials, _usable_cpus())
-    first, metrics = None, []
+    metrics = []
 
     def take(trial: Trial) -> None:
-        nonlocal first
         if on_trial is not None:
             on_trial(len(metrics), trial)
         metrics.append(trial.metrics)
-        if first is None:
-            first = trial
 
     try:
         if workers == 1:
@@ -403,7 +399,7 @@ def run_monte_carlo(
                         future.cancel()
     finally:
         _share_batch()
-    return first, aggregate_report(first.scenario, metrics)
+    return aggregate_report(site_path.stem, config.mode, metrics)
 
 
 def _estimates_csv_text(series: EstimateSeries, matching: dict[str, Label]) -> str:
@@ -527,7 +523,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
 
     Produces per-trial scenario/estimate tables under trials/, staged as each
     trial arrives, the aggregated report.json and metrics.csv, and one SVG
-    profile per property rendered from the first trial.
+    profile per property, drawn from the first trial's staged tables as
+    ``plot`` draws them.
     """
     config.validate()
     written: dict[str, list[Path]] = {"scenario": [], "estimates": [], "report": [], "plots": []}
@@ -539,14 +536,22 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
                 _write_text(stage / trial_dir / name, text)
                 written[name.removesuffix(".csv")].append(trial_dir / name)
 
-        first, report = run_monte_carlo(config, write_trial)
+        report = run_monte_carlo(config, write_trial)
         write_report_json(report, stage / "report.json", extra={"config": config.to_dict()})
         write_metrics_csv(report, stage / "metrics.csv")
         written["report"] = [Path("report.json"), Path("metrics.csv")]
-        written["plots"] = [
-            p.relative_to(stage) for p in write_plots(first.scenario, first.series, stage)
-        ]
+        scenario, series = read_trial(stage / written["scenario"][0],
+                                      stage / written["estimates"][0])
+        scenario = dataclasses.replace(scenario, site_name=report.site_name)
+        written["plots"] = [p.relative_to(stage) for p in write_plots(scenario, series, stage)]
     return {group: [str(Path(config.out_dir, p)) for p in paths] for group, paths in written.items()}
+
+
+def read_trial(scenario_path, estimates_path) -> tuple[Scenario, EstimateSeries]:
+    """The scenario.csv at ``scenario_path`` and the estimates.csv at
+    ``estimates_path`` on its schedule."""
+    scenario = read_scenario_csv(scenario_path)
+    return scenario, read_estimates_csv(estimates_path, scenario.depths)
 
 
 def read_estimates_csv(path, depths: Sequence[float]) -> EstimateSeries:

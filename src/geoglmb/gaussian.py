@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +27,10 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
-_MAX_FLOAT = sys.float_info.max
-# The largest standard deviation whose square, a variance, is a finite double.
-_MAX_SCALE = math.sqrt(_MAX_FLOAT)
+# The largest magnitude of a noise scale, a clutter bound or a property value.
+# The filter squares such values, then doubles and sums the squares; from
+# 1e150 that stays below the largest double (about 1.8e308).
+MAX_MAGNITUDE = 1e150
 
 
 def is_number(value, whole: bool = False) -> bool:
@@ -84,8 +84,8 @@ class MotionModel:
 
     def __post_init__(self):
         check_real(sigma_p=self.sigma_p, p_survival=self.p_survival)
-        if not 0.0 <= self.sigma_p <= _MAX_SCALE:
-            raise ValueError(f"sigma_p must be >= 0 with a finite square, got {self.sigma_p}")
+        if not 0.0 <= self.sigma_p <= MAX_MAGNITUDE:
+            raise ValueError(f"sigma_p must be finite, >= 0 and <= 1e150, got {self.sigma_p}")
         if not 0.0 <= self.p_survival <= 1.0:
             raise ValueError("p_survival must lie in [0, 1]")
 
@@ -109,16 +109,16 @@ class SensorModel:
         check_real(
             sigma_m=self.sigma_m, p_detect=self.p_detect, clutter_rate=self.clutter_rate
         )
-        if not 0.0 <= self.sigma_m <= _MAX_SCALE:
-            raise ValueError(f"sigma_m must be >= 0 with a finite square, got {self.sigma_m}")
+        if not 0.0 <= self.sigma_m <= MAX_MAGNITUDE:
+            raise ValueError(f"sigma_m must be finite, >= 0 and <= 1e150, got {self.sigma_m}")
         if not 0.0 <= self.p_detect <= 1.0:
             raise ValueError("p_detect must lie in [0, 1]")
         if not 0.0 <= self.clutter_rate < math.inf:
             raise ValueError(f"clutter_rate must be finite and >= 0, got {self.clutter_rate}")
         lo, hi = self.clutter_region
-        if not (-_MAX_FLOAT <= lo < hi <= _MAX_FLOAT and float(hi) - float(lo) < math.inf):
+        if not -MAX_MAGNITUDE <= lo < hi <= MAX_MAGNITUDE:
             raise ValueError(
-                f"clutter_region must be finite with lo < hi and a finite width, "
+                f"clutter_region must be finite with -1e150 <= lo < hi <= 1e150, "
                 f"got {self.clutter_region}"
             )
 

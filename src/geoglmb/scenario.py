@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import SiteTableError
-from .gaussian import SensorModel
+from .gaussian import MAX_MAGNITUDE, SensorModel
 
 __all__ = [
     "PROPERTIES",
@@ -165,15 +165,20 @@ def load_site_table(path) -> list[SiteRecord]:
 
     A header with no rows yields an empty list; a blank file lacks the
     header's columns.  A depth that is not positive or repeats an earlier
-    row's raises SiteTableError naming the file, the row and the column, as
-    the reader's own errors do.
+    row's, or a property value beyond +-1e150 (``MAX_MAGNITUDE``), raises
+    SiteTableError naming the file, the row and the column, as the reader's
+    own errors do.
     """
     records: list[SiteRecord] = []
     first_rows: dict[float, str] = {}
     numeric = ("depth", *PROPERTIES)
-    for where, _, (depth, *values) in read_csv_rows(path, (), numeric):
+    for where, row, (depth, *values) in read_csv_rows(path, (), numeric):
         if depth <= 0:
             raise SiteTableError(f"{where}, column depth: must be > 0")
+        for prop, value in zip(PROPERTIES, values):
+            if abs(value) > MAX_MAGNITUDE:
+                raise SiteTableError(f"{where}, column {prop}: must lie within +-1e150, "
+                                     f"got {row[prop]!r}")
         if depth in first_rows:
             raise SiteTableError(f"{where}, column depth: duplicate depth {depth} "
                                  f"(first seen at {first_rows[depth]})")

@@ -162,7 +162,7 @@ def test_criterion_4_first_site_reproduction(announce):
     exist at all 36 depths, within 2 minutes."""
     t0 = time.perf_counter()
     config = ExperimentConfig(site="onsoy", seed=0, mc_trials=100, **FAST_MC)
-    _, report = run_monte_carlo(config)
+    report = run_monte_carlo(config)
     elapsed = time.perf_counter() - t0
 
     lines = []
@@ -188,7 +188,7 @@ def test_criterion_4_joint_mode_reproduction(announce):
     config = ExperimentConfig(
         site="onsoy", mode="joint", p_survival=1.0, seed=0, mc_trials=100, jobs=2
     )
-    _, report = run_monte_carlo(config)
+    report = run_monte_carlo(config)
 
     lines = []
     for prop in ("LL", "PI", "w"):
@@ -216,7 +216,7 @@ def test_criterion_5_cross_site_check(announce):
             config = ExperimentConfig(
                 site=site, seed=10_000 * b, mc_trials=100, jobs=2, **FAST_MC
             )
-            _, reports[site] = run_monte_carlo(config)
+            reports[site] = run_monte_carlo(config)
         comparison = compare_reports(reports["onsoy"], reports["taipei"])
         for prop in wins:
             wins[prop] += comparison["per_property"][prop]["other_less_accurate"]

@@ -77,6 +77,8 @@ def test_traced_monte_carlo_labels_trial_spans_with_seeds():
 def test_traced_cli_run_sees_its_report_and_plot_writes(tmp_path):
     # experiment.write_s and svgplot.profile_plot.s time the writes that run
     # makes in the main process: report.json, metrics.csv and three plots.
+    # Reading trial 0's tables back for the plots adds no traced call: the
+    # site table is still loaded once.
     tracer = Tracer()
     with patched(workload.tracer_patches(tracer)):
         assert main(["run", "--site", "onsoy", "--mode", "independent", "--seed", "1",
@@ -84,6 +86,7 @@ def test_traced_cli_run_sees_its_report_and_plot_writes(tmp_path):
     spans = summarize(tracer.spans)
     assert spans["experiment.write"]["calls"] == 2
     assert spans["svgplot.profile_plot"]["calls"] == 3
+    assert spans["scenario.load_site_table"]["calls"] == 1
 
 
 @pytest.mark.parametrize("mode", ["joint", "independent"])

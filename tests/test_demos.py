@@ -20,9 +20,12 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
+    # pyproject's filterwarnings does not reach a subprocess: set them here
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    flags = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from geoglmb.evaluation import (
     compare_reports,
     label_property_matching,
     ospa,
-    report_to_dict,
     rmse,
     track_values_on_schedule,
     trial_metrics,
@@ -184,7 +184,7 @@ class TestBuildReport:
         est = scenario.truth_matrix() + 1.0
         series = series_from_matrix(scenario.depths, est)
         metrics = trial_metrics(scenario, series)
-        report = aggregate_report(scenario, [metrics, metrics])
+        report = aggregate_report(scenario.site_name, scenario.mode, [metrics, metrics])
         assert report.n_trials == 2
         for key, summary in report.mc_summary.items():
             assert summary["std"] == pytest.approx(0.0, abs=1e-12)
@@ -243,7 +243,7 @@ class TestBuildReport:
         scenario = self._scenario(seed=1)
         series = series_from_matrix(scenario.depths, scenario.truth_matrix() + 1.0)
         report = build_report(scenario, series)
-        doc = report_to_dict(report)
+        doc = asdict(report)
         assert doc["site_name"] == "onsoy"
         assert set(doc["per_property"]) == {"LL", "PI", "w"}
         write_report_json(report, tmp_path / "report.json")

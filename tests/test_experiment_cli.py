@@ -15,7 +15,7 @@ import geoglmb
 from geoglmb import cli, experiment
 from geoglmb.cli import _build_config, build_parser, main
 from geoglmb.errors import ConfigError, FilterDivergenceError
-from geoglmb.evaluation import aggregate_report, report_to_dict, trial_metrics
+from geoglmb.evaluation import aggregate_report, trial_metrics
 from geoglmb.experiment import (
     ExperimentConfig,
     read_estimates_csv,
@@ -26,6 +26,7 @@ from geoglmb.experiment import (
 )
 from geoglmb.lrfs import DensityArrays
 from geoglmb.scenario import bundled_records, bundled_site_path, read_scenario_csv
+from geoglmb.svgplot import profile_plot
 
 FAST = dict(
     trunc_method="ranked", requested_hypotheses=24, min_weight=1e-5, max_hypotheses=60
@@ -202,8 +203,8 @@ class TestRunExperiment:
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         base = dict(site="onsoy", mode="independent", seed=7, mc_trials=3, **FAST)
-        _, serial = run_monte_carlo(ExperimentConfig(**base, jobs=1))
-        _, parallel = run_monte_carlo(ExperimentConfig(**base, jobs=2))
+        serial = run_monte_carlo(ExperimentConfig(**base, jobs=1))
+        parallel = run_monte_carlo(ExperimentConfig(**base, jobs=2))
         assert serial.mc_summary == parallel.mc_summary
 
     def test_job_counts_write_identical_trees(self, tmp_path):
@@ -236,21 +237,19 @@ class TestRunExperiment:
         config = ExperimentConfig(
             site="onsoy", mode=mode, seed=6, mc_trials=3, jobs=jobs, **FAST
         )
-        first, report = run_monte_carlo(config)
+        report = run_monte_carlo(config)
         records = bundled_records("onsoy")
-        rest = [run_trial(records, config, seed, "onsoy") for seed in (7, 8)]
-        rebuilt = aggregate_report(first.scenario, [
-            trial_metrics(s, e) for s, e in [(first.scenario, first.series), *rest]
-        ])
+        trials = [run_trial(records, config, seed, "onsoy") for seed in (6, 7, 8)]
+        rebuilt = aggregate_report("onsoy", mode, [trial_metrics(s, e) for s, e in trials])
         # JSON text compares NaN with NaN, and every float by its repr
-        assert json.dumps(report_to_dict(report), sort_keys=True) == json.dumps(
-            report_to_dict(rebuilt), sort_keys=True
+        assert json.dumps(dataclasses.asdict(report), sort_keys=True) == json.dumps(
+            dataclasses.asdict(rebuilt), sort_keys=True
         )
 
     def test_pool_has_no_more_workers_than_trials(self, in_process_pool):
         base = dict(site="onsoy", mode="independent", seed=7, mc_trials=2, **FAST)
-        _, pooled = run_monte_carlo(ExperimentConfig(**base, jobs=64))
-        _, serial = run_monte_carlo(ExperimentConfig(**base, jobs=1))
+        pooled = run_monte_carlo(ExperimentConfig(**base, jobs=64))
+        serial = run_monte_carlo(ExperimentConfig(**base, jobs=1))
         assert in_process_pool == [2]
         assert pooled.mc_summary == serial.mc_summary
 
@@ -270,9 +269,9 @@ class TestRunExperiment:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         base = dict(site="onsoy", mode="independent", seed=7, mc_trials=4, **FAST)
-        _, pooled = run_monte_carlo(ExperimentConfig(**base, jobs=500))
+        pooled = run_monte_carlo(ExperimentConfig(**base, jobs=500))
         assert in_process_pool == sizes
-        _, serial = run_monte_carlo(ExperimentConfig(**base, jobs=1))
+        serial = run_monte_carlo(ExperimentConfig(**base, jobs=1))
         assert pooled.mc_summary == serial.mc_summary
 
     def test_main_process_holds_a_bounded_number_of_trials(self, monkeypatch, in_process_pool):
@@ -298,10 +297,10 @@ class TestRunExperiment:
                 ))
                 held[jobs, mc] = max(counts)
         assert in_process_pool == [2, 2]
-        # serial: the first trial and the one just made; pooled: the first
-        # and a full window of results waiting to be taken
-        assert held[1, 8] == held[1, 32] == 2
-        assert held[2, 8] == held[2, 32] == 2 * experiment._WINDOW_PER_WORKER + 1
+        # serial: the trial just made; pooled: a full window of results
+        # waiting to be taken
+        assert held[1, 8] == held[1, 32] == 1
+        assert held[2, 8] == held[2, 32] == 2 * experiment._WINDOW_PER_WORKER
 
     def test_joint_mode_produces_all_properties(self, tmp_path):
         records = bundled_records("onsoy")
@@ -402,6 +401,27 @@ class TestCli:
         for prop in ("LL", "PI", "w"):
             title = ET.parse(out / f"plot_{prop}.svg").getroot().find("{http://www.w3.org/2000/svg}text")
             assert title.text == f"a&b<c>d: {prop}"
+
+    @pytest.mark.parametrize("site, mode, flags", [
+        ("onsoy", "joint", []),
+        ("onsoy", "independent", []),
+        ("taipei", "joint", []),
+        ("taipei", "independent", []),
+        ("taipei", "joint", ["--clutter", "9"]),  # the golden clutter-9 run
+    ])
+    def test_run_plots_are_plot_of_its_first_trial(self, tmp_path, site, mode, flags):
+        # Only the titles differ: run's names the site, plot's the CSV's stem.
+        run_out, plot_out = tmp_path / "run", tmp_path / "plot"
+        assert main(["run", "--site", site, "--mode", mode, "--seed", "3", "--mc", "2",
+                     "--jobs", "1", *flags, "--out", str(run_out)]) == 0
+        trial = run_out / "trials" / "trial_000"
+        assert main(["plot", "--scenario", str(trial / "scenario.csv"),
+                     "--estimates", str(trial / "estimates.csv"), "--out", str(plot_out)]) == 0
+        for prop in ("LL", "PI", "w"):
+            ran, plotted = ((out / f"plot_{prop}.svg").read_text().splitlines()
+                            for out in (run_out, plot_out))
+            assert ran.pop(2).replace(f">{site}: ", ">scenario: ") == plotted.pop(2)
+            assert ran == plotted
 
     def test_synth_subcommand(self, tmp_path):
         code = main(["synth", "--site", "taipei", "--seed", "2", "--out", str(tmp_path)])
@@ -557,6 +577,56 @@ class TestCli:
             err = capsys.readouterr().err
             assert name in err and "Traceback" not in err, err
             assert not out.exists()
+
+    def test_values_the_filter_squares_beyond_the_bound_exit_code(self, tmp_path, capsys):
+        # Finite doubles whose squares, once the filter or the RMSE doubles
+        # and sums them, are not: a noise scale's in the prediction and the
+        # RMSE, a clutter reading's and a property value's in an innovation.
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"clutter_region": [0.0, 1e155], "clutter_rate": 3.0}))
+        rows = bundled_site_path("onsoy").read_text().splitlines()
+        rows[3] = ",".join(["1e200" if col == "LL" else cell
+                            for col, cell in zip(rows[0].split(","), rows[3].split(","))])
+        site = tmp_path / "site.csv"
+        site.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text("earlier")
+        for argv, parts in (
+            (["--site", "onsoy", "--sigma-m", "3e153"], ["sigma_m"]),
+            (["--site", "taipei", "--sigma-m", "1.3e154"], ["sigma_m"]),
+            (["--site", "onsoy", "--config", str(config_file)], ["clutter_region"]),
+            (["--site", str(site)], [str(site), "row 3", "column LL", "'1e200'"]),
+        ):
+            assert main(["run", *argv, "--out", str(out)]) == 2, argv
+            err = capsys.readouterr().err
+            assert all(part in err for part in parts) and "Traceback" not in err, err
+            assert [p.name for p in out.iterdir()] == ["report.json"]
+            assert (out / "report.json").read_text() == "earlier"
+
+    def test_readout_beyond_a_double_exit_code(self, tmp_path, capsys):
+        # A gap of 1e80 m overflows the process noise, so the estimates'
+        # variances after it are infinite; no reader would take that file.
+        site = tmp_path / "site.csv"
+        site.write_text("depth,LL,PI,w\n1,40,20,30\n2,41,21,31\n1e80,42,22,32\n")
+        out = tmp_path / "out"
+        assert main(["run", "--site", str(site), "--mode", "independent", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "trial seed 0: a MAP estimate is not finite" in err, err
+        assert list(tmp_path.iterdir()) == [site]
+
+    @pytest.mark.parametrize("site", ["onsoy", "taipei"])
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_values_at_the_bound_run_clean(self, tmp_path, site, mode):
+        # pyproject makes any numpy RuntimeWarning, such as an overflow, an error
+        runs = [["--sigma-m", "1e150", "--sigma-p", "1e150"]]
+        for k, region in enumerate(([-1e150, 1e150], [1e149, 1e150])):
+            config_file = tmp_path / f"config{k}.json"
+            config_file.write_text(json.dumps({"clutter_region": region, "clutter_rate": 3.0}))
+            runs.append(["--config", str(config_file)])
+        for flags in runs:
+            assert main(["run", "--site", site, "--mode", mode, *flags,
+                         "--out", str(tmp_path / "out")]) == 0, flags
 
     @pytest.mark.parametrize("command", ["eval", "plot"])
     def test_malformed_csv_exit_code(self, tmp_path, capsys, command):
@@ -891,8 +961,8 @@ class TestCli:
         def unread(*args, **kwargs):
             raise AssertionError("an input was read")
 
-        for module, name in ((experiment, "load_site_table"), (cli, "read_scenario_csv"),
-                             (cli, "read_estimates_csv")):
+        for module, name in ((experiment, "load_site_table"), (experiment, "read_scenario_csv"),
+                             (experiment, "read_estimates_csv")):
             monkeypatch.setattr(module, name, unread)
         afile = tmp_path / "afile"
         afile.write_text("")
@@ -1124,6 +1194,16 @@ class TestCli:
             ticks = [t.text for t in ET.parse(out / f"plot_{prop}.svg").iter()
                      if t.tag.endswith("text") and t.get("y") == "530"]
             assert len(set(ticks)) == len(ticks) >= 2, (prop, ticks)
+
+    def test_profile_of_a_one_ulp_span_ticks(self, tmp_path):
+        # run and plot read truth back at 6 significant digits, where the
+        # one-ulp LL above is flat: draw that span itself.
+        lo = 1e17
+        pairs = [(depth, (lo, np.nextafter(lo, np.inf))[depth % 2]) for depth in range(1, 5)]
+        profile_plot("site: LL", pairs, [], [], tmp_path / "plot.svg")
+        ticks = [t.text for t in ET.parse(tmp_path / "plot.svg").iter()
+                 if t.tag.endswith("text") and t.get("y") == "530"]
+        assert len(set(ticks)) == len(ticks) >= 2, ticks
 
     def test_plot_wider_than_a_double_exit_code(self, exported_trial, tmp_path, capsys):
         # LL means of 1.5e308 and -1.5e308 are finite, but their span is not.

@@ -1,11 +1,11 @@
 import math
-import sys
 
 import numpy as np
 import pytest
 
 from geoglmb.filter import TruncationConfig
 from geoglmb.gaussian import (
+    MAX_MAGNITUDE,
     Gaussian,
     MotionModel,
     SensorModel,
@@ -220,17 +220,23 @@ class TestModelValidation:
                 SensorModel(**kwargs)
 
     def test_scales_and_regions_beyond_a_double_rejected(self):
-        # A variance is a scale squared, and the clutter intensity divides by
-        # the region's width: each must be a finite double.
-        top = math.sqrt(sys.float_info.max)
-        assert math.isfinite(top * top)
+        # A variance is a scale squared, the filter doubles and sums such
+        # squares, and the clutter intensity divides by the region's width:
+        # each stays a finite double below MAX_MAGNITUDE.
+        top = MAX_MAGNITUDE
+        assert math.isfinite(sum([4 * top * top] * 1000))
         MotionModel(sigma_p=top)
-        SensorModel(sigma_m=top, clutter_region=(-sys.float_info.max / 2, sys.float_info.max / 2))
+        SensorModel(sigma_m=top, clutter_region=(-top, top))
+        above = math.nextafter(top, math.inf)
         for model, kwargs, name in (
-            (SensorModel, dict(sigma_m=math.nextafter(top, math.inf)), "sigma_m"),
+            (SensorModel, dict(sigma_m=above), "sigma_m"),
+            (SensorModel, dict(sigma_m=3e153), "sigma_m"),
             (SensorModel, dict(sigma_m=1e300), "sigma_m"),
             (SensorModel, dict(sigma_m=10**200), "sigma_m"),
+            (MotionModel, dict(sigma_p=above), "sigma_p"),
             (MotionModel, dict(sigma_p=1e200), "sigma_p"),
+            (SensorModel, dict(clutter_region=(0.0, 1e155)), "clutter_region"),
+            (SensorModel, dict(clutter_region=(-above, 0.0)), "clutter_region"),
             (SensorModel, dict(clutter_region=(-1e308, 1e308)), "clutter_region"),
             (SensorModel, dict(clutter_region=(np.float64(-1e308), np.float64(1e308))),
              "clutter_region"),
