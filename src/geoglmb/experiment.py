@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import shutil
+import sys
 import tempfile
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -140,8 +141,9 @@ class ExperimentConfig:
                 build()
             except ValueError as exc:
                 issues.append(str(exc))
-        if self.sigma_m == 0:
-            issues.append("sigma_m must be > 0 for the sensor model")
+        if 0.0 <= self.sigma_m <= MAX_MAGNITUDE and self.sigma_m**2 < sys.float_info.min:
+            issues.append(f"sigma_m={self.sigma_m} must be > 0, with a square of at least "
+                          "2.2e-308 (the least normal double), for the sensor model")
         if not 0.0 <= self.r_birth <= 1.0:
             issues.append(f"r_birth={self.r_birth} outside [0, 1]")
         if len(self.birth_offsets) != len(PROPERTIES):

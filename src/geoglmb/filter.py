@@ -60,7 +60,6 @@ indices backward through the densities.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -463,9 +462,8 @@ def joint_predict_update(
                 continue
             cols = sols.cols
             if len(present) < n_labels:  # widen; ``children`` ignores absent labels' columns
-                seen = itertools.accumulate(row >= 0 for row in rows)  # present up to each
-                cols = (cols.take([n - 1 for n in seen], axis=1) if present  # -1 is valid too
-                        else np.zeros((len(sols), n_labels), dtype=cols.dtype))
+                cols = np.zeros((len(sols), n_labels), dtype=cols.dtype)
+                cols[:, present] = sols.cols
             blocks.append((np.array([p_idx] * len(sols)), sols.scores, cols))
         if len(blocks) > 1:
             blocks = [tuple(np.concatenate(part) for part in zip(*blocks))]

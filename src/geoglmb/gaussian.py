@@ -31,6 +31,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 # The filter squares such values, then doubles and sums the squares; from
 # 1e150 that stays below the largest double (about 1.8e308).
 MAX_MAGNITUDE = 1e150
+# The largest clutter rate, in expected false readings per depth; synthesis
+# draws that many values per depth.
+MAX_CLUTTER_RATE = 1e4
 
 
 def is_number(value, whole: bool = False) -> bool:
@@ -60,15 +63,6 @@ class Gaussian:
             raise ValueError("a Gaussian needs a 2D mean and a 2x2 covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", symmetrize(cov))
-
-    @classmethod
-    def _view(cls, mean: np.ndarray, covariance: np.ndarray) -> Gaussian:
-        """Wrap a float mean and a symmetric covariance as they are: no
-        check, no copy."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "mean", mean)
-        object.__setattr__(g, "covariance", covariance)
-        return g
 
 
 @dataclass(frozen=True)
@@ -113,8 +107,10 @@ class SensorModel:
             raise ValueError(f"sigma_m must be finite, >= 0 and <= 1e150, got {self.sigma_m}")
         if not 0.0 <= self.p_detect <= 1.0:
             raise ValueError("p_detect must lie in [0, 1]")
-        if not 0.0 <= self.clutter_rate < math.inf:
-            raise ValueError(f"clutter_rate must be finite and >= 0, got {self.clutter_rate}")
+        if not 0.0 <= self.clutter_rate <= MAX_CLUTTER_RATE:
+            raise ValueError(
+                f"clutter_rate must be finite, >= 0 and <= 1e4, got {self.clutter_rate}"
+            )
         lo, hi = self.clutter_region
         if not -MAX_MAGNITUDE <= lo < hi <= MAX_MAGNITUDE:
             raise ValueError(

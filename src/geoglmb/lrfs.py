@@ -1,26 +1,27 @@
 """Labeled multi-object states and weighted-hypothesis densities.
 
 A labeled multi-object density is a weighted set of hypotheses, each a
-label set together with one single-object Gaussian per label and a
-log-domain weight.  A density is held as arrays (``DensityArrays``) over
-one sorted label table: the log-weights, and for every hypothesis and label
-an index into the step's rows of Gaussian means and covariances.  A density
-made by a filter step also points back at the density it was stepped from:
-each hypothesis keeps its parent's index and its own association outcome
-per label, so its history is its parent's history plus one outcome row.
-Arrays are the only way to build a density.  ``GlmbHypothesis`` objects
-are a read-only view of them: the arrays build one only when asked for it.
+label set with one single-object Gaussian per label and a log-domain
+weight.  A density is held as arrays (``DensityArrays``) over one sorted
+label table: the log-weights, and for every hypothesis and label an index
+into the step's rows of Gaussian means and covariances.  A density made by
+a filter step also points back at the density it was stepped from: each
+hypothesis keeps its parent's index and its own association outcome per
+label, so its history is its parent's history plus one outcome row.
+Arrays are the only way to build a density.  A ``GlmbHypothesis`` object
+holds a label set, a history and a weight, built from the arrays only when
+asked for; a label's Gaussian lives only in the arrays.
 All weight arithmetic stays in log space; products of many small
 likelihoods underflow doubles long before they stop mattering.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import Gaussian, is_number
+from .gaussian import is_number
 
 __all__ = [
     "Label",
@@ -62,7 +63,7 @@ ABSENT = -2  # in DensityArrays.outcome only: the label had no row in the step
 @dataclass(frozen=True)
 class GlmbHypothesis:
     """One weighted hypothesis, as ``DensityArrays`` reads it out: a label
-    set plus one Gaussian per label.
+    set, its association history and its log-weight.
 
     ``label_set`` is sorted.  ``history`` is a hashable per-step record of
     association outcomes: one tuple per filter step, each a sorted tuple of
@@ -73,15 +74,13 @@ class GlmbHypothesis:
     identity.
 
     Only ``DensityArrays`` builds instances, on first access, and keeps
-    them: the history extends the parent instance's history tuple, and the
-    Gaussians are views of the step's state rows, shared by every
-    hypothesis that holds the same row.  Treat instances as immutable.
+    them: the history extends the parent instance's history tuple.  A
+    label's Gaussian is read from the arrays, through ``state``.
     """
 
     label_set: tuple[Label, ...]
     history: tuple[tuple[tuple[Label, int], ...], ...]
     log_weight: float
-    densities: Mapping[Label, Gaussian]
 
 
 @dataclass(eq=False)
@@ -112,7 +111,6 @@ class DensityArrays(Sequence):
 
     def __post_init__(self):
         self._built: list[GlmbHypothesis | None] = [None] * len(self.log_weights)
-        self._views: list[Gaussian | None] = [None] * len(self.means)
 
     def __len__(self) -> int:
         return len(self._built)
@@ -138,19 +136,14 @@ class DensityArrays(Sequence):
         return self._built[i]
 
     def _build(self, i: int) -> GlmbHypothesis:
-        densities = {}
-        for lbl, row in zip(self.labels, self.state[i].tolist()):
-            if row >= 0:
-                if self._views[row] is None:
-                    self._views[row] = Gaussian._view(self.means[row], self.covs[row])
-                densities[lbl] = self._views[row]
+        label_set = tuple(lbl for lbl, row in zip(self.labels, self.state[i].tolist()) if row >= 0)
         history = ()
         if self.prior is not None:
             entry = zip(self.labels, self.outcome[i].tolist())
             history = self.prior.hypotheses[self.parent[i]].history + (
                 tuple((lbl, o) for lbl, o in entry if o != ABSENT),
             )
-        return GlmbHypothesis(tuple(densities), history, float(self.log_weights[i]), densities)
+        return GlmbHypothesis(label_set, history, float(self.log_weights[i]))
 
 
 @dataclass(frozen=True)

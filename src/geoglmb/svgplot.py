@@ -42,13 +42,7 @@ def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
-    start = math.ceil(lo / step) * step
-    ticks = []
-    t = start
-    while t <= hi + 1e-9:
-        ticks.append(round(t, 10))
-        t += step
-    return ticks
+    return [i * step for i in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
 
 
 def profile_plot(

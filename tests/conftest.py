@@ -74,6 +74,13 @@ def build_density(log_weights, densities, step=1, prior=None, outcomes=None):
     return GlmbDensity(arrays, step)
 
 
+def gaussians(density, i):
+    """Hypothesis i's Gaussian per label, read from ``density``'s arrays."""
+    a = density.arrays
+    return {lbl: Gaussian(a.means[row], a.covs[row])
+            for lbl, row in zip(a.labels, a.state[i].tolist()) if row >= 0}
+
+
 def make_density(rng, n_hypotheses=5, max_labels=3, step=1):
     """Random normalized density of hand-made hypotheses, without history."""
     log_weights, densities = [], []

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import enumeration_oracle, kf_oracle, random_scenario, simple_birth
+from conftest import enumeration_oracle, gaussians, kf_oracle, random_scenario, simple_birth
 from geoglmb.assignment import gibbs_solutions, ranked_solutions
 from geoglmb.evaluation import compare_reports
 from geoglmb.experiment import ExperimentConfig, run_monte_carlo
@@ -263,8 +263,8 @@ def test_criterion_6_invariant_suite(announce):
             norm_cases += 1
             assert abs(cardinality_distribution(density).sum() - 1.0) < 1e-9
             card_cases += 1
-            for h in density.hypotheses:
-                for g in h.densities.values():
+            for i in range(len(density.hypotheses)):
+                for g in gaussians(density, i).values():
                     assert np.all(np.linalg.eigvalsh(g.covariance) >= -1e-9)
                     psd_cases += 1
         for da, db in zip(runs[0], runs[1]):

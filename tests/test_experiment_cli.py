@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -604,6 +605,35 @@ class TestCli:
             assert [p.name for p in out.iterdir()] == ["report.json"]
             assert (out / "report.json").read_text() == "earlier"
 
+    def test_sigma_m_whose_square_underflows_exit_code(self, tmp_path, capsys):
+        # Squared, these are 0.0 or subnormal: no usable innovation variance.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text("earlier")
+        for flags in (["--sigma-m", "1e-200"], ["--sigma-m", "1e-170", "--mode", "independent"],
+                      ["--sigma-m", "1.49e-154"]):
+            assert main(["run", "--site", "onsoy", *flags, "--out", str(out)]) == 2, flags
+            err = capsys.readouterr().err
+            assert "sigma_m" in err and "Traceback" not in err, err
+            assert [p.name for p in out.iterdir()] == ["report.json"]
+            assert (out / "report.json").read_text() == "earlier"
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_sigma_m_with_a_normal_square_runs_clean(self, tmp_path, mode):
+        # pyproject makes any numpy RuntimeWarning, such as an underflow, an error
+        assert main(["run", "--site", "onsoy", "--mode", mode, "--sigma-m", "1.5e-154",
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_clutter_rate_above_its_limit_exit_code(self, tmp_path, capsys):
+        # At 1e12 synthesis would ask numpy for terabytes of clutter readings.
+        out = tmp_path / "out"
+        for rate in ("1e12", repr(math.nextafter(1e4, math.inf))):
+            assert main(["synth", "--site", "onsoy", "--clutter", rate, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "clutter_rate" in err and "Traceback" not in err, err
+            assert not out.exists()
+        assert main(["synth", "--site", "onsoy", "--clutter", "1e4", "--out", str(out)]) == 0
+
     def test_readout_beyond_a_double_exit_code(self, tmp_path, capsys):
         # A gap of 1e80 m overflows the process noise, so the estimates'
         # variances after it are infinite; no reader would take that file.
@@ -1204,6 +1234,17 @@ class TestCli:
         ticks = [t.text for t in ET.parse(tmp_path / "plot.svg").iter()
                  if t.tag.endswith("text") and t.get("y") == "530"]
         assert len(set(ticks)) == len(ticks) >= 2, ticks
+
+    @pytest.mark.parametrize("depth", [1e-12, 1e-300])
+    def test_profile_of_tiny_depths_ticks(self, tmp_path, depth):
+        # Ticks are whole multiples of a step, however small the step.
+        site = tmp_path / "site.csv"
+        site.write_text(f"depth,LL,PI,w\n{depth!r},40,20,30\n{2 * depth!r},41,21,31\n")
+        out = tmp_path / "out"
+        assert main(["run", "--site", str(site), "--mode", "independent", "--out", str(out)]) == 0
+        labels = [t.text for t in ET.parse(out / "plot_LL.svg").iter()
+                  if t.tag.endswith("text") and t.get("text-anchor") == "end"]
+        assert 2 <= len(labels) <= 10 and len(set(labels)) == len(labels), labels
 
     def test_plot_wider_than_a_double_exit_code(self, exported_trial, tmp_path, capsys):
         # LL means of 1.5e308 and -1.5e308 are finite, but their span is not.

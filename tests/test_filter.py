@@ -15,6 +15,7 @@ import geoglmb.filter
 from conftest import (
     build_density,
     enumeration_oracle,
+    gaussians,
     kf_oracle,
     make_density,
     make_gaussian,
@@ -115,7 +116,7 @@ class TestBuildLogCost:
         assert cost.shape == (2, 4)  # rows: the parent's label, then the birth
 
         f, q = transition_matrices(motion, delta)
-        prior = glmb.hypotheses[0].densities[lbl]
+        prior = gaussians(glmb, 0)[lbl]
         pred_mean = f @ prior.mean
         pred_cov = f @ prior.covariance @ f.T + q
         kappa = 0.8 / 100.0
@@ -230,7 +231,7 @@ class TestJointPredictUpdate:
         a = out.arrays
         assert a.labels == (lbl,)
         assert sorted(a.outcome[:, 0].tolist()) == [DEAD, UNDETECTED, 1, 2]
-        pred = kalman_predict(glmb.hypotheses[0].densities[lbl], *transition_matrices(motion, 0.5))
+        pred = kalman_predict(gaussians(glmb, 0)[lbl], *transition_matrices(motion, 0.5))
         for outcome, row in zip(a.outcome[:, 0].tolist(), a.state[:, 0].tolist()):
             assert (row >= 0) == (outcome != DEAD)
             if outcome >= 1:
@@ -261,9 +262,9 @@ class TestJointPredictUpdate:
         assert abs(math.exp(out.hypotheses[0].log_weight) - 1.0) < 1e-9
 
         f, q = transition_matrices(motion, 0.7)
-        prior = glmb.hypotheses[0].densities[lbl]
+        prior = gaussians(glmb, 0)[lbl]
         expected, _ = kalman_update(kalman_predict(prior, f, q), z, sensor)
-        got = out.hypotheses[0].densities[lbl]
+        got = gaussians(out, 0)[lbl]
         np.testing.assert_allclose(got.mean, expected.mean, atol=1e-12)
         np.testing.assert_allclose(got.covariance, expected.covariance, atol=1e-12)
 
@@ -487,7 +488,7 @@ class TestJointPredictUpdate:
                 parents, BirthModel(), zs, motion, sensor, delta, EXHAUSTIVE
             )
             f, q = transition_matrices(motion, delta)
-            for h in out.hypotheses:
+            for i, h in enumerate(out.hypotheses):
                 for lbl, outcome in h.history[-1]:
                     if outcome == DEAD:
                         continue
@@ -495,7 +496,7 @@ class TestJointPredictUpdate:
                     want = kalman_predict(prior, f, q)
                     if outcome != UNDETECTED:
                         want, _ = kalman_update(want, zs[outcome - 1], sensor)
-                    got = h.densities[lbl]
+                    got = gaussians(out, i)[lbl]
                     assert got.mean.tobytes() == want.mean.tobytes()
                     assert got.covariance.tobytes() == want.covariance.tobytes()
 
@@ -533,8 +534,8 @@ class TestJointPredictUpdate:
                 assert abs(rho.sum() - 1.0) < 1e-9
                 identities = {(h.label_set, h.history) for h in density.hypotheses}
                 assert len(identities) == len(density.hypotheses)
-                for h in density.hypotheses:
-                    for g in h.densities.values():
+                for i in range(len(density.hypotheses)):
+                    for g in gaussians(density, i).values():
                         eig = np.linalg.eigvalsh(g.covariance)
                         assert np.all(eig >= -1e-9)
 

@@ -5,6 +5,7 @@ import pytest
 
 from geoglmb.filter import TruncationConfig
 from geoglmb.gaussian import (
+    MAX_CLUTTER_RATE,
     MAX_MAGNITUDE,
     Gaussian,
     MotionModel,
@@ -244,6 +245,13 @@ class TestModelValidation:
         ):
             with pytest.raises(ValueError, match=name):
                 model(**kwargs)
+
+    def test_clutter_rate_above_its_limit_rejected(self):
+        # synthesis draws about clutter_rate readings per depth
+        SensorModel(clutter_rate=MAX_CLUTTER_RATE)
+        for rate in (math.nextafter(MAX_CLUTTER_RATE, math.inf), 1e12):
+            with pytest.raises(ValueError, match="clutter_rate"):
+                SensorModel(clutter_rate=rate)
 
     @pytest.mark.parametrize("model, name, bad", [
         (MotionModel, "p_survival", True),

@@ -6,12 +6,13 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from conftest import build_density, make_density, make_gaussian
+from conftest import build_density, gaussians, make_density, make_gaussian
 from geoglmb.errors import WeightCollapseError
 from geoglmb.gaussian import Gaussian
 from geoglmb.lrfs import (
     UNDETECTED,
     GlmbDensity,
+    GlmbHypothesis,
     Label,
     best_hypothesis_with_cardinality,
     cardinality_distribution,
@@ -166,7 +167,17 @@ class TestGlmbDensity:
         h = glmb.hypotheses[0]
         assert h.history == (((lbl, UNDETECTED),),) * 2000
         assert glmb.arrays.prior.hypotheses[0].history == h.history[:-1]
-        assert h.densities[lbl].mean.tolist() == [40.0, 0.0]
+        assert gaussians(glmb, 0)[lbl].mean.tolist() == [40.0, 0.0]
+
+    def test_a_hypothesis_object_is_its_label_set_history_and_weight(self):
+        # A label's Gaussian lives only in the arrays, read through ``state``.
+        glmb = make_density(np.random.default_rng(1))
+        names = [f.name for f in dataclasses.fields(GlmbHypothesis)]
+        assert names == ["label_set", "history", "log_weight"]
+        a = glmb.arrays
+        for i, h in enumerate(glmb.hypotheses):
+            assert h.label_set == tuple(lbl for lbl, row in zip(a.labels, a.state[i]) if row >= 0)
+        assert not hasattr(a, "_views") and not hasattr(Gaussian, "_view")
 
 
 class TestCardinalityDistribution:

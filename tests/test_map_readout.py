@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import geoglmb.experiment as experiment
-from conftest import build_density, random_scenario, simple_birth
+from conftest import build_density, gaussians, random_scenario, simple_birth
 from geoglmb.experiment import ExperimentConfig
 from geoglmb.filter import (
     TruncationConfig,
@@ -79,11 +79,12 @@ def reference_extract_map_trajectories(history, schedule):
     per_label = {}
     for t, density in enumerate(history):
         prefix = chosen.history[: t + 1]
-        ancestor = next((h for h in density.hypotheses if h.history == prefix), None)
+        ancestor = next(
+            (i for i, h in enumerate(density.hypotheses) if h.history == prefix), None
+        )
         if ancestor is None:
             raise ValueError(f"history prefix of the MAP hypothesis missing at step {t + 1}")
-        for lbl in ancestor.label_set:
-            g = ancestor.densities[lbl]
+        for lbl, g in gaussians(density, ancestor).items():
             per_label.setdefault(lbl, []).append(
                 (t + 1, float(schedule[t]), float(g.mean[0]), float(g.mean[1]),
                  float(g.covariance[0, 0]))
@@ -117,10 +118,9 @@ def objects_digest(histories) -> str:
     for history in histories:
         for density in history:
             sha.update(f"density {density.step} {len(density.hypotheses)}\n".encode())
-            for h in density.hypotheses:
+            for i, h in enumerate(density.hypotheses):
                 sha.update(repr((h.label_set, h.history, h.log_weight.hex())).encode())
-                for lbl in h.label_set:
-                    g = h.densities[lbl]
+                for g in gaussians(density, i).values():
                     sha.update(g.mean.tobytes() + g.covariance.tobytes())
     return sha.hexdigest()
 
