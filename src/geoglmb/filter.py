@@ -172,8 +172,8 @@ class TruncationConfig:
             if not is_number(value, whole=True) or value < low:
                 raise ValueError(f"{name}={value!r} must be an integer >= {low}")
         check_real(min_weight=self.min_weight)
-        if not 0.0 <= self.min_weight < math.inf:
-            raise ValueError(f"min_weight must be finite and >= 0, got {self.min_weight}")
+        if not 0.0 <= self.min_weight <= 1.0:
+            raise ValueError(f"min_weight must be finite and lie in [0, 1], got {self.min_weight}")
 
 
 def _log(p: float) -> float:
@@ -390,7 +390,7 @@ def build_log_cost(
     """
     if len(glmb.hypotheses) != 1:
         raise ValueError(f"need a density of one hypothesis, got {len(glmb.hypotheses)}")
-    costs = _StepCosts(glmb.arrays, birth, measurements, motion, sensor, delta)
+    costs = _StepCosts(glmb.hypotheses, birth, measurements, motion, sensor, delta)
     rows = costs.rows[0]
     return costs.table.take(rows[rows >= 0], axis=0)
 
@@ -434,7 +434,7 @@ def joint_predict_update(
     if not glmb.hypotheses:
         raise WeightCollapseError("cannot step a density with no hypotheses")
     next_step = glmb.step + 1
-    prior = glmb.arrays
+    prior = glmb.hypotheses
     for entry in birth.entries:
         if entry.label.birth_step != next_step:
             raise ValueError(
@@ -583,11 +583,11 @@ def extract_map_trajectories(
     rho = cardinality_distribution(final)
     n_star = int(np.argmax(rho))
     index = best_hypothesis_with_cardinality(final, n_star)
-    map_log_weight = float(final.arrays.log_weights[index])
+    map_log_weight = float(final.hypotheses.log_weights[index])
 
     per_label: dict[Label, list[tuple[int, float, float, float, float]]] = {}
     for t in range(len(history) - 1, -1, -1):
-        a = history[t].arrays
+        a = history[t].hypotheses
         for lbl, row in zip(a.labels, a.state[index].tolist()):
             if row >= 0:
                 (value, rate), (variance, _) = a.means[row].tolist(), a.covs[row, 0].tolist()

@@ -115,9 +115,6 @@ class DensityArrays(Sequence):
     def __len__(self) -> int:
         return len(self._built)
 
-    def cardinalities(self) -> list[int]:
-        return [len(row) - row.count(-1) for row in self.state.tolist()]
-
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
@@ -151,16 +148,11 @@ class GlmbDensity:
     """Weighted set of hypotheses at one step; weights live in log space.
 
     ``hypotheses`` is a ``DensityArrays``, stored as given: a filter step
-    makes it, and ``arrays`` names it.  Indexing or iterating it reads the
-    hypotheses out as objects.
+    makes it.  Indexing or iterating it reads the hypotheses out as objects.
     """
 
     hypotheses: DensityArrays
     step: int = 0
-
-    @property
-    def arrays(self) -> DensityArrays:
-        return self.hypotheses
 
 
 def empty_density(step: int = 0) -> GlmbDensity:
@@ -184,12 +176,8 @@ def cardinality_distribution(glmb: GlmbDensity) -> np.ndarray:
     Entry n sums the weights of hypotheses whose label set has size n, in
     hypothesis order.  Assumes a normalized density.
     """
-    a = glmb.arrays
-    cardinalities = a.cardinalities()
-    rho = np.zeros(max(cardinalities, default=0) + 1)
-    for n, w in zip(cardinalities, np.exp(a.log_weights).tolist()):
-        rho[n] += w
-    return rho
+    a = glmb.hypotheses
+    return np.bincount((a.state >= 0).sum(axis=1), np.exp(a.log_weights), minlength=1)
 
 
 def best_hypothesis_with_cardinality(glmb: GlmbDensity, n: int) -> int:
@@ -199,14 +187,13 @@ def best_hypothesis_with_cardinality(glmb: GlmbDensity, n: int) -> int:
     Ties break deterministically: lexicographically smallest label set,
     then smallest history.  Only tied hypotheses are built as objects.
     """
-    a = glmb.arrays
+    a = glmb.hypotheses
     logw = a.log_weights.tolist()
-    candidates = [i for i, size in enumerate(a.cardinalities()) if size == n]
+    candidates = ((a.state >= 0).sum(axis=1) == n).nonzero()[0].tolist()
     if not candidates:
         raise ValueError(f"no hypothesis with cardinality {n}")
     best = max(logw[i] for i in candidates)
     tied = [i for i in candidates if logw[i] == best]
     if len(tied) == 1:
         return tied[0]
-    hyps = glmb.hypotheses
-    return min(tied, key=lambda i: (hyps[i].label_set, hyps[i].history))
+    return min(tied, key=lambda i: (a[i].label_set, a[i].history))

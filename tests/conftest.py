@@ -76,7 +76,7 @@ def build_density(log_weights, densities, step=1, prior=None, outcomes=None):
 
 def gaussians(density, i):
     """Hypothesis i's Gaussian per label, read from ``density``'s arrays."""
-    a = density.arrays
+    a = density.hypotheses
     return {lbl: Gaussian(a.means[row], a.covs[row])
             for lbl, row in zip(a.labels, a.state[i].tolist()) if row >= 0}
 

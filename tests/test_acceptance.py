@@ -259,7 +259,7 @@ def test_criterion_6_invariant_suite(announce):
             history = run_sequence(deltas, sets, birth, motion, sensor, trunc)
             runs.append(history)
         for density in runs[0]:
-            assert abs(np.exp(density.arrays.log_weights).sum() - 1.0) < 1e-9
+            assert abs(np.exp(density.hypotheses.log_weights).sum() - 1.0) < 1e-9
             norm_cases += 1
             assert abs(cardinality_distribution(density).sum() - 1.0) < 1e-9
             card_cases += 1
@@ -268,7 +268,7 @@ def test_criterion_6_invariant_suite(announce):
                     assert np.all(np.linalg.eigvalsh(g.covariance) >= -1e-9)
                     psd_cases += 1
         for da, db in zip(runs[0], runs[1]):
-            assert da.arrays.log_weights.tolist() == db.arrays.log_weights.tolist()
+            assert da.hypotheses.log_weights.tolist() == db.hypotheses.log_weights.tolist()
             for ha, hb in zip(da.hypotheses, db.hypotheses):
                 assert ha.label_set == hb.label_set and ha.history == hb.history
             det_cases += 1

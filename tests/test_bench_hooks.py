@@ -15,7 +15,7 @@ from geoglmb.cli import main
 from geoglmb.filter import TruncationConfig, run_sequence
 from geoglmb.gaussian import MotionModel, SensorModel
 from geoglmb.lrfs import Label
-from geoglmb.scenario import bundled_records, synthesize_observations
+from geoglmb.scenario import bundled_records, depth_intervals, synthesize_observations
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "glmbbench"))
 import oracle  # noqa: E402
@@ -87,6 +87,32 @@ def test_traced_cli_run_sees_its_report_and_plot_writes(tmp_path):
     assert spans["experiment.write"]["calls"] == 2
     assert spans["svgplot.profile_plot"]["calls"] == 3
     assert spans["scenario.load_site_table"]["calls"] == 1
+
+
+@pytest.mark.parametrize("method", ["ranked", "gibbs"])
+@pytest.mark.parametrize("mode", ["joint", "independent"])
+def test_oracle_passes_every_captured_run(mode, method):
+    # The benchmark checks each trial's densities, read as hypothesis
+    # objects, and its MAP readout against a Kalman replay: one filtered run
+    # per trial in joint mode, one per property in independent mode.
+    records = bundled_records("onsoy")[:8]
+    config = experiment.ExperimentConfig(site="onsoy", mode=mode, trunc_method=method)
+    capture = workload.Capture()
+    with patched(capture.patches()):
+        experiment.run_trial(records, config, 4, "onsoy")
+    runs = capture.take()
+    assert len(runs) == (1 if mode == "joint" else 3)
+    model = {
+        "sigma_m": config.sigma_m,
+        "sigma_p": config.sigma_p,
+        "deltas": depth_intervals(records),
+        "max_hypotheses": config.max_hypotheses,
+    }
+    prior_means = [records[0].values[p] + off for p, off in zip(oracle.PROPERTIES, config.birth_offsets)]
+    for run in runs:
+        assert oracle.check_filter_run(
+            run["history"], run["series"], run["readings"], prior_means, model
+        ) == []
 
 
 @pytest.mark.parametrize("mode", ["joint", "independent"])

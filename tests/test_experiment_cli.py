@@ -129,6 +129,7 @@ class TestExperimentConfig:
             dict(birth_offsets=(nan, 0.0, 0.0)),
             dict(birth_offsets=(inf, 0.0, 0.0)),
             dict(min_weight=nan),
+            dict(min_weight=2.0),
         ):
             with pytest.raises(ConfigError, match="finite"):
                 ExperimentConfig(**bad).validate()
@@ -633,6 +634,24 @@ class TestCli:
             assert "clutter_rate" in err and "Traceback" not in err, err
             assert not out.exists()
         assert main(["synth", "--site", "onsoy", "--clutter", "1e4", "--out", str(out)]) == 0
+
+    def test_min_weight_above_one_exit_code(self, tmp_path, capsys):
+        # No child's weight exceeds 1, so such a prune keeps only its fallback child.
+        config_file = tmp_path / "config.json"
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text("earlier")
+        base = ["run", "--site", "onsoy", "--mode", "independent", "--mc", "1",
+                "--config", str(config_file), "--out", str(out)]
+        for value in (2.0, math.nextafter(1.0, 2.0)):
+            config_file.write_text(json.dumps({"min_weight": value}))
+            assert main(base) == 2, value
+            err = capsys.readouterr().err
+            assert "min_weight" in err and "Traceback" not in err, err
+            assert [p.name for p in out.iterdir()] == ["report.json"]
+            assert (out / "report.json").read_text() == "earlier"
+        config_file.write_text(json.dumps({"min_weight": 1.0}))
+        assert main(base[:-1] + [str(tmp_path / "fresh")]) == 0
 
     def test_readout_beyond_a_double_exit_code(self, tmp_path, capsys):
         # A gap of 1e80 m overflows the process noise, so the estimates'

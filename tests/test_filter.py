@@ -146,7 +146,7 @@ class TestBuildLogCost:
         a, b = Label(1, 0), Label(1, 1)
         g = Gaussian([40.0, 0.0], np.diag([25.0, 1.0]))
         glmb = build_density([0.0], [{a: g}], prior=empty_density(0), outcomes=[{a: 1, b: DEAD}])
-        assert glmb.arrays.labels == (a, b)
+        assert glmb.hypotheses.labels == (a, b)
         args = (BirthModel(), [48.0, 30.0], MotionModel(), SensorModel(), 1.0)
         cost = build_log_cost(glmb, *args)
         assert cost.tobytes() == build_log_cost(build_density([0.0], [{a: g}]), *args).tobytes()
@@ -228,7 +228,7 @@ class TestJointPredictUpdate:
         glmb, lbl = one_label_prior()
         motion, sensor, zs = MotionModel(p_survival=0.9), SensorModel(), [48.0, 52.0]
         out = joint_predict_update(glmb, BirthModel(), zs, motion, sensor, 0.5, EXHAUSTIVE)
-        a = out.arrays
+        a = out.hypotheses
         assert a.labels == (lbl,)
         assert sorted(a.outcome[:, 0].tolist()) == [DEAD, UNDETECTED, 1, 2]
         pred = kalman_predict(gaussians(glmb, 0)[lbl], *transition_matrices(motion, 0.5))
@@ -434,15 +434,15 @@ class TestJointPredictUpdate:
 
     def test_births_follow_the_prior_labels(self):
         prior = make_density(np.random.default_rng(3), n_hypotheses=6)
-        assert prior.arrays.labels  # a non-empty prior
+        assert prior.hypotheses.labels  # a non-empty prior
         born = [Label(2, 1), Label(2, 0)]
         birth = simple_birth([(lbl, np.array([10.0 * i, 0.0])) for i, lbl in enumerate(born)])
         out = joint_predict_update(prior, birth, [1.0, 20.0], MotionModel(), SensorModel(),
                                    0.5, EXHAUSTIVE)
-        assert out.arrays.labels == prior.arrays.labels + (Label(2, 0), Label(2, 1))
+        assert out.hypotheses.labels == prior.hypotheses.labels + (Label(2, 0), Label(2, 1))
 
     def test_birthless_step_rows_are_the_prior_state(self):
-        prior = make_density(np.random.default_rng(3), n_hypotheses=6).arrays
+        prior = make_density(np.random.default_rng(3), n_hypotheses=6).hypotheses
         costs = geoglmb.filter._StepCosts(prior, BirthModel(), [1.0], MotionModel(),
                                           SensorModel(), 0.5)
         assert costs.rows is prior.state
@@ -469,7 +469,7 @@ class TestJointPredictUpdate:
                               [{Label(1, 0): make_gaussian(rng)}, {Label(1, 0): broken}])
         with patch.object(geoglmb.filter, "_ROWS_AS_ARRAYS", switch), \
                 pytest.raises(FilterDivergenceError, match=r"innovation covariance \S+ <= 0"):
-            geoglmb.filter._StepCosts(prior.arrays, BirthModel(), [1.0], MotionModel(),
+            geoglmb.filter._StepCosts(prior.hypotheses, BirthModel(), [1.0], MotionModel(),
                                       SensorModel(), 0.5)
 
     def test_child_densities_equal_single_object_code_bit_for_bit(self):
@@ -528,7 +528,7 @@ class TestJointPredictUpdate:
                 min_weight=1e-10, max_hypotheses=100,
             )
             for density in run_sequence(deltas, sets, birth, motion, sensor, trunc):
-                w = np.exp(density.arrays.log_weights)
+                w = np.exp(density.hypotheses.log_weights)
                 assert abs(w.sum() - 1.0) < 1e-9
                 rho = cardinality_distribution(density)
                 assert abs(rho.sum() - 1.0) < 1e-9
@@ -550,7 +550,7 @@ class TestJointPredictUpdate:
         a = run_sequence(deltas, sets, birth, motion, sensor, trunc)
         b = run_sequence(deltas, sets, birth, motion, sensor, trunc)
         for da, db in zip(a, b):
-            assert da.arrays.log_weights.tolist() == db.arrays.log_weights.tolist()
+            assert da.hypotheses.log_weights.tolist() == db.hypotheses.log_weights.tolist()
             for ha, hb in zip(da.hypotheses, db.hypotheses):
                 assert ha.label_set == hb.label_set and ha.history == hb.history
 
@@ -684,9 +684,9 @@ def assert_same_densities(got, want):
         return
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert a.step == b.step and a.arrays.labels == b.arrays.labels
+        assert a.step == b.step and a.hypotheses.labels == b.hypotheses.labels
         for name in _DENSITY_FIELDS:
-            x, y = getattr(a.arrays, name), getattr(b.arrays, name)
+            x, y = getattr(a.hypotheses, name), getattr(b.hypotheses, name)
             assert (x.dtype, x.shape) == (y.dtype, y.shape), name
             assert x.tobytes() == y.tobytes(), name
 
@@ -791,7 +791,7 @@ class TestChildrenPathsAgree:
         g = Gaussian([40.0, 0.5], np.diag([30.0, 2.0]))
         prior = build_density([math.log(0.6), math.log(0.4)], [{a: g, b: g}, {a: g}])
         birth = simple_birth([(Label(2, 0), np.array([20.0, 0.0]))])
-        costs = geoglmb.filter._StepCosts(prior.arrays, birth, [10.0, 30.0], self.MOTION,
+        costs = geoglmb.filter._StepCosts(prior.hypotheses, birth, [10.0, 30.0], self.MOTION,
                                           SensorModel(sigma_m=5.0), 1.0)
         # table rows: a of parent 0, b of parent 0, a of parent 1, the birth;
         # (row, column) keys in first use 11, 14, 1, 6, 13, 7, unlike sorted
@@ -805,11 +805,11 @@ class TestChildrenPathsAgree:
 
     @pytest.mark.parametrize("zs", [[], [5.0]])
     def test_steps_without_labels_or_readings(self, zs):
-        costs = geoglmb.filter._StepCosts(empty_density(1).arrays, BirthModel(), zs, self.MOTION,
+        costs = geoglmb.filter._StepCosts(empty_density(1).hypotheses, BirthModel(), zs, self.MOTION,
                                           SensorModel(sigma_m=5.0), 1.0)
         outcome, state, means, _ = _children_both_ways(costs, [0, 0, 0], np.zeros((3, 0)))
         assert outcome.shape == state.shape == (3, 0) and means.shape == (0, 2)
-        prior = make_density(np.random.default_rng(3), n_hypotheses=4).arrays
+        prior = make_density(np.random.default_rng(3), n_hypotheses=4).hypotheses
         costs = geoglmb.filter._StepCosts(prior, BirthModel(), zs, self.MOTION,
                                           SensorModel(sigma_m=5.0), 1.0)
         n_labels = len(costs.labels)
@@ -821,7 +821,7 @@ class TestChildrenPathsAgree:
         draw = data.draw
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
         prior = make_density(rng, n_hypotheses=draw(st.integers(1, 6)),
-                             max_labels=draw(st.integers(0, 3))).arrays
+                             max_labels=draw(st.integers(0, 3))).hypotheses
         birth = simple_birth([(Label(2, i), np.array([float(rng.uniform(0, 100)), 0.0]))
                               for i in range(draw(st.integers(0, 2)))])
         zs = draw(st.lists(st.floats(0.0, 120.0), max_size=3))
@@ -1039,7 +1039,7 @@ class TestBatchedStepsAgree:
                 got = _outcome(step)
             assert_same_densities(got, want)
             assert [call.args[0].shape for call in spy.call_args_list] == [(7, 3, 5)]
-            assert got[0].arrays.parent.tolist().count(3) == 1  # the empty parent
+            assert got[0].hypotheses.parent.tolist().count(3) == 1  # the empty parent
 
 
 # (method, stacked): ranked steps stacked whenever they are enumerable,
@@ -1071,12 +1071,12 @@ def test_step_outcomes_are_association_maps(method, stacked, data):
     trunc = TruncationConfig(method=method, requested_hypotheses=draw(st.sampled_from([1, 5, 64])),
                              gibbs_iterations=30, min_weight=0.0, max_hypotheses=10**6)
     with contextlib.nullcontext() if stacked else _per_parent():
-        a = joint_predict_update(prior, birth, zs, motion, sensor, 0.5, trunc).arrays
+        a = joint_predict_update(prior, birth, zs, motion, sensor, 0.5, trunc).hypotheses
 
-    n_held = len(prior.arrays.labels)
-    assert a.labels[:n_held] == prior.arrays.labels and len(a.labels) == n_held + len(birth.entries)
+    n_held = len(prior.hypotheses.labels)
+    assert a.labels[:n_held] == prior.hypotheses.labels and len(a.labels) == n_held + len(birth.entries)
     lacks = np.zeros(a.outcome.shape, dtype=bool)
-    lacks[:, :n_held] = prior.arrays.state[a.parent] < 0
+    lacks[:, :n_held] = prior.hypotheses.state[a.parent] < 0
     np.testing.assert_array_equal(a.outcome == ABSENT, lacks)
     np.testing.assert_array_equal(a.state >= 0, a.outcome >= UNDETECTED)
     assert set(a.outcome.ravel().tolist()) <= {ABSENT, DEAD, UNDETECTED, *range(1, len(zs) + 1)}
@@ -1094,9 +1094,9 @@ def test_step_without_labels_keeps_each_parent(method):
     prior = build_density([math.log(0.25), math.log(0.75)], [{}, {}])
     out = joint_predict_update(prior, BirthModel(), [1.0], MotionModel(),
                                SensorModel(), 0.5, TruncationConfig(method=method))
-    assert out.arrays.state.shape == (2, 0) and out.arrays.outcome.shape == (2, 0)
-    assert sorted(out.arrays.parent.tolist()) == [0, 1]
-    np.testing.assert_allclose(np.exp(out.arrays.log_weights), [0.75, 0.25], rtol=1e-15)
+    assert out.hypotheses.state.shape == (2, 0) and out.hypotheses.outcome.shape == (2, 0)
+    assert sorted(out.hypotheses.parent.tolist()) == [0, 1]
+    np.testing.assert_allclose(np.exp(out.hypotheses.log_weights), [0.75, 0.25], rtol=1e-15)
 
 
 def _identity_mass(key, glmb, birth, zs, motion, sensor, delta):
@@ -1226,6 +1226,6 @@ class TestLazyHypotheses:
         h = final.hypotheses[7]
         assert len(built) == len(history) + 1
         assert final.hypotheses[7] is h
-        parent = history[-2].hypotheses[final.arrays.parent[7]]
+        parent = history[-2].hypotheses[final.hypotheses.parent[7]]
         assert len(built) == len(history) + 1
         assert h.history[:-1] == parent.history

@@ -45,11 +45,11 @@ def normalize(glmb: GlmbDensity) -> GlmbDensity:
     """Rescale hypothesis weights to sum to one, in log space via max-shift."""
     if not glmb.hypotheses:
         raise WeightCollapseError("cannot normalize a density with no hypotheses")
-    logw = glmb.arrays.log_weights
+    logw = glmb.hypotheses.log_weights
     total = log_sum_weights(logw)
     if not np.isfinite(total):
         raise WeightCollapseError("total weight collapsed: all log-weights are -inf")
-    return GlmbDensity(dataclasses.replace(glmb.arrays, log_weights=logw - total), glmb.step)
+    return GlmbDensity(dataclasses.replace(glmb.hypotheses, log_weights=logw - total), glmb.step)
 
 
 def density(*hypotheses):
@@ -110,11 +110,11 @@ class TestNormalize:
     def test_equal_rescale(self):
         glmb = density(([], math.log(2.0)), ([], math.log(2.0)))
         out = normalize(glmb)
-        np.testing.assert_allclose(np.exp(out.arrays.log_weights), [0.5, 0.5], rtol=1e-15)
+        np.testing.assert_allclose(np.exp(out.hypotheses.log_weights), [0.5, 0.5], rtol=1e-15)
 
     def test_single_hypothesis(self):
         out = normalize(density(([], math.log(0.3))))
-        np.testing.assert_allclose(np.exp(out.arrays.log_weights), [1.0], rtol=1e-15)
+        np.testing.assert_allclose(np.exp(out.hypotheses.log_weights), [1.0], rtol=1e-15)
 
     def test_extreme_log_weights_match_high_precision_oracle(self):
         # Oracle: shifted evaluation with 50-digit decimals.
@@ -123,7 +123,7 @@ class TestNormalize:
         expected = [float(1 / (1 + e1)), float(e1 / (1 + e1))]
         glmb = density(([], -1000.0), ([], -1001.0))
         out = normalize(glmb)
-        np.testing.assert_allclose(np.exp(out.arrays.log_weights), expected, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(out.hypotheses.log_weights), expected, rtol=1e-12)
 
     def test_all_minus_inf_collapses(self):
         glmb = density(([], -math.inf))
@@ -140,20 +140,20 @@ class TestNormalize:
             once = normalize(make_density(rng))
             twice = normalize(once)
             np.testing.assert_allclose(
-                twice.arrays.log_weights, once.arrays.log_weights, atol=1e-12
+                twice.hypotheses.log_weights, once.hypotheses.log_weights, atol=1e-12
             )
 
     def test_preserves_relative_weights(self):
         glmb = density(([], math.log(1.0)), ([], math.log(3.0)))
         out = normalize(glmb)
-        np.testing.assert_allclose(np.exp(out.arrays.log_weights), [0.25, 0.75], rtol=1e-14)
+        np.testing.assert_allclose(np.exp(out.hypotheses.log_weights), [0.25, 0.75], rtol=1e-14)
 
 
 class TestGlmbDensity:
     def test_stores_what_it_is_given(self):
-        arrays = make_density(np.random.default_rng(0)).arrays
+        arrays = make_density(np.random.default_rng(0)).hypotheses
         glmb = GlmbDensity(arrays, 2)
-        assert glmb.hypotheses is arrays and glmb.arrays is arrays
+        assert glmb.hypotheses is arrays and not hasattr(glmb, "arrays")
         objects = tuple(glmb.hypotheses)
         assert dataclasses.replace(glmb, hypotheses=objects).hypotheses is objects
 
@@ -166,7 +166,7 @@ class TestGlmbDensity:
                                  outcomes=[{lbl: UNDETECTED}])
         h = glmb.hypotheses[0]
         assert h.history == (((lbl, UNDETECTED),),) * 2000
-        assert glmb.arrays.prior.hypotheses[0].history == h.history[:-1]
+        assert glmb.hypotheses.prior.hypotheses[0].history == h.history[:-1]
         assert gaussians(glmb, 0)[lbl].mean.tolist() == [40.0, 0.0]
 
     def test_a_hypothesis_object_is_its_label_set_history_and_weight(self):
@@ -174,7 +174,7 @@ class TestGlmbDensity:
         glmb = make_density(np.random.default_rng(1))
         names = [f.name for f in dataclasses.fields(GlmbHypothesis)]
         assert names == ["label_set", "history", "log_weight"]
-        a = glmb.arrays
+        a = glmb.hypotheses
         for i, h in enumerate(glmb.hypotheses):
             assert h.label_set == tuple(lbl for lbl, row in zip(a.labels, a.state[i]) if row >= 0)
         assert not hasattr(a, "_views") and not hasattr(Gaussian, "_view")
@@ -235,7 +235,7 @@ class TestBestHypothesisWithCardinality:
             glmb = make_density(rng, n_hypotheses=6)
             sizes = {len(h.label_set) for h in glmb.hypotheses}
             shifted = GlmbDensity(
-                dataclasses.replace(glmb.arrays, log_weights=glmb.arrays.log_weights + 123.45),
+                dataclasses.replace(glmb.hypotheses, log_weights=glmb.hypotheses.log_weights + 123.45),
                 glmb.step,
             )
             for n in sizes:

@@ -30,6 +30,7 @@ from geoglmb.lrfs import (
     UNDETECTED,
     Label,
     best_hypothesis_with_cardinality,
+    cardinality_distribution,
     empty_density,
 )
 from geoglmb.scenario import bundled_records
@@ -103,6 +104,9 @@ def assert_readouts_equal(history, schedule):
     assert series.map_cardinality == n_star
     assert series.map_log_weight.hex() == log_weight.hex()
     assert series.hypothesis_counts == counts
+    assert cardinality_distribution(history[-1]).tobytes() == (
+        reference_cardinality_distribution(history[-1]).tobytes()
+    )
     assert [t.label for t in series.tracks] == list(tracks)
     for track in series.tracks:
         want = tracks[track.label]
@@ -171,8 +175,8 @@ def test_filtered_exact_tie_breaks_on_history():
     trunc = TruncationConfig(method="ranked", requested_hypotheses=16, min_weight=0.0)
     history = run_sequence([1.0, 0.5, 0.8], [[52.0], [], []], birth, motion, sensor, trunc)
     final = history[-1]
-    top = final.arrays.log_weights.max()
-    assert np.count_nonzero(final.arrays.log_weights == top) >= 2
+    top = final.hypotheses.log_weights.max()
+    assert np.count_nonzero(final.hypotheses.log_weights == top) >= 2
     series = assert_readouts_equal(history, [1.0, 1.5, 2.3])
     assert series.map_cardinality == 2
     chosen = final.hypotheses[best_hypothesis_with_cardinality(final, 2)]
