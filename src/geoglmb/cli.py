@@ -71,9 +71,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             doc["seed"] = int(os.environ["GEOGLMB_SEED"])
         except ValueError as exc:
             raise ConfigError(f"GEOGLMB_SEED is not an integer: {exc}") from exc
-    config = ExperimentConfig.from_dict(doc)
-    config.validate()
-    return config
+    return ExperimentConfig.from_dict(doc)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -102,7 +102,9 @@ def _has_type(value, kind: type) -> bool:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; defaults reproduce the reference setup
-    (detection probability 0.5, observation noise 10, process noise 0.3)."""
+    (detection probability 0.5, observation noise 10, process noise 0.3).
+    Building one checks its fields: ConfigError lists every problem, including
+    those the sensor, motion and truncation models reject."""
 
     site: str = "onsoy"
     mode: str = "joint"
@@ -124,9 +126,7 @@ class ExperimentConfig:
     jobs: int = 1
     out_dir: str = "out"
 
-    def validate(self) -> None:
-        """Raise ConfigError listing every problem, including those the
-        sensor, motion and truncation models reject when built."""
+    def __post_init__(self) -> None:
         issues = [
             f"{f.name}={getattr(self, f.name)!r} is not {_TYPE_NAMES[type(f.default)]}"
             for f in dataclasses.fields(self)
@@ -188,20 +188,17 @@ class ExperimentConfig:
             max_hypotheses=self.max_hypotheses,
         )
 
-    def resolve_site(self) -> Path:
-        path = Path(self.site)
-        if path.is_file():
-            return path
-        try:
-            return bundled_site_path(self.site)
-        except ValueError:
-            raise ConfigError(f"site {self.site!r} is neither a file nor a bundled name")
-
     def site_records(self) -> tuple[Path, list[SiteRecord]]:
-        """The site table's path and records.  A malformed or unreadable
+        """The site table's path and records.  A site that is neither a file
+        nor a bundled name raises ConfigError; a malformed or unreadable
         table, or one of fewer than two depth rows, raises SiteTableError
         naming the file."""
-        path = self.resolve_site()
+        path = Path(self.site)
+        if not path.is_file():
+            try:
+                path = bundled_site_path(self.site)
+            except ValueError:
+                raise ConfigError(f"site {self.site!r} is neither a file nor a bundled name")
         records = load_site_table(path)
         if len(records) < 2:
             raise SiteTableError(
@@ -220,12 +217,6 @@ class ExperimentConfig:
             if isinstance(coerced.get(key), list):
                 coerced[key] = tuple(coerced[key])
         return cls(**coerced)
-
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["clutter_region"] = list(self.clutter_region)
-        doc["birth_offsets"] = list(self.birth_offsets)
-        return doc
 
 
 def birth_model_for(
@@ -369,7 +360,6 @@ def run_monte_carlo(
     the report aggregates the metrics in trial order, so it does not depend
     on scheduling.
     """
-    config.validate()
     site_path, records = config.site_records()
     batch = (records, config, site_path.stem)
     seeds = range(config.seed, config.seed + config.mc_trials)
@@ -528,7 +518,6 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
     profile per property, drawn from the first trial's staged tables as
     ``plot`` draws them.
     """
-    config.validate()
     written: dict[str, list[Path]] = {"scenario": [], "estimates": [], "report": [], "plots": []}
     with staged(config.out_dir) as stage:
         def write_trial(t: int, trial: Trial) -> None:
@@ -539,7 +528,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, list[str]]:
                 written[name.removesuffix(".csv")].append(trial_dir / name)
 
         report = run_monte_carlo(config, write_trial)
-        write_report_json(report, stage / "report.json", extra={"config": config.to_dict()})
+        write_report_json(report, stage / "report.json", extra={"config": dataclasses.asdict(config)})
         write_metrics_csv(report, stage / "metrics.csv")
         written["report"] = [Path("report.json"), Path("metrics.csv")]
         scenario, series = read_trial(stage / written["scenario"][0],

@@ -144,10 +144,10 @@ def transition_matrices(motion: MotionModel, delta: float) -> tuple[np.ndarray, 
     if not 0 < delta < math.inf:
         raise ValueError(f"interval length must be finite and > 0, got {delta}")
     f = np.array([[1.0, delta], [0.0, 1.0]])
-    d2 = delta * delta
-    q = motion.sigma_p**2 * np.array(
-        [[d2 * d2 / 4.0, d2 * delta / 2.0], [d2 * delta / 2.0, d2]]
-    )
+    # Python floats: a product past the largest double is inf, with no warning
+    d2, s2 = delta * delta, float(motion.sigma_p**2)
+    q = np.array([[s2 * (d2 * d2 / 4.0), s2 * (d2 * delta / 2.0)],
+                  [s2 * (d2 * delta / 2.0), s2 * d2]])
     f.flags.writeable = q.flags.writeable = False
     return f, q
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import simple_birth
-from geoglmb import experiment
+from geoglmb import cli, experiment
 from geoglmb.cli import main
 from geoglmb.filter import TruncationConfig, run_sequence
 from geoglmb.gaussian import MotionModel, SensorModel
@@ -31,6 +31,19 @@ def test_patched_names_resolve():
     )
     for module, attr, _ in patches:
         assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
+
+
+def test_workload_configs_build():
+    # A config is checked when it is built, so a bound tightened below a
+    # workload's settings would stop the benchmark at its setup.
+    for name, spec in workload.WORKLOADS.items():
+        if "config" in spec:
+            experiment.ExperimentConfig(site=spec["site"], **spec["config"])
+        else:
+            argv = spec["cli"] + ["--seed", str(spec["base_seed"]), "--mc", str(spec["mc"]),
+                                  "--jobs", str(spec["jobs"])]
+            config = cli._build_config(cli.build_parser().parse_args(argv))
+            assert (config.mc_trials, config.jobs) == (spec["mc"], spec["jobs"]), name
 
 
 def test_sampler_sees_ranked_and_gibbs_solutions_of_a_joint_run():

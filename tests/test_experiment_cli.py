@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 import xml.etree.ElementTree as ET
 from concurrent.futures import Future
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoglmb
 from geoglmb import cli, experiment
@@ -19,6 +22,7 @@ from geoglmb.errors import ConfigError, FilterDivergenceError
 from geoglmb.evaluation import aggregate_report, trial_metrics
 from geoglmb.experiment import (
     ExperimentConfig,
+    birth_model_for,
     read_estimates_csv,
     run_experiment,
     run_monte_carlo,
@@ -26,11 +30,35 @@ from geoglmb.experiment import (
     write_estimates_csv,
 )
 from geoglmb.lrfs import DensityArrays
-from geoglmb.scenario import bundled_records, bundled_site_path, read_scenario_csv
+from geoglmb.scenario import PROPERTIES, bundled_records, bundled_site_path, read_scenario_csv
 from geoglmb.svgplot import profile_plot
 
 FAST = dict(
     trunc_method="ranked", requested_hypotheses=24, min_weight=1e-5, max_hypotheses=60
+)
+
+# Config documents of up to four fields.  A value is the field's default, an
+# ordinary value of its default's type, a number at or past a bound (a list
+# of 0-4 of them for a tuple field), or a value of the wrong type.
+_EXTREMES = st.sampled_from([
+    1e150, -1e150, math.nextafter(1e150, math.inf), math.nextafter(-1e150, -math.inf),
+    0, 0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 2**53, 10**400,
+])
+_NUMBERS = st.one_of(st.floats(-2.0, 300.0), st.integers(-2, 300), _EXTREMES)
+_WRONG = st.sampled_from(["1", True, False, None, {}])
+_BY_TYPE = {
+    float: (st.floats(0.0, 1.0), _NUMBERS),
+    int: (st.integers(1, 300), _NUMBERS),
+    str: (st.sampled_from(["onsoy", "taipei", "independent", "gibbs"]), _NUMBERS),
+    tuple: (st.lists(st.floats(0.0, 120.0), min_size=2, max_size=3),
+            st.lists(_NUMBERS, max_size=4)),
+}
+_VALUES = {
+    f.name: st.one_of(st.just(f.default), *_BY_TYPE[type(f.default)], _WRONG)
+    for f in dataclasses.fields(ExperimentConfig)
+}
+_CONFIG_DOCS = st.lists(st.sampled_from(sorted(_VALUES)), max_size=4, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({name: _VALUES[name] for name in names})
 )
 
 
@@ -107,17 +135,17 @@ class TestExperimentConfig:
 
     def test_validation_catches_bad_probabilities(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(p_detect=1.5).validate()
+            ExperimentConfig(p_detect=1.5)
         with pytest.raises(ConfigError):
-            ExperimentConfig(mc_trials=0).validate()
+            ExperimentConfig(mc_trials=0)
         with pytest.raises(ConfigError):
-            ExperimentConfig(mode="both").validate()
+            ExperimentConfig(mode="both")
         with pytest.raises(ConfigError):
-            ExperimentConfig(clutter_region=(5.0, 1.0)).validate()
+            ExperimentConfig(clutter_region=(5.0, 1.0))
         with pytest.raises(ConfigError):
-            ExperimentConfig(max_hypotheses=0).validate()
+            ExperimentConfig(max_hypotheses=0)
         with pytest.raises(ConfigError):
-            ExperimentConfig(birth_offsets=(1.0,)).validate()
+            ExperimentConfig(birth_offsets=(1.0,))
         nan, inf = float("nan"), float("inf")
         for bad in (
             dict(sigma_p=nan),
@@ -132,13 +160,13 @@ class TestExperimentConfig:
             dict(min_weight=2.0),
         ):
             with pytest.raises(ConfigError, match="finite"):
-                ExperimentConfig(**bad).validate()
+                ExperimentConfig(**bad)
 
     def test_counts_are_bounded_at_their_limits(self):
-        ExperimentConfig(requested_hypotheses=16384, gibbs_iterations=20_000).validate()
+        ExperimentConfig(requested_hypotheses=16384, gibbs_iterations=20_000)
         for field, value in (("requested_hypotheses", 16385), ("gibbs_iterations", 20_001)):
             with pytest.raises(ConfigError, match=f"{field}={value} above"):
-                ExperimentConfig(**{field: value}).validate()
+                ExperimentConfig(**{field: value})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -146,12 +174,40 @@ class TestExperimentConfig:
 
     def test_roundtrip(self):
         config = ExperimentConfig(site="taipei", seed=9, birth_offsets=(1.0, 2.0, 3.0))
-        again = ExperimentConfig.from_dict(config.to_dict())
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(config))))
         assert again == config
 
     def test_unknown_site_is_config_error(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(site="atlantis").resolve_site()
+            ExperimentConfig(site="atlantis").site_records()
+
+    @pytest.mark.parametrize("field, value", [
+        ("birth_offsets", (1.0,)),
+        ("birth_offsets", (1e300, 0.0, 0.0)),
+        ("sigma_m", 1e-200),
+        ("clutter_region", (1, 2, 3)),
+    ])
+    def test_building_names_the_field(self, field, value):
+        # Each of these would crash run_trial with an error that names no field.
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_CONFIG_DOCS)
+    def test_a_built_config_builds_its_models(self, doc):
+        try:
+            config = ExperimentConfig.from_dict(doc)
+        except ConfigError:
+            return
+        records = bundled_records("onsoy")
+        groups = [PROPERTIES] if config.mode == "joint" else [(p,) for p in PROPERTIES]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config.sensor()
+            config.motion()
+            config.truncation(config.seed)
+            for properties in groups:
+                birth_model_for(records, config, properties)
 
 
 class TestRunExperiment:
@@ -548,7 +604,7 @@ class TestCli:
         assert main(base) == 2
         assert "seed=" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        ExperimentConfig(seed=2**53 - 2, mc_trials=2).validate()
+        ExperimentConfig(seed=2**53 - 2, mc_trials=2)
 
     def test_broken_covariance_exit_code(self, tmp_path, capsys):
         # No process noise and sigma_m 1e-9: rounding leaves a posterior
@@ -660,6 +716,20 @@ class TestCli:
         site.write_text("depth,LL,PI,w\n1,40,20,30\n2,41,21,31\n1e80,42,22,32\n")
         out = tmp_path / "out"
         assert main(["run", "--site", str(site), "--mode", "independent", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "trial seed 0: a MAP estimate is not finite" in err, err
+        assert list(tmp_path.iterdir()) == [site]
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_process_noise_past_a_double_exit_code(self, tmp_path, capsys, mode):
+        # sigma_p**2 * delta**4 / 4 is past the largest double on the last
+        # interval: the noise is inf with no numpy overflow warning (an error
+        # under pyproject), and the run exits 3 as for the gap above.
+        site = tmp_path / "site.csv"
+        site.write_text("depth,LL,PI,w\n1,40,20,30\n3001,42,22,32\n")
+        out = tmp_path / "out"
+        assert main(["run", "--site", str(site), "--mode", mode, "--sigma-p", "1e150",
+                     "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "trial seed 0: a MAP estimate is not finite" in err, err
         assert list(tmp_path.iterdir()) == [site]
