@@ -77,8 +77,10 @@ class Solutions:
         return zip(map(tuple, self.cols.tolist()), self.scores.tolist())
 
 
-def solution_score(cost: np.ndarray, solution: tuple[int, ...]) -> float:
-    return float(sum(cost[i, c] for i, c in enumerate(solution)))
+def solution_score(cost, solution: tuple[int, ...]) -> float:
+    """0 plus the solution's cells in row order; ``cost`` is the matrix or its
+    ``tolist()``, to the same bits."""
+    return float(sum(row[c] for row, c in zip(cost, solution)))
 
 
 # Valid column combinations depend only on the matrix shape; cache them.
@@ -363,6 +365,11 @@ def gibbs_solutions(
     summed in column order, and each candidate's successor state once a
     draw has picked it.  Later draws there are a bisection and a lookup.
 
+    A one-row chain never takes a column, so its conditional never depends
+    on the state: its visited columns are one search of the same uniforms
+    over one cumulative-weight list, block by block.  Its total is at least
+    1 (the best finite cell weighs exp(0)), so no visit is skipped.
+
     The output is fixed by the generator state on entry: the k-th uniform
     used is the k-th double the generator yields.  Uniforms are drawn in
     blocks, so the generator's state after the call is not part of the
@@ -370,20 +377,35 @@ def gibbs_solutions(
     filter never reuses it.
     """
     n, n_cols = cost.shape
-    no_meas = np.argmax(cost[:, :2], axis=1)
-    init = tuple(int(c) for c in no_meas)
-    if not math.isfinite(solution_score(cost, init)):
+    rows = cost.tolist()
+    no_meas = np.argmax(cost[:, :2], axis=1)  # picks a NaN cell; Python comparisons do not
+    init = tuple(no_meas.tolist())
+    if not math.isfinite(solution_score(rows, init)):
         init = tuple(ranked_solutions(cost, 1).cols[0].tolist())
 
     # Row-wise max-shifted exponentials, precomputed; -inf maps to 0 weight.
     exp_rows = []
-    for i in range(n):
-        finite = [v for v in cost[i] if math.isfinite(v)]
+    for row in rows:
+        finite = [v for v in row if math.isfinite(v)]
         shift = max(finite) if finite else 0.0
-        exp_rows.append([math.exp(v - shift) if math.isfinite(v) else 0.0 for v in cost[i]])
+        exp_rows.append([math.exp(v - shift) if math.isfinite(v) else 0.0 for v in row])
 
-    visited = _gibbs_chain(exp_rows, init, n_cols, iterations, rng)
-    return _from_pairs([(sol, solution_score(cost, sol)) for sol in visited], n)
+    if n == 1:
+        # The chain's sums (0.0 + w0 is w0); a draw landing on the total by
+        # rounding picks the last column, as the chain's repeated last entry.
+        cum = list(itertools.accumulate(exp_rows[0]))
+        search, total = np.array(cum), cum[-1]
+        seen = dict.fromkeys(init)
+        steps = max(iterations, 0)
+        while steps:
+            block = rng.random(min(steps, _BLOCK))
+            steps -= len(block)
+            picks = np.searchsorted(search, block * total, side="right")
+            seen.update(dict.fromkeys(np.minimum(picks, n_cols - 1).tolist()))
+        visited = [(c,) for c in seen]
+    else:
+        visited = _gibbs_chain(exp_rows, init, n_cols, iterations, rng)
+    return _from_pairs([(sol, solution_score(rows, sol)) for sol in visited], n)
 
 
 def _gibbs_chain(
@@ -393,7 +415,8 @@ def _gibbs_chain(
     iterations: int,
     rng: np.random.Generator,
 ) -> list[tuple[int, ...]]:
-    """The distinct states of the Gibbs chain from ``init``, in first-visit order.
+    """The distinct states of the Gibbs chain from ``init``, in first-visit
+    order, for every row count but one (``gibbs_solutions`` samples one row).
 
     A chain position is ``key = sid * n + i``: state ``sid`` about to
     resample row ``i``.  ``table[key]`` is None until built, ``_SKIP`` when

@@ -719,6 +719,26 @@ _GIBBS_ENTRY = st.one_of(
 )
 
 
+def test_one_row_gibbs_equals_per_draw_reference():
+    # A one-row chain's draws cross the 4096-uniform block boundary.  Rows
+    # whose death and undetected cells are both -inf start from the ranked
+    # best; -1000 beside 0.0 weighs 0 and is never picked.
+    costs = [
+        [math.log(0.4), math.log(0.6)],
+        [-1.0, 0.5, -2.0, 0.0, -0.5],
+        [-np.inf, -np.inf, 1.0, 0.5, -3.0],
+        [-np.inf, -np.inf, -1000.0, 0.0],
+        [0.0, -1000.0, -np.inf, -1000.0, -0.25],
+    ]
+    for row in costs:
+        cost = np.array([row])
+        for iterations in (4095, 4096, 4097, 9000):
+            for seed in (0, 5):
+                want = reference_gibbs_solutions(cost, iterations, np.random.default_rng(seed))
+                got = gibbs_solutions(cost, iterations, np.random.default_rng(seed))
+                assert_same_solutions(got, want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_gibbs_equals_per_draw_reference(data):

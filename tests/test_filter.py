@@ -963,6 +963,28 @@ def test_every_ranked_step_of_two_or_more_parents_is_one_stack(survival):
     assert alone.call_count == parents.count(1)
 
 
+def test_gibbs_work_counts():
+    # The Gibbs work of the benchmark's taipei joint Gibbs trials: sampler
+    # calls and distinct solutions per row count.  A path that loses or adds
+    # a chain state changes them.
+    config = ExperimentConfig(site="taipei", mode="joint", trunc_method="gibbs")
+    calls, distinct = {}, {}
+    real = geoglmb.filter.gibbs_solutions
+
+    def sampler(cost, iterations, rng):
+        sols = real(cost, iterations, rng)
+        n_rows = cost.shape[0]
+        calls[n_rows] = calls.get(n_rows, 0) + 1
+        distinct[n_rows] = distinct.get(n_rows, 0) + len(sols)
+        return sols
+
+    with patch.object(geoglmb.filter, "gibbs_solutions", sampler):
+        for seed in (0, 1, 3, 7):
+            run_trial(bundled_records(config.site), config, seed, config.site)
+    assert calls == {0: 28, 1: 318, 2: 506, 3: 100}
+    assert distinct == {0: 28, 1: 887, 2: 1999, 3: 404}
+
+
 @contextlib.contextmanager
 def _per_parent():
     """Every ranked parent solved by its own ``ranked_solutions`` call: the
