@@ -77,10 +77,14 @@ class Solutions:
         return zip(map(tuple, self.cols.tolist()), self.scores.tolist())
 
 
-def solution_score(cost, solution: tuple[int, ...]) -> float:
-    """0 plus the solution's cells in row order; ``cost`` is the matrix or its
-    ``tolist()``, to the same bits."""
-    return float(sum(row[c] for row, c in zip(cost, solution)))
+def solution_score(cost, solution) -> float:
+    """0.0 plus the solution's cells added left to right in row order, as
+    ``ranked_batch`` adds them; ``cost`` is the matrix or its ``tolist()``.  A
+    loop: from Python 3.12 the builtin ``sum`` compensates floats (Neumaier)."""
+    score = 0.0
+    for row, c in zip(cost, solution):
+        score += row[c]
+    return score
 
 
 # Valid column combinations depend only on the matrix shape; cache them.
@@ -104,18 +108,13 @@ def _from_pairs(pairs: list[tuple[tuple[int, ...], float]], n_rows: int) -> Solu
 
 def _enumerate_scored(cost: np.ndarray, k: int) -> Solutions:
     """The k best feasible combos, best first, as ``ranked_batch`` picks
-    them.  Fewer than ``_FEW_COMBOS`` combos are summed on Python floats in
-    the same order and stably sorted, to the same result.
+    them.  Fewer than ``_FEW_COMBOS`` combos are each scored on Python floats
+    by ``solution_score`` and stably sorted, to the same result.
     """
     table = _valid_combos(*cost.shape)
     if table.shape[1] < _FEW_COMBOS:
         rows = cost.tolist()
-        sums = []
-        for combo in table.T.tolist():
-            score = 0.0
-            for row, col in zip(rows, combo):
-                score += row[col]
-            sums.append(score)
+        sums = [solution_score(rows, combo) for combo in table.T.tolist()]
         feasible = [i for i, score in enumerate(sums) if math.isfinite(score)]
         order = sorted(feasible, key=lambda i: -sums[i])[:k]
         return Solutions(table.T.take(order, axis=0), np.array([sums[i] for i in order]))
@@ -276,12 +275,12 @@ def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
 
 def _best_assignment(work: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Optimal row-to-column assignment of work avoiding its -inf cells and
-    its cells' sum in row order, or None when every assignment uses one."""
+    its ``solution_score``, or None when every assignment uses one."""
     try:
-        rows, cols = linear_sum_assignment(work, maximize=True)
+        _, cols = linear_sum_assignment(work, maximize=True)  # rows: every row, ascending
     except ValueError:  # scipy: "cost matrix is infeasible"
         return None
-    return cols, sum(work[rows, cols].tolist())
+    return cols, solution_score(work, cols)
 
 
 def murty_kbest(cost: np.ndarray, k: int) -> Solutions:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import linear_sum_assignment
+from .assignment import linear_sum_assignment, solution_score
 from .filter import EstimateSeries
 from .lrfs import Label
 from .scenario import PROPERTIES, Scenario
@@ -144,16 +144,14 @@ def label_property_matching(truth: np.ndarray, series: EstimateSeries, aligned: 
         mask = ~np.isnan(vals)
         return rmse(truth[mask, p], vals[mask]) if mask.any() else 0.0
 
-    # (label, column, cost) cells of the label x column table; rows: the smaller side
-    table = [[(lbl, p, pair_cost(lbl, p)) for p in range(truth.shape[1])] for lbl in labels]
+    # (label, column) cells of the label x column table; rows: the smaller side
+    table = [[(lbl, p) for p in range(truth.shape[1])] for lbl in labels]
     if len(table) > len(table[0]):
         table = list(zip(*table))
-    best = min(  # the first of the least totals
-        ([row[c] for row, c in zip(table, cols)]
-         for cols in itertools.permutations(range(len(table[0])), len(table))),
-        key=lambda cells: sum(cell[2] for cell in cells),
-    )
-    return {PROPERTIES[p]: lbl for lbl, p, _ in best}
+    costs = [[pair_cost(lbl, p) for lbl, p in row] for row in table]
+    best = min(itertools.permutations(range(len(table[0])), len(table)),  # first least total
+               key=lambda cols: solution_score(costs, cols))
+    return {PROPERTIES[p]: lbl for lbl, p in (row[c] for row, c in zip(table, best))}
 
 
 @dataclass(frozen=True)

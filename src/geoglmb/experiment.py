@@ -12,6 +12,8 @@ batch aggregates one report from the metrics.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 import os
 import shutil
 import sys
@@ -283,7 +285,8 @@ def run_trial(
             for track in part.tracks
         ),
         map_cardinality=sum(part.map_cardinality for part in parts),
-        map_log_weight=sum(part.map_log_weight for part in parts),
+        # left to right: from Python 3.12 the builtin sum compensates floats
+        map_log_weight=functools.reduce(operator.add, (part.map_log_weight for part in parts), 0.0),
         hypothesis_counts=tuple(map(sum, zip(*(part.hypothesis_counts for part in parts)))),
     )
 

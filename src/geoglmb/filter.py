@@ -343,24 +343,23 @@ class _StepCosts:
         return outcome.reshape(shape), state.reshape(shape), means, covs
 
     def _children_as_arrays(self, parent: np.ndarray, solutions: np.ndarray):
-        """``children`` as array gathers: the (row, column) keys are numbered
-        by ``np.unique`` and a rank of their first uses, and the posteriors
-        come from one batched ``kalman_update_rows``."""
+        """``children`` as array gathers: a scratch array the table's size holds
+        each (row, column) key's first cell, a running count of first uses
+        numbers the state rows, and one ``kalman_update_rows`` takes the posteriors."""
         rows = self.rows.take(parent, axis=0)
         width = self.table.shape[1]
         present = rows >= 0
         outcome = np.where(present, solutions - 1, ABSENT)
         kept = present & (solutions >= 1)
-        # 1-D keys, so ``inverse`` is 1-D on every numpy
-        keys, first, inverse = np.unique(
-            (rows * width + solutions)[kept], return_index=True, return_inverse=True
-        )
-        # the distinct keys in order of first use; the sort ``np.unique`` ran,
-        # as numpy's default int64 sort maps another 256 KB of library code
-        order = first.argsort(kind="stable")
+        cells = (rows * width + solutions)[kept]
+        at = np.arange(cells.size)
+        first = np.full(self.table.size, cells.size)
+        np.minimum.at(first, cells, at)  # defined on repeated keys, unlike ``first[cells] = at``
+        first = first[cells]  # each cell's key's first cell
+        is_first = first == at
         state = np.full(rows.shape, -1)
-        state[kept] = order.argsort(kind="stable")[inverse]
-        rows, cols = np.divmod(keys[order], width)
+        state[kept] = (np.cumsum(is_first) - 1)[first]
+        rows, cols = np.divmod(cells[is_first], width)
         means, covs = self._means[rows], self._covs[rows]
         post = (cols >= 2).nonzero()[0]
         if post.size:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from unittest.mock import patch
 
 import numpy as np
@@ -415,6 +416,37 @@ class TestEnumerate:
             got = ranked_solutions(cost, 40)
             assert [s for _, s in got] == [solution_score(cost, c) for c, _ in got]
             assert_same_solutions(got, murty_kbest(cost, 40))
+
+
+def compensated_sum(iterable, start=0):
+    """The builtin ``sum`` of CPython 3.12 and later, on Python floats: from
+    the first float on, each float is added with Neumaier's compensation,
+    which is added to the total once at the end if it is finite.  Items of
+    other types are added plainly."""
+    total, comp = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total += x
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_every_solver_scores_left_to_right_whatever_sum_does():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, as the ranked
+    # kernel adds, but 0.6 compensated, as Python 3.12's sum adds.  With
+    # ``sum`` compensated, every solver still scores left to right.
+    assert compensated_sum([0.1, 0.2, 0.3]) == 0.6
+    if sys.version_info >= (3, 12):
+        draws = np.random.default_rng(41).normal(0.0, 1e3, size=(200, 5)).tolist()
+        assert [compensated_sum(x) for x in draws] == [sum(x) for x in draws]
+    cost = np.array([[0.1, -math.inf], [0.2, -math.inf], [0.3, -math.inf]])
+    with patch.object(geoglmb.assignment, "sum", compensated_sum, create=True):
+        for sols in (gibbs_solutions(cost, 10, np.random.default_rng(0)),
+                     ranked_solutions(cost, 5), murty_kbest(cost, 5)):
+            assert list(sols) == [((0, 0, 0), 0.6000000000000001)]
 
 
 @settings(max_examples=150, deadline=None)

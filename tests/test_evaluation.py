@@ -1,12 +1,16 @@
+import functools
 import itertools
 import math
+import operator
 from dataclasses import asdict
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geoglmb.evaluation
 from geoglmb.evaluation import (
     OSPA_CUTOFF,
     aggregate_report,
@@ -25,6 +29,7 @@ from geoglmb.filter import EstimateSeries, TrackEstimate
 from geoglmb.gaussian import SensorModel
 from geoglmb.lrfs import Label
 from geoglmb.scenario import PROPERTIES, bundled_records, synthesize_observations
+from test_assignment import compensated_sum
 
 finite_values = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 small_sets = st.lists(finite_values, min_size=0, max_size=6)
@@ -255,7 +260,8 @@ class TestBuildReport:
 
 def two_loop_matching(truth, series, aligned):
     """label_property_matching as it read while it searched in two loops,
-    one per side being the smaller: the reference for the single search."""
+    one per side being the smaller: the reference for the single search.
+    Totals add left to right, as the builtin ``sum`` did before Python 3.12."""
     carried = {track.prop: track.label for track in series.tracks if track.prop is not None}
     labels = sorted(aligned)
     if carried or not labels:
@@ -273,12 +279,14 @@ def two_loop_matching(truth, series, aligned):
     best, best_cost = None, math.inf
     if len(labels) <= n_props:
         for props in itertools.permutations(prop_idx, len(labels)):
-            cost = sum(pair_cost(l, p) for l, p in zip(labels, props))
+            cost = functools.reduce(
+                operator.add, (pair_cost(l, p) for l, p in zip(labels, props)), 0.0)
             if cost < best_cost:
                 best_cost, best = cost, dict(zip(props, labels))
     else:
         for subset in itertools.permutations(labels, n_props):
-            cost = sum(pair_cost(l, p) for p, l in enumerate(subset))
+            cost = functools.reduce(
+                operator.add, (pair_cost(l, p) for p, l in enumerate(subset)), 0.0)
             if cost < best_cost:
                 best_cost, best = cost, dict(enumerate(subset))
     return {PROPERTIES[p]: lbl for p, lbl in best.items()}
@@ -309,3 +317,19 @@ def test_single_search_pairs_as_the_two_loops_did(case):
     aligned = track_values_on_schedule(series, truth.shape[0])
     expected = two_loop_matching(truth, series, aligned)
     assert list(label_property_matching(truth, series, aligned).items()) == list(expected.items())
+
+
+def test_matching_totals_add_left_to_right():
+    # Labels i -> columns (0, 1, 2) total 0.1 + 0.2 + 0.3 = 0.6000000000000001
+    # left to right, and (2, 1, 0) 0.3 + 0.2 + 0.1 = 0.6; every other
+    # injection 10.1 or more.  Python 3.12's compensated sum totals both 0.6
+    # and would keep the first.
+    cost = [[0.1, 5.0, 0.3], [5.0, 0.2, 5.0], [0.1, 5.0, 0.3]]
+    labels = [Label(1, i) for i in range(3)]
+    truth = np.array([[0.0, 1.0, 2.0]])  # column p holds p
+    aligned = {lbl: np.array([float(i)]) for i, lbl in enumerate(labels)}  # label i holds i
+    series = EstimateSeries(tracks=(), map_cardinality=3, map_log_weight=0.0, hypothesis_counts=())
+    with patch.object(geoglmb.evaluation, "rmse", lambda t, v: cost[int(v[0])][int(t[0])]), \
+            patch.object(geoglmb.evaluation, "sum", compensated_sum, create=True):
+        got = label_property_matching(truth, series, aligned)
+    assert got == {PROPERTIES[2]: labels[0], PROPERTIES[1]: labels[1], PROPERTIES[0]: labels[2]}

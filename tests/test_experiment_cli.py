@@ -32,6 +32,7 @@ from geoglmb.experiment import (
 from geoglmb.lrfs import DensityArrays
 from geoglmb.scenario import PROPERTIES, bundled_records, bundled_site_path, read_scenario_csv
 from geoglmb.svgplot import profile_plot
+from test_assignment import compensated_sum
 
 FAST = dict(
     trunc_method="ranked", requested_hypotheses=24, min_weight=1e-5, max_hypotheses=60
@@ -414,6 +415,22 @@ class TestTrialSeries:
         assert series.map_log_weight.hex() == log_weight
         assert series.map_cardinality == cardinality
         assert series.hypothesis_counts == counts
+
+    def test_merged_log_weight_adds_left_to_right(self, monkeypatch):
+        # Three groups' MAP log-weights 0.1, 0.2 and 0.3 merge to
+        # 0.6000000000000001 left to right; Python 3.12's compensated sum
+        # would give 0.6.
+        weights = iter([0.1, 0.2, 0.3])
+        real = experiment.extract_map_trajectories
+
+        def extract(history, depths):
+            return dataclasses.replace(real(history, depths), map_log_weight=next(weights))
+
+        monkeypatch.setattr(experiment, "extract_map_trajectories", extract)
+        monkeypatch.setattr(experiment, "sum", compensated_sum, raising=False)
+        config = ExperimentConfig(mode="independent", **FAST)
+        _, series = run_trial(bundled_records("onsoy"), config, 0, "onsoy")
+        assert series.map_log_weight == 0.6000000000000001
 
     def test_joint_returns_the_readout_itself(self, monkeypatch):
         readouts, original = [], experiment.extract_map_trajectories

@@ -835,6 +835,44 @@ class TestChildrenPathsAgree:
                                   min_size=n, max_size=n))
         _children_both_ways(costs, parent, solutions)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_drawn_keys(self, data):
+        # Hypotheses that share state rows, labels that every hypothesis
+        # lacks, and children whose kept cells repeat keys, are all one key
+        # shared by every parent, or are none.
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        n_hyps, n_labels, n_rows = (draw(st.integers(1, n)) for n in (6, 3, 4))
+        state = rng.integers(-1, n_rows, size=(n_hyps, n_labels))
+        state[:, draw(st.lists(st.integers(0, n_labels - 1), max_size=2))] = -1
+        kind = draw(st.sampled_from(["repeats", "one key", "none kept"]))
+        if kind == "one key":  # label 0 at row 0 in every hypothesis, the rest lacked
+            state[:, 0], state[:, 1:] = 0, -1
+        rows = [make_gaussian(rng) for _ in range(n_rows)]
+        prior = DensityArrays(np.full(n_hyps, -math.log(n_hyps)),
+                              tuple(Label(1, i) for i in range(n_labels)), state,
+                              np.array([g.mean for g in rows]),
+                              np.array([g.covariance for g in rows]))
+        birth = simple_birth([(Label(2, i), np.array([float(rng.uniform(0, 100)), 0.0]))
+                              for i in range(draw(st.integers(0, 2)))])
+        zs = draw(st.lists(st.floats(0.0, 120.0), max_size=3))
+        costs = geoglmb.filter._StepCosts(prior, birth, zs, self.MOTION,
+                                          SensorModel(sigma_m=5.0), 1.0)
+        n, width = draw(st.integers(0, 40)), 2 + len(zs)
+        parent = draw(st.lists(st.integers(0, n_hyps - 1), min_size=n, max_size=n))
+        # few columns, so that keys repeat
+        solutions = rng.integers(0, min(width, 3), size=(n, len(costs.labels)))
+        if kind != "repeats":  # every birth dies
+            solutions[:] = 0
+        if kind == "one key":
+            solutions[:, 0] = draw(st.integers(1, width - 1))
+        outcome, state, means, _ = _children_both_ways(costs, parent, solutions)
+        if kind == "none kept":
+            assert (state == -1).all() and means.shape == (0, 2)
+        if kind == "one key" and n:
+            assert (state[:, 0] == 0).all() and (state[:, 1:] == -1).all() and len(means) == 1
+
 
 def _array_path_calls(config, seed):
     """Kept child counts of the steps of one onsoy trial that reached the
