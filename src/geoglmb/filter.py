@@ -81,7 +81,6 @@ from .gaussian import (
     kalman_predict,
     kalman_update,
     kalman_update_rows,
-    symmetrize,
     transition_matrices,
 )
 from .lrfs import (
@@ -196,9 +195,13 @@ class _StepCosts:
     all prior rows over the interval; births enter as given.  The means go
     through ``einsum`` and the covariances through one stacked F P F' + Q
     product, which round as ``kalman_predict`` does (a matrix product on
-    the stacked means does not, and neither do Python floats); the
-    covariances are then symmetrized once, as the ``Gaussian`` constructor
-    does.  A table of fewer than ``_ROWS_AS_ARRAYS`` rows is then filled
+    the stacked means does not, and neither do Python floats).  With
+    F = [[1, d], [0, 1]] and P symmetric, both off-diagonal entries of
+    F P F' are one rounding of p01 + d p11, with a fused multiply-add or
+    without (every other product in them is by 0 or 1), and Q is symmetric,
+    so nothing symmetrizes the product.  The ``kalman_predict`` oracle does,
+    in ``Gaussian``, which changes no entry below half the largest double.
+    A table of fewer than ``_ROWS_AS_ARRAYS`` rows is then filled
     row by row on Python floats, a larger one as numpy columns; both apply
     the same operations in the same order, so they agree to the bit.
     ``children`` switches the same way on the kept child count.
@@ -244,7 +247,8 @@ class _StepCosts:
             self.rows[:, n_held:] = range(n_prior, n_prior + len(births))
 
         means = np.einsum("ij,nj->ni", self.f, prior.means)
-        covs = symmetrize(self.f @ prior.covs @ self.f.T + self.q)
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN raises below, inf in run_trial
+            covs = self.f @ prior.covs @ self.f.T + self.q
         survive = _log(motion.p_survival)
         birth_alive = [_log(e.r_birth) for e in births]
         log_alive = [survive] * n_prior + birth_alive

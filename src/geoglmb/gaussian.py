@@ -62,7 +62,7 @@ class Gaussian:
         if mean.shape != (2,) or cov.shape != (2, 2):
             raise ValueError("a Gaussian needs a 2D mean and a 2x2 covariance")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", symmetrize(cov))
+        object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,6 @@ class SensorModel:
     def log_clutter_intensity(self) -> float:
         kappa = self.clutter_intensity()
         return math.log(kappa) if kappa > 0 else -math.inf
-
-
-def symmetrize(cov: np.ndarray) -> np.ndarray:
-    """0.5 (P + P') of one covariance or of a stack of them."""
-    return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 @functools.lru_cache(maxsize=256)

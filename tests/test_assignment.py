@@ -168,6 +168,11 @@ class TestRankedSolutions:
         with pytest.raises(InfeasibleAssociationError):
             ranked_solutions(cost, 3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_solution_is_error(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ranked_solutions(np.zeros((1, 2)), k)
+
     def test_empty_problem_has_single_empty_solution(self):
         cost = np.zeros((0, 5))
         assert list(ranked_solutions(cost, 3)) == [((), 0.0)]

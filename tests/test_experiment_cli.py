@@ -75,6 +75,23 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def _cli_run(flags):
+    """``geoglmb run`` with ``flags`` in a fresh interpreter, whose default
+    warning filter prints a numpy RuntimeWarning to stderr."""
+    src = str(Path(geoglmb.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "geoglmb.cli", "run", *flags],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+
+
+def _site_file(path, depths):
+    """A site table with one row of ordinary property values per depth."""
+    rows = [f"{d!r},{40 + k},{20 + k},{30 + k}" for k, d in enumerate(depths)]
+    path.write_text("\n".join(["depth,LL,PI,w", *rows]) + "\n")
+    return path
+
+
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """Stand in for the process pool with one that runs each job in this
@@ -147,6 +164,8 @@ class TestExperimentConfig:
             ExperimentConfig(max_hypotheses=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(birth_offsets=(1.0,))
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            ExperimentConfig(jobs=0)
         nan, inf = float("nan"), float("inf")
         for bad in (
             dict(sigma_p=nan),
@@ -595,6 +614,9 @@ class TestCli:
                      "--out", str(tmp_path)]) == 2
         monkeypatch.setenv("GEOGLMB_SEED", "-4")
         assert main(["run", "--site", "onsoy", "--mc", "1", "--out", str(tmp_path)]) == 2
+        monkeypatch.setenv("GEOGLMB_SEED", "abc")
+        assert main(["run", "--site", "onsoy", "--mc", "1", "--out", str(tmp_path)]) == 2
+        assert "GEOGLMB_SEED is not an integer" in capsys.readouterr().err
         monkeypatch.delenv("GEOGLMB_SEED")
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({"seed": -2}))
@@ -750,6 +772,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "trial seed 0: a MAP estimate is not finite" in err, err
         assert list(tmp_path.iterdir()) == [site]
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_prediction_past_half_a_double_runs_clean(self, tmp_path, mode):
+        # A 149 m gap under sigma_p 1e150 predicts variances above half the
+        # largest double, yet finite: the run writes them, with no warning.
+        for k, depths in enumerate(([1, 150], [1, 150, 151, 152])):
+            site = _site_file(tmp_path / f"site{k}.csv", depths)
+            out = tmp_path / f"out{k}"
+            done = _cli_run(["--site", str(site), "--mode", mode, "--sigma-p", "1e150",
+                             "--out", str(out)])
+            assert done.returncode == 0 and "RuntimeWarning" not in done.stderr, done.stderr
+            rows = (out / "trials" / "trial_000" / "estimates.csv").read_text().splitlines()
+            top = max(float(row.rsplit(",", 1)[1]) for row in rows[1:])
+            assert sys.float_info.max / 2 < top < math.inf, top
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_process_noise_past_a_double_before_the_last_interval_exit_code(self, tmp_path,
+                                                                            mode):
+        # The noise overflows on an inner interval, so the next step predicts
+        # from an infinite covariance: exit 3 as above, and no numpy warning.
+        for k, (depths, flags, message) in enumerate((
+            ([1, 3001, 3002, 3003], ["--sigma-p", "1e150"], "innovation covariance nan"),
+            ([1, 2, 1e80, 2e80], [], "a MAP estimate is not finite"),
+        )):
+            site = _site_file(tmp_path / f"site{k}.csv", depths)
+            out = tmp_path / f"out{k}"
+            done = _cli_run(["--site", str(site), "--mode", mode, *flags, "--out", str(out)])
+            assert done.returncode == 3, done.stderr
+            assert f"trial seed 0: {message}" in done.stderr, done.stderr
+            assert "RuntimeWarning" not in done.stderr, done.stderr
+            assert not out.exists()
 
     @pytest.mark.parametrize("site", ["onsoy", "taipei"])
     @pytest.mark.parametrize("mode", ["joint", "independent"])

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import re
+import sys
 from unittest.mock import patch
 
 import numpy as np
@@ -62,6 +63,14 @@ EXHAUSTIVE = TruncationConfig(
     requested_hypotheses=10**6,
     min_weight=0.0,
     max_hypotheses=10**9,
+)
+
+
+# Covariance entries from subnormal to 8e307, past half the largest double.
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-320, 8e307]),
+    st.floats(0.0, 8e307),
+    st.builds(lambda m, e: min(m * 10.0**e, 8e307), st.floats(1.0, 10.0), st.integers(-320, 307)),
 )
 
 
@@ -398,6 +407,17 @@ class TestJointPredictUpdate:
                 0.5, EXHAUSTIVE,
             )
 
+    def test_duplicate_birth_labels_are_error(self):
+        with pytest.raises(ValueError, match="birth labels must be distinct"):
+            simple_birth([(Label(1, 0), np.array([50.0, 0.0]))] * 2)
+
+    def test_schedule_of_another_length_is_error(self):
+        birth = simple_birth([(Label(1, 0), np.array([50.0, 0.0]))])
+        for deltas in ([1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="one interval per measurement set"):
+                run_sequence(deltas, [[48.0], [51.0]], birth, MotionModel(), SensorModel(),
+                             EXHAUSTIVE)
+
     def test_birth_step_mismatch_is_error(self):
         birth = simple_birth([(Label(5, 0), np.array([50.0, 0.0]))])
         with pytest.raises(ValueError):
@@ -471,6 +491,29 @@ class TestJointPredictUpdate:
                 pytest.raises(FilterDivergenceError, match=r"innovation covariance \S+ <= 0"):
             geoglmb.filter._StepCosts(prior.hypotheses, BirthModel(), [1.0], MotionModel(),
                                       SensorModel(), 0.5)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_predicted_covariances_are_bit_symmetric(self, data):
+        # F P F' + Q needs no symmetrize pass: from a symmetric P every
+        # finite prediction is symmetric to the bit, and 0.5 (C + C') would
+        # change one only past half the largest double, where C + C'
+        # overflows.
+        n = data.draw(st.integers(1, 20))
+        covs = np.empty((n, 2, 2))
+        for c in covs:
+            p01 = data.draw(_ENTRY) * data.draw(st.sampled_from([1.0, -1.0]))
+            c[:] = [[data.draw(_ENTRY), p01], [p01, data.draw(_ENTRY)]]
+        prior = DensityArrays(log_weights=np.full(n, -math.log(n)), labels=(Label(1, 0),),
+                              state=np.arange(n)[:, None], means=np.zeros((n, 2)), covs=covs)
+        motion = MotionModel(sigma_p=data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1e100))))
+        costs = geoglmb.filter._StepCosts(prior, BirthModel(), [], motion, SensorModel(),
+                                          data.draw(st.floats(1e-3, 1e5)))
+        for c in costs._covs:
+            if np.isfinite(c).all():
+                assert c[0, 1].tobytes() == c[1, 0].tobytes(), c
+                if np.abs(c).max() <= sys.float_info.max / 2:
+                    assert (0.5 * (c + c.T)).tobytes() == c.tobytes(), c
 
     def test_child_densities_equal_single_object_code_bit_for_bit(self):
         rng = np.random.default_rng(9)
@@ -765,6 +808,30 @@ class TestFloatAndArrayStepsAgree:
         want = _under_switch(10**9, step)
         assert len(want[0].hypotheses) == min(cap, 48)
         assert_same_densities(_under_switch(0, step), want)
+
+    def test_prune_of_every_child_keeps_the_best(self):
+        # min_weight 1.0 prunes all 86 children of three births, past the
+        # switch, so each path falls back to the heaviest child alone: each
+        # birth takes its nearest reading.
+        birth = simple_birth([(Label(1, i), np.array([m, 0.0]))
+                              for i, m in enumerate((30.0, 50.0, 70.0))])
+        trunc = TruncationConfig(method="ranked", requested_hypotheses=10**6, min_weight=1.0,
+                                 max_hypotheses=10**6)
+
+        def step():
+            return [joint_predict_update(empty_density(0), birth, [31.0, 52.0, 69.0],
+                                         MotionModel(), SensorModel(), 1.0, trunc)]
+
+        sizes = []
+        normalize = geoglmb.filter.log_sum_weights
+        with patch.object(geoglmb.filter, "log_sum_weights",
+                          lambda w: sizes.append(len(w)) or normalize(w)):
+            want = _under_switch(geoglmb.filter._ROWS_AS_ARRAYS, step)
+        assert sizes == [86, 1] and sizes[0] >= geoglmb.filter._ROWS_AS_ARRAYS
+        assert want[0].hypotheses.log_weights.tolist() == [0.0]
+        assert want[0].hypotheses.outcome.tolist() == [[1, 2, 3]]
+        for switch in (0, 10**9):
+            assert_same_densities(_under_switch(switch, step), want)
 
 
 def _children_both_ways(costs, parent, solutions):
