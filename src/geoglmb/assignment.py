@@ -49,8 +49,6 @@ _BATCH_CELLS = 2**14
 # On 3 rows at k = 64, 4 left most problems unbounded: slower than no bound.
 _BOUND_WIDTH = 5
 
-# The Gibbs chain draws its uniforms in blocks of at most this many doubles.
-_BLOCK = 4096
 # Gibbs table entry of a row whose candidates all weigh 0; falsy, like an
 # entry not yet built.
 _SKIP = ()
@@ -366,14 +364,14 @@ def gibbs_solutions(
 
     A one-row chain never takes a column, so its conditional never depends
     on the state: its visited columns are one search of the same uniforms
-    over one cumulative-weight list, block by block.  Its total is at least
-    1 (the best finite cell weighs exp(0)), so no visit is skipped.
+    over one cumulative-weight list.  Its total is at least 1 (the best
+    finite cell weighs exp(0)), so no visit is skipped.
 
-    The output is fixed by the generator state on entry: the k-th uniform
-    used is the k-th double the generator yields.  Uniforms are drawn in
-    blocks, so the generator's state after the call is not part of the
-    contract.  ``filter._truncate`` seeds a fresh generator per call, so the
-    filter never reuses it.
+    The call draws ``iterations * rows`` uniforms at once, one per row
+    visit, so it advances the generator by exactly that many doubles.  The
+    k-th uniform used is the k-th double drawn; skipped rows leave the last
+    ones unused.  ``TruncationConfig`` caps ``iterations``, which bounds
+    the draw at 8 bytes per row visit.
     """
     n, n_cols = cost.shape
     rows = cost.tolist()
@@ -389,21 +387,17 @@ def gibbs_solutions(
         shift = max(finite) if finite else 0.0
         exp_rows.append([math.exp(v - shift) if math.isfinite(v) else 0.0 for v in row])
 
+    uniforms = rng.random(max(iterations, 0) * n)
     if n == 1:
         # The chain's sums (0.0 + w0 is w0); a draw landing on the total by
         # rounding picks the last column, as the chain's repeated last entry.
         cum = list(itertools.accumulate(exp_rows[0]))
-        search, total = np.array(cum), cum[-1]
+        picks = np.searchsorted(np.array(cum), uniforms * cum[-1], side="right")
         seen = dict.fromkeys(init)
-        steps = max(iterations, 0)
-        while steps:
-            block = rng.random(min(steps, _BLOCK))
-            steps -= len(block)
-            picks = np.searchsorted(search, block * total, side="right")
-            seen.update(dict.fromkeys(np.minimum(picks, n_cols - 1).tolist()))
+        seen.update(dict.fromkeys(np.minimum(picks, n_cols - 1).tolist()))
         visited = [(c,) for c in seen]
     else:
-        visited = _gibbs_chain(exp_rows, init, n_cols, iterations, rng)
+        visited = _gibbs_chain(exp_rows, init, n_cols, uniforms.tolist())
     return _from_pairs([(sol, solution_score(rows, sol)) for sol in visited], n)
 
 
@@ -411,20 +405,22 @@ def _gibbs_chain(
     exp_rows: list[list[float]],
     init: tuple[int, ...],
     n_cols: int,
-    iterations: int,
-    rng: np.random.Generator,
+    uniforms: list[float],
 ) -> list[tuple[int, ...]]:
     """The distinct states of the Gibbs chain from ``init``, in first-visit
     order, for every row count but one (``gibbs_solutions`` samples one row).
 
-    A chain position is ``key = sid * n + i``: state ``sid`` about to
-    resample row ``i``.  ``table[key]`` is None until built, ``_SKIP`` when
-    the row's candidates all weigh 0 (the state stays, no uniform is used),
-    else (cumulative weights, total, next keys, candidate columns).  A next
-    key is -1 until a draw first picks that candidate.  The next lists
-    repeat their last entry, so a draw landing on the total by rounding
-    picks the last candidate.  States are numbered as the chain first
-    enters them, so ``states`` is the output.
+    ``uniforms`` holds one uniform per row visit, used in order.  A chain
+    position is ``key = sid * n + i``: state ``sid`` about to resample row
+    ``i``.  ``table[key]`` is None until built, ``_SKIP`` when the row's
+    candidates all weigh 0, else (cumulative weights, total, next keys,
+    candidate columns).  A skipped row keeps the state and uses no uniform,
+    but it is still one of the ``len(uniforms)`` visits, so it drops the
+    list's last uniform; once the dropped one is the current visit's, the
+    chain ends.  A next key is -1 until a draw first picks that candidate.
+    The next lists repeat their last entry, so a draw landing on the total
+    by rounding picks the last candidate.  States are numbered as the chain
+    first enters them, so ``states`` is the output.
     """
     n = len(init)
     states = [init]
@@ -459,31 +455,22 @@ def _gibbs_chain(
         return k * n + (i + 1) % n
 
     key = 0
-    steps = max(iterations, 0) * n  # row visits not yet covered by a drawn uniform
-    while steps:
-        block = rng.random(min(steps, _BLOCK)).tolist()
-        steps -= len(block)
-        for pos, u in enumerate(block):
+    for pos, u in enumerate(uniforms):
+        entry = table[key]
+        while not entry:
+            if entry is None:
+                entry = table[key] = conditional(key)
+                continue
+            # Skipped row: one row visit, paid by the last uniform.
+            key = key + 1 if (key + 1) % n else key + 1 - n
             entry = table[key]
-            while not entry:
-                if entry is None:
-                    entry = table[key] = conditional(key)
-                    continue
-                # Skipped row: one row visit, no uniform.  It is paid from
-                # the visits beyond this block, else by the block's last
-                # uniform; with none left for this one, the chain is done.
-                key = key + 1 if (key + 1) % n else key + 1 - n
-                entry = table[key]
-                if steps:
-                    steps -= 1
-                else:
-                    block.pop()
-                    if pos == len(block):
-                        return states
-            cum, total, keys, cols = entry
-            j = bisect.bisect_right(cum, u * total)
-            nxt = keys[j]
-            if nxt < 0:
-                nxt = keys[j] = enter(key, cols[j])
-            key = nxt
+            uniforms.pop()
+            if pos == len(uniforms):
+                return states
+        cum, total, keys, cols = entry
+        j = bisect.bisect_right(cum, u * total)
+        nxt = keys[j]
+        if nxt < 0:
+            nxt = keys[j] = enter(key, cols[j])
+        key = nxt
     return states

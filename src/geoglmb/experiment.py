@@ -83,9 +83,6 @@ __all__ = [
     "write_plots",
 ]
 
-# 100x the default: one joint Gibbs trial takes 6-9 s at 20,000 (2-core x86).
-_GIBBS_ITERATION_LIMIT = 20_000
-
 ESTIMATES_HEADER = ("step", "depth", "label", "property", "mean", "variance")
 
 
@@ -157,8 +154,6 @@ class ExperimentConfig:
             issues.append(f"mode={self.mode!r} not in {{joint, independent}}")
         if self.requested_hypotheses > _ENUMERATION_LIMIT:
             issues.append(f"requested_hypotheses={self.requested_hypotheses} above {_ENUMERATION_LIMIT}")
-        if self.gibbs_iterations > _GIBBS_ITERATION_LIMIT:
-            issues.append(f"gibbs_iterations={self.gibbs_iterations} above {_GIBBS_ITERATION_LIMIT}")
         if self.mc_trials < 1:
             issues.append("mc_trials must be >= 1")
         if self.seed + self.mc_trials - 1 >= SEED_LIMIT:

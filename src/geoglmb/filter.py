@@ -118,6 +118,9 @@ _LOG_KAPPA_FLOOR = math.log(np.finfo(float).tiny)
 # most joint-mode steps above.
 _ROWS_AS_ARRAYS = 16
 
+# 100x ExperimentConfig's default: a joint Gibbs trial takes 6-9 s at 20,000 (2-core x86).
+_GIBBS_ITERATION_LIMIT = 20_000
+
 # Only the benchmark's tracer reads these names; the step calls none of them.
 predict_mixture, mixture_log_likelihood, update_mixture, mixture_reduce = (
     kalman_predict, kalman_update, kalman_update, kalman_update
@@ -153,7 +156,8 @@ EMPTY_BIRTH = BirthModel()
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """How the per-parent child space is truncated."""
+    """How the per-parent child space is truncated.  ``gibbs_iterations`` is at
+    most 20,000, as a Gibbs call draws its uniforms at once: 8 bytes a row visit."""
 
     method: str = "gibbs"
     requested_hypotheses: int = 1000
@@ -170,6 +174,8 @@ class TruncationConfig:
             value = getattr(self, name)
             if not is_number(value, whole=True) or value < low:
                 raise ValueError(f"{name}={value!r} must be an integer >= {low}")
+        if self.gibbs_iterations > _GIBBS_ITERATION_LIMIT:
+            raise ValueError(f"gibbs_iterations={self.gibbs_iterations} above {_GIBBS_ITERATION_LIMIT}")
         check_real(min_weight=self.min_weight)
         if not 0.0 <= self.min_weight <= 1.0:
             raise ValueError(f"min_weight must be finite and lie in [0, 1], got {self.min_weight}")

@@ -124,6 +124,13 @@ def assert_empty_solution(sols):
     assert sols.scores.tobytes() == np.zeros(1).tobytes()
 
 
+def assert_advanced_by(rng, seed, doubles):
+    """``rng``, seeded with ``seed``, has yielded exactly ``doubles`` doubles."""
+    twin = np.random.default_rng(seed)
+    twin.random(doubles)
+    assert rng.random() == twin.random()
+
+
 class CountingGenerator:
     """Generator stand-in that counts scalar ``random()`` calls."""
 
@@ -351,20 +358,22 @@ class TestGibbs:
         # Certain survival and detection (-inf death and undetected cells):
         # the all-missed init is infeasible, so the chain starts at Murty's
         # best (2, 3).  Row 1's only candidate then weighs exp(-1000) == 0,
-        # so each of its visits is skipped without a draw, across the
-        # boundaries of the uniform blocks too.
+        # so each of its visits is skipped without a draw, over long chains
+        # too.  The call still advances the generator by one double a visit.
         cost = np.array([[-np.inf, -np.inf, 0.0, -1000.0]] * 2)
         for iterations in (1, 7, 5000):
             counting = CountingGenerator(4)
             want = reference_gibbs_solutions(cost, iterations, counting)
             assert counting.scalar_draws == iterations
             assert list(want) == [((2, 3), -1000.0)]
-            assert_same_solutions(gibbs_solutions(cost, iterations, np.random.default_rng(4)), want)
+            rng = np.random.default_rng(4)
+            assert_same_solutions(gibbs_solutions(cost, iterations, rng), want)
+            assert_advanced_by(rng, 4, 2 * iterations)
 
     def test_skipped_rows_between_draws_keep_the_draw_sequence(self):
         # Row 1 always holds measurement 1, so every visit of row 2 is
         # skipped, the last visit of each sweep included.  Row 0 keeps
-        # exploring rare measurements long after the first uniform block.
+        # exploring rare measurements thousands of draws into the chain.
         cost = np.array([
             [0.0, 0.0, -np.inf] + [-8.0] * 5,
             [-np.inf, -np.inf, 0.0] + [-np.inf] * 5,
@@ -375,8 +384,9 @@ class TestGibbs:
                 counting = CountingGenerator(seed)
                 want = reference_gibbs_solutions(cost, iterations, counting)
                 assert counting.scalar_draws == 2 * iterations
-                got = gibbs_solutions(cost, iterations, np.random.default_rng(seed))
-                assert_same_solutions(got, want)
+                rng = np.random.default_rng(seed)
+                assert_same_solutions(gibbs_solutions(cost, iterations, rng), want)
+                assert_advanced_by(rng, seed, 3 * iterations)
 
 
 class TestEnumerate:
@@ -757,7 +767,7 @@ _GIBBS_ENTRY = st.one_of(
 
 
 def test_one_row_gibbs_equals_per_draw_reference():
-    # A one-row chain's draws cross the 4096-uniform block boundary.  Rows
+    # A one-row chain searches thousands of uniforms at once.  Rows
     # whose death and undetected cells are both -inf start from the ranked
     # best; -1000 beside 0.0 weighs 0 and is never picked.
     costs = [
@@ -788,7 +798,7 @@ def test_gibbs_equals_per_draw_reference(data):
             row[0] = row[1] = -math.inf  # p_survival = p_detect = 1
         rows.append(row)
     cost = np.array(rows, dtype=float).reshape(n_rows, n_cols)
-    # 2100 sweeps of 2 or 3 rows cross the 4096-uniform block boundary.
+    # 2100 sweeps of 2 or 3 rows run chains of thousands of draws.
     iterations = data.draw(st.sampled_from([0, 1, 3, 40, 2100]))
     seed = data.draw(st.integers(0, 2**32 - 1))
     try:

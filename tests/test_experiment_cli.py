@@ -1393,6 +1393,11 @@ class TestCli:
         ticks = [t.text for t in ET.parse(tmp_path / "plot.svg").iter()
                  if t.tag.endswith("text") and t.get("y") == "530"]
         assert len(set(ticks)) == len(ticks) >= 2, ticks
+        # three empty series: drawn on the unit ranges
+        profile_plot("site: LL", [], [], [], tmp_path / "empty.svg")
+        ticks = [t.text for t in ET.parse(tmp_path / "empty.svg").iter()
+                 if t.tag.endswith("text") and t.get("y") == "530"]
+        assert ticks[0] == "0" and ticks[-1] == "1", ticks
 
     @pytest.mark.parametrize("depth", [1e-12, 1e-300])
     def test_profile_of_tiny_depths_ticks(self, tmp_path, depth):

@@ -702,6 +702,12 @@ class TestBoundaryProperties:
         with pytest.raises(ValueError, match=name):
             TruncationConfig(**{name: value})
 
+    def test_truncation_caps_gibbs_iterations(self):
+        # a Gibbs call draws its iterations x rows uniforms in one array
+        TruncationConfig(method="gibbs", gibbs_iterations=20_000)
+        with pytest.raises(ValueError, match="gibbs_iterations=20001 above 20000"):
+            TruncationConfig(method="gibbs", gibbs_iterations=20_001)
+
 
 _DENSITY_FIELDS = ("log_weights", "state", "outcome", "parent", "means", "covs")
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geoglmb.errors import FilterDivergenceError
 from geoglmb.filter import TruncationConfig
 from geoglmb.gaussian import (
     MAX_CLUTTER_RATE,
@@ -150,6 +151,12 @@ class TestKalmanUpdate:
         comp = Gaussian([0.0, 0.0], np.eye(2))
         with pytest.raises(ValueError):
             kalman_update(comp, 1.0, SensorModel(sigma_m=0.0))
+
+    def test_variance_below_minus_r_is_divergence(self):
+        # -500 + 10**2 leaves no innovation variance
+        comp = Gaussian([0.0, 0.0], np.array([[-500.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(FilterDivergenceError, match=r"innovation covariance -400\.0 <= 0"):
+            kalman_update(comp, 1.0, SensorModel(sigma_m=10.0))
 
 
 class TestKalmanUpdateRows:

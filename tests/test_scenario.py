@@ -105,6 +105,9 @@ class TestLoadSiteTable:
     def test_missing_column_named(self, table_file):
         with pytest.raises(SiteTableError, match="missing column 'PI'"):
             load_site_table(table_file(b"depth,LL,w\n1.0,10,30\n"))
+        # a record built without the loader checks its values itself
+        with pytest.raises(ValueError, match=r"depth 1.0 missing \['PI'\]"):
+            SiteRecord(1.0, {"LL": 10.0, "w": 30.0})
 
     def test_non_numeric_cell_names_row_and_column(self, table_file):
         with pytest.raises(SiteTableError, match="row 2, column LL"):
@@ -115,6 +118,8 @@ class TestLoadSiteTable:
             load_site_table(table_file(b"depth,LL,PI,w\n1.0,10,20,inf\n"))
         with pytest.raises(SiteTableError, match="row 1, column depth"):
             load_site_table(table_file(b"depth,LL,PI,w\nnan,10,20,30\n"))
+        with pytest.raises(ValueError, match="depth 2.0 has non-finite PI"):
+            SiteRecord(2.0, {"LL": 11.0, "PI": math.nan, "w": 30.0})
 
     def test_duplicate_depth_rejected(self, table_file):
         with pytest.raises(SiteTableError, match="duplicate depth"):
@@ -123,6 +128,9 @@ class TestLoadSiteTable:
     def test_nonpositive_depth_rejected(self, table_file):
         with pytest.raises(SiteTableError, match="row 1, column depth"):
             load_site_table(table_file(b"depth,LL,PI,w\n0.0,10,20,30\n"))
+        for depth in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="depth must be > 0"):
+                SiteRecord(depth, {"LL": 10.0, "PI": 20.0, "w": 30.0})
 
     def test_bundled_checksums(self):
         for site, expected in BUNDLED_SHA256.items():
