@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assignment import _ENUMERATION_LIMIT
 from .errors import ConfigError, FilterDivergenceError, GeoGlmbError, SiteTableError
 # glmbbench traces build_report and scenario_to_csv as attributes of this
 # module, which no longer calls them.
@@ -152,8 +151,6 @@ class ExperimentConfig:
                           "within +-1e150")
         if self.mode not in ("joint", "independent"):
             issues.append(f"mode={self.mode!r} not in {{joint, independent}}")
-        if self.requested_hypotheses > _ENUMERATION_LIMIT:
-            issues.append(f"requested_hypotheses={self.requested_hypotheses} above {_ENUMERATION_LIMIT}")
         if self.mc_trials < 1:
             issues.append("mc_trials must be >= 1")
         if self.seed + self.mc_trials - 1 >= SEED_LIMIT:

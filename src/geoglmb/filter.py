@@ -66,7 +66,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import Solutions, batch_enumerable, gibbs_solutions, ranked_batch, ranked_solutions
+from .assignment import (
+    _ENUMERATION_LIMIT, Solutions, batch_enumerable, gibbs_solutions, ranked_batch, ranked_solutions
+)
 from .errors import FilterDivergenceError, InfeasibleAssociationError, WeightCollapseError
 from .gaussian import (
     BROKEN_INNOVATION,
@@ -81,6 +83,7 @@ from .gaussian import (
     kalman_predict,
     kalman_update,
     kalman_update_rows,
+    raise_problems,
     transition_matrices,
 )
 from .lrfs import (
@@ -156,8 +159,9 @@ EMPTY_BIRTH = BirthModel()
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """How the per-parent child space is truncated.  ``gibbs_iterations`` is at
-    most 20,000, as a Gibbs call draws its uniforms at once: 8 bytes a row visit."""
+    """How the per-parent child space is truncated.  ``requested_hypotheses`` is at
+    most 16,384, the enumeration limit, and ``gibbs_iterations`` at most 20,000, as
+    a Gibbs call draws its uniforms at once: 8 bytes a row visit."""
 
     method: str = "gibbs"
     requested_hypotheses: int = 1000
@@ -167,18 +171,17 @@ class TruncationConfig:
     max_hypotheses: int = 1000
 
     def __post_init__(self):
-        if self.method not in ("gibbs", "ranked"):
-            raise ValueError(f"unknown truncation method {self.method!r}")
-        for name, low in (("requested_hypotheses", 1), ("gibbs_iterations", 1),
-                          ("max_hypotheses", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not is_number(value, whole=True) or value < low:
-                raise ValueError(f"{name}={value!r} must be an integer >= {low}")
-        if self.gibbs_iterations > _GIBBS_ITERATION_LIMIT:
-            raise ValueError(f"gibbs_iterations={self.gibbs_iterations} above {_GIBBS_ITERATION_LIMIT}")
         check_real(min_weight=self.min_weight)
-        if not 0.0 <= self.min_weight <= 1.0:
-            raise ValueError(f"min_weight must be finite and lie in [0, 1], got {self.min_weight}")
+        checks = [(self.method in ("gibbs", "ranked"), f"unknown truncation method {self.method!r}")]
+        for name, low, high in (("requested_hypotheses", 1, _ENUMERATION_LIMIT),
+                                ("gibbs_iterations", 1, _GIBBS_ITERATION_LIMIT),
+                                ("max_hypotheses", 1, math.inf), ("seed", 0, math.inf)):
+            value = getattr(self, name)
+            whole = is_number(value, whole=True) and value >= low
+            checks += [(whole, f"{name}={value!r} must be an integer >= {low}"),
+                       (not whole or value <= high, f"{name}={value} above {high}")]
+        raise_problems(*checks, (0.0 <= self.min_weight <= 1.0,
+                                 f"min_weight must be finite and lie in [0, 1], got {self.min_weight}"))
 
 
 def _log(p: float) -> float:

@@ -49,6 +49,13 @@ def check_real(**values) -> None:
             raise ValueError(f"{name}={value!r} must be a real number")
 
 
+def raise_problems(*checks: tuple[bool, str]) -> None:
+    """Raise one ValueError joining, by "; ", the message of every failed check."""
+    problems = [message for ok, message in checks if not ok]
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class Gaussian:
     """One single-object density: a 2D mean and its 2x2 covariance."""
@@ -78,10 +85,11 @@ class MotionModel:
 
     def __post_init__(self):
         check_real(sigma_p=self.sigma_p, p_survival=self.p_survival)
-        if not 0.0 <= self.sigma_p <= MAX_MAGNITUDE:
-            raise ValueError(f"sigma_p must be finite, >= 0 and <= 1e150, got {self.sigma_p}")
-        if not 0.0 <= self.p_survival <= 1.0:
-            raise ValueError("p_survival must lie in [0, 1]")
+        raise_problems(
+            (0.0 <= self.sigma_p <= MAX_MAGNITUDE,
+             f"sigma_p must be finite, >= 0 and <= 1e150, got {self.sigma_p}"),
+            (0.0 <= self.p_survival <= 1.0, "p_survival must lie in [0, 1]"),
+        )
 
 
 @dataclass(frozen=True)
@@ -103,20 +111,17 @@ class SensorModel:
         check_real(
             sigma_m=self.sigma_m, p_detect=self.p_detect, clutter_rate=self.clutter_rate
         )
-        if not 0.0 <= self.sigma_m <= MAX_MAGNITUDE:
-            raise ValueError(f"sigma_m must be finite, >= 0 and <= 1e150, got {self.sigma_m}")
-        if not 0.0 <= self.p_detect <= 1.0:
-            raise ValueError("p_detect must lie in [0, 1]")
-        if not 0.0 <= self.clutter_rate <= MAX_CLUTTER_RATE:
-            raise ValueError(
-                f"clutter_rate must be finite, >= 0 and <= 1e4, got {self.clutter_rate}"
-            )
         lo, hi = self.clutter_region
-        if not -MAX_MAGNITUDE <= lo < hi <= MAX_MAGNITUDE:
-            raise ValueError(
-                f"clutter_region must be finite with -1e150 <= lo < hi <= 1e150, "
-                f"got {self.clutter_region}"
-            )
+        raise_problems(
+            (0.0 <= self.sigma_m <= MAX_MAGNITUDE,
+             f"sigma_m must be finite, >= 0 and <= 1e150, got {self.sigma_m}"),
+            (0.0 <= self.p_detect <= 1.0, "p_detect must lie in [0, 1]"),
+            (0.0 <= self.clutter_rate <= MAX_CLUTTER_RATE,
+             f"clutter_rate must be finite, >= 0 and <= 1e4, got {self.clutter_rate}"),
+            (-MAX_MAGNITUDE <= lo < hi <= MAX_MAGNITUDE,
+             "clutter_region must be finite with -1e150 <= lo < hi <= 1e150, "
+             f"got {self.clutter_region}"),
+        )
 
     def clutter_intensity(self) -> float:
         lo, hi = self.clutter_region

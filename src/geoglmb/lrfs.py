@@ -9,8 +9,8 @@ a filter step also points back at the density it was stepped from: each
 hypothesis keeps its parent's index and its own association outcome per
 label, so its history is its parent's history plus one outcome row.
 Arrays are the only way to build a density.  A ``GlmbHypothesis`` object
-holds a label set, a history and a weight, built from the arrays only when
-asked for; a label's Gaussian lives only in the arrays.
+holds a label set, a history and a weight, built from the arrays on every
+read and kept nowhere; a label's Gaussian lives only in the arrays.
 All weight arithmetic stays in log space; products of many small
 likelihoods underflow doubles long before they stop mattering.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -73,8 +74,8 @@ class GlmbHypothesis:
     association solutions, so the hypotheses of one density never share an
     identity.
 
-    Only ``DensityArrays`` builds instances, on first access, and keeps
-    them: the history extends the parent instance's history tuple.  A
+    Only ``DensityArrays`` builds instances, afresh on every read: the
+    history is one outcome row per step, read back through the parents.  A
     label's Gaussian is read from the arrays, through ``state``.
     """
 
@@ -96,8 +97,8 @@ class DensityArrays(Sequence):
     The arrays are taken as given, unchecked.
 
     As a sequence it is a read-only view of the hypothesis objects, each
-    built on first access and then kept; ``len`` builds none, and a slice
-    is a tuple.
+    built from the arrays on every read and kept nowhere; ``len`` builds
+    none, and a slice is a tuple.
     """
 
     log_weights: np.ndarray
@@ -109,38 +110,21 @@ class DensityArrays(Sequence):
     parent: np.ndarray | None = None
     outcome: np.ndarray | None = None
 
-    def __post_init__(self):
-        self._built: list[GlmbHypothesis | None] = [None] * len(self.log_weights)
-
     def __len__(self) -> int:
-        return len(self._built)
+        return len(self.log_weights)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
-        if self._built[i] is None:
-            # An object extends its parent's history: walk back to the
-            # nearest built ancestor, then build forward, so a long run
-            # does not recurse once per step.
-            unbuilt, arrays, j = [], self, i
-            while arrays._built[j] is None:
-                unbuilt.append((arrays, j))
-                if arrays.prior is None:
-                    break
-                arrays, j = arrays.prior.hypotheses, int(arrays.parent[j])
-            for arrays, j in reversed(unbuilt):
-                arrays._built[j] = arrays._build(j)
-        return self._built[i]
-
-    def _build(self, i: int) -> GlmbHypothesis:
         label_set = tuple(lbl for lbl, row in zip(self.labels, self.state[i].tolist()) if row >= 0)
-        history = ()
-        if self.prior is not None:
-            entry = zip(self.labels, self.outcome[i].tolist())
-            history = self.prior.hypotheses[self.parent[i]].history + (
-                tuple((lbl, o) for lbl, o in entry if o != ABSENT),
-            )
-        return GlmbHypothesis(label_set, history, float(self.log_weights[i]))
+        # One outcome row per step, read back through the parents: a loop,
+        # so a long run does not recurse once per step.
+        history, arrays, j = [], self, i
+        while arrays.prior is not None:
+            entry = zip(arrays.labels, arrays.outcome[j].tolist())
+            history.append(tuple((lbl, o) for lbl, o in entry if o != ABSENT))
+            arrays, j = arrays.prior.hypotheses, int(arrays.parent[j])
+        return GlmbHypothesis(label_set, tuple(reversed(history)), float(self.log_weights[i]))
 
 
 @dataclass(frozen=True)
@@ -185,7 +169,8 @@ def best_hypothesis_with_cardinality(glmb: GlmbDensity, n: int) -> int:
     those with exactly n labels.
 
     Ties break deterministically: lexicographically smallest label set,
-    then smallest history.  Only tied hypotheses are built as objects.
+    then smallest history.  Only tied hypotheses are built as objects,
+    each once.
     """
     a = glmb.hypotheses
     logw = a.log_weights.tolist()
@@ -196,4 +181,4 @@ def best_hypothesis_with_cardinality(glmb: GlmbDensity, n: int) -> int:
     tied = [i for i in candidates if logw[i] == best]
     if len(tied) == 1:
         return tied[0]
-    return min(tied, key=lambda i: (a[i].label_set, a[i].history))
+    return min(tied, key=lambda i: attrgetter("label_set", "history")(a[i]))

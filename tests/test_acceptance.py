@@ -23,8 +23,10 @@ from geoglmb.scenario import (
     synthesize_observations,
 )
 
+# 16,384, the cap, is above every solution count of the problems posed here,
+# so ranked truncation keeps every child.
 EXHAUSTIVE = TruncationConfig(
-    method="ranked", requested_hypotheses=10**6, min_weight=0.0, max_hypotheses=10**9
+    method="ranked", requested_hypotheses=16384, min_weight=0.0, max_hypotheses=10**9
 )
 
 FAST_MC = dict(

@@ -182,6 +182,18 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match="finite"):
                 ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize("bad, names", [
+        (dict(requested_hypotheses=0, gibbs_iterations=10**10),
+         ("requested_hypotheses", "gibbs_iterations")),
+        (dict(sigma_m=-1.0, p_detect=2.0), ("sigma_m", "p_detect")),
+        (dict(p_survival=2.0, sigma_p=-1.0), ("p_survival", "sigma_p")),
+        (dict(trunc_method="x", min_weight=2.0), ("truncation method", "min_weight")),
+    ])
+    def test_every_problem_of_one_model_is_listed(self, bad, names):
+        with pytest.raises(ConfigError) as caught:
+            ExperimentConfig(**bad)
+        assert all(name in str(caught.value) for name in names)
+
     def test_counts_are_bounded_at_their_limits(self):
         ExperimentConfig(requested_hypotheses=16384, gibbs_iterations=20_000)
         for field, value in (("requested_hypotheses", 16385), ("gibbs_iterations", 20_001)):
@@ -480,11 +492,16 @@ class TestCli:
         site.write_text("depth,LL,PI,w\n" + "".join(
             f"{1.0 + 0.1 * i:.2f},40.00,40.00,40.00\n" for i in range(600)))
         built = []
-        build = DensityArrays._build
-        monkeypatch.setattr(DensityArrays, "_build", lambda a, i: built.append(i) or build(a, i))
+        getitem = DensityArrays.__getitem__
+
+        def recorded(a, i):
+            built.append(getitem(a, i))
+            return built[-1]
+
+        monkeypatch.setattr(DensityArrays, "__getitem__", recorded)
         out = tmp_path / "run"
         assert main(["run", "--site", str(site), "--out", str(out)]) == 0
-        assert (out / "report.json").exists() and len(built) > 600
+        assert (out / "report.json").exists() and any(len(h.history) == 600 for h in built)
 
     def test_plots_parse_when_the_site_name_holds_markup(self, tmp_path):
         # The site name, the table's file name, goes into every plot title.

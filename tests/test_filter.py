@@ -58,9 +58,11 @@ from geoglmb.lrfs import (
 from geoglmb.scenario import bundled_records
 from test_assignment import reference_gibbs_solutions
 
+# 16,384, the cap, is above every solution count of the problems posed here
+# (at most 352 per parent), so ranked truncation keeps every child.
 EXHAUSTIVE = TruncationConfig(
     method="ranked",
-    requested_hypotheses=10**6,
+    requested_hypotheses=16384,
     min_weight=0.0,
     max_hypotheses=10**9,
 )
@@ -346,7 +348,7 @@ class TestJointPredictUpdate:
             glmb, birth, zs, motion, sensor, 0.5,
             TruncationConfig(
                 method="gibbs", gibbs_iterations=3000, seed=5,
-                requested_hypotheses=10**6, min_weight=0.0, max_hypotheses=10**9,
+                requested_hypotheses=16384, min_weight=0.0, max_hypotheses=10**9,
             ),
         )
         wr, wg = result_weights(ranked), result_weights(gibbs)
@@ -708,6 +710,11 @@ class TestBoundaryProperties:
         with pytest.raises(ValueError, match="gibbs_iterations=20001 above 20000"):
             TruncationConfig(method="gibbs", gibbs_iterations=20_001)
 
+    def test_truncation_caps_requested_hypotheses_at_the_enumeration_limit(self):
+        TruncationConfig(requested_hypotheses=16384)
+        with pytest.raises(ValueError, match="requested_hypotheses=16385 above 16384"):
+            TruncationConfig(requested_hypotheses=16385)
+
 
 _DENSITY_FIELDS = ("log_weights", "state", "outcome", "parent", "means", "covs")
 
@@ -821,7 +828,7 @@ class TestFloatAndArrayStepsAgree:
         # birth takes its nearest reading.
         birth = simple_birth([(Label(1, i), np.array([m, 0.0]))
                               for i, m in enumerate((30.0, 50.0, 70.0))])
-        trunc = TruncationConfig(method="ranked", requested_hypotheses=10**6, min_weight=1.0,
+        trunc = TruncationConfig(method="ranked", requested_hypotheses=16384, min_weight=1.0,
                                  max_hypotheses=10**6)
 
         def step():
@@ -1331,13 +1338,13 @@ class TestExtractMapTrajectories:
 class TestLazyHypotheses:
     def test_objects_are_built_only_on_access(self, monkeypatch):
         built = []
-        build = DensityArrays._build
+        getitem = DensityArrays.__getitem__
 
         def counted(self, i):
             built.append(1)
-            return build(self, i)
+            return getitem(self, i)
 
-        monkeypatch.setattr(DensityArrays, "_build", counted)
+        monkeypatch.setattr(DensityArrays, "__getitem__", counted)
         runs = []
         original = geoglmb.experiment.run_sequence
 
@@ -1353,12 +1360,11 @@ class TestLazyHypotheses:
         assert [len(d.hypotheses) for d in history] == list(series.hypothesis_counts)
         assert len(built) == 0
 
-        # a hypothesis needs its ancestors, one per step plus the initial
-        # empty hypothesis, and each is built once
+        # a hypothesis is built afresh from the arrays on every read, with one
+        # history entry per step
         final = history[-1]
         h = final.hypotheses[7]
-        assert len(built) == len(history) + 1
-        assert final.hypotheses[7] is h
+        assert len(h.history) == len(history)
+        assert final.hypotheses[7] == h
         parent = history[-2].hypotheses[final.hypotheses.parent[7]]
-        assert len(built) == len(history) + 1
         assert h.history[:-1] == parent.history

@@ -178,6 +178,9 @@ class TestGlmbDensity:
         for i, h in enumerate(glmb.hypotheses):
             assert h.label_set == tuple(lbl for lbl, row in zip(a.labels, a.state[i]) if row >= 0)
         assert not hasattr(a, "_views") and not hasattr(Gaussian, "_view")
+        # reading every object leaves the arrays as the density's only state
+        assert list(vars(a)) == ["log_weights", "labels", "state", "means", "covs",
+                                 "prior", "parent", "outcome"]
 
 
 class TestCardinalityDistribution:
